@@ -45,25 +45,29 @@ def dist2_two_wells_grad(F: np.ndarray, A: np.ndarray, B: np.ndarray):
     at the measure-zero tie the A branch is used.  Where the optimal
     rotation is non-unique (r = 0) the subgradient of the identity-rotation
     branch ``2 (F - G)`` is returned.
+
+    The gradient is ``2 F - (c_G G + c_JG JG)`` with per-point coefficients
+    ``(2p/r, 2q/r)``, or ``(2, 0)`` at r = 0, on the active well G; it is
+    formed as one (n, 4) x (4, 4) product against the fixed matrices
+    A, JA, B and JB.
     """
     F = np.ascontiguousarray(F, dtype=float).reshape(-1, 2, 2)
     d2a, pa, qa, ra = _orbit_terms(F, A)
     d2b, pb, qb, rb = _orbit_terms(F, B)
-    which = (d2b < d2a).astype(np.uint8)
+    which = d2b < d2a
     d2 = np.where(which, d2b, d2a)
 
-    sel_p = np.where(which, pb, pa)
-    sel_q = np.where(which, qb, qa)
-    sel_r = np.where(which, rb, ra)
-    G = np.where(which[:, None, None], B[None], A[None])
-    JG = np.where(which[:, None, None], (_J @ B)[None], (_J @ A)[None])
-
+    p = np.where(which, pb, pa)
+    q = np.where(which, qb, qa)
+    r = np.where(which, rb, ra)
+    ok = r > 0.0
+    inv = np.divide(2.0, r, out=np.zeros_like(r), where=ok)
+    coef = np.zeros((len(F), 4))
+    col = 2 * which  # column of G: 0 for A, 2 for B; JG follows it
+    rows = np.arange(len(F))
+    coef[rows, col] = np.where(ok, inv * p, 2.0)
+    coef[rows, col + 1] = inv * q
+    mats = np.stack([A, _J @ A, B, _J @ B]).reshape(4, 4)
     grad = 2.0 * F
-    ok = sel_r > 0.0
-    coef = np.zeros_like(sel_r)
-    coef[ok] = 2.0 / sel_r[ok]
-    grad -= coef[:, None, None] * (sel_p[:, None, None] * G + sel_q[:, None, None] * JG)
-    if not np.all(ok):
-        bad = ~ok
-        grad[bad] = 2.0 * (F[bad] - G[bad])
+    grad -= (coef @ mats).reshape(-1, 2, 2)
     return d2, grad

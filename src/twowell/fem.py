@@ -11,6 +11,14 @@ the exact (unsmoothed) jump norm.
 Descent is limited-memory BFGS with Armijo backtracking on the interior
 nodes; boundary nodes are pinned to the identity.  No global-optimality
 claim is made, nonconvexity is handled by multi-start.
+
+One evaluation computes the per-triangle gradients F, the well kernel and
+the edge jumps once.  Armijo trial points evaluate the energy only; the
+accepted point then reuses its F and jumps for the gradient, which chains
+the kernel gradient and the jump term back to the nodes with ``np.bincount``
+scatters over index arrays the mesh builds once.
+:func:`discrete_energy` and :func:`discrete_gradient` wrap the same two
+passes.
 """
 
 from __future__ import annotations
@@ -68,32 +76,36 @@ class Mesh:
         ncell = nx * ny
         self.n_tris = 2 * ncell
 
-        # Constant per-triangle gradient operators: d_x u = cx . u(tri nodes).
-        cx = np.empty((self.n_tris, 3))
-        cy = np.empty((self.n_tris, 3))
-        cx[:ncell] = np.array([-1.0 / self.hx, 1.0 / self.hx, 0.0])
-        cy[:ncell] = np.array([0.0, -1.0 / self.hy, 1.0 / self.hy])
-        cx[ncell:] = np.array([0.0, 1.0 / self.hx, -1.0 / self.hx])
-        cy[ncell:] = np.array([-1.0 / self.hy, 0.0, 1.0 / self.hy])
-        self.cx, self.cy = cx, cy
+        # Constant per-triangle gradient operators, d_x u = cx . u(tri nodes)
+        # and d_y u = cy . u(tri nodes).  The lower triangles come first and
+        # all share tri_ops[0]; the upper ones share tri_ops[1].  Each is a
+        # (vertex, x/y) table.
+        ix, iy = 1.0 / self.hx, 1.0 / self.hy
+        self.tri_ops = np.array([[[-ix, 0.0], [ix, -iy], [0.0, iy]],
+                                 [[0.0, -iy], [ix, 0.0], [-ix, iy]]])
+        self.cx = np.repeat(self.tri_ops[:, :, 0], ncell, axis=0)
+        self.cy = np.repeat(self.tri_ops[:, :, 1], ncell, axis=0)
         self.tri_area = 0.5 * self.hx * self.hy
 
-        # Interior edges as (left tri, right tri, length).
-        edges = []
-        diag = math.hypot(self.hx, self.hy)
-        cell = lambda i, j: j * nx + i  # noqa: E731
-        for j in range(ny):
-            for i in range(nx):
-                lo = cell(i, j)
-                up = cell(i, j) + ncell
-                edges.append((lo, up, diag))
-                if i + 1 < nx:
-                    edges.append((lo, cell(i + 1, j) + ncell, self.hy))
-                if j + 1 < ny:
-                    edges.append((up, cell(i, j + 1), self.hx))
-        e = np.array(edges)
-        self.edge_tris = e[:, :2].astype(int)
-        self.edge_len = e[:, 2].astype(float)
+        # Interior edges as (left tri, right tri, length), cell by cell in
+        # row-major order: the diagonal, then the edge shared with the
+        # right-hand cell, then the edge shared with the cell above.
+        lo = np.arange(ncell).reshape(ny, nx)
+        up = lo + ncell
+        pairs = np.empty((ny, nx, 3, 2), dtype=np.intp)
+        pairs[:, :, 0] = np.stack([lo, up], axis=-1)
+        pairs[:, :-1, 1] = np.stack([lo[:, :-1], up[:, 1:]], axis=-1)
+        pairs[:-1, :, 2] = np.stack([up[:-1], lo[1:]], axis=-1)
+        present = np.ones((ny, nx, 3), dtype=bool)
+        present[:, -1, 1] = False
+        present[-1, :, 2] = False
+        lengths = np.array([math.hypot(self.hx, self.hy), self.hy, self.hx])
+        self.edge_tris = pairs[present]
+        self.edge_len = np.broadcast_to(lengths, present.shape)[present]
+
+        # Flat bincount index of the edge term: every left triangle, then
+        # every right one.  The nodal scatter indexes by tris.ravel().
+        self.edge_sides = self.edge_tris.T.ravel()
 
         on_bnd = np.zeros(self.n_nodes, dtype=bool)
         ii = self.nodes
@@ -150,18 +162,60 @@ def _edge_jumps(mesh: Mesh, F: np.ndarray):
     return J, jn
 
 
+def _energy_pass(mesh: Mesh, values: np.ndarray, A: np.ndarray, B: np.ndarray,
+                 delta: float):
+    """The smoothed energy at nodal ``values``: ``(elastic, tv, F, J, jn)``.
+
+    F and the edge jumps J, |J| are returned for :func:`_gradient_pass`, so
+    a point whose gradient is needed reuses them."""
+    F = mesh.gradients(values)
+    d2, _ = kernels.dist2_two_wells(F, A, B)
+    elastic = mesh.tri_area * float(np.sum(d2))
+    J, jn = _edge_jumps(mesh, F)
+    tv = float(np.sum(mesh.edge_len * _huber(jn, delta)))
+    return elastic, tv, F, J, jn
+
+
+def _gradient_pass(mesh: Mesh, F: np.ndarray, J: np.ndarray, jn: np.ndarray,
+                   A: np.ndarray, B: np.ndarray, eps: float,
+                   delta: float) -> np.ndarray:
+    """Nodal gradient of ``elastic + eps * tv`` from the per-triangle F and
+    the edge jumps of one point; boundary rows are zero.
+
+    Per-triangle dE/dF is the kernel gradient plus the Huberized jump term,
+    added on each edge's left triangle and subtracted on its right one.  It
+    is chained to the vertices and summed per node with ``np.bincount``,
+    one call per matrix entry or nodal component, each over contiguous
+    weights."""
+    _, dW = kernels.dist2_two_wells_grad(F, A, B)
+    dF = mesh.tri_area * dW
+    nt = mesh.n_tris
+    if eps != 0.0:
+        w = eps * mesh.edge_len * np.where(jn <= delta, 1.0 / delta,
+                                           1.0 / np.maximum(jn, 1e-300))
+        wJ = np.multiply(J.reshape(-1, 4).T, w, order="C")  # (entry, edge)
+        dF4 = dF.reshape(nt, 4)
+        for m in range(4):
+            dF4[:, m] += np.bincount(mesh.edge_sides,
+                                     np.concatenate([wJ[m], -wJ[m]]), nt)
+    # Vertex k of triangle t receives dF[t, c, 0] * cx[t, k] +
+    # dF[t, c, 1] * cy[t, k] in component c: one matrix product per triangle
+    # half, laid out (c, half, t, k).
+    contrib = (dF.reshape(2, nt // 2, 2, 2).transpose(2, 0, 1, 3)
+               @ mesh.tri_ops.transpose(0, 2, 1))
+    grad = np.empty((mesh.n_nodes, 2))
+    for c in range(2):
+        grad[:, c] = np.bincount(mesh.tris.ravel(), contrib[c].ravel(), mesh.n_nodes)
+    grad[mesh.boundary_mask] = 0.0
+    return grad
+
+
 def discrete_energy(field: DiscreteField, spec: WellSpec, eps: float,
                     delta: float | None = None):
     """(elastic, tv, total): per-triangle well distance plus Huberized
     edge-jump total variation; ``total = elastic + eps * tv``."""
-    mesh = field.mesh
     delta = default_huber_delta(spec) if delta is None else delta
-    A, B = well_matrices(spec)
-    F = mesh.gradients(field.values)
-    d2, _ = kernels.dist2_two_wells(F, A, B)
-    elastic = mesh.tri_area * float(np.sum(d2))
-    _, jn = _edge_jumps(mesh, F)
-    tv = float(np.sum(mesh.edge_len * _huber(jn, delta)))
+    elastic, tv, *_ = _energy_pass(field.mesh, field.values, *well_matrices(spec), delta)
     return elastic, tv, elastic + eps * tv
 
 
@@ -171,15 +225,6 @@ def exact_tv(field: DiscreteField) -> float:
     return float(np.sum(field.mesh.edge_len * jn))
 
 
-def _scatter(mesh: Mesh, dF: np.ndarray) -> np.ndarray:
-    """Chain per-triangle dE/dF back to nodal values."""
-    contrib = (np.einsum("tc,tk->tkc", dF[:, :, 0], mesh.cx)
-               + np.einsum("tc,tk->tkc", dF[:, :, 1], mesh.cy))
-    out = np.zeros((mesh.n_nodes, 2))
-    np.add.at(out, mesh.tris.ravel(), contrib.reshape(-1, 2))
-    return out
-
-
 def discrete_gradient(field: DiscreteField, spec: WellSpec, eps: float,
                       delta: float | None = None) -> np.ndarray:
     """Exact gradient of :func:`discrete_energy` w.r.t. free nodal values
@@ -187,22 +232,9 @@ def discrete_gradient(field: DiscreteField, spec: WellSpec, eps: float,
     ties toward well A."""
     mesh = field.mesh
     delta = default_huber_delta(spec) if delta is None else delta
-    A, B = well_matrices(spec)
     F = mesh.gradients(field.values)
-    _, dW = kernels.dist2_two_wells_grad(F, A, B)
-    dF = mesh.tri_area * dW
-
-    if eps != 0.0:
-        J, jn = _edge_jumps(mesh, F)
-        w = eps * mesh.edge_len * np.where(jn <= delta, 1.0 / delta,
-                                           1.0 / np.maximum(jn, 1e-300))
-        dJ = w[:, None, None] * J
-        np.add.at(dF, mesh.edge_tris[:, 0], dJ)
-        np.add.at(dF, mesh.edge_tris[:, 1], -dJ)
-
-    grad = _scatter(mesh, dF)
-    grad[mesh.boundary_mask] = 0.0
-    return grad
+    return _gradient_pass(mesh, F, *_edge_jumps(mesh, F), *well_matrices(spec),
+                          eps, delta)
 
 
 @dataclass(frozen=True)
@@ -225,6 +257,9 @@ class MinimizeResult:
     converged: bool
     gradient_norm: float
     status: str  # "gtol" | "stalled" | "max_iter"
+    energy_evals: int  # energy passes: the start and every Armijo trial
+    grad_evals: int    # gradient passes: the start and every accepted step
+    backtracks: int    # rejected Armijo trials
 
 
 def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
@@ -243,20 +278,28 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
     free = mesh.free_mask
     tol = opts.grad_tol_scale * math.sqrt(2.0 * mesh.n_free)
 
-    work = DiscreteField(mesh, initial.values.copy())
+    A, B = well_matrices(spec)
+    values = initial.values.copy()
+    energy_evals = grad_evals = backtracks = 0
 
-    def unpack(x):
-        work.values[free] = x.reshape(-1, 2)
-        return work
+    def energy_at(x):
+        nonlocal energy_evals
+        energy_evals += 1
+        values[free] = x.reshape(-1, 2)
+        return _energy_pass(mesh, values, A, B, delta)
 
-    def f_and_g(x):
-        fld = unpack(x)
-        _, _, tot = discrete_energy(fld, spec, eps, delta)
-        g = discrete_gradient(fld, spec, eps, delta)[free].ravel()
-        return tot, g
+    def gradient_at(point):
+        nonlocal grad_evals
+        grad_evals += 1
+        _, _, F, J, jn = point
+        return _gradient_pass(mesh, F, J, jn, A, B, eps, delta)[free].ravel()
+
+    def total(point):
+        return point[0] + eps * point[1]
 
     x = initial.values[free].ravel().copy()
-    f, g = f_and_g(x)
+    point = energy_at(x)
+    f, g = total(point), gradient_at(point)
     trace = [f]
     s_list: list[np.ndarray] = []
     y_list: list[np.ndarray] = []
@@ -287,19 +330,22 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
         if slope >= 0.0:
             d = -g
             slope = -float(g @ g)
-        # Armijo backtracking.
+        # Armijo backtracking: trial points need the energy only.
         t = 1.0
         accepted = False
         for _ in range(opts.max_backtracks):
             x_new = x + t * d
-            f_new, g_new = f_and_g(x_new)
+            new_point = energy_at(x_new)
+            f_new = total(new_point)
             if f_new <= f + opts.armijo * t * slope:
                 accepted = True
                 break
+            backtracks += 1
             t *= opts.shrink
         if not accepted:
             status = "stalled"
             break
+        g_new = gradient_at(new_point)
         s_vec = x_new - x
         y_vec = g_new - g
         if float(s_vec @ y_vec) > 1e-300:
@@ -308,17 +354,16 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
             if len(s_list) > opts.memory:
                 s_list.pop(0)
                 y_list.pop(0)
-        x, f, g = x_new, f_new, g_new
+        x, f, g, point = x_new, f_new, g_new, new_point
         trace.append(f)
 
-    final = unpack(x)
-    out_field = DiscreteField(mesh, final.values.copy())
-    elastic, _, _ = discrete_energy(out_field, spec, eps, delta)
-    tvj = exact_tv(out_field)
-    breakdown = EnergyBreakdown.combine(elastic, 0.0, tvj, eps, 0.0)
+    values[free] = x.reshape(-1, 2)
+    out_field = DiscreteField(mesh, values)
+    breakdown = EnergyBreakdown.combine(point[0], 0.0, exact_tv(out_field), eps, 0.0)
     gnorm = float(np.linalg.norm(g))
     return MinimizeResult(out_field, np.asarray(trace), breakdown, it,
-                          status == "gtol", gnorm, status)
+                          status == "gtol", gnorm, status,
+                          energy_evals, grad_evals, backtracks)
 
 
 def seed_from_construction(def_: PiecewiseDeformation, mesh: Mesh):

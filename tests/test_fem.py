@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from twowell import kernels
 from twowell.fem import (
     DiscreteField,
     Mesh,
@@ -14,7 +17,7 @@ from twowell.fem import (
 )
 from twowell.microstructure import horizontal_branched, laminate
 from twowell.piecewise import Rect, identity_deformation
-from twowell.wells import CASE_K1, CASE_K2, WellSpec
+from twowell.wells import CASE_K1, CASE_K2, WellSpec, well_matrices
 
 DOM = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -29,6 +32,88 @@ def test_mesh_construction():
     assert np.all(mesh.edge_tris[:, 0] != mesh.edge_tris[:, 1])
     with pytest.raises(ValueError):
         Mesh(1, 4, DOM)
+
+
+def _edges_by_loop(mesh):
+    """Interior edges as (left tri, right tri, length), one cell at a time."""
+    nx, ny = mesh.nx, mesh.ny
+    ncell = nx * ny
+    diag = math.hypot(mesh.hx, mesh.hy)
+    edges = []
+    for j in range(ny):
+        for i in range(nx):
+            lo = j * nx + i
+            up = lo + ncell
+            edges.append((lo, up, diag))
+            if i + 1 < nx:
+                edges.append((lo, lo + 1 + ncell, mesh.hy))
+            if j + 1 < ny:
+                edges.append((up, lo + nx, mesh.hx))
+    e = np.array(edges)
+    return e[:, :2].astype(int), e[:, 2].astype(float)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (10, 8), (17, 4)])
+def test_mesh_edges_match_loop(shape):
+    mesh = Mesh(*shape, Rect(0.0, 0.0, 1.3, 0.7))
+    tris, lens = _edges_by_loop(mesh)
+    np.testing.assert_array_equal(mesh.edge_tris, tris)
+    np.testing.assert_array_equal(mesh.edge_len, lens)
+    assert mesh.edge_tris.dtype == tris.dtype
+
+
+def _two_pass_reference(field, spec, eps, delta):
+    """Energy and gradient as two separate passes with ``np.add.at``."""
+    mesh = field.mesh
+    A, B = well_matrices(spec)
+    F = mesh.gradients(field.values)
+    d2, _ = kernels.dist2_two_wells(F, A, B)
+    J = F[mesh.edge_tris[:, 0]] - F[mesh.edge_tris[:, 1]]
+    jn = np.sqrt(np.einsum("eij,eij->e", J, J))
+    huber = np.where(jn <= delta, jn * jn / (2.0 * delta), jn - 0.5 * delta)
+    elastic = mesh.tri_area * float(np.sum(d2))
+    tv = float(np.sum(mesh.edge_len * huber))
+
+    _, dW = kernels.dist2_two_wells_grad(F, A, B)
+    dF = mesh.tri_area * dW
+    if eps != 0.0:
+        w = eps * mesh.edge_len * np.where(jn <= delta, 1.0 / delta,
+                                           1.0 / np.maximum(jn, 1e-300))
+        dJ = w[:, None, None] * J
+        np.add.at(dF, mesh.edge_tris[:, 0], dJ)
+        np.add.at(dF, mesh.edge_tris[:, 1], -dJ)
+    contrib = (np.einsum("tc,tk->tkc", dF[:, :, 0], mesh.cx)
+               + np.einsum("tc,tk->tkc", dF[:, :, 1], mesh.cy))
+    grad = np.zeros((mesh.n_nodes, 2))
+    np.add.at(grad, mesh.tris.ravel(), contrib.reshape(-1, 2))
+    grad[mesh.boundary_mask] = 0.0
+    return (elastic, tv, elastic + eps * tv), grad
+
+
+def test_fused_pass_matches_two_pass_reference():
+    rng = np.random.default_rng(11)
+    mesh = Mesh(12, 9, Rect(0.0, 0.0, 1.0, 0.8))
+    fields = []
+    for _ in range(3):
+        vals = mesh.nodes.copy()
+        vals[mesh.free_mask] += 0.03 * rng.standard_normal((mesh.n_free, 2))
+        fields.append(DiscreteField(mesh, vals))
+    # unpinned laminate: interfaces between mesh lines, and jumps below the
+    # Huber width from a tiny perturbation of its mesh-aligned rows
+    lam = laminate(DOM, 0.25, 0.2, CASE_K2)
+    lmesh = Mesh(16, 14, DOM)
+    u, _ = lam.evaluate(lmesh.nodes)
+    u += 1e-9 * rng.standard_normal(u.shape)
+    fields.append(DiscreteField(lmesh, u, pinned=False))
+    for case in (CASE_K1, CASE_K2):
+        spec = WellSpec(case, 0.2)
+        delta = default_huber_delta(spec)
+        for fld in fields:
+            for eps in (0.0, 1e-3):
+                energy, grad = _two_pass_reference(fld, spec, eps, delta)
+                assert discrete_energy(fld, spec, eps) == energy
+                np.testing.assert_allclose(discrete_gradient(fld, spec, eps), grad,
+                                           rtol=1e-13, atol=1e-16)
 
 
 def test_identity_field_energy():
@@ -137,6 +222,19 @@ def test_minimize_descends_and_traces():
     assert res.energy_trace[-1] - 1e-12 <= res.final_energy.total \
         <= res.energy_trace[-1] + slack + 1e-12
     assert res.status in ("gtol", "stalled", "max_iter")
+
+
+def test_minimize_counts_evaluations():
+    mesh = Mesh(12, 12, DOM)
+    spec = WellSpec(CASE_K2, 0.1)
+    d = horizontal_branched(spec, 1e-3, DOM)
+    seed, _ = seed_from_construction(d, mesh)
+    for start in (seed, DiscreteField.identity(mesh)):
+        res = minimize(start, spec, 1e-3, MinimizeOptions(max_iter=30))
+        assert res.status != "stalled"
+        assert res.grad_evals == len(res.energy_trace)
+        assert res.energy_evals == res.grad_evals + res.backtracks
+    assert res.backtracks > 0
 
 
 def test_minimize_stays_at_identity_for_huge_surface_weight():

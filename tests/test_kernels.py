@@ -68,3 +68,37 @@ def test_tie_resolves_to_well_a():
 
 def test_backend_name_reports():
     assert kernels.backend_name() in ("cython", "numpy")
+
+
+def _grad_reference(F, A, B):
+    """The per-point (n, 2, 2) select formulation of the kernel gradient."""
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    d2a, pa, qa, ra = _kernels_np._orbit_terms(F, A)
+    d2b, pb, qb, rb = _kernels_np._orbit_terms(F, B)
+    which = (d2b < d2a).astype(np.uint8)
+    sel_p = np.where(which, pb, pa)
+    sel_q = np.where(which, qb, qa)
+    sel_r = np.where(which, rb, ra)
+    G = np.where(which[:, None, None], B[None], A[None])
+    JG = np.where(which[:, None, None], (J @ B)[None], (J @ A)[None])
+    grad = 2.0 * F
+    ok = sel_r > 0.0
+    coef = np.zeros_like(sel_r)
+    coef[ok] = 2.0 / sel_r[ok]
+    grad -= coef[:, None, None] * (sel_p[:, None, None] * G + sel_q[:, None, None] * JG)
+    grad[~ok] = 2.0 * (F[~ok] - G[~ok])
+    return grad
+
+
+def test_numpy_gradient_kernel_matches_select_reference():
+    rng = np.random.default_rng(3)
+    for case, a in (("k1", 0.2), ("k2", 0.1), ("k2", 0.35)):
+        A, B = well_matrices(WellSpec(case, a))
+        # random points, both wells, r = 0 (F = 0) and A/B tie points
+        special = np.stack([A, B, np.zeros((2, 2)), np.eye(2), 0.5 * (A + B)])
+        F = np.concatenate([special, _batch(rng, 2000)])
+        d2, grad = _kernels_np.dist2_two_wells_grad(F, A, B)
+        d2_only, _ = _kernels_np.dist2_two_wells(F, A, B)
+        np.testing.assert_array_equal(d2, d2_only)
+        np.testing.assert_allclose(grad, _grad_reference(F, A, B), rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(grad[2], -2.0 * A)  # r = 0: 2 (F - A)
