@@ -14,7 +14,6 @@ from .microstructure import (
     k2_boundary_cell,
     k2_cell,
     laminate,
-    quintic_gamma,
     vertical_branched_k1,
 )
 from .piecewise import (

@@ -8,7 +8,10 @@ floats printed with 17 significant digits, so identical config and seed
 reproduce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 validation failure,
-4 non-convergence of the minimizer.
+4 non-convergence of the minimizer.  Configuration errors are reported as
+``config error: ...`` on stderr.  Any other exception is an internal
+failure: it propagates out of :func:`main` with its traceback, so
+``python -m twowell`` exits 1.
 """
 
 from __future__ import annotations
@@ -134,9 +137,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         values.update(parse_config_file(args.config))
     for key in _PARSERS:
         flag = getattr(args, key, None)
+        if isinstance(flag, str) and key in ("mesh", "epsilons"):
+            try:
+                flag = _PARSERS[key](flag)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for --{key}: {exc}") from exc
         if flag is not None:
-            values[key] = _PARSERS[key](flag) if isinstance(flag, str) and key in (
-                "mesh", "epsilons") else flag
+            values[key] = flag
     try:
         cfg = RunConfig(**values)
     except TypeError as exc:
@@ -151,6 +158,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("gamma must be quintic or linear")
     if cfg.gamma == "linear" and cfg.case != CASE_K1:
         raise ConfigError("the linear ramp is only admissible for case k1")
+    if not all(e > 0 for e in cfg.epsilons):
+        raise ConfigError("epsilons must be positive")
+    if cfg.theta is not None and not (0.25 < cfg.theta < 0.5):
+        raise ConfigError("theta must lie in (1/4, 1/2)")
+    try:
+        cfg.quad()
+    except ValueError as exc:
+        raise ConfigError(f"quadrature settings: {exc}") from exc
+    if cfg.phase_n < 2:
+        raise ConfigError("phase_n must be at least 2")
+    if min(cfg.mesh) < 2:
+        raise ConfigError("mesh needs at least 2 cells per direction")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     return cfg
 
 
@@ -380,9 +401,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_minimize(cfg)
         return cmd_validate(cfg, corrupt_wells=getattr(args, "corrupt_wells", False))
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

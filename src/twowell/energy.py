@@ -15,13 +15,14 @@ conjugation) share a single quadrature, multiplied by the instance count.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
-from .piecewise import CellProto, GraphJump, Part, PiecewiseDeformation
+from .piecewise import CellProto, PiecewiseDeformation
 from .wells import WellSpec, well_matrices
 
 __all__ = ["QuadratureSpec", "EnergyBreakdown", "elastic_energy", "tv_bulk",
@@ -44,7 +45,13 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Energy split; ``total = elastic + epsilon * (tv_bulk + tv_jump)``."""
+    """Energy split; ``total = elastic + epsilon * (tv_bulk + tv_jump)``.
+
+    ``error_estimate`` sums ``|fine - coarse|`` over every accepted panel of
+    the three terms, unweighted by epsilon.  That bounds the error of the
+    coarse order-p rule, while the reported values use the order-2p rule, so
+    it overstates the error of ``total``, typically by orders of magnitude.
+    """
 
     elastic: float
     tv_bulk: float
@@ -85,19 +92,60 @@ class _Accumulator:
 _WAVE_CHUNK = 256  # panels evaluated per batched call
 
 
+def _integrate(wave_values, root: np.ndarray, order: int, measure: float,
+               quad: QuadratureSpec, acc: _Accumulator, what: str) -> float:
+    """Adaptive Gauss integral over the box ``root``, a (1, 2d) row of
+    (lo, hi) pairs per axis.
+
+    ``wave_values(panels, xs, ws)`` returns one integral per panel for the
+    Gauss nodes and weights ``xs, ws`` on [0, 1].  Panels of one refinement
+    wave are evaluated in a single batched call; a panel is accepted when the
+    order-p / order-2p Richardson difference is below its share of the
+    tolerance, otherwise it is halved along every axis (children ordered with
+    axis 0 fastest).  ``measure`` scales the absolute noise floor.
+    """
+    xs1, ws1 = _gauss(order)
+    xs2, ws2 = _gauss(2 * order)
+    root_size = float(np.prod(root[:, 1::2] - root[:, 0::2]))
+    total = 0.0
+    panels = root
+    depth = 0
+    while True:
+        coarse = wave_values(panels, xs1, ws1)
+        fine = wave_values(panels, xs2, ws2)
+        if depth == 0:
+            # The root panel's fine value sets the scale of the relative test.
+            scale = max(abs(float(fine[0])), 1e-300)
+        err = np.abs(fine - coarse)
+        frac = np.prod(panels[:, 1::2] - panels[:, 0::2], axis=1) / root_size
+        tol = np.maximum(quad.rel_tol * scale * np.maximum(frac, 1e-6),
+                         _NOISE_FLOOR * measure * frac)
+        done = err <= tol
+        if depth >= quad.max_refinement_depth:
+            left_over = float(np.sum(err[~done]))
+            if left_over > 10.0 * quad.rel_tol * scale:
+                acc.warnings.append(f"{what} quadrature hit the refinement limit")
+            done = np.ones_like(done)
+        total += float(np.sum(fine[done]))
+        acc.error += float(np.sum(err[done]))
+        rest = panels[~done]
+        if not len(rest):
+            return total
+        lo, hi = rest[:, 0::2], rest[:, 1::2]
+        mid = 0.5 * (lo + hi)
+        children = []
+        for upper in itertools.product((False, True), repeat=lo.shape[1]):
+            up = np.array(upper[::-1])
+            children.append(np.stack([np.where(up, mid, lo), np.where(up, hi, mid)],
+                                     axis=2).reshape(len(rest), -1))
+        panels = np.vstack(children)
+        depth += 1
+
+
 def _integrate_cell(proto: CellProto, integrand, quad: QuadratureSpec,
                     acc: _Accumulator) -> float:
-    """Adaptive tensor-Gauss integral of ``integrand(x, y)`` over the cell.
-
-    Panels of one refinement wave are evaluated in a single batched call;
-    a panel is accepted when the order-p / order-2p Richardson difference
-    is below its share of the tolerance, otherwise it splits in four.
-    """
-    p = quad.base_order
-    xs1, ws1 = _gauss(p)
-    xs2, ws2 = _gauss(2 * p)
-    width = proto.width
-    area = abs(proto.area())
+    """Integral of ``integrand(x, y)`` over the cell, on its graph
+    parameterization ``(x, s)``."""
 
     def wave_values(panels: np.ndarray, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
         out = np.empty(len(panels))
@@ -118,48 +166,13 @@ def _integrate_cell(proto: CellProto, integrand, quad: QuadratureSpec,
                 "mi,mj,mij->m", wx, wsn, vals * (hi - lo)[:, :, None])
         return out
 
-    root = np.array([[0.0, width, 0.0, 1.0]])
-    scale = max(abs(float(wave_values(root, xs2, ws2)[0])), 1e-300)
-    total = 0.0
-    panels = root
-    depth = 0
-    while len(panels):
-        coarse = wave_values(panels, xs1, ws1)
-        fine = wave_values(panels, xs2, ws2)
-        err = np.abs(fine - coarse)
-        frac = (panels[:, 1] - panels[:, 0]) * (panels[:, 3] - panels[:, 2]) / width
-        tol = np.maximum(quad.rel_tol * scale * np.maximum(frac, 1e-6),
-                         _NOISE_FLOOR * area * frac)
-        done = err <= tol
-        if depth >= quad.max_refinement_depth:
-            left_over = float(np.sum(err[~done]))
-            if left_over > 10.0 * quad.rel_tol * scale:
-                acc.warnings.append("cell quadrature hit the refinement limit")
-            done = np.ones_like(done)
-        total += float(np.sum(fine[done]))
-        acc.error += float(np.sum(err[done]))
-        rest = panels[~done]
-        if not len(rest):
-            break
-        ax, bx, as_, bs = rest.T
-        mx, ms = 0.5 * (ax + bx), 0.5 * (as_ + bs)
-        panels = np.vstack([
-            np.column_stack([ax, mx, as_, ms]),
-            np.column_stack([mx, bx, as_, ms]),
-            np.column_stack([ax, mx, ms, bs]),
-            np.column_stack([mx, bx, ms, bs]),
-        ])
-        depth += 1
-    return total
+    return _integrate(wave_values, np.array([[0.0, proto.width, 0.0, 1.0]]),
+                      quad.base_order, abs(proto.area()), quad, acc, "cell")
 
 
 def _integrate_line(span: float, integrand, quad: QuadratureSpec,
                     acc: _Accumulator) -> float:
-    """Adaptive Gauss integral of ``integrand(t)`` over (0, span), batched
-    by refinement wave like :func:`_integrate_cell`."""
-    p = max(quad.line_points, 2)
-    xs1, ws1 = _gauss(p)
-    xs2, ws2 = _gauss(2 * p)
+    """Integral of ``integrand(t)`` over (0, span)."""
 
     def wave_values(ab: np.ndarray, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
         a, b = ab.T
@@ -167,39 +180,8 @@ def _integrate_line(span: float, integrand, quad: QuadratureSpec,
         vals = integrand(t.ravel()).reshape(t.shape)
         return np.einsum("mi,mi->m", ws * (b - a)[:, None], vals)
 
-    root = np.array([[0.0, span]])
-    scale = max(abs(float(wave_values(root, xs2, ws2)[0])), 1e-300)
-    total = 0.0
-    panels = root
-    depth = 0
-    while len(panels):
-        coarse = wave_values(panels, xs1, ws1)
-        fine = wave_values(panels, xs2, ws2)
-        err = np.abs(fine - coarse)
-        frac = (panels[:, 1] - panels[:, 0]) / span
-        tol = np.maximum(quad.rel_tol * scale * np.maximum(frac, 1e-6),
-                         _NOISE_FLOOR * span * frac)
-        done = err <= tol
-        if depth >= quad.max_refinement_depth:
-            left_over = float(np.sum(err[~done]))
-            if left_over > 10.0 * quad.rel_tol * scale:
-                acc.warnings.append("line quadrature hit the refinement limit")
-            done = np.ones_like(done)
-        total += float(np.sum(fine[done]))
-        acc.error += float(np.sum(err[done]))
-        rest = panels[~done]
-        if not len(rest):
-            break
-        a, b = rest.T
-        m = 0.5 * (a + b)
-        panels = np.vstack([np.column_stack([a, m]), np.column_stack([m, b])])
-        depth += 1
-    return total
-
-
-def _part_conjugation(part: Part):
-    Q, _, CL, _ = part.folded()
-    return CL, Q
+    return _integrate(wave_values, np.array([[0.0, span]]), max(quad.line_points, 2),
+                      span, quad, acc, "line")
 
 
 def _elastic_integrand(proto: CellProto, CL, Q, A, B):
@@ -208,13 +190,6 @@ def _elastic_integrand(proto: CellProto, CL, Q, A, B):
         F = np.einsum("ab,nbc,cd->nad", CL, du.reshape(-1, 2, 2), Q)
         d2, _ = kernels.dist2_two_wells(F, A, B)
         return d2
-    return integrand
-
-
-def _hess_norm_integrand(proto: CellProto):
-    def integrand(x, y):
-        h = proto.map.hess(x, y).reshape(-1, 8)
-        return np.sqrt(np.einsum("nk,nk->n", h, h))
     return integrand
 
 
@@ -231,7 +206,7 @@ def _elastic(def_, spec, quad, acc):
     total = 0.0
     cache: dict = {}
     for part in def_.parts:
-        CL, Q = _part_conjugation(part)
+        Q, _, CL, _ = part.folded()
         conj_key = (CL.tobytes(), Q.tobytes())
         for g in part.groups:
             key = (g.proto.key(), conj_key)
@@ -268,17 +243,10 @@ def _tv_bulk_cell(proto: CellProto, quad: QuadratureSpec, acc: _Accumulator) -> 
 
     All map families are affine in y at second order (``|D^2 u|^2 =
     (A(x) + B(x) y)^2 + R(x)^2``), so the y direction integrates exactly
-    and only a smooth 1D x-integral is left; maps without that structure
-    fall back to 2D adaptive quadrature.
+    and only a smooth 1D x-integral is left.
     """
-    try:
-        probe = proto.map.hess_profile(np.array([0.5 * proto.width]))
-    except NotImplementedError:
-        return _integrate_cell(proto, _hess_norm_integrand(proto), quad, acc)
-    if all(np.all(v == 0.0) for v in probe):
-        full = proto.map.hess_profile(np.linspace(0.0, proto.width, 17))
-        if all(np.all(v == 0.0) for v in full):
-            return 0.0
+    if not any(np.any(v) for v in proto.map.hess_profile(np.linspace(0.0, proto.width, 17))):
+        return 0.0
 
     def integrand(x):
         A, B, R2 = proto.map.hess_profile(x)
@@ -332,8 +300,7 @@ def _tv_jump(def_, quad, acc):
             proto = jg.proto
             key = proto.key()
             if key not in cache:
-                s1, s2 = (proto.below, proto.above) if isinstance(proto, GraphJump) \
-                    else (proto.left, proto.right)
+                s1, s2 = jg.sides()
 
                 def integrand(t, proto=proto, s1=s1, s2=s2):
                     jx, jy = proto.points(t)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .piecewise import (
     AffineDisp,
@@ -23,14 +24,12 @@ from .piecewise import (
     CellProto,
     GraphJump,
     JumpGroup,
-    K1BoundaryPiece,
-    K1CellPiece,
-    K2BoundaryPiece,
     K2CellPiece,
     LocalCurve,
     Part,
     PiecewiseDeformation,
     Rect,
+    ScalarProfilePiece,
     SideRef,
     Transform,
     VerticalJump,
@@ -38,13 +37,12 @@ from .piecewise import (
     mirror_transform,
     rotate_90,
 )
-from .profiles import sawtooth, smooth_step
+from .profiles import sawtooth
 from .wells import CASE_K1, CASE_K2, WellSpec
 
 __all__ = [
     "BranchingSchedule",
     "branching_schedule",
-    "quintic_gamma",
     "sawtooth",
     "k2_cell",
     "k2_boundary_cell",
@@ -58,11 +56,11 @@ __all__ = [
 
 THETA_DEFAULT = {CASE_K2: 2.0 ** -1.25, CASE_K1: 1.0 / 3.0}
 
-
-def quintic_gamma(t):
-    """The quintic interpolation ramp and its first two derivatives."""
-    g, d1, d2, _ = smooth_step(t)
-    return g, d1, d2
+# Piece families, called as family(piece, ell, h, alpha, kind).
+_K1_CELL = partial(ScalarProfilePiece, 0, "cell")
+_K1_BOUNDARY = partial(ScalarProfilePiece, 0, "boundary")
+_K2_BOUNDARY = partial(ScalarProfilePiece, 1, "boundary")
+_FAMILIES = {CASE_K1: (_K1_CELL, _K1_BOUNDARY), CASE_K2: (K2CellPiece, _K2_BOUNDARY)}
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +92,7 @@ def _boundary_curves(h: float, ell: float, kind: str) -> list[LocalCurve]:
     ]
 
 
-def _cell_protos(map_family, curves, ell, h, alpha, kind, tag):
+def _cell_protos(map_family, curves, ell, h, alpha, kind):
     protos = []
     jumps = []
     for i in range(5):
@@ -105,6 +103,7 @@ def _cell_protos(map_family, curves, ell, h, alpha, kind, tag):
             map=map_family(i + 1, ell, h, alpha, kind),
         )
         protos.append(proto)
+    tag = protos[0].map.tag()
     for i in range(4):
         jumps.append(GraphJump(
             curve=curves[i + 1],
@@ -115,12 +114,12 @@ def _cell_protos(map_family, curves, ell, h, alpha, kind, tag):
     return protos, jumps
 
 
-def _single_cell(map_family, curve_fn, origin, ell, h, alpha, kind, tag,
+def _single_cell(map_family, curve_fn, origin, ell, h, alpha, kind,
                  label) -> PiecewiseDeformation:
     if not (0.0 < h <= ell):
         raise ValueError(f"cell needs 0 < h <= ell, got h={h}, ell={ell}")
     curves = curve_fn(h, ell, kind)
-    protos, jump_protos = _cell_protos(map_family, curves, ell, h, alpha, kind, tag)
+    protos, jump_protos = _cell_protos(map_family, curves, ell, h, alpha, kind)
     x0, y0 = origin
     groups = tuple(CellGroup(p, x0, y0, 0.0, 1) for p in protos)
     jumps = tuple(JumpGroup(j, x0, y0, 0.0, 1) for j in jump_protos)
@@ -133,27 +132,27 @@ def k2_cell(origin, ell, h, alpha) -> PiecewiseDeformation:
     """Stretch-case period-doubling cell joining a (h/2)-sawtooth trace on
     the left edge to an h-sawtooth on the right, identity on top and bottom."""
     return _single_cell(K2CellPiece, _cell_curves, origin, ell, h, alpha,
-                        "quintic", "k2cell", "k2-cell")
+                        "quintic", "k2-cell")
 
 
 def k2_boundary_cell(origin, ell, h, alpha) -> PiecewiseDeformation:
     """Stretch-case boundary layer: identity on three sides, h-sawtooth on
     the right edge."""
-    return _single_cell(K2BoundaryPiece, _boundary_curves, origin, ell, h, alpha,
-                        "quintic", "k2bd", "k2-boundary-cell")
+    return _single_cell(_K2_BOUNDARY, _boundary_curves, origin, ell, h, alpha,
+                        "quintic", "k2-boundary-cell")
 
 
 def k1_cell(origin, ell, h, alpha, gamma_kind: str = "quintic") -> PiecewiseDeformation:
     """Shear-case period-doubling cell (horizontal displacement only)."""
-    return _single_cell(K1CellPiece, _cell_curves, origin, ell, h, alpha,
-                        gamma_kind, "k1cell", "k1-cell")
+    return _single_cell(_K1_CELL, _cell_curves, origin, ell, h, alpha,
+                        gamma_kind, "k1-cell")
 
 
 def k1_boundary_cell(origin, ell, h, alpha,
                      gamma_kind: str = "quintic") -> PiecewiseDeformation:
     """Shear-case boundary layer cell."""
-    return _single_cell(K1BoundaryPiece, _boundary_curves, origin, ell, h, alpha,
-                        gamma_kind, "k1bd", "k1-boundary-cell")
+    return _single_cell(_K1_BOUNDARY, _boundary_curves, origin, ell, h, alpha,
+                        gamma_kind, "k1-boundary-cell")
 
 
 def laminate(rect: Rect, h: float, alpha: float, case: str) -> PiecewiseDeformation:
@@ -328,16 +327,11 @@ def _vertical_jump_groups(X, H, left_protos, h_left, ell_left,
     ri = _edge_intervals(right_protos, redge, tol)
 
     breaks = set()
-    reps_l = int(round(period / h_left))
-    reps_r = int(round(period / h_right))
-    for m in range(reps_l):
-        for lo, hi, _ in li:
-            breaks.add(m * h_left + lo)
-            breaks.add(m * h_left + hi)
-    for m in range(reps_r):
-        for lo, hi, _ in ri:
-            breaks.add(m * h_right + lo)
-            breaks.add(m * h_right + hi)
+    for h_side, intervals in ((h_left, li), (h_right, ri)):
+        for m in range(int(round(period / h_side))):
+            for lo, hi, _ in intervals:
+                breaks.add(m * h_side + lo)
+                breaks.add(m * h_side + hi)
     pts = sorted(breaks)
     merged = []
     for b in pts:
@@ -362,17 +356,27 @@ def _vertical_jump_groups(X, H, left_protos, h_left, ell_left,
     return groups
 
 
+def _cell_stack(map_family, curves, ell, h, alpha, kind, x0, y0, count, groups, jumps):
+    """Append the groups of ``count`` cells stacked with period h from (x0, y0),
+    their internal jumps and the interfaces between consecutive cells.
+    Returns the five prototypes."""
+    protos, jump_protos = _cell_protos(map_family, curves, ell, h, alpha, kind)
+    groups.extend(CellGroup(p, x0, y0, h, count) for p in protos)
+    jumps.extend(JumpGroup(j, x0, y0, h, count) for j in jump_protos)
+    if count > 1:
+        line = LocalCurve(0.0, 0.0, ell, kind)
+        jumps.append(JumpGroup(
+            GraphJump(line, SideRef(protos[4].map, 0.0, h), SideRef(protos[0].map, 0.0, 0.0),
+                      f"{protos[0].map.tag()}-line"),
+            x0, y0 + h, h, count - 1))
+    return protos
+
+
 def _half_assembly(case, alpha, sched: BranchingSchedule, x_off, y_off, gamma_kind):
     """Cell and jump groups of the left half (0, L/2) x (0, H), in
     left-to-right build order.  Returns (groups, jumps, stripe_counts)."""
     kind = gamma_kind if case == CASE_K1 else "quintic"
-    if case == CASE_K2:
-        cell_family, bd_family = K2CellPiece, K2BoundaryPiece
-        cell_tag, bd_tag = "k2cell", "k2bd"
-    else:
-        cell_family, bd_family = K1CellPiece, K1BoundaryPiece
-        cell_tag, bd_tag = "k1cell", "k1bd"
-
+    cell_family, bd_family = _FAMILIES[case]
     H, L = sched.H, sched.L
     tau, N = sched.tau, sched.N
     groups: list[CellGroup] = []
@@ -384,19 +388,8 @@ def _half_assembly(case, alpha, sched: BranchingSchedule, x_off, y_off, gamma_ki
     bd_ell = sched.x[tau] if tau >= 0 else L / 2.0
     bd_h = sched.h[tau] if tau >= 0 else sched.h[0]
     bd_count = N * 2 ** tau if tau >= 0 else N
-    bd_curves = _boundary_curves(bd_h, bd_ell, kind)
-    bd_protos, bd_jumps = _cell_protos(bd_family, bd_curves, bd_ell, bd_h, alpha,
-                                       kind, bd_tag)
-    for p in bd_protos:
-        groups.append(CellGroup(p, x_off, y_off, bd_h, bd_count))
-    for j in bd_jumps:
-        jumps.append(JumpGroup(j, x_off, y_off, bd_h, bd_count))
-    if bd_count > 1:
-        line = LocalCurve(0.0, 0.0, bd_ell, kind)
-        jumps.append(JumpGroup(
-            GraphJump(line, SideRef(bd_protos[4].map, 0.0, bd_h),
-                      SideRef(bd_protos[0].map, 0.0, 0.0), f"{bd_tag}-line"),
-            x_off, y_off + bd_h, bd_h, bd_count - 1))
+    bd_protos = _cell_stack(bd_family, _boundary_curves(bd_h, bd_ell, kind), bd_ell, bd_h,
+                            alpha, kind, x_off, y_off, bd_count, groups, jumps)
     stripe_counts.append(bd_count)
 
     # Refinement stripes, finest (i = tau-1) to coarsest (i = 0).
@@ -404,20 +397,8 @@ def _half_assembly(case, alpha, sched: BranchingSchedule, x_off, y_off, gamma_ki
         ell_i, h_i = sched.ell[i], sched.h[i]
         x0 = x_off + sched.x[i + 1]
         count = N * 2 ** i
-        curves = _cell_curves(h_i, ell_i, kind)
-        protos, jump_protos = _cell_protos(cell_family, curves, ell_i, h_i, alpha,
-                                           kind, cell_tag)
-        stripe_protos[i] = protos
-        for p in protos:
-            groups.append(CellGroup(p, x0, y_off, h_i, count))
-        for j in jump_protos:
-            jumps.append(JumpGroup(j, x0, y_off, h_i, count))
-        if count > 1:
-            line = LocalCurve(0.0, 0.0, ell_i, kind)
-            jumps.append(JumpGroup(
-                GraphJump(line, SideRef(protos[4].map, 0.0, h_i),
-                          SideRef(protos[0].map, 0.0, 0.0), f"{cell_tag}-line"),
-                x0, y_off + h_i, h_i, count - 1))
+        stripe_protos[i] = _cell_stack(cell_family, _cell_curves(h_i, ell_i, kind), ell_i,
+                                       h_i, alpha, kind, x0, y_off, count, groups, jumps)
         stripe_counts.append(count)
 
     # Vertical jump curves on the internal stripe lines.

@@ -33,9 +33,7 @@ __all__ = [
     "LocalCurve",
     "AffineDisp",
     "K2CellPiece",
-    "K2BoundaryPiece",
-    "K1CellPiece",
-    "K1BoundaryPiece",
+    "ScalarProfilePiece",
     "CellProto",
     "CellGroup",
     "SideRef",
@@ -164,9 +162,9 @@ class _MapBase:
 
         Every family here is affine in y at second order, which lets the
         surface-energy bulk term integrate the y direction in closed form.
-        Maps without this structure raise and fall back to 2D quadrature.
         """
-        raise NotImplementedError
+        zero = np.zeros_like(np.asarray(x, dtype=float))
+        return zero, zero, zero
 
     def key(self) -> tuple:
         raise NotImplementedError
@@ -211,11 +209,6 @@ class AffineDisp(_MapBase):
         return _pack_grad(zero + self.p11, zero + self.p12,
                           zero + self.p21, zero + self.p22)
 
-    def hess_profile(self, x):
-        x = np.asarray(x, dtype=float)
-        zero = np.zeros_like(x)
-        return zero, zero, zero
-
     def key(self) -> tuple:
         return ("affine", self.p11, self.p12, self.p21, self.p22, self.v1, self.v2)
 
@@ -247,6 +240,13 @@ class K2CellPiece(_MapBase):
     def _g(self, x):
         return step_profile(self.kind)(np.asarray(x, dtype=float) / self.ell)
 
+    def _mirror(self, g):
+        """Sign and base curve ``y = base(x)`` of the transition pieces: piece
+        4 is piece 2 reflected, built on the upper curve instead of the lower."""
+        if self.piece == 2:
+            return 1.0, (self.h / 8.0) * (1.0 + g)
+        return -1.0, (7.0 * self.h / 8.0) - (self.h / 8.0) * g
+
     def disp(self, x, y):
         a, h, ell = self.alpha, self.h, self.ell
         s = a * (1.0 - a)
@@ -256,16 +256,13 @@ class K2CellPiece(_MapBase):
         if self.piece == 5:
             return _pack2(np.zeros_like(y), a * y - a * h)
         g, d1, _, _ = self._g(x)
-        if self.piece == 2:
-            b = (h / 8.0) * (1.0 + g)
-            return _pack2(s * (h / (4.0 * ell)) * d1 * (b - y),
-                          -a * y + (a * h / 4.0) * (1.0 + g))
         if self.piece == 3:
             return _pack2(-s * (h * h / (16.0 * ell)) * d1 + np.zeros_like(y),
                           a * y - a * h / 2.0)
-        c = (7.0 * h / 8.0) - (h / 8.0) * g
-        return _pack2(-s * (h / (4.0 * ell)) * d1 * (c - y),
-                      -a * y + (a * h / 4.0) * (3.0 - g))
+        sig, base = self._mirror(g)
+        ramp = 1.0 + g if self.piece == 2 else 3.0 - g
+        return _pack2(sig * s * (h / (4.0 * ell)) * d1 * (base - y),
+                      -a * y + (a * h / 4.0) * ramp)
 
     def grad(self, x, y):
         a, h, ell = self.alpha, self.h, self.ell
@@ -275,22 +272,14 @@ class K2CellPiece(_MapBase):
         if self.piece == 1 or self.piece == 5:
             return _pack_grad(zero, zero, zero, zero + a)
         g, d1, d2, _ = self._g(x)
-        if self.piece == 2:
-            b = (h / 8.0) * (1.0 + g)
-            return _pack_grad(
-                s * (h / (4.0 * ell * ell)) * (d2 * (b - y) + (h / 8.0) * d1 * d1),
-                -s * (h / (4.0 * ell)) * d1 + zero,
-                (a * h / (4.0 * ell)) * d1 + zero,
-                zero - a,
-            )
         if self.piece == 3:
             return _pack_grad(-s * (h * h / (16.0 * ell * ell)) * d2 + zero,
                               zero, zero, zero + a)
-        c = (7.0 * h / 8.0) - (h / 8.0) * g
+        sig, base = self._mirror(g)
         return _pack_grad(
-            -s * (h / (4.0 * ell * ell)) * (d2 * (c - y) - (h / 8.0) * d1 * d1),
-            s * (h / (4.0 * ell)) * d1 + zero,
-            -(a * h / (4.0 * ell)) * d1 + zero,
+            sig * s * (h / (4.0 * ell * ell)) * (d2 * (base - y) + sig * (h / 8.0) * d1 * d1),
+            -sig * s * (h / (4.0 * ell)) * d1 + zero,
+            sig * (a * h / (4.0 * ell)) * d1 + zero,
             zero - a,
         )
 
@@ -302,23 +291,15 @@ class K2CellPiece(_MapBase):
         if self.piece == 1 or self.piece == 5:
             return out
         g, d1, d2, d3 = self._g(x)
-        if self.piece == 2:
-            b = (h / 8.0) * (1.0 + g)
-            out[..., 0, 0, 0] = s * (h / (4.0 * ell ** 3)) * (
-                d3 * (b - y) + (3.0 * h / 8.0) * d1 * d2)
-            out[..., 0, 0, 1] = -s * (h / (4.0 * ell * ell)) * d2
-            out[..., 0, 1, 0] = out[..., 0, 0, 1]
-            out[..., 1, 0, 0] = (a * h / (4.0 * ell * ell)) * d2
-            return out
         if self.piece == 3:
             out[..., 0, 0, 0] = -s * (h * h / (16.0 * ell ** 3)) * d3
             return out
-        c = (7.0 * h / 8.0) - (h / 8.0) * g
-        out[..., 0, 0, 0] = -s * (h / (4.0 * ell ** 3)) * (
-            d3 * (c - y) - (3.0 * h / 8.0) * d1 * d2)
-        out[..., 0, 0, 1] = s * (h / (4.0 * ell * ell)) * d2
+        sig, base = self._mirror(g)
+        out[..., 0, 0, 0] = sig * s * (h / (4.0 * ell ** 3)) * (
+            d3 * (base - y) + sig * (3.0 * h / 8.0) * d1 * d2)
+        out[..., 0, 0, 1] = -sig * s * (h / (4.0 * ell * ell)) * d2
         out[..., 0, 1, 0] = out[..., 0, 0, 1]
-        out[..., 1, 0, 0] = -(a * h / (4.0 * ell * ell)) * d2
+        out[..., 1, 0, 0] = sig * (a * h / (4.0 * ell * ell)) * d2
         return out
 
     def hess_profile(self, x):
@@ -333,177 +314,87 @@ class K2CellPiece(_MapBase):
             return -s * (h * h / (16.0 * ell ** 3)) * d3, zero, zero
         r2 = (2.0 * (s * h / (4.0 * ell * ell)) ** 2
               + (a * h / (4.0 * ell * ell)) ** 2) * d2 * d2
-        if self.piece == 2:
-            b = (h / 8.0) * (1.0 + g)
-            coef = s * (h / (4.0 * ell ** 3))
-            return (coef * (d3 * b + (3.0 * h / 8.0) * d1 * d2), -coef * d3, r2)
-        c = (7.0 * h / 8.0) - (h / 8.0) * g
+        sig, base = self._mirror(g)
         coef = s * (h / (4.0 * ell ** 3))
-        return (-coef * (d3 * c - (3.0 * h / 8.0) * d1 * d2), coef * d3, r2)
+        return (sig * coef * (d3 * base + sig * (3.0 * h / 8.0) * d1 * d2),
+                -sig * coef * d3, r2)
 
     def key(self) -> tuple:
         return ("k2cell", self.piece, self.ell, self.h, self.alpha, self.kind)
 
 
-@dataclass(frozen=True)
-class K2BoundaryPiece(_MapBase):
-    """Boundary-layer cell piece for the stretch case: ``u1 = x`` and a
-    vertical profile gluing one sawtooth period to the identity trace."""
+_PROFILE_TAGS = {(0, "cell"): "k1cell", (0, "boundary"): "k1bd", (1, "boundary"): "k2bd"}
 
-    piece: int  # 1=B', 2=M', 3=A, 4=M'', 5=B''
+
+@dataclass(frozen=True)
+class ScalarProfilePiece(_MapBase):
+    """Cell piece moving one displacement component by a scalar profile.
+
+    ``u[component] = phi(x, y)`` and the other component is the identity.
+    Pieces 1, 3 and 5 are affine in y; pieces 2 and 4 follow the ramp,
+    ``phi = slope * y + offset +- (alpha h / 4) g(x / ell)``.  Layouts:
+
+    * ``"cell"``, component 0: the shear-case period-doubling cell (``k1cell``);
+    * ``"boundary"``, component 0 or 1: the boundary layer gluing one
+      sawtooth period to the identity trace, shear (``k1bd``) or stretch
+      (``k2bd``) case.
+    """
+
+    component: int
+    layout: str
+    piece: int  # boundary layout: 1=B', 2=M', 3=A, 4=M'', 5=B''
     ell: float
     h: float
     alpha: float
     kind: str = "quintic"
 
-    _NAMES = ("Blo", "Mlo", "A", "Mhi", "Bhi")
+    def __post_init__(self):
+        if (self.component, self.layout) not in _PROFILE_TAGS:
+            raise ValueError(f"no scalar-profile family for component {self.component} "
+                             f"with layout {self.layout!r}")
+        if self.piece not in (1, 2, 3, 4, 5):
+            raise ValueError("piece index must be 1..5")
 
     def _profile(self, x, y):
-        a, h, ell = self.alpha, self.h, self.ell
-        y = np.asarray(y, dtype=float)
-        if self.piece == 1:
-            return a * y, np.zeros_like(y), a + np.zeros_like(y)
-        if self.piece == 3:
-            return a * (h / 2.0 - y), np.zeros_like(y), -a + np.zeros_like(y)
-        if self.piece == 5:
-            return a * (y - h), np.zeros_like(y), a + np.zeros_like(y)
-        sign = 1.0 if self.piece == 2 else -1.0
-        g, d1, _, _ = step_profile(self.kind)(np.asarray(x, float) / ell)
-        val = sign * (a * h / 4.0) * g + np.zeros_like(y)
-        dx = sign * (a * h / (4.0 * ell)) * d1 + np.zeros_like(y)
-        return val, dx, np.zeros_like(y)
-
-    def disp(self, x, y):
-        val, _, _ = self._profile(x, y)
-        return _pack2(np.zeros_like(val), val)
-
-    def grad(self, x, y):
-        _, dx, dy = self._profile(x, y)
-        zero = np.zeros_like(dx)
-        return _pack_grad(zero, zero, dx, dy)
-
-    def hess(self, x, y):
-        out = np.zeros(np.broadcast(np.asarray(x, float), np.asarray(y, float)).shape
-                       + (2, 2, 2))
-        if self.piece in (2, 4):
-            sign = 1.0 if self.piece == 2 else -1.0
-            _, _, d2, _ = step_profile(self.kind)(np.asarray(x, float) / self.ell)
-            out[..., 1, 0, 0] = sign * (self.alpha * self.h / (4.0 * self.ell ** 2)) * d2
-        return out
-
-    def hess_profile(self, x):
-        x = np.asarray(x, dtype=float)
-        zero = np.zeros_like(x)
-        if self.piece not in (2, 4):
-            return zero, zero, zero
-        sign = 1.0 if self.piece == 2 else -1.0
-        _, _, d2, _ = step_profile(self.kind)(x / self.ell)
-        return sign * (self.alpha * self.h / (4.0 * self.ell ** 2)) * d2, zero, zero
-
-    def key(self) -> tuple:
-        return ("k2bd", self.piece, self.ell, self.h, self.alpha, self.kind)
-
-
-@dataclass(frozen=True)
-class K1CellPiece(_MapBase):
-    """Shear-case period-doubling cell piece: ``u2 = y`` and a horizontal
-    shear profile alternating between the two wells."""
-
-    piece: int
-    ell: float
-    h: float
-    alpha: float
-    kind: str = "quintic"
-
-    def _profile(self, x, y):
+        """``(phi, d_x phi, d_y phi)``."""
         a, h, ell = self.alpha, self.h, self.ell
         y = np.asarray(y, dtype=float)
         zero = np.zeros_like(y)
+        cell = self.layout == "cell"
         if self.piece == 1:
             return a * y, zero, a + zero
         if self.piece == 3:
-            return a * y - a * h / 2.0, zero, a + zero
-        if self.piece == 5:
-            return a * y - a * h, zero, a + zero
-        g, d1, _, _ = step_profile(self.kind)(np.asarray(x, float) / ell)
-        if self.piece == 2:
-            val = -a * y + (a * h / 4.0) * (1.0 + g)
-            return val, (a * h / (4.0 * ell)) * d1 + zero, -a + zero
-        val = -a * y + (a * h / 4.0) * (3.0 - g)
-        return val, -(a * h / (4.0 * ell)) * d1 + zero, -a + zero
-
-    def disp(self, x, y):
-        val, _, _ = self._profile(x, y)
-        return _pack2(val, np.zeros_like(val))
-
-    def grad(self, x, y):
-        _, dx, dy = self._profile(x, y)
-        zero = np.zeros_like(dx)
-        return _pack_grad(dx, dy, zero, zero)
-
-    def hess(self, x, y):
-        out = np.zeros(np.broadcast(np.asarray(x, float), np.asarray(y, float)).shape
-                       + (2, 2, 2))
-        if self.piece in (2, 4):
-            sign = 1.0 if self.piece == 2 else -1.0
-            _, _, d2, _ = step_profile(self.kind)(np.asarray(x, float) / self.ell)
-            out[..., 0, 0, 0] = sign * (self.alpha * self.h / (4.0 * self.ell ** 2)) * d2
-        return out
-
-    def hess_profile(self, x):
-        x = np.asarray(x, dtype=float)
-        zero = np.zeros_like(x)
-        if self.piece not in (2, 4):
-            return zero, zero, zero
-        sign = 1.0 if self.piece == 2 else -1.0
-        _, _, d2, _ = step_profile(self.kind)(x / self.ell)
-        return sign * (self.alpha * self.h / (4.0 * self.ell ** 2)) * d2, zero, zero
-
-    def key(self) -> tuple:
-        return ("k1cell", self.piece, self.ell, self.h, self.alpha, self.kind)
-
-
-@dataclass(frozen=True)
-class K1BoundaryPiece(_MapBase):
-    """Shear-case boundary-layer piece (horizontal analogue of :class:`K2BoundaryPiece`)."""
-
-    piece: int
-    ell: float
-    h: float
-    alpha: float
-    kind: str = "quintic"
-
-    def _profile(self, x, y):
-        a, h, ell = self.alpha, self.h, self.ell
-        y = np.asarray(y, dtype=float)
-        zero = np.zeros_like(y)
-        if self.piece == 1:
-            return a * y, zero, a + zero
-        if self.piece == 3:
+            if cell:
+                return a * y - a * h / 2.0, zero, a + zero
             return a * (h / 2.0 - y), zero, -a + zero
         if self.piece == 5:
-            return a * (y - h), zero, a + zero
+            return (a * y - a * h if cell else a * (y - h)), zero, a + zero
         sign = 1.0 if self.piece == 2 else -1.0
         g, d1, _, _ = step_profile(self.kind)(np.asarray(x, float) / ell)
-        return (sign * (a * h / 4.0) * g + zero,
-                sign * (a * h / (4.0 * ell)) * d1 + zero, zero)
+        dx = sign * (a * h / (4.0 * ell)) * d1 + zero
+        if not cell:
+            return sign * (a * h / 4.0) * g + zero, dx, zero
+        ramp = 1.0 + g if self.piece == 2 else 3.0 - g
+        return -a * y + (a * h / 4.0) * ramp, dx, -a + zero
 
     def disp(self, x, y):
         val, _, _ = self._profile(x, y)
-        return _pack2(val, np.zeros_like(val))
+        out = np.zeros(val.shape + (2,))
+        out[..., self.component] = val
+        return out
 
     def grad(self, x, y):
         _, dx, dy = self._profile(x, y)
-        zero = np.zeros_like(dx)
-        return _pack_grad(dx, dy, zero, zero)
+        out = np.zeros(np.broadcast(dx, dy).shape + (2, 2))
+        out[..., self.component, 0] = dx
+        out[..., self.component, 1] = dy
+        return out
 
     def hess(self, x, y):
+        A, _, _ = self.hess_profile(x)
         out = np.zeros(np.broadcast(np.asarray(x, float), np.asarray(y, float)).shape
                        + (2, 2, 2))
-        if self.piece in (2, 4):
-            sign = 1.0 if self.piece == 2 else -1.0
-            _, _, d2, _ = step_profile(self.kind)(np.asarray(x, float) / self.ell)
-            out[..., 0, 0, 0] = sign * (self.alpha * self.h / (4.0 * self.ell ** 2)) * d2
+        out[..., self.component, 0, 0] = A
         return out
 
     def hess_profile(self, x):
@@ -516,7 +407,8 @@ class K1BoundaryPiece(_MapBase):
         return sign * (self.alpha * self.h / (4.0 * self.ell ** 2)) * d2, zero, zero
 
     def key(self) -> tuple:
-        return ("k1bd", self.piece, self.ell, self.h, self.alpha, self.kind)
+        return (_PROFILE_TAGS[self.component, self.layout], self.piece, self.ell,
+                self.h, self.alpha, self.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +475,6 @@ class Transform:
     CL: np.ndarray
     c: np.ndarray
     name: str
-
-    def point_in(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.Q.T + self.b
 
 
 def mirror_transform(axis_x: float) -> Transform:
@@ -753,9 +642,6 @@ class PiecewiseDeformation:
     def cell_count(self) -> int:
         return sum(g.count for p in self.parts for g in p.groups)
 
-    def jump_count(self) -> int:
-        return sum(j.count for p in self.parts for j in p.jumps)
-
     def iter_jump_groups(self) -> Iterator[tuple[Part, JumpGroup]]:
         for part in self.parts:
             for jg in part.jumps:
@@ -766,119 +652,90 @@ class PiecewiseDeformation:
     def _geom_tol(self) -> float:
         return 1e-11 * max(self.domain.width, self.domain.height)
 
-    def evaluate(self, pts):
-        """Value and gradient at one point or an (n, 2) batch.
+    def _locate(self, p: np.ndarray):
+        """Resolve each point of the (n, 2) batch ``p`` to one cell instance.
 
-        Points on shared cell boundaries resolve deterministically to the
-        first part/group/instance in build order (below and left cells are
-        emitted first by the construction builders).
+        Yields ``(ip, idx, q, lx, ly, group)`` per part, cell group and
+        instance offset: the indices of the points found there, their
+        coordinates in the part's base frame and in the prototype's local
+        frame.  Points on shared cell boundaries resolve deterministically to
+        the first part/group/instance in build order (below and left cells
+        are emitted first by the construction builders).
         """
-        p = np.asarray(pts, dtype=float)
-        single = p.ndim == 1
-        p = np.atleast_2d(p)
         tol = self._geom_tol()
         if not np.all(self.domain.contains(p, tol)):
             raise DomainError("point outside the deformation domain")
-        n = p.shape[0]
-        u = np.empty((n, 2))
-        du = np.empty((n, 2, 2))
-        done = np.zeros(n, dtype=bool)
-        for part in self.parts:
+        done = np.zeros(p.shape[0], dtype=bool)
+        for ip, part in enumerate(self.parts):
             sel = np.flatnonzero(~done & part.support.contains(p, tol))
             if sel.size == 0:
                 continue
-            Q, b, CL, c = part.folded()
-            q = p[sel] @ Q.T + b
-            loc, ub, dub = self._locate_part(part, q, tol)
-            hit = sel[loc]
-            u[hit] = ub @ CL.T + c
-            du[hit] = np.einsum("ab,nbc,cd->nad", CL, dub, Q)
-            done[hit] = True
-        if not np.all(done):
-            raise DomainError("point not covered by any cell (broken tiling?)")
-        if single:
-            return u[0], du[0]
-        return u, du
-
-    def _locate_part(self, part: Part, q: np.ndarray, tol: float):
-        n = q.shape[0]
-        found = np.zeros(n, dtype=bool)
-        u = np.empty((n, 2))
-        du = np.empty((n, 2, 2))
-        for g in part.groups:
-            rem = np.flatnonzero(~found)
-            if rem.size == 0:
-                break
-            xl = q[rem, 0] - g.x0
-            in_x = (xl >= -tol) & (xl <= g.proto.width + tol)
-            if not np.any(in_x):
-                continue
-            if g.count > 1:
-                kf = np.floor((q[rem, 1] - g.y0) / g.dy).astype(int)
-            else:
-                kf = np.zeros(rem.size, dtype=int)
-            for delta in (-1, 0, 1):
-                k = kf + delta
-                cand = in_x & (k >= 0) & (k < g.count) & ~found[rem]
-                if not np.any(cand):
-                    continue
-                yl = q[rem, 1] - (g.y0 + k * g.dy)
-                ok = cand & g.proto.contains(xl, yl, tol)
-                if not np.any(ok):
-                    continue
-                idx = rem[ok]
-                lx, ly = xl[ok], yl[ok]
-                u[idx] = q[idx] + g.proto.map.disp(lx, ly)
-                du[idx] = _ID2 + g.proto.map.grad(lx, ly)
-                found[idx] = True
-        return found, u[found], du[found]
-
-    def second_gradient(self, pts):
-        """Second gradient tensor (2, 2, 2) at points strictly inside a cell."""
-        p = np.asarray(pts, dtype=float)
-        single = p.ndim == 1
-        p = np.atleast_2d(p)
-        tol = self._geom_tol()
-        if not np.all(self.domain.contains(p, tol)):
-            raise DomainError("point outside the deformation domain")
-        edge_tol = 1e-13 * max(self.domain.width, self.domain.height)
-        n = p.shape[0]
-        out = np.empty((n, 2, 2, 2))
-        done = np.zeros(n, dtype=bool)
-        for part in self.parts:
-            sel = np.flatnonzero(~done & part.support.contains(p, tol))
-            if sel.size == 0:
-                continue
-            Q, b, CL, c = part.folded()
+            Q, b, _, _ = part.folded()
             q = p[sel] @ Q.T + b
             for g in part.groups:
                 rem = np.flatnonzero(~done[sel])
                 if rem.size == 0:
                     break
                 xl = q[rem, 0] - g.x0
+                in_x = (xl >= -tol) & (xl <= g.proto.width + tol)
+                if not np.any(in_x):
+                    continue
                 if g.count > 1:
                     kf = np.floor((q[rem, 1] - g.y0) / g.dy).astype(int)
                 else:
                     kf = np.zeros(rem.size, dtype=int)
                 for delta in (-1, 0, 1):
-                    k = np.clip(kf + delta, 0, g.count - 1)
+                    k = kf + delta
+                    cand = in_x & (k >= 0) & (k < g.count) & ~done[sel[rem]]
+                    if not np.any(cand):
+                        continue
                     yl = q[rem, 1] - (g.y0 + k * g.dy)
-                    ok = g.proto.contains(xl, yl, tol) & ~done[sel][rem]
+                    ok = cand & g.proto.contains(xl, yl, tol)
                     if not np.any(ok):
                         continue
-                    lx, ly = xl[ok], yl[ok]
-                    strict = ((lx > edge_tol) & (lx < g.proto.width - edge_tol)
-                              & (ly > g.proto.lower.value(np.clip(lx, 0, g.proto.width)) + edge_tol)
-                              & (ly < g.proto.upper.value(np.clip(lx, 0, g.proto.width)) - edge_tol))
-                    if not np.all(strict):
-                        raise BoundaryPointError(
-                            "second gradient requested on a cell boundary")
-                    hess = g.proto.map.hess(lx, ly)
-                    idx = sel[rem[ok]]
-                    out[idx] = np.einsum("ia,nabc,bj,ck->nijk", CL, hess, Q, Q)
-                    done[idx] = True
+                    hit = rem[ok]
+                    done[sel[hit]] = True
+                    yield ip, sel[hit], q[hit], xl[ok], yl[ok], g
         if not np.all(done):
-            raise DomainError("point not covered by any cell")
+            raise DomainError("point not covered by any cell (broken tiling?)")
+
+    def evaluate(self, pts):
+        """Value and gradient at one point or an (n, 2) batch."""
+        p = np.asarray(pts, dtype=float)
+        single = p.ndim == 1
+        p = np.atleast_2d(p)
+        n = p.shape[0]
+        u = np.empty((n, 2))
+        du = np.empty((n, 2, 2))
+        owner = np.empty(n, dtype=int)
+        for ip, idx, q, lx, ly, g in self._locate(p):
+            u[idx] = q + g.proto.map.disp(lx, ly)
+            du[idx] = _ID2 + g.proto.map.grad(lx, ly)
+            owner[idx] = ip
+        # Push each part's base values through its transform stack in one batch.
+        for ip, part in enumerate(self.parts):
+            hit = np.flatnonzero(owner == ip)
+            if hit.size:
+                Q, _, CL, c = part.folded()
+                u[hit] = u[hit] @ CL.T + c
+                du[hit] = np.einsum("ab,nbc,cd->nad", CL, du[hit], Q)
+        if single:
+            return u[0], du[0]
+        return u, du
+
+    def second_gradient(self, pts):
+        """Second gradient tensor (2, 2, 2) at points strictly inside a cell."""
+        p = np.asarray(pts, dtype=float)
+        single = p.ndim == 1
+        p = np.atleast_2d(p)
+        edge_tol = 1e-13 * max(self.domain.width, self.domain.height)
+        out = np.empty((p.shape[0], 2, 2, 2))
+        for ip, idx, _, lx, ly, g in self._locate(p):
+            # A negative tolerance asks for points at least edge_tol inside.
+            if not np.all(g.proto.contains(lx, ly, -edge_tol)):
+                raise BoundaryPointError("second gradient requested on a cell boundary")
+            Q, _, CL, _ = self.parts[ip].folded()
+            out[idx] = np.einsum("ia,nabc,bj,ck->nijk", CL, g.proto.map.hess(lx, ly), Q, Q)
         if single:
             return out[0]
         return out
@@ -901,6 +758,13 @@ def identity_deformation(rect: Rect) -> PiecewiseDeformation:
     return PiecewiseDeformation(rect, (part,), meta={"label": "identity"})
 
 
+def _wrap(def_: PiecewiseDeformation, t: Transform, domain: Rect) -> PiecewiseDeformation:
+    """Put ``t`` outermost on every part's transform stack."""
+    parts = tuple(Part(p.groups, p.jumps, (t,) + p.transforms, _transform_rect(t, p.support))
+                  for p in def_.parts)
+    return PiecewiseDeformation(domain, parts, meta=dict(def_.meta))
+
+
 def mirror_x(def_: PiecewiseDeformation, axis_x: float) -> PiecewiseDeformation:
     """Reflect the field about the vertical line ``x = axis_x``.
 
@@ -909,13 +773,8 @@ def mirror_x(def_: PiecewiseDeformation, axis_x: float) -> PiecewiseDeformation:
     """
     if abs(def_.domain.x1 - axis_x) > 1e-9 * max(1.0, def_.domain.width):
         raise ValueError("mirror axis must coincide with the domain's right edge")
-    t = mirror_transform(axis_x)
-    parts = tuple(
-        Part(p.groups, p.jumps, (t,) + p.transforms, _transform_rect(t, _world_rect(p)))
-        for p in def_.parts
-    )
-    dom = Rect(axis_x, def_.domain.y0, def_.domain.width, def_.domain.height)
-    return PiecewiseDeformation(dom, parts, meta=dict(def_.meta))
+    d = def_.domain
+    return _wrap(def_, mirror_transform(axis_x), Rect(axis_x, d.y0, d.width, d.height))
 
 
 def rotate_90(def_: PiecewiseDeformation) -> PiecewiseDeformation:
@@ -924,28 +783,13 @@ def rotate_90(def_: PiecewiseDeformation) -> PiecewiseDeformation:
     Swaps the domain's width and height and preserves the total variation of
     the gradient; the trace stays the identity on the boundary.
     """
-    t = rotate90_transform()
-    parts = tuple(
-        Part(p.groups, p.jumps, (t,) + p.transforms, _transform_rect(t, _world_rect(p)))
-        for p in def_.parts
-    )
     d = def_.domain
-    dom = Rect(d.y0, d.x0, d.height, d.width)
-    return PiecewiseDeformation(dom, parts, meta=dict(def_.meta))
+    return _wrap(def_, rotate90_transform(), Rect(d.y0, d.x0, d.height, d.width))
 
 
 def rotate_values(def_: PiecewiseDeformation, R: np.ndarray) -> PiecewiseDeformation:
     """Compose the values with a constant rotation: ``u -> R u`` (test helper)."""
-    t = value_rotation_transform(R)
-    parts = tuple(
-        Part(p.groups, p.jumps, (t,) + p.transforms, _world_rect(p))
-        for p in def_.parts
-    )
-    return PiecewiseDeformation(def_.domain, parts, meta=dict(def_.meta))
-
-
-def _world_rect(part: Part) -> Rect:
-    return part.support
+    return _wrap(def_, value_rotation_transform(R), def_.domain)
 
 
 def gradient_jump(def_: PiecewiseDeformation, part: Part, jump: JumpGroup,

@@ -114,7 +114,10 @@ def classify_regime(case: str, alpha: float, eps: float, L: float, H: float) -> 
     Regime boundaries are term-equality loci (the published diagrams are
     schematic); ties resolve to the first listed tag.
     """
-    b = min_energy_bound(case, alpha, eps, L, H)
+    return _regime(case, min_energy_bound(case, alpha, eps, L, H))
+
+
+def _regime(case: str, b: BoundValue) -> str:
     terms = b.branch_terms[b.branch]
     if case == CASE_K2:
         if b.branch == 1:
@@ -167,8 +170,9 @@ def phase_diagram(case: str, alpha: float,
         H = 10.0 ** lh
         for i, ll in enumerate(logl):
             L = 10.0 ** ll
-            regimes[j, i] = classify_regime(case, alpha, 1.0, L, H)
-            vals[j, i] = min_energy_bound(case, alpha, 1.0, L, H).value
+            b = min_energy_bound(case, alpha, 1.0, L, H)
+            regimes[j, i] = _regime(case, b)
+            vals[j, i] = b.value
     return PhaseDiagram(case, alpha, logl, logh, regimes, vals)
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "OrbitDistance",
     "WellDistanceResult",
     "mat2",
-    "frobenius",
     "rotation",
     "rotation_ra",
     "well_matrices",
@@ -61,10 +60,6 @@ def mat2(a11: float, a12: float, a21: float, a22: float) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def frobenius(m: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.square(m))))
 
 
 def rotation(phi: float) -> np.ndarray:
@@ -211,101 +206,40 @@ class RankOneCountError(RuntimeError):
     """Root count of det(A - Q(phi) B) disagrees with the expected one."""
 
 
-def _rank_one_det(spec: WellSpec, phi):
-    A, B = well_matrices(spec)
-    phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(phi), np.sin(phi)
-    # det(A - R(phi) B) expanded for a generic 2x2 pair.
-    m11 = A[0, 0] - (c * B[0, 0] - s * B[1, 0])
-    m12 = A[0, 1] - (c * B[0, 1] - s * B[1, 1])
-    m21 = A[1, 0] - (s * B[0, 0] + c * B[1, 0])
-    m22 = A[1, 1] - (s * B[0, 1] + c * B[1, 1])
-    return m11 * m22 - m12 * m21
+def _det2(m: np.ndarray) -> float:
+    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
-def rank_one_connections(spec: WellSpec, grid: int = 10_000,
-                         check_expected_count: bool = True) -> list[float]:
-    """All angles phi in [0, 2pi) with det(A - Q(phi)B) = 0.
+def rank_one_connections(spec: WellSpec) -> list[float]:
+    """All angles phi in [0, 2pi) with det(A - Q(phi)B) = 0, in closed form.
 
-    Simple roots are located by sign-change bracketing on a uniform grid plus
-    bisection; tangential roots (the determinant touches zero without sign
-    change, which happens in case k2) are recovered from grid minima of the
-    absolute determinant refined by golden-section search.
+    For 2x2 matrices ``det(A - Q(phi) B) = D - (p cos phi + q sin phi)`` with
+    ``D = det A + det B`` and ``M = B adj(A)``, ``p = M11 + M22``,
+    ``q = M12 - M21``.  With ``phi0 = atan2(q, p)`` and ``r = hypot(p, q)``
+    the roots are ``phi0 +- acos(D / r)``: two if ``|D| < r``, one tangential
+    root if ``|D| = r`` (case k2, exactly) and none if ``|D| > r``.  Raises
+    :class:`RankOneCountError` unless case k1 has two roots and case k2 one.
     """
-    if spec.alpha <= 0:
-        raise ValueError("rank-one analysis needs alpha > 0")
-    phis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    vals = _rank_one_det(spec, phis)
-    scale = float(np.max(np.abs(vals))) or 1.0
+    A, B = well_matrices(spec)
+    M = B @ np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
+    p, q = float(M[0, 0] + M[1, 1]), float(M[0, 1] - M[1, 0])
+    D = _det2(A) + _det2(B)
+    # r^2 - D^2, grouped so that it is exact when p == D (both cases here).
+    disc = q * q + (p - D) * (p + D)
     roots: list[float] = []
-
-    def bisect(a: float, b: float) -> float:
-        fa = float(_rank_one_det(spec, a))
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = float(_rank_one_det(spec, m))
-            if fa * fm <= 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-            if b - a < 1e-12:
-                break
-        return 0.5 * (a + b)
-
-    ext = np.append(vals, vals[0])
-    step = 2.0 * math.pi / grid
-    for i in range(grid):
-        if ext[i] == 0.0:
-            roots.append(phis[i])
-        elif ext[i] * ext[i + 1] < 0.0:
-            roots.append(bisect(phis[i], phis[i] + step))
-
-    # Tangential roots: local minima of |det| that refine to (numerically) zero.
-    absvals = np.abs(ext[:-1])
-    for i in range(grid):
-        prev_i = absvals[(i - 1) % grid]
-        next_i = absvals[(i + 1) % grid]
-        if absvals[i] <= prev_i and absvals[i] <= next_i and absvals[i] < 1e-4 * scale:
-            a, b = phis[i] - step, phis[i] + step
-            invphi = (math.sqrt(5.0) - 1.0) / 2.0
-            x1 = b - invphi * (b - a)
-            x2 = a + invphi * (b - a)
-            f1 = abs(float(_rank_one_det(spec, x1)))
-            f2 = abs(float(_rank_one_det(spec, x2)))
-            for _ in range(200):
-                if f1 < f2:
-                    b, x2, f2 = x2, x1, f1
-                    x1 = b - invphi * (b - a)
-                    f1 = abs(float(_rank_one_det(spec, x1)))
-                else:
-                    a, x1, f1 = x1, x2, f2
-                    x2 = a + invphi * (b - a)
-                    f2 = abs(float(_rank_one_det(spec, x2)))
-                if b - a < 1e-13:
-                    break
-            m = 0.5 * (a + b)
-            if abs(float(_rank_one_det(spec, m))) < 1e-10 * scale:
-                roots.append(m)
-
-    # Normalise to [0, 2pi) and merge duplicates.
-    norm = sorted(r % (2.0 * math.pi) for r in roots)
-    merged: list[float] = []
-    for r in norm:
-        if not merged or abs(r - merged[-1]) > 1e-9:
-            merged.append(r)
-    if len(merged) >= 2 and (merged[-1] - 2.0 * math.pi) % (2.0 * math.pi) < 1e-9 \
-            and merged[-1] > 2.0 * math.pi - 1e-9:
-        merged.pop()
-    merged = [0.0 if r < 1e-12 or 2.0 * math.pi - r < 1e-12 else r for r in merged]
-
-    if check_expected_count:
-        expected = 2 if spec.case == CASE_K1 else 1
-        if len(merged) != expected:
-            raise RankOneCountError(
-                f"case {spec.case}, alpha={spec.alpha}: found {len(merged)} "
-                f"rank-one connection angles, expected {expected}: {merged}"
-            )
-    return merged
+    if disc >= 0.0:
+        phi0 = math.atan2(q, p)
+        half = math.atan2(math.sqrt(disc), D)  # acos(D / r), well conditioned
+        two_pi = 2.0 * math.pi
+        wrapped = ((phi0 + s * half) % two_pi for s in (-1.0, 1.0))
+        roots = sorted({0.0 if min(w, two_pi - w) < 1e-12 else w for w in wrapped})
+    expected = 2 if spec.case == CASE_K1 else 1
+    if len(roots) != expected:
+        raise RankOneCountError(
+            f"case {spec.case}, alpha={spec.alpha}: found {len(roots)} "
+            f"rank-one connection angles, expected {expected}: {roots}"
+        )
+    return roots
 
 
 def interface_degeneracy_gap(spec: WellSpec, v: np.ndarray) -> float:

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from twowell import cli
 from twowell.cli import ConfigError, main, parse_config_file
 
 
@@ -38,6 +39,33 @@ def test_config_bad_values(tmp_path):
     assert main(["energy", "--config", str(cfg)]) == 2
     cfg.write_text("gamma = linear\ncase = k2\n")
     assert main(["energy", "--config", str(cfg)]) == 2
+    for text in ("quad_base_order = 1\n", "quad_rel_tol = 0\n", "phase_n = 1\n",
+                 "epsilons = 1e-6, 0, 1e-4, 1e-3\n", "mesh = 1,8\n", "theta = 0.6\n"):
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg)]) == 2, text
+    for argv in (["minimize", "--mesh", "8"], ["minimize", "--mesh", "a,b"],
+                 ["sweep", "--epsilons", "1e-6,x"], ["energy", "--theta", "0.2"],
+                 ["validate", "--seed", "-1"]):
+        assert main(argv + ["--out", str(tmp_path / "unused")]) == 2, argv
+    assert not (tmp_path / "unused").exists()
+
+
+def test_internal_errors_are_not_config_errors(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("library bug")
+
+    monkeypatch.setattr(cli, "best_construction", broken)
+    with pytest.raises(ValueError, match="library bug"):
+        main(["energy", "--out", str(tmp_path)])
+    script = ("import sys, twowell.cli as c\n"
+              "def broken(*a, **k): raise ValueError('library bug')\n"
+              "c.best_construction = broken\n"
+              "sys.exit(c.main(['energy', '--out', sys.argv[1]]))\n")
+    r = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert "Traceback" in r.stderr and "library bug" in r.stderr
+    assert "config error" not in r.stderr
 
 
 def test_energy_csv_schema_and_determinism(tmp_path):

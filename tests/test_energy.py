@@ -3,11 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from twowell.energy import EnergyBreakdown, QuadratureSpec, elastic_energy, total_energy, tv_bulk, tv_jump
+from twowell.energy import (
+    EnergyBreakdown,
+    QuadratureSpec,
+    _Accumulator,
+    _integrate_cell,
+    _tv_bulk_cell,
+    elastic_energy,
+    total_energy,
+    tv_bulk,
+    tv_jump,
+)
 from twowell.microstructure import (
     branching_schedule,
     assemble_branched,
     horizontal_branched,
+    k1_boundary_cell,
     k1_cell,
     k2_boundary_cell,
     k2_cell,
@@ -182,3 +193,71 @@ def test_error_estimate_and_warnings_present():
     b = total_energy(k2_cell((0.0, 0.0), 1.0, 0.25, 0.2), WellSpec(CASE_K2, 0.2), 1e-4)
     assert b.error_estimate >= 0.0
     assert b.warnings == ()
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-7])
+def test_quadrature_agrees_with_tighter_tolerance(eps):
+    default = QuadratureSpec()
+    tight = QuadratureSpec(rel_tol=default.rel_tol / 100.0)
+    dom = Rect(0.0, 0.0, 1.0, 1.0)
+    for spec, build in ((WellSpec(CASE_K2, 0.1), horizontal_branched),
+                        (WellSpec(CASE_K1, 0.1), horizontal_branched),
+                        (WellSpec(CASE_K1, 0.1), vertical_branched_k1)):
+        d = build(spec, eps, dom)
+        b = total_energy(d, spec, eps, default)
+        ref = total_energy(d, spec, eps, tight)
+        diff = abs(b.total - ref.total)
+        assert diff <= 1e-9 * ref.total
+        assert diff <= b.error_estimate
+
+
+def _hess_norm_integrand(proto):
+    """|D^2 u| from the full second-gradient tensor: the 2D oracle for the
+    closed-form column integral behind the bulk TV."""
+    def integrand(x, y):
+        h = proto.map.hess(x, y).reshape(-1, 8)
+        return np.sqrt(np.einsum("nk,nk->n", h, h))
+    return integrand
+
+
+def _all_piece_protos():
+    """Every piece of every displacement family, both ramps where allowed.
+
+    The width is not 1, so a wrong power of ell in a coefficient shows.
+    """
+    a, ell, h = 0.2, 0.75, 0.25
+    cells = [k2_cell((0.0, 0.0), ell, h, a), k2_boundary_cell((0.0, 0.0), ell, h, a)]
+    for kind in ("quintic", "linear"):
+        cells.append(k1_cell((0.0, 0.0), ell, h, a, gamma_kind=kind))
+        cells.append(k1_boundary_cell((0.0, 0.0), ell, h, a, gamma_kind=kind))
+    return [g.proto for d in cells for g in d.parts[0].groups]
+
+
+def test_hess_profile_matches_full_hessian():
+    rng = np.random.default_rng(4)
+    protos = _all_piece_protos()
+    assert {p.map.tag() for p in protos} == {"k2cell", "k2bd", "k1cell", "k1bd"}
+    assert sum(np.any(p.map.hess(np.array([0.3]), np.array([0.1]))) for p in protos) >= 6
+    oracle_quad = QuadratureSpec(rel_tol=1e-12, max_refinement_depth=13)
+    for proto in protos:
+        x = rng.uniform(0.0, proto.width, 500)
+        s = rng.uniform(0.0, 1.0, 500)
+        lo, hi = proto.lower.value(x), proto.upper.value(x)
+        y = lo + s * (hi - lo)
+        hess = proto.map.hess(x, y)
+        A, B, R2 = proto.map.hess_profile(x)
+        full = np.sum(hess.reshape(-1, 8) ** 2, axis=1)
+        np.testing.assert_allclose((A + B * y) ** 2 + R2, full, rtol=1e-12, atol=0.0)
+
+        # The norm hides misplaced entries; central differences of the
+        # gradient formula pin every entry of the tensor.
+        step = 1e-6 * proto.width
+        fd = np.stack([proto.map.grad(x + step, y) - proto.map.grad(x - step, y),
+                       proto.map.grad(x, y + step) - proto.map.grad(x, y - step)],
+                      axis=-1) / (2.0 * step)
+        np.testing.assert_allclose(fd, hess, rtol=0.0, atol=1e-6 * np.abs(hess).max() + 1e-12)
+
+        column = _tv_bulk_cell(proto, QuadratureSpec(), _Accumulator())
+        oracle = _integrate_cell(proto, _hess_norm_integrand(proto), oracle_quad,
+                                 _Accumulator())
+        assert abs(column - oracle) <= 1e-9 * oracle, (proto.map.key(), column, oracle)

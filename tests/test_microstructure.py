@@ -12,11 +12,11 @@ from twowell.microstructure import (
     k2_boundary_cell,
     k2_cell,
     laminate,
-    quintic_gamma,
     sawtooth,
     vertical_branched_k1,
 )
 from twowell.piecewise import Rect, coverage_check
+from twowell.profiles import smooth_step
 from twowell.wells import CASE_K1, CASE_K2, WellSpec, dist_to_wells
 
 
@@ -37,7 +37,7 @@ def test_sawtooth_identities():
 
 
 def test_quintic_gamma_values():
-    g, d1, d2 = quintic_gamma(np.array([0.0, 1.0, 0.5]))
+    g, d1, d2, _ = smooth_step(np.array([0.0, 1.0, 0.5]))
     np.testing.assert_allclose(g, [0.0, 1.0, 0.5], atol=1e-15)
     np.testing.assert_allclose(d1[:2], 0.0, atol=1e-15)
     np.testing.assert_allclose(d2[:2], 0.0, atol=1e-15)

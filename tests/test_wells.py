@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from twowell import wells
 from twowell.wells import (
     CASE_K1,
     CASE_K2,
@@ -155,10 +156,97 @@ def test_rank_one_connection_counts_and_values():
         assert roots1[1] == pytest.approx(2.0 * math.atan(a), abs=1e-9)
 
 
-def test_rank_one_count_error_is_detectable():
+def _rank_one_scan(A, B, grid=10_000):
+    """Reference roots of det(A - Q(phi) B) in [0, 2pi) by numeric search.
+
+    Simple roots come from sign changes on a uniform grid refined by
+    bisection; tangential roots (the determinant touches zero without a sign
+    change, as in case k2) from grid minima of |det| refined by
+    golden-section search.
+    """
+    def det(phi):
+        phi = np.asarray(phi, dtype=float)
+        c, s = np.cos(phi), np.sin(phi)
+        m11 = A[0, 0] - (c * B[0, 0] - s * B[1, 0])
+        m12 = A[0, 1] - (c * B[0, 1] - s * B[1, 1])
+        m21 = A[1, 0] - (s * B[0, 0] + c * B[1, 0])
+        m22 = A[1, 1] - (s * B[0, 1] + c * B[1, 1])
+        return m11 * m22 - m12 * m21
+
+    phis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    vals = det(phis)
+    scale = float(np.max(np.abs(vals))) or 1.0
+    step = 2.0 * math.pi / grid
+    roots = []
+
+    def bisect(a, b):
+        fa = float(det(a))
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            fm = float(det(m))
+            if fa * fm <= 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+            if b - a < 1e-12:
+                break
+        return 0.5 * (a + b)
+
+    def golden_min(a, b):
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+        f1, f2 = abs(float(det(x1))), abs(float(det(x2)))
+        for _ in range(200):
+            if f1 < f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - invphi * (b - a)
+                f1 = abs(float(det(x1)))
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + invphi * (b - a)
+                f2 = abs(float(det(x2)))
+            if b - a < 1e-13:
+                break
+        return 0.5 * (a + b)
+
+    ext = np.append(vals, vals[0])
+    for i in range(grid):
+        if ext[i] == 0.0:
+            roots.append(phis[i])
+        elif ext[i] * ext[i + 1] < 0.0:
+            roots.append(bisect(phis[i], phis[i] + step))
+    absvals = np.abs(vals)
+    for i in range(grid):
+        if (absvals[i] <= absvals[i - 1] and absvals[i] <= absvals[(i + 1) % grid]
+                and absvals[i] < 1e-4 * scale):
+            m = golden_min(phis[i] - step, phis[i] + step)
+            if abs(float(det(m))) < 1e-10 * scale:
+                roots.append(m)
+
+    merged = []
+    for r in sorted(r % (2.0 * math.pi) for r in roots):
+        if not merged or abs(r - merged[-1]) > 1e-9:
+            merged.append(r)
+    return [0.0 if r < 1e-12 or 2.0 * math.pi - r < 1e-12 else r for r in merged]
+
+
+def test_rank_one_closed_form_matches_scan_oracle():
+    for a in np.linspace(0.01, 0.99, 40):
+        for case in (CASE_K1, CASE_K2):
+            spec = WellSpec(case, float(a))
+            closed = rank_one_connections(spec)
+            scanned = _rank_one_scan(*well_matrices(spec))
+            assert len(closed) == len(scanned) == (2 if case == CASE_K1 else 1)
+            np.testing.assert_allclose(closed, scanned, rtol=0.0, atol=1e-9)
+
+
+def test_rank_one_count_error_is_detectable(monkeypatch):
+    # det(I - 2 Q(phi)) = 5 - 4 cos(phi) > 0: no rank-one connection at all.
+    pair = (np.eye(2), 2.0 * np.eye(2))
+    assert _rank_one_scan(*pair) == []
+    monkeypatch.setattr(wells, "well_matrices", lambda spec: pair)
     with pytest.raises(RankOneCountError):
-        # An absurd grid cannot bracket both roots.
-        rank_one_connections(WellSpec(CASE_K1, 1e-9), grid=8)
+        rank_one_connections(WellSpec(CASE_K1, 0.2))
 
 
 def test_degeneracy_gap_at_e1_and_orders():
