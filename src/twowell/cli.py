@@ -9,9 +9,10 @@ reproduce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 validation failure,
 4 non-convergence of the minimizer.  Configuration errors are reported as
-``config error: ...`` on stderr.  Any other exception is an internal
-failure: it propagates out of :func:`main` with its traceback, so
-``python -m twowell`` exits 1.
+``config error: ...`` on stderr; quadrature warnings of ``construct``,
+``energy`` and ``sweep`` as ``warning: ...`` (exit code unaffected).  Any
+other exception is an internal failure: it propagates out of :func:`main`
+with its traceback, so ``python -m twowell`` exits 1.
 """
 
 from __future__ import annotations
@@ -202,6 +203,11 @@ def _notes(spec: WellSpec) -> None:
         print(f"note: {note}", file=sys.stderr)
 
 
+def _warn(breakdown) -> None:
+    for warning in breakdown.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -214,6 +220,7 @@ def _energy_row(cfg: RunConfig, eps: float):
     spec = cfg.spec()
     d, b, label = best_construction(spec, eps, cfg.L, cfg.H, quad=cfg.quad(),
                                     theta=cfg.theta, gamma_kind=cfg.gamma)
+    _warn(b)
     bound = min_energy_bound(cfg.case, cfg.alpha, eps, cfg.L, cfg.H)
     row = [cfg.case, cfg.alpha, eps, cfg.L, cfg.H, label, b.elastic, b.tv_bulk,
            b.tv_jump, b.total, bound.value, b.total / bound.value]
@@ -226,6 +233,7 @@ def cmd_construct(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     d, b, label = best_construction(spec, cfg.epsilon, cfg.L, cfg.H, quad=cfg.quad(),
                                     theta=cfg.theta, gamma_kind=cfg.gamma)
+    _warn(b)
     write_manifest(d, str(out / "manifest.txt"))
     (out / "construction.svg").write_text(construction_svg(d, spec))
     print(f"construction={label} cells={d.cell_count()} total={_f(b.total)} "

@@ -11,10 +11,17 @@ Cells are integrated on their graph parameterization ``(x, s) -> (x,
 are refined adaptively by comparing Gauss rules of order p and 2p.  All
 congruent cells (translated copies of one prototype under the same
 conjugation) share a single quadrature, multiplied by the instance count.
+
+Every prototype of one term is refined in the same waves.  The branched
+constructions repeat one five-piece cell with rescaled (ell, h), so their
+prototypes fall into a few *shapes* (classes and discrete fields such as the
+piece index and ramp kind); the panels of one shape are evaluated by one
+integrand call whose float fields are per-panel columns.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .piecewise import CellProto, PiecewiseDeformation
+from .piecewise import PiecewiseDeformation, push_forward
 from .wells import WellSpec, well_matrices
 
 __all__ = ["QuadratureSpec", "EnergyBreakdown", "elastic_energy", "tv_bulk",
@@ -47,10 +54,12 @@ class QuadratureSpec:
 class EnergyBreakdown:
     """Energy split; ``total = elastic + epsilon * (tv_bulk + tv_jump)``.
 
-    ``error_estimate`` sums ``|fine - coarse|`` over every accepted panel of
-    the three terms, unweighted by epsilon.  That bounds the error of the
-    coarse order-p rule, while the reported values use the order-2p rule, so
-    it overstates the error of ``total``, typically by orders of magnitude.
+    ``error_estimate`` weights the three terms' errors as ``total`` does:
+    ``elastic_err + epsilon * (bulk_err + jump_err)``, where each term's
+    error sums ``|fine - coarse|`` over the accepted panels of every cell or
+    curve instance.  That bounds the error of the coarse order-p rule,
+    while the reported values use the order-2p rule, so it overstates the
+    error of ``total``, typically by orders of magnitude.
     """
 
     elastic: float
@@ -81,56 +90,167 @@ def _gauss(order: int):
 # noise to the depth limit.
 _NOISE_FLOOR = 1e-12
 
+# Integrand points per batched call (coarse and fine nodes together); caps
+# the transient memory of one wave however many panels it refines.
+_MAX_POINTS = 1 << 12
+
 
 class _Accumulator:
     def __init__(self):
-        self.value = 0.0
         self.error = 0.0
         self.warnings: list[str] = []
 
 
-_WAVE_CHUNK = 256  # panels evaluated per batched call
+# ---------------------------------------------------------------------------
+# Prototype shapes
+# ---------------------------------------------------------------------------
 
 
-def _integrate(wave_values, root: np.ndarray, order: int, measure: float,
-               quad: QuadratureSpec, acc: _Accumulator, what: str) -> float:
-    """Adaptive Gauss integral over the box ``root``, a (1, 2d) row of
-    (lo, hi) pairs per axis.
+@lru_cache(maxsize=None)
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
 
-    ``wave_values(panels, xs, ws)`` returns one integral per panel for the
-    Gauss nodes and weights ``xs, ws`` on [0, 1].  Panels of one refinement
-    wave are evaluated in a single batched call; a panel is accepted when the
-    order-p / order-2p Richardson difference is below its share of the
-    tolerance, otherwise it is halved along every axis (children ordered with
-    axis 0 fastest).  ``measure`` scales the absolute noise floor.
+
+def _flatten(obj, values: list):
+    """Shape of a prototype tree: its classes and discrete fields (piece,
+    component, layout, ramp kind, tag, ...).  Its float fields, arrays
+    raveled, are appended to ``values`` in tree order instead."""
+    if isinstance(obj, float):
+        values.append(obj)
+        return float
+    if hasattr(obj, "__dataclass_fields__"):
+        return (type(obj),) + tuple([_flatten(getattr(obj, name), values)
+                                     for name in _field_names(type(obj))])
+    if isinstance(obj, np.ndarray):
+        values.extend(obj.ravel().tolist())
+        return obj.shape
+    if isinstance(obj, tuple):
+        return (tuple,) + tuple([_flatten(c, values) for c in obj])
+    return obj
+
+
+def _rebuild(obj, values: np.ndarray, at: list):
+    """``obj`` with its float fields replaced by the columns of ``values``,
+    an (m, L) array laid out as :func:`_flatten` lists them, from column
+    ``at[0]`` on; a float field becomes an (m, 1) column, an array field an
+    (m, 1, ...) stack.  (A plain function: a recursive closure would be a
+    reference cycle holding ``values`` until the cyclic collector runs.)"""
+    if isinstance(obj, float):
+        at[0] += 1
+        return values[:, at[0] - 1:at[0]]
+    if hasattr(obj, "__dataclass_fields__"):
+        return type(obj)(**{name: _rebuild(getattr(obj, name), values, at)
+                            for name in _field_names(type(obj))})
+    if isinstance(obj, np.ndarray):
+        at[0] += obj.size
+        return values[:, at[0] - obj.size:at[0]].reshape((len(values), 1) + obj.shape)
+    if isinstance(obj, tuple):
+        return tuple([_rebuild(c, values, at) for c in obj])
+    return obj
+
+
+class _Shapes:
+    """Prototypes grouped by shape.
+
+    Within one group only float fields differ.  The displacement families,
+    curves, jumps and conjugations compute with plain NumPy arithmetic on
+    their fields, so one member whose float fields are (m, 1) columns
+    evaluates m panels of m possibly different prototypes at once, each on
+    its own row of nodes, with the same arithmetic as the scalar prototype.
     """
-    xs1, ws1 = _gauss(order)
-    xs2, ws2 = _gauss(2 * order)
-    root_size = float(np.prod(root[:, 1::2] - root[:, 0::2]))
-    total = 0.0
-    panels = root
+
+    def __init__(self, protos):
+        index: dict = {}
+        rows: list[list] = []
+        self.templates: list = []
+        self.group = np.empty(len(protos), dtype=np.intp)
+        self.row = np.empty(len(protos), dtype=np.intp)
+        for i, proto in enumerate(protos):
+            values: list = []
+            g = index.setdefault(_flatten(proto, values), len(rows))
+            if g == len(rows):
+                rows.append([])
+                self.templates.append(proto)
+            self.group[i], self.row[i] = g, len(rows[g])
+            rows[g].append(values)
+        # One (members, fields) matrix per group.
+        self.values = [np.array(r, dtype=float).reshape(len(r), -1) for r in rows]
+
+    def batches(self, owner: np.ndarray, points: int):
+        """Yield ``(member, panel indices)`` covering every panel once: one
+        group per batch, its member holding the fields of each panel's owner
+        (one row per panel), at most ``_MAX_POINTS`` integrand points."""
+        gid = self.group[owner]
+        step = max(1, _MAX_POINTS // points)
+        # Not np.unique: it imports numpy.ma, about 1 MB of resident memory.
+        for g in np.flatnonzero(np.bincount(gid)).tolist():
+            idx = np.flatnonzero(gid == g)
+            for lo in range(0, len(idx), step):
+                part = idx[lo:lo + step]
+                yield _rebuild(self.templates[g], self.values[g][self.row[owner[part]]], [0]), part
+
+
+# ---------------------------------------------------------------------------
+# Adaptive quadrature
+# ---------------------------------------------------------------------------
+
+
+def _sums_by_owner(values: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """``np.sum`` of each owner's values in panel order, for owners 0..n-1.
+
+    ``np.bincount`` adds in index order, as ``np.sum`` does below 8 terms;
+    longer runs are summed again by ``np.sum`` itself (pairwise).  No sort:
+    a stable argsort alone adds 128 kB of resident code pages.
+    """
+    sums = np.bincount(owner, values, minlength=n)
+    for k in np.flatnonzero(np.bincount(owner, minlength=n) >= 8).tolist():
+        sums[k] = np.sum(values[owner == k])
+    return sums
+
+
+def _integrate(wave_values, roots: np.ndarray, order: int, measures: np.ndarray,
+               quad: QuadratureSpec, acc: _Accumulator, what: str):
+    """Adaptive Gauss integrals over the boxes ``roots``, an (n, 2d) array
+    with one row of (lo, hi) pairs per axis for each of n prototypes.
+
+    ``wave_values(panels, owner, rules)`` returns the integrals of every panel
+    by both ``rules`` (Gauss nodes and weights on [0, 1] of order p and 2p);
+    ``owner`` holds each panel's prototype.  All prototypes refine in the same
+    waves, but every rule is per prototype: a panel is accepted when its
+    order-p / order-2p Richardson difference is below its share of its
+    prototype's tolerance, otherwise it is halved along every axis (children
+    ordered with axis 0 fastest, stacked child-pattern-major, so each
+    prototype's panels keep the order of a refinement of its own).
+    ``measures`` scales the absolute noise floor.  Returns each prototype's
+    total and its error estimate, the sum of ``|fine - coarse|`` over its
+    accepted panels.
+    """
+    rules = (_gauss(order), _gauss(2 * order))
+    root_size = np.prod(roots[:, 1::2] - roots[:, 0::2], axis=1)
+    n = len(roots)
+    totals, errors = np.zeros(n), np.zeros(n)
+    panels, owner = roots, np.arange(n)
     depth = 0
     while True:
-        coarse = wave_values(panels, xs1, ws1)
-        fine = wave_values(panels, xs2, ws2)
+        coarse, fine = wave_values(panels, owner, rules)
         if depth == 0:
-            # The root panel's fine value sets the scale of the relative test.
-            scale = max(abs(float(fine[0])), 1e-300)
+            # Each root panel's fine value sets the scale of its relative test.
+            scale = np.maximum(np.abs(fine), 1e-300)
         err = np.abs(fine - coarse)
-        frac = np.prod(panels[:, 1::2] - panels[:, 0::2], axis=1) / root_size
-        tol = np.maximum(quad.rel_tol * scale * np.maximum(frac, 1e-6),
-                         _NOISE_FLOOR * measure * frac)
+        frac = np.prod(panels[:, 1::2] - panels[:, 0::2], axis=1) / root_size[owner]
+        tol = np.maximum(quad.rel_tol * scale[owner] * np.maximum(frac, 1e-6),
+                         _NOISE_FLOOR * measures[owner] * frac)
         done = err <= tol
         if depth >= quad.max_refinement_depth:
-            left_over = float(np.sum(err[~done]))
-            if left_over > 10.0 * quad.rel_tol * scale:
-                acc.warnings.append(f"{what} quadrature hit the refinement limit")
-            done = np.ones_like(done)
-        total += float(np.sum(fine[done]))
-        acc.error += float(np.sum(err[done]))
-        rest = panels[~done]
+            left_over = _sums_by_owner(err[~done], owner[~done], n)
+            acc.warnings += [f"{what} quadrature hit the refinement limit"] * int(
+                np.count_nonzero(left_over > 10.0 * quad.rel_tol * scale))
+            done[:] = True
+        totals += _sums_by_owner(fine[done], owner[done], n)
+        errors += np.bincount(owner[done], err[done], minlength=n)
+        rest, owner = panels[~done], owner[~done]
         if not len(rest):
-            return total
+            return totals.tolist(), errors
         lo, hi = rest[:, 0::2], rest[:, 1::2]
         mid = 0.5 * (lo + hi)
         children = []
@@ -138,58 +258,117 @@ def _integrate(wave_values, root: np.ndarray, order: int, measure: float,
             up = np.array(upper[::-1])
             children.append(np.stack([np.where(up, mid, lo), np.where(up, hi, mid)],
                                      axis=2).reshape(len(rest), -1))
-        panels = np.vstack(children)
+        panels, owner = np.vstack(children), np.tile(owner, len(children))
         depth += 1
 
 
-def _integrate_cell(proto: CellProto, integrand, quad: QuadratureSpec,
-                    acc: _Accumulator) -> float:
-    """Integral of ``integrand(x, y)`` over the cell, on its graph
-    parameterization ``(x, s)``."""
+def _integrate_cells(items, integrand, quad: QuadratureSpec, acc: _Accumulator):
+    """Integral of ``integrand(item, x, y)`` over the cell of each item, on
+    its graph parameterization ``(x, s)``.
 
-    def wave_values(panels: np.ndarray, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        out = np.empty(len(panels))
-        for lo_i in range(0, len(panels), _WAVE_CHUNK):
-            chunk = panels[lo_i:lo_i + _WAVE_CHUNK]
-            ax, bx, as_, bs = chunk.T
+    An item is a tuple whose first entry is the :class:`CellProto`; the
+    integrand receives it batched (see :class:`_Shapes`) with (m, n) point
+    arrays and returns (m, n) values.
+    """
+    shapes = _Shapes(items)
+    p = quad.base_order
+    npts = 5 * p * p  # coarse p x p and fine 2p x 2p nodes
+
+    def wave_values(panels, owner, rules):
+        out = np.empty((2, len(panels)))
+        xs = np.concatenate([xr for xr, _ in rules])
+        cuts = np.cumsum([0] + [len(xr) for xr, _ in rules]).tolist()
+        for item, idx in shapes.batches(owner, npts):
+            proto = item[0]
+            ax, bx, as_, bs = panels[idx].T
             x = ax[:, None] + (bx - ax)[:, None] * xs
             s = as_[:, None] + (bs - as_)[:, None] * xs
             lo = proto.lower.value(x)
             hi = proto.upper.value(x)
-            y = ((1.0 - s[:, None, :]) * lo[:, :, None]
-                 + s[:, None, :] * hi[:, :, None])
-            X = np.broadcast_to(x[:, :, None], y.shape)
-            vals = integrand(X.ravel(), y.ravel()).reshape(y.shape)
-            wx = ws * (bx - ax)[:, None]
-            wsn = ws * (bs - as_)[:, None]
-            out[lo_i:lo_i + _WAVE_CHUNK] = np.einsum(
-                "mi,mj,mij->m", wx, wsn, vals * (hi - lo)[:, :, None])
+            # Points of each rule's n x n tensor grid, rules side by side.
+            X, Y = np.empty((2, len(idx), npts))
+            start = 0
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                n = b - a
+                X[:, start:start + n * n] = np.repeat(x[:, a:b], n, axis=1)
+                Y[:, start:start + n * n] = (
+                    (1.0 - s[:, None, a:b]) * lo[:, a:b, None]
+                    + s[:, None, a:b] * hi[:, a:b, None]).reshape(len(idx), -1)
+                start += n * n
+            vals = integrand(item, X, Y)
+            start = 0
+            for r, ((_, ws), a, b) in enumerate(zip(rules, cuts[:-1], cuts[1:])):
+                n = b - a
+                v = vals[:, start:start + n * n].reshape(len(idx), n, n)
+                start += n * n
+                out[r, idx] = np.einsum("mi,mj,mij->m", ws * (bx - ax)[:, None],
+                                        ws * (bs - as_)[:, None],
+                                        v * (hi[:, a:b] - lo[:, a:b])[:, :, None])
         return out
 
-    return _integrate(wave_values, np.array([[0.0, proto.width, 0.0, 1.0]]),
-                      quad.base_order, abs(proto.area()), quad, acc, "cell")
+    roots = np.array([[0.0, it[0].width, 0.0, 1.0] for it in items])
+    measures = np.array([abs(it[0].area()) for it in items])
+    return _integrate(wave_values, roots, p, measures, quad, acc, "cell")
 
 
-def _integrate_line(span: float, integrand, quad: QuadratureSpec,
-                    acc: _Accumulator) -> float:
-    """Integral of ``integrand(t)`` over (0, span)."""
+def _integrate_lines(items, spans, integrand, quad: QuadratureSpec, acc: _Accumulator):
+    """Integral of ``integrand(item, t)`` over (0, span) for each item, a
+    cell or jump prototype (batched as in :func:`_integrate_cells`, with
+    (m, n) parameters t)."""
+    shapes = _Shapes(items)
+    p = max(quad.line_points, 2)
 
-    def wave_values(ab: np.ndarray, xs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        a, b = ab.T
-        t = a[:, None] + (b - a)[:, None] * xs
-        vals = integrand(t.ravel()).reshape(t.shape)
-        return np.einsum("mi,mi->m", ws * (b - a)[:, None], vals)
+    def wave_values(ab, owner, rules):
+        out = np.empty((2, len(ab)))
+        xs = np.concatenate([xr for xr, _ in rules])
+        cuts = np.cumsum([0] + [len(xr) for xr, _ in rules]).tolist()
+        for proto, idx in shapes.batches(owner, 3 * p):
+            a, b = ab[idx].T
+            vals = integrand(proto, a[:, None] + (b - a)[:, None] * xs)
+            for r, ((_, ws), lo, hi) in enumerate(zip(rules, cuts[:-1], cuts[1:])):
+                out[r, idx] = np.einsum("mi,mi->m", ws * (b - a)[:, None], vals[:, lo:hi])
+        return out
 
-    return _integrate(wave_values, np.array([[0.0, span]]), max(quad.line_points, 2),
-                      span, quad, acc, "line")
+    spans = np.asarray(spans, dtype=float)
+    roots = np.column_stack([np.zeros_like(spans), spans])
+    return _integrate(wave_values, roots, p, spans, quad, acc, "line")
 
 
-def _elastic_integrand(proto: CellProto, CL, Q, A, B):
-    def integrand(x, y):
-        du = np.eye(2) + proto.map.grad(x, y)
-        F = np.einsum("ab,nbc,cd->nad", CL, du.reshape(-1, 2, 2), Q)
+# ---------------------------------------------------------------------------
+# The three terms
+# ---------------------------------------------------------------------------
+
+
+def _unique_integrals(keyed, integrate, acc: _Accumulator) -> float:
+    """``sum(count * integral)`` over ``keyed`` = [(key, item, count)], in
+    order, integrating each distinct key once; ``integrate(items)`` returns
+    one value and one error estimate per item.  The errors are added to
+    ``acc`` once per cell or curve instance, as the values are to the sum."""
+    index: dict = {}
+    items = []
+    for key, item, _ in keyed:
+        if key not in index:
+            index[key] = len(items)
+            items.append(item)
+    if not items:
+        return 0.0
+    values, errors = integrate(items)
+    total = 0.0
+    for key, _, count in keyed:
+        total += count * values[index[key]]
+        acc.error += count * float(errors[index[key]])
+    return total
+
+
+def _elastic_integrand(A, B):
+    def integrand(item, x, y):
+        proto, CL, Q = item
+        du = proto.map.grad(x, y)
+        du += np.eye(2)
+        F = push_forward(CL, du, Q).reshape(-1, 2, 2)
+        del du  # keeps one fewer (n, 2, 2) batch alive through the kernel
         d2, _ = kernels.dist2_two_wells(F, A, B)
-        return d2
+        return d2.reshape(x.shape)
     return integrand
 
 
@@ -203,18 +382,14 @@ def elastic_energy(def_: PiecewiseDeformation, spec: WellSpec,
 
 def _elastic(def_, spec, quad, acc):
     A, B = well_matrices(spec)
-    total = 0.0
-    cache: dict = {}
+    keyed = []
     for part in def_.parts:
         Q, _, CL, _ = part.folded()
         conj_key = (CL.tobytes(), Q.tobytes())
-        for g in part.groups:
-            key = (g.proto.key(), conj_key)
-            if key not in cache:
-                cache[key] = _integrate_cell(
-                    g.proto, _elastic_integrand(g.proto, CL, Q, A, B), quad, acc)
-            total += g.count * cache[key]
-    return total
+        keyed += [((g.proto.key(), conj_key), (g.proto, CL, Q), g.count)
+                  for g in part.groups]
+    return _unique_integrals(keyed, lambda items: _integrate_cells(
+        items, _elastic_integrand(A, B), quad, acc), acc)
 
 
 def tv_bulk(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> float:
@@ -227,34 +402,24 @@ def tv_bulk(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> f
 
 
 def _tv_bulk(def_, quad, acc):
-    total = 0.0
-    cache: dict = {}
-    for part in def_.parts:
-        for g in part.groups:
-            key = g.proto.key()
-            if key not in cache:
-                cache[key] = _tv_bulk_cell(g.proto, quad, acc)
-            total += g.count * cache[key]
-    return total
+    keyed = [(g.proto.key(), g.proto, g.count) for part in def_.parts for g in part.groups]
+    return _unique_integrals(keyed, lambda protos: _tv_bulk_cells(protos, quad, acc), acc)
 
 
-def _tv_bulk_cell(proto: CellProto, quad: QuadratureSpec, acc: _Accumulator) -> float:
-    """Cell integral of |D^2 u|.
+def _tv_bulk_cells(protos, quad: QuadratureSpec, acc: _Accumulator):
+    """Cell integrals of |D^2 u|.
 
     All map families are affine in y at second order (``|D^2 u|^2 =
     (A(x) + B(x) y)^2 + R(x)^2``), so the y direction integrates exactly
-    and only a smooth 1D x-integral is left.
+    and only a smooth 1D x-integral is left.  A cell without curvature
+    integrates to exactly 0.0 in one wave.
     """
-    if not any(np.any(v) for v in proto.map.hess_profile(np.linspace(0.0, proto.width, 17))):
-        return 0.0
+    return _integrate_lines(protos, [p.width for p in protos], _tv_bulk_integrand, quad, acc)
 
-    def integrand(x):
-        A, B, R2 = proto.map.hess_profile(x)
-        lo = proto.lower.value(x)
-        hi = proto.upper.value(x)
-        return _column_tv(A, B, R2, lo, hi)
 
-    return _integrate_line(proto.width, integrand, quad, acc)
+def _tv_bulk_integrand(proto, x):
+    A, B, R2 = proto.map.hess_profile(x)
+    return _column_tv(A, B, R2, proto.lower.value(x), proto.upper.value(x))
 
 
 def _column_tv(A, B, R2, lo, hi):
@@ -292,25 +457,18 @@ def tv_jump(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> f
     return _tv_jump(def_, quad, acc)
 
 
+def _tv_jump_integrand(proto, t):
+    jx, jy = proto.points(t)
+    s1, s2 = proto.sides()
+    diff = (s2.grad(jx, jy) - s1.grad(jx, jy)).reshape(-1, 2, 2)
+    norm = np.sqrt(np.einsum("nij,nij->n", diff, diff)).reshape(t.shape)
+    return norm * proto.weight(t)
+
+
 def _tv_jump(def_, quad, acc):
-    total = 0.0
-    cache: dict = {}
-    for part in def_.parts:
-        for jg in part.jumps:
-            proto = jg.proto
-            key = proto.key()
-            if key not in cache:
-                s1, s2 = jg.sides()
-
-                def integrand(t, proto=proto, s1=s1, s2=s2):
-                    jx, jy = proto.points(t)
-                    diff = s2.grad(jx, jy) - s1.grad(jx, jy)
-                    norm = np.sqrt(np.einsum("nij,nij->n", diff, diff))
-                    return norm * proto.weight(t)
-
-                cache[key] = _integrate_line(proto.length_param(), integrand, quad, acc)
-            total += jg.count * cache[key]
-    return total
+    keyed = [(jg.proto.key(), jg.proto, jg.count) for part in def_.parts for jg in part.jumps]
+    return _unique_integrals(keyed, lambda protos: _integrate_lines(
+        protos, [p.length_param() for p in protos], _tv_jump_integrand, quad, acc), acc)
 
 
 def total_energy(def_: PiecewiseDeformation, spec: WellSpec, epsilon: float,
@@ -319,9 +477,10 @@ def total_energy(def_: PiecewiseDeformation, spec: WellSpec, epsilon: float,
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     quad = quad or QuadratureSpec()
-    acc = _Accumulator()
-    elastic = _elastic(def_, spec, quad, acc)
-    bulk = _tv_bulk(def_, quad, acc)
-    jump = _tv_jump(def_, quad, acc)
-    return EnergyBreakdown.combine(elastic, bulk, jump, epsilon, acc.error,
-                                   sorted(set(acc.warnings)))
+    accs = [_Accumulator() for _ in range(3)]
+    elastic = _elastic(def_, spec, quad, accs[0])
+    bulk = _tv_bulk(def_, quad, accs[1])
+    jump = _tv_jump(def_, quad, accs[2])
+    error = accs[0].error + epsilon * (accs[1].error + accs[2].error)
+    warnings = sorted({w for acc in accs for w in acc.warnings})
+    return EnergyBreakdown.combine(elastic, bulk, jump, epsilon, error, warnings)

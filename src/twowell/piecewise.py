@@ -44,6 +44,7 @@ __all__ = [
     "mirror_transform",
     "rotate90_transform",
     "value_rotation_transform",
+    "push_forward",
     "Part",
     "PiecewiseDeformation",
     "identity_deformation",
@@ -145,7 +146,16 @@ class LocalCurve:
 
 
 class _MapBase:
-    """Common shape handling for the closed-form displacement families."""
+    """Common shape handling for the closed-form displacement families.
+
+    Float fields may also be (m, 1) columns, one row per prototype, against
+    (m, n) points: the quadrature evaluates many prototypes of one family
+    at once that way, so ``__post_init__`` checks only discrete fields.
+    Integer powers of fields use ``np.float_power``, which is libm ``pow``
+    for scalars and arrays alike, so both forms give the same bits
+    (``np.power`` on arrays may take a vectorized path that rounds
+    differently).
+    """
 
     def disp(self, x, y):
         raise NotImplementedError
@@ -292,10 +302,10 @@ class K2CellPiece(_MapBase):
             return out
         g, d1, d2, d3 = self._g(x)
         if self.piece == 3:
-            out[..., 0, 0, 0] = -s * (h * h / (16.0 * ell ** 3)) * d3
+            out[..., 0, 0, 0] = -s * (h * h / (16.0 * np.float_power(ell, 3))) * d3
             return out
         sig, base = self._mirror(g)
-        out[..., 0, 0, 0] = sig * s * (h / (4.0 * ell ** 3)) * (
+        out[..., 0, 0, 0] = sig * s * (h / (4.0 * np.float_power(ell, 3))) * (
             d3 * (base - y) + sig * (3.0 * h / 8.0) * d1 * d2)
         out[..., 0, 0, 1] = -sig * s * (h / (4.0 * ell * ell)) * d2
         out[..., 0, 1, 0] = out[..., 0, 0, 1]
@@ -311,11 +321,11 @@ class K2CellPiece(_MapBase):
             return zero, zero, zero
         g, d1, d2, d3 = self._g(x)
         if self.piece == 3:
-            return -s * (h * h / (16.0 * ell ** 3)) * d3, zero, zero
-        r2 = (2.0 * (s * h / (4.0 * ell * ell)) ** 2
-              + (a * h / (4.0 * ell * ell)) ** 2) * d2 * d2
+            return -s * (h * h / (16.0 * np.float_power(ell, 3))) * d3, zero, zero
+        r2 = (2.0 * np.float_power(s * h / (4.0 * ell * ell), 2)
+              + np.float_power(a * h / (4.0 * ell * ell), 2)) * d2 * d2
         sig, base = self._mirror(g)
-        coef = s * (h / (4.0 * ell ** 3))
+        coef = s * (h / (4.0 * np.float_power(ell, 3)))
         return (sig * coef * (d3 * base + sig * (3.0 * h / 8.0) * d1 * d2),
                 -sig * coef * d3, r2)
 
@@ -404,7 +414,8 @@ class ScalarProfilePiece(_MapBase):
             return zero, zero, zero
         sign = 1.0 if self.piece == 2 else -1.0
         _, _, d2, _ = step_profile(self.kind)(x / self.ell)
-        return sign * (self.alpha * self.h / (4.0 * self.ell ** 2)) * d2, zero, zero
+        return (sign * (self.alpha * self.h / (4.0 * np.float_power(self.ell, 2))) * d2,
+                zero, zero)
 
     def key(self) -> tuple:
         return (_PROFILE_TAGS[self.component, self.layout], self.piece, self.ell,
@@ -494,6 +505,23 @@ def value_rotation_transform(R: np.ndarray) -> Transform:
                      "value-rotation")
 
 
+def push_forward(CL, du, Q):
+    """``CL @ du @ Q`` over the last two axes of 2x2 batches, written out
+    entry by entry (CL and Q broadcast against du).
+
+    For the signed permutations of mirror and swap every entry is a single
+    product, so the result is exact; ``+ 0.0`` turns -0 into +0 as an einsum
+    sum does.  Unlike ``@`` it never calls BLAS, whose first 2x2 product
+    alone adds 0.5 MB to the resident set of a quadrature-only run.
+    """
+    M = CL[..., :, :1] * du[..., None, 0, :]
+    M += CL[..., :, 1:] * du[..., None, 1, :]
+    F = M[..., :, :1] * Q[..., None, 0, :]
+    F += M[..., :, 1:] * Q[..., None, 1, :]
+    F += 0.0
+    return F
+
+
 def _fold_transforms(transforms: Sequence[Transform]):
     """Composite (Q, b, CL, c) for a stack applied outermost-first."""
     Q, b = _ID2.copy(), np.zeros(2)
@@ -532,7 +560,7 @@ class SideRef:
         lx, ly = self.local(jx, jy)
         du = _ID2 + self.map.grad(lx, ly)
         if self.conj is not None:
-            du = np.einsum("ab,...bc,cd->...ad", self.conj.CL, du, self.conj.Q)
+            du = push_forward(self.conj.CL, du, self.conj.Q)
         return du
 
 
@@ -548,6 +576,9 @@ class GraphJump:
     def key(self) -> tuple:
         return ("graph", self.tag, self.curve.c0, self.curve.c1, self.curve.width,
                 self.below.map.key(), self.above.map.key())
+
+    def sides(self):
+        return self.below, self.above
 
     def points(self, t):
         t = np.asarray(t, dtype=float)
@@ -573,6 +604,9 @@ class VerticalJump:
         return ("vertical", self.tag, self.length,
                 self.left.map.key(), self.right.map.key())
 
+    def sides(self):
+        return self.left, self.right
+
     def points(self, t):
         t = np.asarray(t, dtype=float)
         return np.zeros_like(t), t
@@ -593,9 +627,7 @@ class JumpGroup:
     count: int
 
     def sides(self):
-        if isinstance(self.proto, GraphJump):
-            return self.proto.below, self.proto.above
-        return self.proto.left, self.proto.right
+        return self.proto.sides()
 
 
 @dataclass(frozen=True)
@@ -718,7 +750,7 @@ class PiecewiseDeformation:
             if hit.size:
                 Q, _, CL, c = part.folded()
                 u[hit] = u[hit] @ CL.T + c
-                du[hit] = np.einsum("ab,nbc,cd->nad", CL, du[hit], Q)
+                du[hit] = push_forward(CL, du[hit], Q)
         if single:
             return u[0], du[0]
         return u, du
@@ -735,7 +767,9 @@ class PiecewiseDeformation:
             if not np.all(g.proto.contains(lx, ly, -edge_tol)):
                 raise BoundaryPointError("second gradient requested on a cell boundary")
             Q, _, CL, _ = self.parts[ip].folded()
-            out[idx] = np.einsum("ia,nabc,bj,ck->nijk", CL, g.proto.map.hess(lx, ly), Q, Q)
+            hess = g.proto.map.hess(lx, ly)
+            # (CL hess)[i] is a 2x2 matrix in (b, c); conjugate it by Q.
+            out[idx] = Q.T @ (CL @ hess.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2) @ Q
         if single:
             return out[0]
         return out

@@ -121,6 +121,22 @@ def test_sweep_fit_and_refusal(tmp_path, capsys):
     assert rc == 2
 
 
+def test_quadrature_warnings_reach_stderr(tmp_path, capsys):
+    # No refinement at all: the order-2 rule misses the tolerance at once.
+    cfg = tmp_path / "shallow.cfg"
+    cfg.write_text("quad_base_order = 2\nquad_max_depth = 0\n")
+    runs = (["energy"], ["construct"],
+            ["sweep", "--epsilons", "1e-6,3e-6,1e-5,1e-4"])
+    for i, argv in enumerate(runs):
+        rc = main(argv + ["--config", str(cfg), "--out", str(tmp_path / str(i))])
+        assert rc == 0, argv
+        err = capsys.readouterr().err.splitlines()
+        assert "warning: cell quadrature hit the refinement limit" in err, argv
+    # Default settings stay silent.
+    assert main(["energy", "--out", str(tmp_path / "default")]) == 0
+    assert "warning:" not in capsys.readouterr().err
+
+
 def test_phase_outputs(tmp_path):
     rc = main(["phase", "--case", "k2", "--alpha", "0.1", "--out", str(tmp_path)])
     assert rc == 0

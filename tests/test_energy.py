@@ -1,14 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from twowell import energy, kernels
 from twowell.energy import (
     EnergyBreakdown,
     QuadratureSpec,
     _Accumulator,
-    _integrate_cell,
-    _tv_bulk_cell,
+    _column_tv,
+    _gauss,
+    _tv_bulk_cells,
     elastic_energy,
     total_energy,
     tv_bulk,
@@ -30,9 +33,134 @@ from twowell.piecewise import (
     Rect,
     identity_deformation,
     mirror_x,
+    push_forward,
     rotate_values,
 )
-from twowell.wells import CASE_K1, CASE_K2, WellSpec, rotation
+from twowell.wells import CASE_K1, CASE_K2, WellSpec, rotation, well_matrices
+
+
+# ---------------------------------------------------------------------------
+# Per-prototype oracle: the quadrature as it ran before prototypes were
+# batched, one adaptive loop per distinct prototype with scalar fields.  The
+# batched engine must reproduce it bit for bit: values and warnings.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_integrate(wave_values, root, order, measure, quad, acc, what):
+    xs1, ws1 = _gauss(order)
+    xs2, ws2 = _gauss(2 * order)
+    root_size = float(np.prod(root[:, 1::2] - root[:, 0::2]))
+    total = 0.0
+    panels = root
+    depth = 0
+    while True:
+        coarse = wave_values(panels, xs1, ws1)
+        fine = wave_values(panels, xs2, ws2)
+        if depth == 0:
+            scale = max(abs(float(fine[0])), 1e-300)
+        err = np.abs(fine - coarse)
+        frac = np.prod(panels[:, 1::2] - panels[:, 0::2], axis=1) / root_size
+        tol = np.maximum(quad.rel_tol * scale * np.maximum(frac, 1e-6),
+                         energy._NOISE_FLOOR * measure * frac)
+        done = err <= tol
+        if depth >= quad.max_refinement_depth:
+            left_over = float(np.sum(err[~done]))
+            if left_over > 10.0 * quad.rel_tol * scale:
+                acc.warnings.append(f"{what} quadrature hit the refinement limit")
+            done = np.ones_like(done)
+        total += float(np.sum(fine[done]))
+        rest = panels[~done]
+        if not len(rest):
+            return total
+        lo, hi = rest[:, 0::2], rest[:, 1::2]
+        mid = 0.5 * (lo + hi)
+        children = []
+        for upper in itertools.product((False, True), repeat=lo.shape[1]):
+            up = np.array(upper[::-1])
+            children.append(np.stack([np.where(up, mid, lo), np.where(up, hi, mid)],
+                                     axis=2).reshape(len(rest), -1))
+        panels = np.vstack(children)
+        depth += 1
+
+
+def _oracle_cell(proto, integrand, quad, acc):
+    """Integral of ``integrand(x, y)`` (flat point arrays) over one cell."""
+    def wave_values(panels, xs, ws):
+        ax, bx, as_, bs = panels.T
+        x = ax[:, None] + (bx - ax)[:, None] * xs
+        s = as_[:, None] + (bs - as_)[:, None] * xs
+        lo = proto.lower.value(x)
+        hi = proto.upper.value(x)
+        y = (1.0 - s[:, None, :]) * lo[:, :, None] + s[:, None, :] * hi[:, :, None]
+        X = np.broadcast_to(x[:, :, None], y.shape)
+        vals = integrand(X.ravel(), y.ravel()).reshape(y.shape)
+        return np.einsum("mi,mj,mij->m", ws * (bx - ax)[:, None], ws * (bs - as_)[:, None],
+                         vals * (hi - lo)[:, :, None])
+
+    return _oracle_integrate(wave_values, np.array([[0.0, proto.width, 0.0, 1.0]]),
+                             quad.base_order, abs(proto.area()), quad, acc, "cell")
+
+
+def _oracle_line(span, integrand, quad, acc):
+    def wave_values(ab, xs, ws):
+        a, b = ab.T
+        t = a[:, None] + (b - a)[:, None] * xs
+        vals = integrand(t.ravel()).reshape(t.shape)
+        return np.einsum("mi,mi->m", ws * (b - a)[:, None], vals)
+
+    return _oracle_integrate(wave_values, np.array([[0.0, span]]), max(quad.line_points, 2),
+                             span, quad, acc, "line")
+
+
+def _oracle_tv_bulk_cell(proto, quad, acc):
+    if not any(np.any(v) for v in proto.map.hess_profile(np.linspace(0.0, proto.width, 17))):
+        return 0.0
+
+    def integrand(x):
+        A, B, R2 = proto.map.hess_profile(x)
+        return _column_tv(A, B, R2, proto.lower.value(x), proto.upper.value(x))
+
+    return _oracle_line(proto.width, integrand, quad, acc)
+
+
+def _oracle_terms(def_, spec, quad=None):
+    """(elastic, tv_bulk, tv_jump, sorted warnings) by the per-prototype loop."""
+    quad = quad or QuadratureSpec()
+    acc = _Accumulator()
+    A, B = well_matrices(spec)
+    elastic = bulk = jump = 0.0
+    cache: dict = {}
+    for part in def_.parts:
+        Q, _, CL, _ = part.folded()
+        for g in part.groups:
+            key = ("elastic", g.proto.key(), CL.tobytes(), Q.tobytes())
+            if key not in cache:
+                def integrand(x, y, proto=g.proto, CL=CL, Q=Q):
+                    F = push_forward(CL, np.eye(2) + proto.map.grad(x, y), Q)
+                    return kernels.dist2_two_wells(F, A, B)[0]
+                cache[key] = _oracle_cell(g.proto, integrand, quad, acc)
+            elastic += g.count * cache[key]
+    for part in def_.parts:
+        for g in part.groups:
+            key = ("bulk", g.proto.key())
+            if key not in cache:
+                cache[key] = _oracle_tv_bulk_cell(g.proto, quad, acc)
+            bulk += g.count * cache[key]
+    for part in def_.parts:
+        for jg in part.jumps:
+            proto = jg.proto
+            key = ("jump", proto.key())
+            if key not in cache:
+                s1, s2 = jg.sides()
+
+                def integrand(t, proto=proto, s1=s1, s2=s2):
+                    jx, jy = proto.points(t)
+                    diff = s2.grad(jx, jy) - s1.grad(jx, jy)
+                    return np.sqrt(np.einsum("nij,nij->n", diff, diff)) * proto.weight(t)
+
+                cache[key] = _oracle_line(proto.length_param(), integrand, quad, acc)
+            jump += jg.count * cache[key]
+    return elastic, bulk, jump, tuple(sorted(set(acc.warnings)))
 
 
 def test_identity_energies_closed_form():
@@ -211,6 +339,97 @@ def test_quadrature_agrees_with_tighter_tolerance(eps):
         assert diff <= b.error_estimate
 
 
+def test_error_estimate_weights_surface_terms_by_epsilon():
+    spec = WellSpec(CASE_K2, 0.1)
+    eps = 1e-7
+    d = horizontal_branched(spec, eps, Rect(0.0, 0.0, 1.0, 1.0))
+    b = total_energy(d, spec, eps)
+    tight = total_energy(d, spec, eps, QuadratureSpec(rel_tol=QuadratureSpec().rel_tol / 100.0))
+    assert abs(b.total - tight.total) <= b.error_estimate
+    # Same construction, smaller epsilon: only the surface terms' share falls.
+    smaller = total_energy(d, spec, eps / 100.0)
+    assert smaller.error_estimate < b.error_estimate
+    elastic_only = total_energy(d, spec, 0.0).error_estimate
+    assert elastic_only < smaller.error_estimate
+    assert b.error_estimate - elastic_only == pytest.approx(
+        100.0 * (smaller.error_estimate - elastic_only), rel=1e-9)
+
+
+def _oracle_cases():
+    dom = Rect(0.0, 0.0, 1.0, 1.0)
+    k1, k2 = WellSpec(CASE_K1, 0.1), WellSpec(CASE_K2, 0.1)
+    a, ell, h = 0.2, 0.75, 0.25
+    cases = []
+    for eps in (1e-3, 1e-7):
+        cases.append((f"k2-horizontal-{eps}", horizontal_branched(k2, eps, dom), k2, eps))
+        cases.append((f"k1-horizontal-{eps}", horizontal_branched(k1, eps, dom), k1, eps))
+    for kind in ("quintic", "linear"):
+        cases.append((f"k1-vertical-{kind}",
+                      vertical_branched_k1(k1, 1e-5, dom, gamma_kind=kind), k1, 1e-5))
+        cases.append((f"k1-cell-{kind}", k1_cell((0.0, 0.0), ell, h, a, gamma_kind=kind),
+                      WellSpec(CASE_K1, a), 1e-4))
+        cases.append((f"k1-boundary-cell-{kind}",
+                      k1_boundary_cell((0.0, 0.0), ell, h, a, gamma_kind=kind),
+                      WellSpec(CASE_K1, a), 1e-4))
+    cases.append(("k2-cell", k2_cell((0.0, 0.0), ell, h, a), WellSpec(CASE_K2, a), 1e-4))
+    cases.append(("k2-boundary-cell", k2_boundary_cell((0.0, 0.0), ell, h, a),
+                  WellSpec(CASE_K2, a), 1e-4))
+    cases.append(("laminate", laminate(dom, 0.125, a, CASE_K2), WellSpec(CASE_K2, a), 1e-4))
+    cases.append(("rotated-values", rotate_values(horizontal_branched(k2, 1e-4, dom),
+                                                  rotation(0.7)), k2, 1e-4))
+    return [pytest.param(d, spec, eps, id=name) for name, d, spec, eps in cases]
+
+
+@pytest.mark.parametrize("d,spec,eps", _oracle_cases())
+def test_batched_quadrature_matches_per_prototype_oracle(d, spec, eps):
+    b = total_energy(d, spec, eps)
+    elastic, bulk, jump, warnings = _oracle_terms(d, spec)
+    assert (b.elastic, b.tv_bulk, b.tv_jump, b.warnings) == (elastic, bulk, jump, warnings)
+
+
+def test_kernel_calls_grow_with_shapes_not_prototypes(monkeypatch):
+    spec = WellSpec(CASE_K1, 0.1)
+    dom = Rect(0.0, 0.0, 1.0, 1.0)
+    calls = []
+    dist2 = kernels.dist2_two_wells
+
+    def counting(F, A, B):
+        calls.append(len(F))
+        return dist2(F, A, B)
+
+    monkeypatch.setattr(kernels, "dist2_two_wells", counting)
+    counts = []
+    for eps in (1e-3, 1e-7):
+        d = horizontal_branched(spec, eps, dom)
+        calls.clear()
+        elastic_energy(d, spec)
+        protos = {(g.proto.key(), bool(p.transforms)) for p in d.parts for g in p.groups}
+        counts.append((len(protos), len(calls)))
+    (few, calls_few), (many, calls_many) = counts
+    assert many >= 2.5 * few
+    assert calls_many <= 1.5 * calls_few
+
+
+def test_one_prototype_at_the_depth_limit_leaves_the_batch_alone():
+    # At depth 4 only the k2 cell's middle piece (|A| ~ |g'''|, kinks at
+    # t = (3 +- sqrt 3)/6) is still refining; its neighbours in the batch
+    # converge in fewer waves.
+    protos = [g.proto for d in (k2_cell((0.0, 0.0), 1.0, 0.25, 0.2),
+                                k2_boundary_cell((0.0, 0.0), 0.5, 0.25, 0.2),
+                                k1_cell((0.0, 0.0), 0.5, 0.25, 0.2))
+              for g in d.parts[0].groups]
+    quad = QuadratureSpec(max_refinement_depth=4)
+    acc = _Accumulator()
+    batched, _ = _tv_bulk_cells(protos, quad, acc)
+    warned = []
+    for i, proto in enumerate(protos):
+        one = _Accumulator()
+        assert batched[i] == _oracle_tv_bulk_cell(proto, quad, one), proto.map.key()
+        warned += [i] * len(one.warnings)
+    assert warned == [2]
+    assert acc.warnings == ["line quadrature hit the refinement limit"]
+
+
 def _hess_norm_integrand(proto):
     """|D^2 u| from the full second-gradient tensor: the 2D oracle for the
     closed-form column integral behind the bulk TV."""
@@ -257,7 +476,6 @@ def test_hess_profile_matches_full_hessian():
                       axis=-1) / (2.0 * step)
         np.testing.assert_allclose(fd, hess, rtol=0.0, atol=1e-6 * np.abs(hess).max() + 1e-12)
 
-        column = _tv_bulk_cell(proto, QuadratureSpec(), _Accumulator())
-        oracle = _integrate_cell(proto, _hess_norm_integrand(proto), oracle_quad,
-                                 _Accumulator())
+        column = _tv_bulk_cells([proto], QuadratureSpec(), _Accumulator())[0][0]
+        oracle = _oracle_cell(proto, _hess_norm_integrand(proto), oracle_quad, _Accumulator())
         assert abs(column - oracle) <= 1e-9 * oracle, (proto.map.key(), column, oracle)
