@@ -12,23 +12,23 @@ Descent is limited-memory BFGS with Armijo backtracking on the interior
 nodes; boundary nodes are pinned to the identity.  No global-optimality
 claim is made, nonconvexity is handled by multi-start.
 
-One evaluation computes the per-triangle gradients F, the well kernel and
-the edge jumps once.  Armijo trial points evaluate the energy only; the
-accepted point then reuses its F and jumps for the gradient, which chains
-the kernel gradient and the jump term back to the nodes with ``np.bincount``
-scatters over index arrays the mesh builds once.
-:func:`discrete_energy` and :func:`discrete_gradient` wrap the same two
-passes.
+Every pass works on slices of the (ny+1, nx+1) node grid: F is a
+difference of shifted node slices, the edge jumps are differences of
+shifted F blocks, and the nodal gradient is the adjoint of those stencils,
+added back into the node grid with slices.  Armijo trial points evaluate
+the energy only; the accepted point keeps its F, jumps and kernel terms,
+so its gradient runs no second kernel pass and the reported exact total
+variation comes from its jump norms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from ._kernels_np import frobenius2, nearest_well, nearest_well_grad
 from .energy import EnergyBreakdown
 from .piecewise import PiecewiseDeformation, Rect
 from .wells import WellSpec, well_matrices
@@ -47,7 +47,9 @@ __all__ = [
 
 
 class Mesh:
-    """Regular nx-by-ny triangulated grid on a rectangle."""
+    """Regular nx-by-ny triangulated grid on a rectangle.  Node (i, j) is
+    row ``j * (nx + 1) + i``; ``tris`` lists every lower triangle (n00, n10,
+    n11), then every upper one (n00, n11, n01), in row-major cell order."""
 
     def __init__(self, nx: int, ny: int, rect: Rect):
         if nx < 2 or ny < 2:
@@ -61,67 +63,28 @@ class Mesh:
         self.nodes = np.column_stack([X.ravel(), Y.ravel()])
         self.n_nodes = (nx + 1) * (ny + 1)
 
-        def nid(i, j):
-            return j * (nx + 1) + i
-
-        I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-        I, J = I.ravel(), J.ravel()
-        n00 = nid(I, J)
-        n10 = nid(I + 1, J)
-        n01 = nid(I, J + 1)
-        n11 = nid(I + 1, J + 1)
-        lower = np.column_stack([n00, n10, n11])
-        upper = np.column_stack([n00, n11, n01])
-        self.tris = np.vstack([lower, upper])
-        ncell = nx * ny
-        self.n_tris = 2 * ncell
-
-        # Constant per-triangle gradient operators, d_x u = cx . u(tri nodes)
-        # and d_y u = cy . u(tri nodes).  The lower triangles come first and
-        # all share tri_ops[0]; the upper ones share tri_ops[1].  Each is a
-        # (vertex, x/y) table.
-        ix, iy = 1.0 / self.hx, 1.0 / self.hy
-        self.tri_ops = np.array([[[-ix, 0.0], [ix, -iy], [0.0, iy]],
-                                 [[0.0, -iy], [ix, 0.0], [-ix, iy]]])
-        self.cx = np.repeat(self.tri_ops[:, :, 0], ncell, axis=0)
-        self.cy = np.repeat(self.tri_ops[:, :, 1], ncell, axis=0)
+        n00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+        n10, n01, n11 = n00 + 1, n00 + nx + 1, n00 + nx + 2
+        self.tris = np.vstack([np.column_stack([n00, n10, n11]),
+                               np.column_stack([n00, n11, n01])])
+        self.n_tris = 2 * nx * ny
         self.tri_area = 0.5 * self.hx * self.hy
 
-        # Interior edges as (left tri, right tri, length), cell by cell in
-        # row-major order: the diagonal, then the edge shared with the
-        # right-hand cell, then the edge shared with the cell above.
-        lo = np.arange(ncell).reshape(ny, nx)
-        up = lo + ncell
-        pairs = np.empty((ny, nx, 3, 2), dtype=np.intp)
-        pairs[:, :, 0] = np.stack([lo, up], axis=-1)
-        pairs[:, :-1, 1] = np.stack([lo[:, :-1], up[:, 1:]], axis=-1)
-        pairs[:-1, :, 2] = np.stack([up[:-1], lo[1:]], axis=-1)
-        present = np.ones((ny, nx, 3), dtype=bool)
-        present[:, -1, 1] = False
-        present[-1, :, 2] = False
-        lengths = np.array([math.hypot(self.hx, self.hy), self.hy, self.hx])
-        self.edge_tris = pairs[present]
-        self.edge_len = np.broadcast_to(lengths, present.shape)[present]
+        # Interior edges cell by cell in row-major order: the diagonal, the
+        # edge shared with the right-hand cell, the edge shared with the
+        # cell above.  edge_mask (ny, nx, 3) marks the slots that exist.
+        self.edge_mask = np.ones((ny, nx, 3), dtype=bool)
+        self.edge_mask[:, -1, 1] = False
+        self.edge_mask[-1, :, 2] = False
+        self.edge_kind_len = np.array([math.hypot(self.hx, self.hy), self.hy, self.hx])
+        self.edge_len = np.broadcast_to(self.edge_kind_len, self.edge_mask.shape)[self.edge_mask]
 
-        # Flat bincount index of the edge term: every left triangle, then
-        # every right one.  The nodal scatter indexes by tris.ravel().
-        self.edge_sides = self.edge_tris.T.ravel()
-
-        on_bnd = np.zeros(self.n_nodes, dtype=bool)
-        ii = self.nodes
-        on_bnd |= np.isclose(ii[:, 0], rect.x0) | np.isclose(ii[:, 0], rect.x1)
-        on_bnd |= np.isclose(ii[:, 1], rect.y0) | np.isclose(ii[:, 1], rect.y1)
-        self.boundary_mask = on_bnd
-        self.free_mask = ~on_bnd
+        on_bnd = np.zeros((ny + 1, nx + 1), dtype=bool)
+        on_bnd[[0, -1], :] = True
+        on_bnd[:, [0, -1]] = True
+        self.boundary_mask = on_bnd.ravel()
+        self.free_mask = ~self.boundary_mask
         self.n_free = int(np.sum(self.free_mask))
-
-    def gradients(self, values: np.ndarray) -> np.ndarray:
-        """Per-triangle deformation gradient, shape (n_tris, 2, 2)."""
-        ut = values[self.tris]  # (nt, 3, 2)
-        F = np.empty((self.n_tris, 2, 2))
-        F[:, :, 0] = np.einsum("tk,tkc->tc", self.cx, ut)
-        F[:, :, 1] = np.einsum("tk,tkc->tc", self.cy, ut)
-        return F
 
 
 @dataclass
@@ -156,58 +119,80 @@ def _huber(t: np.ndarray, delta: float) -> np.ndarray:
     return np.where(small, t * t / (2.0 * delta), t - 0.5 * delta)
 
 
+def _gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """Per-triangle gradients: ``F[c, d]`` (2, ny, nx) is du_c/dx_d, lower
+    half first, so ``F[c, d].ravel()`` runs in ``mesh.tris`` order.  Written
+    ``ix * u10 - ix * u00``, an entry rounds like the stencil product
+    ``(-ix, ix, 0) . (u00, u10, u11)``."""
+    ny, nx = mesh.ny, mesh.nx
+    ix, iy = 1.0 / mesh.hx, 1.0 / mesh.hy
+    U = values.reshape(ny + 1, nx + 1, 2).transpose(2, 0, 1)
+    u00, u10, u01, u11 = U[:, :-1, :-1], U[:, :-1, 1:], U[:, 1:, :-1], U[:, 1:, 1:]
+    F = np.empty((2, 2, 2, ny, nx))
+    F[:, 0, 0] = ix * u10 - ix * u00  # lower triangle (n00, n10, n11)
+    F[:, 1, 0] = iy * u11 - iy * u10
+    F[:, 0, 1] = ix * u11 - ix * u01  # upper triangle (n00, n11, n01)
+    F[:, 1, 1] = iy * u01 - iy * u00
+    return F
+
+
+# Edge kinds as (left, right, slot): the two triangles on the (c, d, half,
+# row, col) F blocks and the slot in Mesh.edge_mask.  The kinds: the diagonal,
+# the edge to the right-hand cell, the edge to the cell above.
+_EDGES = ((np.s_[..., 0, :, :], np.s_[..., 1, :, :], np.s_[:, :, 0]),
+          (np.s_[..., 0, :, :-1], np.s_[..., 1, :, 1:], np.s_[:, :-1, 1]),
+          (np.s_[..., 1, :-1, :], np.s_[..., 0, 1:, :], np.s_[:-1, :, 2]))
+
+
 def _edge_jumps(mesh: Mesh, F: np.ndarray):
-    J = F[mesh.edge_tris[:, 0]] - F[mesh.edge_tris[:, 1]]
-    jn = np.sqrt(np.einsum("eij,eij->e", J, J))
+    """Left-minus-right gradient jumps ``J`` of each edge kind, as (2, 2, ...)
+    blocks, and their Frobenius norms ``jn`` (ny, nx, 3) in the slots of
+    ``mesh.edge_mask`` (0 in the others)."""
+    J = [F[left] - F[right] for left, right, _ in _EDGES]
+    jn = np.zeros((mesh.ny, mesh.nx, 3))
+    for (*_, slot), Jk in zip(_EDGES, J):
+        jn[slot] = np.sqrt(frobenius2(Jk.reshape(4, *Jk.shape[2:])))
     return J, jn
 
 
 def _energy_pass(mesh: Mesh, values: np.ndarray, A: np.ndarray, B: np.ndarray,
                  delta: float):
-    """The smoothed energy at nodal ``values``: ``(elastic, tv, F, J, jn)``.
-
-    F and the edge jumps J, |J| are returned for :func:`_gradient_pass`, so
-    a point whose gradient is needed reuses them."""
-    F = mesh.gradients(values)
-    d2, _ = kernels.dist2_two_wells(F, A, B)
+    """``(elastic, tv, state)`` at nodal ``values``; ``state`` (F, the kernel
+    terms, J and |J|) is what :func:`_gradient_pass` reuses.  The Huber
+    terms are summed in the edge order of ``mesh.edge_len``."""
+    F = _gradients(mesh, values)
+    d2, *terms = nearest_well(F.reshape(4, -1), A, B)
     elastic = mesh.tri_area * float(np.sum(d2))
     J, jn = _edge_jumps(mesh, F)
-    tv = float(np.sum(mesh.edge_len * _huber(jn, delta)))
-    return elastic, tv, F, J, jn
+    tv = float(np.sum(mesh.edge_len * _huber(jn[mesh.edge_mask], delta)))
+    return elastic, tv, (F, terms, J, jn)
 
 
-def _gradient_pass(mesh: Mesh, F: np.ndarray, J: np.ndarray, jn: np.ndarray,
-                   A: np.ndarray, B: np.ndarray, eps: float,
+def _gradient_pass(mesh: Mesh, state, A: np.ndarray, B: np.ndarray, eps: float,
                    delta: float) -> np.ndarray:
-    """Nodal gradient of ``elastic + eps * tv`` from the per-triangle F and
-    the edge jumps of one point; boundary rows are zero.
-
-    Per-triangle dE/dF is the kernel gradient plus the Huberized jump term,
-    added on each edge's left triangle and subtracted on its right one.  It
-    is chained to the vertices and summed per node with ``np.bincount``,
-    one call per matrix entry or nodal component, each over contiguous
-    weights."""
-    _, dW = kernels.dist2_two_wells_grad(F, A, B)
-    dF = mesh.tri_area * dW
-    nt = mesh.n_tris
+    """Gradient of ``elastic + eps * tv`` from the ``state`` of
+    :func:`_energy_pass`, as a (2, ny+1, nx+1) node grid, boundary included.
+    Per-triangle dE/dF (kernel gradient, plus the Huberized jump term on each
+    edge's left triangle, minus it on the right one) goes back to the nodes
+    through the adjoint of the stencils of :func:`_gradients`."""
+    F, terms, J, jn = state
+    dW = np.stack(nearest_well_grad(F.reshape(4, -1), *terms, A, B))
+    dF = (mesh.tri_area * dW).reshape(F.shape)
     if eps != 0.0:
-        w = eps * mesh.edge_len * np.where(jn <= delta, 1.0 / delta,
-                                           1.0 / np.maximum(jn, 1e-300))
-        wJ = np.multiply(J.reshape(-1, 4).T, w, order="C")  # (entry, edge)
-        dF4 = dF.reshape(nt, 4)
-        for m in range(4):
-            dF4[:, m] += np.bincount(mesh.edge_sides,
-                                     np.concatenate([wJ[m], -wJ[m]]), nt)
-    # Vertex k of triangle t receives dF[t, c, 0] * cx[t, k] +
-    # dF[t, c, 1] * cy[t, k] in component c: one matrix product per triangle
-    # half, laid out (c, half, t, k).
-    contrib = (dF.reshape(2, nt // 2, 2, 2).transpose(2, 0, 1, 3)
-               @ mesh.tri_ops.transpose(0, 2, 1))
-    grad = np.empty((mesh.n_nodes, 2))
-    for c in range(2):
-        grad[:, c] = np.bincount(mesh.tris.ravel(), contrib[c].ravel(), mesh.n_nodes)
-    grad[mesh.boundary_mask] = 0.0
-    return grad
+        w = (eps * mesh.edge_kind_len) * (1.0 / np.maximum(jn, delta))
+        for (left, right, slot), Jk in zip(_EDGES, J):
+            wJ = Jk * w[slot]
+            dF[left] += wJ
+            dF[right] -= wJ
+    ix, iy = 1.0 / mesh.hx, 1.0 / mesh.hy
+    a, b = ix * dF[:, 0, 0], iy * dF[:, 1, 0]  # lower triangle
+    c, d = ix * dF[:, 0, 1], iy * dF[:, 1, 1]  # upper triangle
+    G = np.zeros((2, mesh.ny + 1, mesh.nx + 1))
+    G[:, :-1, :-1] -= a + d
+    G[:, :-1, 1:] += a - b
+    G[:, 1:, 1:] += b + c
+    G[:, 1:, :-1] += d - c
+    return G
 
 
 def discrete_energy(field: DiscreteField, spec: WellSpec, eps: float,
@@ -215,14 +200,18 @@ def discrete_energy(field: DiscreteField, spec: WellSpec, eps: float,
     """(elastic, tv, total): per-triangle well distance plus Huberized
     edge-jump total variation; ``total = elastic + eps * tv``."""
     delta = default_huber_delta(spec) if delta is None else delta
-    elastic, tv, *_ = _energy_pass(field.mesh, field.values, *well_matrices(spec), delta)
+    elastic, tv, _ = _energy_pass(field.mesh, field.values, *well_matrices(spec), delta)
     return elastic, tv, elastic + eps * tv
+
+
+def _exact_tv(mesh: Mesh, jn: np.ndarray) -> float:
+    return float(np.sum(mesh.edge_len * jn[mesh.edge_mask]))
 
 
 def exact_tv(field: DiscreteField) -> float:
     """Unsmoothed jump total variation of the piecewise-affine field."""
-    _, jn = _edge_jumps(field.mesh, field.mesh.gradients(field.values))
-    return float(np.sum(field.mesh.edge_len * jn))
+    mesh = field.mesh
+    return _exact_tv(mesh, _edge_jumps(mesh, _gradients(mesh, field.values))[1])
 
 
 def discrete_gradient(field: DiscreteField, spec: WellSpec, eps: float,
@@ -230,11 +219,12 @@ def discrete_gradient(field: DiscreteField, spec: WellSpec, eps: float,
     """Exact gradient of :func:`discrete_energy` w.r.t. free nodal values
     (boundary rows are zero).  The nearest-well branch is differentiated,
     ties toward well A."""
-    mesh = field.mesh
     delta = default_huber_delta(spec) if delta is None else delta
-    F = mesh.gradients(field.values)
-    return _gradient_pass(mesh, F, *_edge_jumps(mesh, F), *well_matrices(spec),
-                          eps, delta)
+    A, B = well_matrices(spec)
+    *_, state = _energy_pass(field.mesh, field.values, A, B, delta)
+    G = _gradient_pass(field.mesh, state, A, B, eps, delta).reshape(2, -1).T.copy()
+    G[field.mesh.boundary_mask] = 0.0
+    return G
 
 
 @dataclass(frozen=True)
@@ -275,29 +265,30 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
         raise ValueError("minimization requires an identity-pinned start")
     mesh = initial.mesh
     delta = opts.delta_huber if opts.delta_huber is not None else default_huber_delta(spec)
-    free = mesh.free_mask
     tol = opts.grad_tol_scale * math.sqrt(2.0 * mesh.n_free)
 
     A, B = well_matrices(spec)
     values = initial.values.copy()
+    # The free nodes are the interior of the node grid, in row-major order.
+    interior = values.reshape(mesh.ny + 1, mesh.nx + 1, 2)[1:-1, 1:-1]
     energy_evals = grad_evals = backtracks = 0
 
     def energy_at(x):
         nonlocal energy_evals
         energy_evals += 1
-        values[free] = x.reshape(-1, 2)
+        interior[...] = x.reshape(interior.shape)
         return _energy_pass(mesh, values, A, B, delta)
 
     def gradient_at(point):
         nonlocal grad_evals
         grad_evals += 1
-        _, _, F, J, jn = point
-        return _gradient_pass(mesh, F, J, jn, A, B, eps, delta)[free].ravel()
+        G = _gradient_pass(mesh, point[2], A, B, eps, delta)
+        return G[:, 1:-1, 1:-1].transpose(1, 2, 0).ravel()
 
     def total(point):
         return point[0] + eps * point[1]
 
-    x = initial.values[free].ravel().copy()
+    x = interior.ravel().copy()
     point = energy_at(x)
     f, g = total(point), gradient_at(point)
     trace = [f]
@@ -357,9 +348,10 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
         x, f, g, point = x_new, f_new, g_new, new_point
         trace.append(f)
 
-    values[free] = x.reshape(-1, 2)
+    interior[...] = x.reshape(interior.shape)
     out_field = DiscreteField(mesh, values)
-    breakdown = EnergyBreakdown.combine(point[0], 0.0, exact_tv(out_field), eps, 0.0)
+    jn = point[2][3]  # the accepted point's jump norms
+    breakdown = EnergyBreakdown.combine(point[0], 0.0, _exact_tv(mesh, jn), eps, 0.0)
     gnorm = float(np.linalg.norm(g))
     return MinimizeResult(out_field, np.asarray(trace), breakdown, it,
                           status == "gtol", gnorm, status,

@@ -70,17 +70,30 @@ def test_backend_name_reports():
     assert kernels.backend_name() in ("cython", "numpy")
 
 
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _orbit_terms_einsum(F, G):
+    """(d2, p, q, r) of F against SO(2)G, written with einsum."""
+    p = np.einsum("nij,ij->n", F, G)
+    q = np.einsum("nij,ij->n", F, _J @ G)
+    r = np.hypot(p, q)
+    f2 = np.einsum("nij,nij->n", F, F)
+    d2 = f2 + float(np.sum(G * G)) - 2.0 * r
+    np.maximum(d2, 0.0, out=d2)
+    return d2, p, q, r
+
+
 def _grad_reference(F, A, B):
     """The per-point (n, 2, 2) select formulation of the kernel gradient."""
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    d2a, pa, qa, ra = _kernels_np._orbit_terms(F, A)
-    d2b, pb, qb, rb = _kernels_np._orbit_terms(F, B)
+    d2a, pa, qa, ra = _orbit_terms_einsum(F, A)
+    d2b, pb, qb, rb = _orbit_terms_einsum(F, B)
     which = (d2b < d2a).astype(np.uint8)
     sel_p = np.where(which, pb, pa)
     sel_q = np.where(which, qb, qa)
     sel_r = np.where(which, rb, ra)
     G = np.where(which[:, None, None], B[None], A[None])
-    JG = np.where(which[:, None, None], (J @ B)[None], (J @ A)[None])
+    JG = np.where(which[:, None, None], (_J @ B)[None], (_J @ A)[None])
     grad = 2.0 * F
     ok = sel_r > 0.0
     coef = np.zeros_like(sel_r)
@@ -102,3 +115,19 @@ def test_numpy_gradient_kernel_matches_select_reference():
         np.testing.assert_array_equal(d2, d2_only)
         np.testing.assert_allclose(grad, _grad_reference(F, A, B), rtol=0, atol=1e-14)
         np.testing.assert_array_equal(grad[2], -2.0 * A)  # r = 0: 2 (F - A)
+
+
+def test_entry_kernel_is_bit_identical_to_einsum_form():
+    rng = np.random.default_rng(4)
+    for case, a in (("k1", 0.2), ("k2", 0.1)):
+        A, B = well_matrices(WellSpec(case, a))
+        F = np.concatenate([np.stack([A, B, np.zeros((2, 2))]),
+                            _batch(rng, 5000) * rng.uniform(0.01, 10.0, (5000, 1, 1))])
+        d2a, *want_a = _orbit_terms_einsum(F, A)
+        d2b, *want_b = _orbit_terms_einsum(F, B)
+        d2, which, (terms_a, terms_b) = _kernels_np.nearest_well(F.reshape(-1, 4).T, A, B)
+        np.testing.assert_array_equal(which, d2b < d2a)
+        np.testing.assert_array_equal(d2, np.where(which, d2b, d2a))
+        np.testing.assert_array_equal(np.stack(terms_a), np.stack(want_a))
+        np.testing.assert_array_equal(np.stack(terms_b), np.stack(want_b))
+        np.testing.assert_array_equal(_kernels_np.dist2_two_wells(F, A, B)[0], d2)
