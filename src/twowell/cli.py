@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -185,11 +186,16 @@ def _f(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
+    """Every row is written through one template taken from the first row:
+    ``%s`` where it holds a string, ``%.17g`` (which prints as :func:`_f`)
+    elsewhere, so all rows must share the first row's column types."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(x if isinstance(x, str) else _f(x) for x in row) + "\n")
+        if rows:
+            template = ",".join("%s" if isinstance(x, str) else "%.17g"
+                                for x in rows[0]) + "\n"
+            fh.writelines(template % tuple(row) for row in rows)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -284,11 +290,13 @@ def cmd_phase(cfg: RunConfig) -> int:
     pd = phase_diagram(cfg.case, cfg.alpha,
                        (cfg.phase_log_min, cfg.phase_log_max),
                        (cfg.phase_log_min, cfg.phase_log_max), cfg.phase_n)
-    rows = []
-    for j, lh in enumerate(pd.log10_H_over_eps):
-        for i, ll in enumerate(pd.log10_L_over_eps):
-            rows.append([cfg.case, cfg.alpha, ll, lh, str(pd.regimes[j, i]),
-                         pd.bound_values[j, i]])
+    # Row-major over the (H, L) grid; alpha and the axis values repeat, so
+    # they are formatted once and written as strings.
+    n_l, n_h = len(pd.log10_L_over_eps), len(pd.log10_H_over_eps)
+    log_l = [_f(x) for x in pd.log10_L_over_eps] * n_h
+    log_h = [s for x in pd.log10_H_over_eps for s in [_f(x)] * n_l]
+    rows = list(zip(repeat(cfg.case), repeat(_f(cfg.alpha)), log_l, log_h,
+                    pd.regimes.ravel().tolist(), pd.bound_values.ravel().tolist()))
     _write_csv(out / "phase.csv",
                ["case", "alpha", "log10_L_over_eps", "log10_H_over_eps",
                 "regime", "bound_value"], rows)
@@ -338,8 +346,7 @@ def cmd_minimize(cfg: RunConfig) -> int:
                   f"bound={_f(bound.value)} bound_over_C={_f(lower)} "
                   f"sandwich={'ok' if sandwich_ok else 'FAILED'}")
     (out / "minimize_report.txt").write_text("\n".join(report) + "\n")
-    rows = [[x, y, u, v] for (x, y), (u, v)
-            in zip(mesh.nodes, best.field.values)]
+    rows = np.hstack([mesh.nodes, best.field.values]).tolist()
     _write_csv(out / "field.csv", ["x", "y", "u1", "u2"], rows)
     for line in report:
         print(line)

@@ -451,8 +451,17 @@ class CellProto:
         return in_x & (y >= self.lower.value(xc) - tol) & (y <= self.upper.value(xc) + tol)
 
 
+class _Stacked:
+    """Instances of a prototype at anchors (x0, y0 + k dy), k < count."""
+
+    def anchors(self, k=None) -> np.ndarray:
+        """(len(k), 2) anchors of instances ``k`` (default: all of them)."""
+        k = np.arange(self.count) if k is None else np.asarray(k)
+        return np.column_stack([np.full(len(k), self.x0), self.y0 + self.dy * k])
+
+
 @dataclass(frozen=True)
-class CellGroup:
+class CellGroup(_Stacked):
     """A cell prototype instantiated at anchors (x0, y0 + k dy), k < count."""
 
     proto: CellProto
@@ -466,10 +475,6 @@ class CellGroup:
             raise ValueError("cell group needs at least one instance")
         if self.count > 1 and self.dy <= 0:
             raise ValueError("stacked instances need a positive vertical step")
-
-    def anchors(self) -> np.ndarray:
-        ys = self.y0 + self.dy * np.arange(self.count)
-        return np.column_stack([np.full(self.count, self.x0), ys])
 
 
 @dataclass(frozen=True)
@@ -619,7 +624,7 @@ class VerticalJump:
 
 
 @dataclass(frozen=True)
-class JumpGroup:
+class JumpGroup(_Stacked):
     proto: GraphJump | VerticalJump
     x0: float
     y0: float
@@ -885,8 +890,7 @@ def coverage_check(def_: PiecewiseDeformation, curve_samples: int = 64,
         else:
             ks = sorted({0, jg.count - 1,
                          *np.linspace(0, jg.count - 1, max_instances).astype(int)})
-        for k in ks:
-            anchor = np.array([jg.x0, jg.y0 + k * jg.dy])
+        for anchor in jg.anchors(ks):
             pts = anchor + np.column_stack([jx, jy])
             v1 = s1.value(pts, jx, jy)
             v2 = s2.value(pts, jx, jy)

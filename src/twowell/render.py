@@ -19,6 +19,9 @@ __all__ = ["construction_svg", "phase_svg"]
 
 _WELL_COLORS = {"A": (217, 95, 2), "B": (27, 158, 119)}
 
+# Instances rendered per array pass: bounds the transient arrays of tall stacks.
+_BLOCK = 1024
+
 _REGIME_COLORS = {
     "A": "#cccccc",
     "BR": "#1b9e77",
@@ -53,11 +56,19 @@ def construction_svg(def_: PiecewiseDeformation, spec: WellSpec,
         f'<rect width="{width_px}" height="{_fmt(height_px)}" fill="white"/>',
     ]
 
-    def to_px(pts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(pts)
-        out[:, 0] = (pts[:, 0] - dom.x0) * sx
-        out[:, 1] = (dom.y1 - pts[:, 1]) * sx
-        return out
+    def draw(group, base: np.ndarray, b: np.ndarray, inv: np.ndarray,
+             head: str, tail: str) -> None:
+        # All instances of a group, in blocks: base points shifted to every
+        # anchor, mapped base-to-world and then to pixels, each instance
+        # written through one template ('%.6g' % x is _fmt(x)).
+        template = head + " ".join(["%.6g,%.6g"] * len(base)) + tail
+        for start in range(0, group.count, _BLOCK):
+            k = np.arange(start, min(start + _BLOCK, group.count))
+            pts = (base[None] + group.anchors(k)[:, None] - b).reshape(-1, 2) @ inv.T
+            px = np.empty_like(pts)
+            px[:, 0] = (pts[:, 0] - dom.x0) * sx
+            px[:, 1] = (dom.y1 - pts[:, 1]) * sx
+            lines.extend(template % tuple(row) for row in px.reshape(len(k), -1).tolist())
 
     for part in def_.parts:
         Q, b, CL, c = part.folded()
@@ -77,27 +88,18 @@ def construction_svg(def_: PiecewiseDeformation, spec: WellSpec,
             F = CL @ du @ Q
             wd = dist_to_wells(F, spec)
             fill = _shade(_WELL_COLORS[wd.nearest_well], wd.optimal_angle)
-            for k in range(g.count):
-                anchor = np.array([g.x0, g.y0 + k * g.dy])
-                ring = (ring_base + anchor - b) @ inv.T
-                px = to_px(ring)
-                path = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in px)
-                lines.append(f'<polygon points="{path}" fill="{fill}" stroke="none"/>')
+            draw(g, ring_base, b, inv, '<polygon points="', f'" fill="{fill}" stroke="none"/>')
         for jg in part.jumps:
             proto = jg.proto
             ts = np.linspace(0.0, proto.length_param(), 17)
             jx, jy = proto.points(ts)
             base = np.column_stack([np.broadcast_to(jx, ts.shape),
                                     np.broadcast_to(jy, ts.shape)])
-            for k in range(jg.count):
-                anchor = np.array([jg.x0, jg.y0 + k * jg.dy])
-                world = (base + anchor - b) @ inv.T
-                px = to_px(world)
-                path = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in px)
-                lines.append(f'<polyline points="{path}" fill="none" '
-                             f'stroke="black" stroke-width="0.4"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            draw(jg, base, b, inv, '<polyline points="',
+                 '" fill="none" stroke="black" stroke-width="0.4"/>')
+    # The empty last element ends the text with a newline without copying it.
+    lines += ["</svg>", ""]
+    return "\n".join(lines)
 
 
 def phase_svg(diagram: PhaseDiagram, width_px: int = 640) -> str:
@@ -114,14 +116,16 @@ def phase_svg(diagram: PhaseDiagram, width_px: int = 640) -> str:
         f'height="{height_px}" viewBox="0 0 {width_px} {height_px}">',
         f'<rect width="{width_px}" height="{height_px}" fill="white"/>',
     ]
+    # One template per grid row: x, width and height are fixed per column,
+    # leaving the row's y and each cell's fill.
+    row = "\n".join(f'<rect x="{_fmt(margin + i * cell_w)}" y="%s" '
+                    f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}" '
+                    f'fill="%s"/>' for i in range(n_l))
+    args = [None] * (2 * n_l)
     for j in range(n_h):
-        y = margin + plot - (j + 1) * cell_h
-        for i in range(n_l):
-            color = _REGIME_COLORS.get(str(diagram.regimes[j, i]), "#000000")
-            x = margin + i * cell_w
-            lines.append(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" '
-                         f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}" '
-                         f'fill="{color}"/>')
+        args[0::2] = [_fmt(margin + plot - (j + 1) * cell_h)] * n_l
+        args[1::2] = [_REGIME_COLORS.get(str(r), "#000000") for r in diagram.regimes[j]]
+        lines.append(row % tuple(args))
     lines.append(f'<rect x="{margin}" y="{margin}" width="{plot}" height="{plot}" '
                  f'fill="none" stroke="black"/>')
     lines.append(f'<text x="{margin + plot / 2}" y="{height_px - 15}" '
@@ -138,5 +142,5 @@ def phase_svg(diagram: PhaseDiagram, width_px: int = 640) -> str:
         lines.append(f'<rect x="{x}" y="{y - 10}" width="12" height="12" '
                      f'fill="{_REGIME_COLORS.get(lab, "#000")}"/>')
         lines.append(f'<text x="{x + 16}" y="{y}" font-size="12">{lab}</text>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines += ["</svg>", ""]
+    return "\n".join(lines)

@@ -75,28 +75,39 @@ def _check_params(alpha, eps, L, H):
         raise ValueError("eps, L, H must be positive")
 
 
-def bound_k1(alpha: float, eps: float, L: float, H: float) -> BoundValue:
-    _check_params(alpha, eps, L, H)
+def _terms_k1(alpha, eps, L, H, L13, H13):
+    # L13, H13 are L ** (1/3), H ** (1/3).  Every other operation is a product
+    # or sum, so scalars and broadcast axis arrays give bit-equal values.
     a43e23 = alpha ** (4.0 / 3.0) * eps ** (2.0 / 3.0)
-    terms = (
-        (a43e23 * L ** (1.0 / 3.0) * H, alpha * eps * L),
-        (a43e23 * L * H ** (1.0 / 3.0), alpha ** 4 * L * H, alpha * eps * H),
+    return (
+        (a43e23 * L13 * H, alpha * eps * L),
+        (a43e23 * L * H13, alpha ** 4 * L * H, alpha * eps * H),
         (alpha ** 2 * L * H,),
     )
+
+
+def _terms_k2(alpha, eps, L, H, L15):
+    # L15 is L ** 0.2.
+    return (
+        (alpha ** 1.2 * eps ** 0.8 * L15 * H, alpha * eps * L),
+        (alpha ** 2 * L * H,),
+    )
+
+
+def _bound(terms) -> BoundValue:
     sums = [sum(t) for t in terms]
-    branch = min(range(3), key=lambda i: sums[i])
+    branch = min(range(len(sums)), key=lambda i: sums[i])
     return BoundValue(sums[branch], branch, terms)
+
+
+def bound_k1(alpha: float, eps: float, L: float, H: float) -> BoundValue:
+    _check_params(alpha, eps, L, H)
+    return _bound(_terms_k1(alpha, eps, L, H, L ** (1.0 / 3.0), H ** (1.0 / 3.0)))
 
 
 def bound_k2(alpha: float, eps: float, L: float, H: float) -> BoundValue:
     _check_params(alpha, eps, L, H)
-    terms = (
-        (alpha ** 1.2 * eps ** 0.8 * L ** 0.2 * H, alpha * eps * L),
-        (alpha ** 2 * L * H,),
-    )
-    sums = [sum(t) for t in terms]
-    branch = min(range(2), key=lambda i: sums[i])
-    return BoundValue(sums[branch], branch, terms)
+    return _bound(_terms_k2(alpha, eps, L, H, L ** 0.2))
 
 
 def min_energy_bound(case: str, alpha: float, eps: float, L: float,
@@ -114,21 +125,23 @@ def classify_regime(case: str, alpha: float, eps: float, L: float, H: float) -> 
     Regime boundaries are term-equality loci (the published diagrams are
     schematic); ties resolve to the first listed tag.
     """
-    return _regime(case, min_energy_bound(case, alpha, eps, L, H))
+    b = min_energy_bound(case, alpha, eps, L, H)
+    return K1_REGIMES[int(_regime_index(case, b.branch, b.branch_terms))]
 
 
-def _regime(case: str, b: BoundValue) -> str:
-    terms = b.branch_terms[b.branch]
-    if case == CASE_K2:
-        if b.branch == 1:
-            return "A"
-        return "BR" if terms[0] >= terms[1] else "HL"
-    if b.branch == 2:
-        return "A"
-    if b.branch == 0:
-        return "BR" if terms[0] >= terms[1] else "HL"
-    dominant = max(range(3), key=lambda i: (terms[i], -i))
-    return ("VB1", "VB2", "VL")[dominant]
+def _regime_index(case: str, branch, terms):
+    """Position of the regime tag in ``K1_REGIMES`` (``K2_REGIMES`` is its
+    prefix), elementwise over scalar or broadcast-array terms.
+
+    Branch 0 is BR or HL by its larger addend (BR on a tie); the last branch
+    is A; the middle k1 branch is VB1, VB2 or VL by its first largest addend.
+    """
+    t0, t1 = terms[0]
+    index = np.where(branch == 0, np.where(t0 >= t1, 1, 2), 0)
+    if case == CASE_K1:
+        dominant = np.argmax(np.stack(np.broadcast_arrays(*terms[1])), axis=0)
+        index = np.where(branch == 1, 3 + dominant, index)
+    return index
 
 
 def thin_domain_bound(case: str, alpha: float, eps: float, L: float, H: float) -> float:
@@ -164,15 +177,26 @@ def phase_diagram(case: str, alpha: float,
         raise ValueError("grid resolution must be at least 2 per axis")
     logl = np.linspace(log_l_range[0], log_l_range[1], n)
     logh = np.linspace(log_h_range[0], log_h_range[1], n)
-    regimes = np.empty((n, n), dtype=object)
-    vals = np.empty((n, n))
-    for j, lh in enumerate(logh):
-        H = 10.0 ** lh
-        for i, ll in enumerate(logl):
-            L = 10.0 ** ll
-            b = min_energy_bound(case, alpha, 1.0, L, H)
-            regimes[j, i] = _regime(case, b)
-            vals[j, i] = b.value
+    # Fractional powers per axis point with the scalar ``**`` of the scalar
+    # bounds: NumPy's array power can differ from it in the last bit.
+    Ls = [10.0 ** ll for ll in logl]
+    Hs = [10.0 ** lh for lh in logh]
+    L = np.array(Ls)[None, :]
+    H = np.array(Hs)[:, None]
+    _check_params(alpha, 1.0, 1.0, 1.0)
+    if case == CASE_K1:
+        terms = _terms_k1(alpha, 1.0, L, H,
+                          np.array([x ** (1.0 / 3.0) for x in Ls])[None, :],
+                          np.array([x ** (1.0 / 3.0) for x in Hs])[:, None])
+    elif case == CASE_K2:
+        terms = _terms_k2(alpha, 1.0, L, H, np.array([x ** 0.2 for x in Ls])[None, :])
+    else:
+        raise ValueError(f"unknown case {case!r}")
+    sums = np.stack(np.broadcast_arrays(*(sum(t) for t in terms)))
+    # argmin and argmax keep the first extremum, as min/max over range() do.
+    branch = np.argmin(sums, axis=0)
+    vals = sums.min(axis=0)
+    regimes = np.array(K1_REGIMES, dtype=object)[_regime_index(case, branch, terms)]
     return PhaseDiagram(case, alpha, logl, logh, regimes, vals)
 
 

@@ -1,0 +1,234 @@
+"""The batched SVG and CSV writers against the per-instance and per-cell
+loops they replaced, kept here as oracles: every comparison is on the full
+output text, so a changed byte anywhere fails."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from twowell import cli
+from twowell.cli import main
+from twowell.microstructure import horizontal_branched, laminate, vertical_branched_k1
+from twowell.piecewise import Rect, identity_deformation
+from twowell.render import (
+    _REGIME_COLORS,
+    _WELL_COLORS,
+    _fmt,
+    _shade,
+    construction_svg,
+    phase_svg,
+)
+from twowell.scaling import phase_diagram
+from twowell.wells import CASE_K1, CASE_K2, WellSpec, dist_to_wells
+
+
+def _oracle_construction_svg(def_, spec, width_px=800):
+    """One polygon or polyline per instance, one ``_fmt`` call per
+    coordinate."""
+    dom = def_.domain
+    sx = width_px / dom.width
+    height_px = dom.height * sx
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" '
+        f'height="{_fmt(height_px)}" viewBox="0 0 {width_px} {_fmt(height_px)}">',
+        f'<rect width="{width_px}" height="{_fmt(height_px)}" fill="white"/>',
+    ]
+
+    def to_px(pts):
+        out = np.empty_like(pts)
+        out[:, 0] = (pts[:, 0] - dom.x0) * sx
+        out[:, 1] = (dom.y1 - pts[:, 1]) * sx
+        return out
+
+    for part in def_.parts:
+        Q, b, CL, c = part.folded()
+        inv = np.linalg.inv(Q)
+        for g in part.groups:
+            w = g.proto.width
+            npts = max(2, min(16, int(round(w / dom.width * 256))))
+            xs = np.linspace(0.0, w, npts + 1)
+            lo = g.proto.lower.value(xs)
+            hi = g.proto.upper.value(xs)
+            ring_base = np.vstack([np.column_stack([xs, lo]),
+                                   np.column_stack([xs[::-1], hi[::-1]])])
+            xm = np.array([0.5 * w])
+            ym = 0.5 * (g.proto.lower.value(xm) + g.proto.upper.value(xm))
+            du = np.eye(2) + g.proto.map.grad(xm, ym)[0]
+            F = CL @ du @ Q
+            wd = dist_to_wells(F, spec)
+            fill = _shade(_WELL_COLORS[wd.nearest_well], wd.optimal_angle)
+            for k in range(g.count):
+                anchor = np.array([g.x0, g.y0 + k * g.dy])
+                ring = (ring_base + anchor - b) @ inv.T
+                px = to_px(ring)
+                path = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in px)
+                lines.append(f'<polygon points="{path}" fill="{fill}" stroke="none"/>')
+        for jg in part.jumps:
+            proto = jg.proto
+            ts = np.linspace(0.0, proto.length_param(), 17)
+            jx, jy = proto.points(ts)
+            base = np.column_stack([np.broadcast_to(jx, ts.shape),
+                                    np.broadcast_to(jy, ts.shape)])
+            for k in range(jg.count):
+                anchor = np.array([jg.x0, jg.y0 + k * jg.dy])
+                world = (base + anchor - b) @ inv.T
+                px = to_px(world)
+                path = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in px)
+                lines.append(f'<polyline points="{path}" fill="none" '
+                             f'stroke="black" stroke-width="0.4"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_phase_svg(diagram, width_px=640):
+    """One f-string per grid cell."""
+    n_l = len(diagram.log10_L_over_eps)
+    n_h = len(diagram.log10_H_over_eps)
+    margin = 60
+    plot = width_px - 2 * margin
+    cell_w = plot / n_l
+    cell_h = plot / n_h
+    height_px = width_px
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" '
+        f'height="{height_px}" viewBox="0 0 {width_px} {height_px}">',
+        f'<rect width="{width_px}" height="{height_px}" fill="white"/>',
+    ]
+    for j in range(n_h):
+        y = margin + plot - (j + 1) * cell_h
+        for i in range(n_l):
+            color = _REGIME_COLORS.get(str(diagram.regimes[j, i]), "#000000")
+            x = margin + i * cell_w
+            lines.append(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" '
+                         f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}" '
+                         f'fill="{color}"/>')
+    lines.append(f'<rect x="{margin}" y="{margin}" width="{plot}" height="{plot}" '
+                 f'fill="none" stroke="black"/>')
+    lines.append(f'<text x="{margin + plot / 2}" y="{height_px - 15}" '
+                 f'text-anchor="middle" font-size="14">log10(L/eps)</text>')
+    lines.append(f'<text x="18" y="{margin + plot / 2}" text-anchor="middle" '
+                 f'font-size="14" transform="rotate(-90 18 {margin + plot / 2})">'
+                 f'log10(H/eps)</text>')
+    lines.append(f'<text x="{margin}" y="{margin - 10}" font-size="14">'
+                 f'case {diagram.case}, alpha={diagram.alpha}</text>')
+    present = sorted(set(str(r) for r in diagram.regimes.ravel()))
+    for k, lab in enumerate(present):
+        x = margin + plot + 8
+        y = margin + 18 * (k + 1)
+        lines.append(f'<rect x="{x}" y="{y - 10}" width="12" height="12" '
+                     f'fill="{_REGIME_COLORS.get(lab, "#000")}"/>')
+        lines.append(f'<text x="{x + 16}" y="{y}" font-size="12">{lab}</text>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_csv(header, rows):
+    """One ``format(float(x), '.17g')`` call per numeric cell."""
+    out = [",".join(header) + "\n"]
+    for row in rows:
+        out.append(",".join(x if isinstance(x, str) else format(float(x), ".17g")
+                            for x in row) + "\n")
+    return "".join(out).encode()
+
+
+K1, K2 = WellSpec(CASE_K1, 0.1), WellSpec(CASE_K2, 0.1)
+
+CONSTRUCTIONS = {
+    "identity": (lambda: identity_deformation(Rect(0.0, 0.0, 1.0, 1.0)), K2),
+    # 1100 instances per group: more than one block of the batched writer.
+    "laminate": (lambda: laminate(Rect(-0.4, 0.3, 1.7, 0.55), 0.0005, 0.2, CASE_K2), K2),
+    "k1-horizontal": (lambda: horizontal_branched(K1, 1e-3, Rect(0.0, 0.0, 1.0, 1.0)), K1),
+    "k1-horizontal-linear": (lambda: horizontal_branched(
+        K1, 1e-3, Rect(0.0, 0.0, 2.0, 0.5), gamma_kind="linear"), K1),
+    "k2-horizontal": (lambda: horizontal_branched(K2, 1e-4, Rect(0.0, 0.0, 1.0, 1.0)), K2),
+    # Mirror and swap-rotate transform stacks, on a domain taller than wide.
+    "k1-vertical": (lambda: vertical_branched_k1(K1, 1e-3, Rect(0.0, 0.0, 0.5, 2.0)), K1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_construction_svg_matches_per_instance_oracle(name):
+    build, spec = CONSTRUCTIONS[name]
+    d = build()
+    svg = construction_svg(d, spec)
+    assert svg == _oracle_construction_svg(d, spec)
+    n_cells = sum(g.count for p in d.parts for g in p.groups)
+    n_jumps = sum(j.count for p in d.parts for j in p.jumps)
+    assert svg.count("<polygon") == n_cells and svg.count("<polyline") == n_jumps
+
+
+def _first_instances(d, keep):
+    """``d`` with every cell and jump group cut to its first ``keep``
+    instances: as theta nears 1/2 the branched counts grow without bound."""
+    def cut(groups):
+        return tuple(replace(g, count=min(g.count, keep)) for g in groups)
+    parts = tuple(replace(p, groups=cut(p.groups), jumps=cut(p.jumps)) for p in d.parts)
+    return replace(d, parts=parts)
+
+
+def test_construction_svg_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=15, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(case=st.sampled_from([CASE_K1, CASE_K2]),
+                      vertical=st.booleans(),
+                      alpha=st.floats(0.05, 0.3),
+                      log_eps=st.floats(-4.0, -2.0),
+                      log_aspect=st.floats(math.log(0.25), math.log(4.0)),
+                      theta=st.floats(0.2501, 0.4999))
+    def check(case, vertical, alpha, log_eps, log_aspect, theta):
+        spec = WellSpec(case, alpha)
+        aspect = math.exp(log_aspect)
+        dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
+        build = vertical_branched_k1 if vertical and case == CASE_K1 else horizontal_branched
+        d = _first_instances(build(spec, 10.0 ** log_eps, dom, theta=theta), 3)
+        assert construction_svg(d, spec) == _oracle_construction_svg(d, spec)
+
+    check()
+
+
+@pytest.mark.parametrize("case, alpha, n", [(CASE_K2, 0.1, 23), (CASE_K1, 0.1, 31),
+                                             (CASE_K1, 0.3, 8)])
+def test_phase_outputs_match_per_cell_writers(tmp_path, case, alpha, n):
+    cfg = tmp_path / "phase.cfg"
+    cfg.write_text(f"phase_n = {n}\n")
+    assert main(["phase", "--config", str(cfg), "--case", case, "--alpha", repr(alpha),
+                 "--out", str(tmp_path)]) == 0
+    pd = phase_diagram(case, alpha, (0.5, 6.0), (0.5, 6.0), n)
+    rows = [[case, alpha, ll, lh, str(pd.regimes[j, i]), pd.bound_values[j, i]]
+            for j, lh in enumerate(pd.log10_H_over_eps)
+            for i, ll in enumerate(pd.log10_L_over_eps)]
+    header = ["case", "alpha", "log10_L_over_eps", "log10_H_over_eps", "regime",
+              "bound_value"]
+    assert (tmp_path / "phase.csv").read_bytes() == _oracle_csv(header, rows)
+    assert (tmp_path / "phase.svg").read_text() == _oracle_phase_svg(pd)
+
+
+def test_phase_svg_unknown_regime_falls_back_to_black():
+    pd = phase_diagram(CASE_K2, 0.1, n=5)
+    pd.regimes[2, 3] = "??"
+    svg = phase_svg(pd)
+    assert svg == _oracle_phase_svg(pd)
+    assert 'fill="#000000"' in svg
+
+
+def test_energy_sweep_and_field_csv_match_per_cell_writer(tmp_path, monkeypatch):
+    written = []
+    real = cli._write_csv
+
+    def record(path, header, rows):
+        written.append((path, header, [list(r) for r in rows]))
+        real(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", record)
+    assert main(["energy", "--case", "k1", "--epsilon", "1e-5", "--L", "2",
+                 "--H", "0.5", "--out", str(tmp_path / "e")]) == 0
+    main(["sweep", "--epsilons", "1e-6,1e-5,1e-4,1e-3", "--out", str(tmp_path / "s")])
+    main(["minimize", "--mesh", "6,5", "--max-iter", "5", "--out", str(tmp_path / "m")])
+    assert [p.name for p, _, _ in written] == ["energy.csv", "sweep.csv", "field.csv"]
+    for path, header, rows in written:
+        assert path.read_bytes() == _oracle_csv(header, rows)

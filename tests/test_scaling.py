@@ -5,7 +5,9 @@ import pytest
 
 from twowell.checks import sample_average_lemma_field
 from twowell.scaling import (
+    K1_REGIMES,
     HypothesisError,
+    _regime_index,
     bound_k1,
     bound_k2,
     check_average_lemma,
@@ -155,6 +157,83 @@ def test_phase_diagram_k1_taxonomy_and_A_boundary():
     for lab in ("A", "BR", "HL", "VB2", "VL"):
         assert _components(pd.regimes, lab) == 1
     assert _components(pd.regimes, "VB1") <= 3
+
+
+def _oracle_bound(case, alpha, eps, L, H):
+    """The bounds as separate scalar formulas: (value, branch, terms)."""
+    if case == "k1":
+        a43e23 = alpha ** (4.0 / 3.0) * eps ** (2.0 / 3.0)
+        terms = (
+            (a43e23 * L ** (1.0 / 3.0) * H, alpha * eps * L),
+            (a43e23 * L * H ** (1.0 / 3.0), alpha ** 4 * L * H, alpha * eps * H),
+            (alpha ** 2 * L * H,),
+        )
+    else:
+        terms = (
+            (alpha ** 1.2 * eps ** 0.8 * L ** 0.2 * H, alpha * eps * L),
+            (alpha ** 2 * L * H,),
+        )
+    sums = [sum(t) for t in terms]
+    branch = min(range(len(terms)), key=lambda i: sums[i])
+    return sums[branch], branch, terms
+
+
+def _oracle_regime(case, branch, all_terms):
+    terms = all_terms[branch]
+    if case == "k2":
+        if branch == 1:
+            return "A"
+        return "BR" if terms[0] >= terms[1] else "HL"
+    if branch == 2:
+        return "A"
+    if branch == 0:
+        return "BR" if terms[0] >= terms[1] else "HL"
+    dominant = max(range(3), key=lambda i: (terms[i], -i))
+    return ("VB1", "VB2", "VL")[dominant]
+
+
+@pytest.mark.parametrize("case, alpha", [("k1", 0.1), ("k2", 0.1), ("k1", 0.3)])
+def test_phase_diagram_matches_scalar_loop(case, alpha):
+    n = 200
+    pd = phase_diagram(case, alpha, (0.5, 6.0), (0.5, 6.0), n)
+    vals = np.empty((n, n))
+    regimes = np.empty((n, n), dtype=object)
+    for j, lh in enumerate(pd.log10_H_over_eps):
+        H = 10.0 ** lh
+        for i, ll in enumerate(pd.log10_L_over_eps):
+            value, branch, terms = _oracle_bound(case, alpha, 1.0, 10.0 ** ll, H)
+            vals[j, i] = value
+            regimes[j, i] = _oracle_regime(case, branch, terms)
+    assert pd.bound_values.tobytes() == vals.tobytes()
+    assert pd.regimes.dtype == object and pd.regimes.tolist() == regimes.tolist()
+
+
+def test_scalar_bounds_and_regimes_match_oracle():
+    rng = np.random.default_rng(21)
+    for case in ("k1", "k2"):
+        for _ in range(300):
+            a = rng.uniform(0.02, 0.8)
+            eps = 10.0 ** rng.uniform(-8, 0)
+            L = 10.0 ** rng.uniform(-1, 1)
+            H = 10.0 ** rng.uniform(-1, 1)
+            value, branch, terms = _oracle_bound(case, a, eps, L, H)
+            b = min_energy_bound(case, a, eps, L, H)
+            assert (b.value, b.branch, b.branch_terms) == (value, branch, terms)
+            assert classify_regime(case, a, eps, L, H) == _oracle_regime(case, branch, terms)
+
+
+def test_regime_index_tie_rules_match_oracle():
+    # Exact ties do not occur on the phase grids: addends drawn from {0, 1, 2}
+    # tie often, and every branch is drawn.
+    rng = np.random.default_rng(5)
+    for case, shape in (("k1", (2, 3, 1)), ("k2", (2, 1))):
+        terms = tuple(tuple(rng.integers(0, 3, 500).astype(float) for _ in range(m))
+                      for m in shape)
+        branch = rng.integers(0, len(shape), 500)
+        index = _regime_index(case, branch, terms)
+        for i in range(500):
+            point = tuple(tuple(float(t[i]) for t in ts) for ts in terms)
+            assert K1_REGIMES[index[i]] == _oracle_regime(case, int(branch[i]), point)
 
 
 def test_phase_diagram_resolution_guard():
