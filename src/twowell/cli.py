@@ -7,7 +7,8 @@ output uses a comma separator, a mandatory header row, LF line endings and
 floats printed with 17 significant digits, so identical config and seed
 reproduce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 validation failure,
+Exit codes: 0 success, 2 configuration error (also a construction above
+``MAX_CONSTRUCT_CELLS`` cells for ``construct``), 3 validation failure,
 4 non-convergence of the minimizer.  Configuration errors are reported as
 ``config error: ...`` on stderr; quadrature warnings of ``construct``,
 ``energy`` and ``sweep`` as ``warning: ...`` (exit code unaffected).  Any
@@ -233,12 +234,21 @@ def _energy_row(cfg: RunConfig, eps: float):
     return d, b, row
 
 
+# Cells ``construct`` renders at most.  Counts explode as theta -> 1/2 (k2 at
+# theta = 0.49, eps = 1e-4: 5.5e12); the largest default-theta construction
+# on the 150-point acceptance grid has 2.38e6 (k1, eps 1e-7, L x H = 0.71 x 1.41).
+MAX_CONSTRUCT_CELLS = 10 ** 7
+
+
 def cmd_construct(cfg: RunConfig) -> int:
     spec = cfg.spec()
     _notes(spec)
-    out = _out_dir(cfg)
     d, b, label = best_construction(spec, cfg.epsilon, cfg.L, cfg.H, quad=cfg.quad(),
                                     theta=cfg.theta, gamma_kind=cfg.gamma)
+    if d.cell_count() > MAX_CONSTRUCT_CELLS:
+        raise ConfigError(f"{d.cell_count()} cells: construct renders at most "
+                          f"{MAX_CONSTRUCT_CELLS} (lower theta or raise epsilon)")
+    out = _out_dir(cfg)
     _warn(b)
     write_manifest(d, str(out / "manifest.txt"))
     (out / "construction.svg").write_text(construction_svg(d, spec))

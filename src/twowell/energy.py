@@ -14,14 +14,18 @@ conjugation) share a single quadrature, multiplied by the instance count.
 
 Every prototype of one term is refined in the same waves.  The branched
 constructions repeat one five-piece cell with rescaled (ell, h), so their
-prototypes fall into a few *shapes* (classes and discrete fields such as the
-piece index and ramp kind); the panels of one shape are evaluated by one
-integrand call whose float fields are per-panel columns.
+prototypes fall into a few *shapes*: each family declares its discrete
+fields (class, piece index, ramp kind, conjugation matrices) and its float
+row (ell, h, alpha, curve coefficients, offsets) through ``entry()``, and
+the prototypes of one shape form one float matrix.  The panels of one shape
+are evaluated by one integrand call on a member built from (m, 1) columns
+of that matrix.  The elastic integrand evaluates the ramp once per panel
+column of nodes, and writes F entry by entry: a signed-permutation
+conjugation (identity, mirror, swap) is a signed copy of each entry.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .piecewise import PiecewiseDeformation, push_forward
+from .piecewise import CellProto, PiecewiseDeformation, Transform, _push_gradient
 from .wells import WellSpec, well_matrices
 
 __all__ = ["QuadratureSpec", "EnergyBreakdown", "elastic_energy", "tv_bulk",
@@ -102,92 +106,68 @@ class _Accumulator:
 
 
 # ---------------------------------------------------------------------------
-# Prototype shapes
+# Prototype tables
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
+class _Table:
+    """Prototypes as one float matrix per shape.
 
-
-def _flatten(obj, values: list):
-    """Shape of a prototype tree: its classes and discrete fields (piece,
-    component, layout, ramp kind, tag, ...).  Its float fields, arrays
-    raveled, are appended to ``values`` in tree order instead."""
-    if isinstance(obj, float):
-        values.append(obj)
-        return float
-    if hasattr(obj, "__dataclass_fields__"):
-        return (type(obj),) + tuple([_flatten(getattr(obj, name), values)
-                                     for name in _field_names(type(obj))])
-    if isinstance(obj, np.ndarray):
-        values.extend(obj.ravel().tolist())
-        return obj.shape
-    if isinstance(obj, tuple):
-        return (tuple,) + tuple([_flatten(c, values) for c in obj])
-    return obj
-
-
-def _rebuild(obj, values: np.ndarray, at: list):
-    """``obj`` with its float fields replaced by the columns of ``values``,
-    an (m, L) array laid out as :func:`_flatten` lists them, from column
-    ``at[0]`` on; a float field becomes an (m, 1) column, an array field an
-    (m, 1, ...) stack.  (A plain function: a recursive closure would be a
-    reference cycle holding ``values`` until the cyclic collector runs.)"""
-    if isinstance(obj, float):
-        at[0] += 1
-        return values[:, at[0] - 1:at[0]]
-    if hasattr(obj, "__dataclass_fields__"):
-        return type(obj)(**{name: _rebuild(getattr(obj, name), values, at)
-                            for name in _field_names(type(obj))})
-    if isinstance(obj, np.ndarray):
-        at[0] += obj.size
-        return values[:, at[0] - obj.size:at[0]].reshape((len(values), 1) + obj.shape)
-    if isinstance(obj, tuple):
-        return tuple([_rebuild(c, values, at) for c in obj])
-    return obj
-
-
-class _Shapes:
-    """Prototypes grouped by shape.
-
-    Within one group only float fields differ.  The displacement families,
-    curves, jumps and conjugations compute with plain NumPy arithmetic on
-    their fields, so one member whose float fields are (m, 1) columns
-    evaluates m panels of m possibly different prototypes at once, each on
-    its own row of nodes, with the same arithmetic as the scalar prototype.
+    ``entries`` holds each prototype's ``(shape, row)``: its discrete and
+    its float fields, as the families declare them (``entry()``).  Within
+    one shape only the row differs, and ``from_row`` builds one member from
+    (m, 1) columns of the matrix; the families compute with plain NumPy
+    arithmetic on their fields, so that member evaluates m panels of m
+    possibly different prototypes at once, each on its own row of nodes,
+    with the same arithmetic as the scalar prototype.
     """
 
-    def __init__(self, protos):
+    def __init__(self, entries):
         index: dict = {}
         rows: list[list] = []
-        self.templates: list = []
-        self.group = np.empty(len(protos), dtype=np.intp)
-        self.row = np.empty(len(protos), dtype=np.intp)
-        for i, proto in enumerate(protos):
-            values: list = []
-            g = index.setdefault(_flatten(proto, values), len(rows))
+        where = []
+        for shape, row in entries:
+            g = index.setdefault(shape, len(rows))
             if g == len(rows):
                 rows.append([])
-                self.templates.append(proto)
-            self.group[i], self.row[i] = g, len(rows[g])
-            rows[g].append(values)
-        # One (members, fields) matrix per group.
-        self.values = [np.array(r, dtype=float).reshape(len(r), -1) for r in rows]
+            where.append((g, len(rows[g])))
+            rows[g].append(row)
+        self.shapes = list(index)
+        self.group, self.row = np.array(where, dtype=np.intp).reshape(-1, 2).T
+        self.values = [np.array(r, dtype=float) for r in rows]
 
-    def batches(self, owner: np.ndarray, points: int):
-        """Yield ``(member, panel indices)`` covering every panel once: one
-        group per batch, its member holding the fields of each panel's owner
-        (one row per panel), at most ``_MAX_POINTS`` integrand points."""
+    def columns(self, g: int, owners: np.ndarray):
+        """Iterator over the (m, 1) columns of group g's rows of ``owners``."""
+        return iter(self.values[g][self.row[owners]].T[..., None])
+
+    def batches(self, owner: np.ndarray, points: int, inner: "_Table | None" = None):
+        """Yield ``(shape, columns, panel indices, runs)`` covering every
+        panel once: one shape per batch, the columns of the rows of each
+        panel's owner, at most ``_MAX_POINTS`` integrand points.
+
+        ``inner`` is a second table over the same prototypes (the elastic
+        term's conjugations).  Its groups split no batch: each batch lists
+        its panels grouped by their inner group instead, and ``runs`` holds
+        ``(inner shape, inner columns, row slice)`` for each such run.
+        """
         gid = self.group[owner]
         step = max(1, _MAX_POINTS // points)
         # Not np.unique: it imports numpy.ma, about 1 MB of resident memory.
         for g in np.flatnonzero(np.bincount(gid)).tolist():
             idx = np.flatnonzero(gid == g)
+            if inner is not None:
+                sub = inner.group[owner[idx]]
+                idx = np.concatenate([idx[sub == s]
+                                      for s in np.flatnonzero(np.bincount(sub)).tolist()])
             for lo in range(0, len(idx), step):
                 part = idx[lo:lo + step]
-                yield _rebuild(self.templates[g], self.values[g][self.row[owner[part]]], [0]), part
+                runs = []
+                if inner is not None:
+                    sub = inner.group[owner[part]]
+                    cuts = [0, *(np.flatnonzero(sub[1:] != sub[:-1]) + 1).tolist(), len(part)]
+                    runs = [(inner.shapes[sub[a]], inner.columns(sub[a], owner[part[a:b]]),
+                             slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
+                yield self.shapes[g], self.columns(g, owner[part]), part, runs
 
 
 # ---------------------------------------------------------------------------
@@ -262,40 +242,40 @@ def _integrate(wave_values, roots: np.ndarray, order: int, measures: np.ndarray,
         depth += 1
 
 
-def _integrate_cells(items, integrand, quad: QuadratureSpec, acc: _Accumulator):
-    """Integral of ``integrand(item, x, y)`` over the cell of each item, on
-    its graph parameterization ``(x, s)``.
+def _integrate_cells(entries, protos, integrand, quad: QuadratureSpec, acc: _Accumulator):
+    """Integral of ``integrand(proto, runs, x, y, rep)`` over each cell
+    ``protos[i]`` under a conjugation, on its graph parameterization
+    ``(x, s)``.
 
-    An item is a tuple whose first entry is the :class:`CellProto`; the
-    integrand receives it batched (see :class:`_Shapes`) with (m, n) point
-    arrays and returns (m, n) values.
+    ``entries[i]`` holds the table entries of the cell and of its
+    :class:`Transform`.  The integrand receives a member with (m, 1) float
+    columns (see :class:`_Table`), the ``runs`` of rows sharing a
+    conjugation shape (:meth:`_Table.batches`), the x-nodes of both rules
+    side by side (m, 3p) and the points' y (m, n); ``x[:, rep]`` are the
+    points' x.  It returns (m, n) values.
     """
-    shapes = _Shapes(items)
+    cells = _Table([cell for cell, _ in entries])
+    conjugations = _Table([conj for _, conj in entries])
     p = quad.base_order
     npts = 5 * p * p  # coarse p x p and fine 2p x 2p nodes
+    xs = np.concatenate([_gauss(p)[0], _gauss(2 * p)[0]])
+    cuts = [0, p, 3 * p]
+    # Point k of each rule's n x n tensor grid, rules side by side, sits at
+    # x-node rep[k] and s-node srep[k].
+    rep = np.concatenate([np.repeat(np.arange(a, b), b - a) for a, b in zip(cuts[:-1], cuts[1:])])
+    srep = np.concatenate([np.tile(np.arange(a, b), b - a) for a, b in zip(cuts[:-1], cuts[1:])])
 
     def wave_values(panels, owner, rules):
         out = np.empty((2, len(panels)))
-        xs = np.concatenate([xr for xr, _ in rules])
-        cuts = np.cumsum([0] + [len(xr) for xr, _ in rules]).tolist()
-        for item, idx in shapes.batches(owner, npts):
-            proto = item[0]
+        for shape, cols, idx, runs in cells.batches(owner, npts, conjugations):
+            proto = CellProto.from_row(shape, cols)
             ax, bx, as_, bs = panels[idx].T
             x = ax[:, None] + (bx - ax)[:, None] * xs
             s = as_[:, None] + (bs - as_)[:, None] * xs
             lo = proto.lower.value(x)
             hi = proto.upper.value(x)
-            # Points of each rule's n x n tensor grid, rules side by side.
-            X, Y = np.empty((2, len(idx), npts))
-            start = 0
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                n = b - a
-                X[:, start:start + n * n] = np.repeat(x[:, a:b], n, axis=1)
-                Y[:, start:start + n * n] = (
-                    (1.0 - s[:, None, a:b]) * lo[:, a:b, None]
-                    + s[:, None, a:b] * hi[:, a:b, None]).reshape(len(idx), -1)
-                start += n * n
-            vals = integrand(item, X, Y)
+            y = (1.0 - s[:, srep]) * lo[:, rep] + s[:, srep] * hi[:, rep]
+            vals = integrand(proto, runs, x, y, rep)
             start = 0
             for r, ((_, ws), a, b) in enumerate(zip(rules, cuts[:-1], cuts[1:])):
                 n = b - a
@@ -306,25 +286,25 @@ def _integrate_cells(items, integrand, quad: QuadratureSpec, acc: _Accumulator):
                                         v * (hi[:, a:b] - lo[:, a:b])[:, :, None])
         return out
 
-    roots = np.array([[0.0, it[0].width, 0.0, 1.0] for it in items])
-    measures = np.array([abs(it[0].area()) for it in items])
+    roots = np.array([[0.0, proto.width, 0.0, 1.0] for proto in protos])
+    measures = np.array([abs(proto.area()) for proto in protos])
     return _integrate(wave_values, roots, p, measures, quad, acc, "cell")
 
 
-def _integrate_lines(items, spans, integrand, quad: QuadratureSpec, acc: _Accumulator):
-    """Integral of ``integrand(item, t)`` over (0, span) for each item, a
-    cell or jump prototype (batched as in :func:`_integrate_cells`, with
-    (m, n) parameters t)."""
-    shapes = _Shapes(items)
+def _integrate_lines(entries, spans, integrand, quad: QuadratureSpec, acc: _Accumulator):
+    """Integral of ``integrand(proto, t)`` over (0, span) for each table
+    entry of a cell or jump prototype (its shape led by the class, which
+    builds the member with (m, 1) float columns; (m, n) parameters t)."""
+    table = _Table(entries)
     p = max(quad.line_points, 2)
 
     def wave_values(ab, owner, rules):
         out = np.empty((2, len(ab)))
         xs = np.concatenate([xr for xr, _ in rules])
         cuts = np.cumsum([0] + [len(xr) for xr, _ in rules]).tolist()
-        for proto, idx in shapes.batches(owner, 3 * p):
+        for shape, cols, idx, _ in table.batches(owner, 3 * p):
             a, b = ab[idx].T
-            vals = integrand(proto, a[:, None] + (b - a)[:, None] * xs)
+            vals = integrand(shape[0].from_row(shape, cols), a[:, None] + (b - a)[:, None] * xs)
             for r, ((_, ws), lo, hi) in enumerate(zip(rules, cuts[:-1], cuts[1:])):
                 out[r, idx] = np.einsum("mi,mi->m", ws * (b - a)[:, None], vals[:, lo:hi])
         return out
@@ -340,35 +320,42 @@ def _integrate_lines(items, spans, integrand, quad: QuadratureSpec, acc: _Accumu
 
 
 def _unique_integrals(keyed, integrate, acc: _Accumulator) -> float:
-    """``sum(count * integral)`` over ``keyed`` = [(key, item, count)], in
-    order, integrating each distinct key once; ``integrate(items)`` returns
-    one value and one error estimate per item.  The errors are added to
-    ``acc`` once per cell or curve instance, as the values are to the sum."""
+    """``sum(count * integral)`` over ``keyed`` = [(entry, item, count)], in
+    order, integrating each distinct table entry ``(shape, row)`` once;
+    ``integrate(entries, items)`` returns one value and one error estimate
+    per item.  The errors are added to ``acc`` once per cell or curve
+    instance, as the values are to the sum."""
     index: dict = {}
-    items = []
-    for key, item, _ in keyed:
-        if key not in index:
-            index[key] = len(items)
+    entries, items = [], []
+    for entry, item, _ in keyed:
+        if entry not in index:
+            index[entry] = len(items)
+            entries.append(entry)
             items.append(item)
     if not items:
         return 0.0
-    values, errors = integrate(items)
+    values, errors = integrate(entries, items)
+    errors = errors.tolist()
     total = 0.0
-    for key, _, count in keyed:
-        total += count * values[index[key]]
-        acc.error += count * float(errors[index[key]])
+    for entry, _, count in keyed:
+        total += count * values[index[entry]]
+        acc.error += count * errors[index[entry]]
     return total
 
 
 def _elastic_integrand(A, B):
-    def integrand(item, x, y):
-        proto, CL, Q = item
-        du = proto.map.grad(x, y)
-        du += np.eye(2)
-        F = push_forward(CL, du, Q).reshape(-1, 2, 2)
-        del du  # keeps one fewer (n, 2, 2) batch alive through the kernel
-        d2, _ = kernels.dist2_two_wells(F, A, B)
-        return d2.reshape(x.shape)
+    def integrand(proto, runs, x, y, rep):
+        ramp = proto.map.ramp(x)
+        if ramp is not None:
+            ramp = [r[:, rep] for r in ramp]
+        g = proto.map.grad_entries(ramp, y)
+        F = np.empty(y.shape + (2, 2))
+        for shape, cols, rows in runs:
+            _push_gradient([e[rows] if isinstance(e, np.ndarray) else e for e in g],
+                           Transform.from_row(shape, cols), F[rows])
+        del ramp, g  # keeps them out of the kernel's peak memory
+        d2, _ = kernels.dist2_two_wells(F.reshape(-1, 2, 2), A, B)
+        return d2.reshape(y.shape)
     return integrand
 
 
@@ -384,12 +371,10 @@ def _elastic(def_, spec, quad, acc):
     A, B = well_matrices(spec)
     keyed = []
     for part in def_.parts:
-        Q, _, CL, _ = part.folded()
-        conj_key = (CL.tobytes(), Q.tobytes())
-        keyed += [((g.proto.key(), conj_key), (g.proto, CL, Q), g.count)
-                  for g in part.groups]
-    return _unique_integrals(keyed, lambda items: _integrate_cells(
-        items, _elastic_integrand(A, B), quad, acc), acc)
+        conj = Transform(*part.folded(), "").entry()
+        keyed += [((g.proto.entry(), conj), g.proto, g.count) for g in part.groups]
+    return _unique_integrals(keyed, lambda entries, protos: _integrate_cells(
+        entries, protos, _elastic_integrand(A, B), quad, acc), acc)
 
 
 def tv_bulk(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> float:
@@ -402,22 +387,19 @@ def tv_bulk(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> f
 
 
 def _tv_bulk(def_, quad, acc):
-    keyed = [(g.proto.key(), g.proto, g.count) for part in def_.parts for g in part.groups]
-    return _unique_integrals(keyed, lambda protos: _tv_bulk_cells(protos, quad, acc), acc)
+    keyed = [(g.proto.entry(), g.proto, g.count) for part in def_.parts for g in part.groups]
+    return _unique_integrals(keyed, lambda entries, protos: _integrate_lines(
+        entries, [p.width for p in protos], _tv_bulk_integrand, quad, acc), acc)
 
 
-def _tv_bulk_cells(protos, quad: QuadratureSpec, acc: _Accumulator):
-    """Cell integrals of |D^2 u|.
+def _tv_bulk_integrand(proto, x):
+    """|D^2 u| integrated over the cell's column at x.
 
     All map families are affine in y at second order (``|D^2 u|^2 =
     (A(x) + B(x) y)^2 + R(x)^2``), so the y direction integrates exactly
     and only a smooth 1D x-integral is left.  A cell without curvature
     integrates to exactly 0.0 in one wave.
     """
-    return _integrate_lines(protos, [p.width for p in protos], _tv_bulk_integrand, quad, acc)
-
-
-def _tv_bulk_integrand(proto, x):
     A, B, R2 = proto.map.hess_profile(x)
     return _column_tv(A, B, R2, proto.lower.value(x), proto.upper.value(x))
 
@@ -466,9 +448,9 @@ def _tv_jump_integrand(proto, t):
 
 
 def _tv_jump(def_, quad, acc):
-    keyed = [(jg.proto.key(), jg.proto, jg.count) for part in def_.parts for jg in part.jumps]
-    return _unique_integrals(keyed, lambda protos: _integrate_lines(
-        protos, [p.length_param() for p in protos], _tv_jump_integrand, quad, acc), acc)
+    keyed = [(jg.proto.entry(), jg.proto, jg.count) for part in def_.parts for jg in part.jumps]
+    return _unique_integrals(keyed, lambda entries, protos: _integrate_lines(
+        entries, [p.length_param() for p in protos], _tv_jump_integrand, quad, acc), acc)
 
 
 def total_energy(def_: PiecewiseDeformation, spec: WellSpec, epsilon: float,

@@ -289,12 +289,15 @@ def branching_schedule(case: str, alpha: float, epsilon: float, L: float, H: flo
 # ---------------------------------------------------------------------------
 
 
-def _edge_intervals(protos, edge_x, tol):
-    """(lo, hi, proto) spans of the pieces on a vertical cell edge."""
+def _edge_intervals(protos, right: bool, tol):
+    """(lo, hi, proto) spans of the pieces on the left or right cell edge.
+
+    Both ramps are exactly 0 at x = 0 and 1 at x = width, so a boundary
+    ``c0 + c1 g(x / width)`` meets the edges at ``c0`` and ``c0 + c1``."""
     out = []
     for p in protos:
-        lo = float(p.lower.value(edge_x))
-        hi = float(p.upper.value(edge_x))
+        lo, hi = p.lower, p.upper
+        lo, hi = (lo.c0 + lo.c1, hi.c0 + hi.c1) if right else (lo.c0, hi.c0)
         if hi - lo > tol:
             out.append((lo, hi, p))
     return out
@@ -322,9 +325,9 @@ def _vertical_jump_groups(X, H, left_protos, h_left, ell_left,
     """
     tol = 1e-12 * max(h_left, h_right)
     period = max(h_left, h_right)
-    li = _edge_intervals(left_protos, ell_left, tol)
+    li = _edge_intervals(left_protos, True, tol)
     redge = 0.0 if right_conj is None else float(right_edge_x)
-    ri = _edge_intervals(right_protos, redge, tol)
+    ri = _edge_intervals(right_protos, right_conj is not None, tol)
 
     breaks = set()
     for h_side, intervals in ((h_left, li), (h_right, ri)):

@@ -16,16 +16,23 @@ preserves exactness of traces and gradients.
 
 Boundary curves are restricted to the family ``c0 + c1 * ramp(x / w)`` with
 the quintic (or linear) ramp of :mod:`twowell.profiles`; every construction
-implemented here has boundaries of this form.
+implemented here has boundaries of this form.  The displacement maps are
+the families of :mod:`twowell.families`.
+
+For the quadrature, curves, maps, cells, jumps and transforms declare a
+table entry (``entry()``: a shape of discrete fields and a row of floats)
+and rebuild a member whose floats are (m, 1) columns (``from_row``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .families import AffineDisp, K2CellPiece, ScalarProfilePiece, _MapBase, _pack_grad
 from .profiles import step_profile
 
 __all__ = [
@@ -44,7 +51,6 @@ __all__ = [
     "mirror_transform",
     "rotate90_transform",
     "value_rotation_transform",
-    "push_forward",
     "Part",
     "PiecewiseDeformation",
     "identity_deformation",
@@ -139,287 +145,12 @@ class LocalCurve:
     def describe(self) -> str:
         return f"{self.c0!r}+{self.c1!r}*{self.kind}"
 
+    def entry(self) -> tuple:
+        return self.kind, (self.c0, self.c1, self.width)
 
-# ---------------------------------------------------------------------------
-# Displacement maps (local coordinates; u(p) = p + disp(p - anchor))
-# ---------------------------------------------------------------------------
-
-
-class _MapBase:
-    """Common shape handling for the closed-form displacement families.
-
-    Float fields may also be (m, 1) columns, one row per prototype, against
-    (m, n) points: the quadrature evaluates many prototypes of one family
-    at once that way, so ``__post_init__`` checks only discrete fields.
-    Integer powers of fields use ``np.float_power``, which is libm ``pow``
-    for scalars and arrays alike, so both forms give the same bits
-    (``np.power`` on arrays may take a vectorized path that rounds
-    differently).
-    """
-
-    def disp(self, x, y):
-        raise NotImplementedError
-
-    def grad(self, x, y):
-        raise NotImplementedError
-
-    def hess(self, x, y):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (2, 2, 2))
-
-    def hess_profile(self, x):
-        """Coefficients (A, B, R2) with ``|D^2 u|(x, y)^2 = (A + B y)^2 + R2``.
-
-        Every family here is affine in y at second order, which lets the
-        surface-energy bulk term integrate the y direction in closed form.
-        """
-        zero = np.zeros_like(np.asarray(x, dtype=float))
-        return zero, zero, zero
-
-    def key(self) -> tuple:
-        raise NotImplementedError
-
-    def tag(self) -> str:
-        return self.key()[0]
-
-
-def _pack2(a, b):
-    return np.stack([np.broadcast_to(a, np.broadcast(a, b).shape),
-                     np.broadcast_to(b, np.broadcast(a, b).shape)], axis=-1)
-
-
-def _pack_grad(g11, g12, g21, g22):
-    shape = np.broadcast(g11, g12, g21, g22).shape
-    out = np.empty(shape + (2, 2))
-    out[..., 0, 0] = g11
-    out[..., 0, 1] = g12
-    out[..., 1, 0] = g21
-    out[..., 1, 1] = g22
-    return out
-
-
-@dataclass(frozen=True)
-class AffineDisp(_MapBase):
-    """Affine displacement ``disp(p) = P p + v0``; covers identity and laminate stripes."""
-
-    p11: float = 0.0
-    p12: float = 0.0
-    p21: float = 0.0
-    p22: float = 0.0
-    v1: float = 0.0
-    v2: float = 0.0
-
-    def disp(self, x, y):
-        return _pack2(self.p11 * x + self.p12 * y + self.v1,
-                      self.p21 * x + self.p22 * y + self.v2)
-
-    def grad(self, x, y):
-        x = np.asarray(x, dtype=float)
-        zero = np.zeros_like(x)
-        return _pack_grad(zero + self.p11, zero + self.p12,
-                          zero + self.p21, zero + self.p22)
-
-    def key(self) -> tuple:
-        return ("affine", self.p11, self.p12, self.p21, self.p22, self.v1, self.v2)
-
-
-@dataclass(frozen=True)
-class K2CellPiece(_MapBase):
-    """One of the five pieces of the stretch-case period-doubling cell.
-
-    The vertical component interpolates between the two stretches; the
-    horizontal component cancels the off-diagonal strain to first order
-    (``d_y u1 + (1 - alpha) d_x u2 = 0`` on the transition pieces), which is
-    what buys the ``h^5 / l^3`` cell energy.
-    """
-
-    piece: int
-    ell: float
-    h: float
-    alpha: float
-    kind: str = "quintic"
-
-    def __post_init__(self):
-        if self.piece not in (1, 2, 3, 4, 5):
-            raise ValueError("piece index must be 1..5")
-        if self.kind != "quintic":
-            # The horizontal component uses ramp derivatives; a linear ramp
-            # would violate the vertical boundary traces.
-            raise ValueError("stretch-case cells require the quintic ramp")
-
-    def _g(self, x):
-        return step_profile(self.kind)(np.asarray(x, dtype=float) / self.ell)
-
-    def _mirror(self, g):
-        """Sign and base curve ``y = base(x)`` of the transition pieces: piece
-        4 is piece 2 reflected, built on the upper curve instead of the lower."""
-        if self.piece == 2:
-            return 1.0, (self.h / 8.0) * (1.0 + g)
-        return -1.0, (7.0 * self.h / 8.0) - (self.h / 8.0) * g
-
-    def disp(self, x, y):
-        a, h, ell = self.alpha, self.h, self.ell
-        s = a * (1.0 - a)
-        y = np.asarray(y, dtype=float)
-        if self.piece == 1:
-            return _pack2(np.zeros_like(y), a * y)
-        if self.piece == 5:
-            return _pack2(np.zeros_like(y), a * y - a * h)
-        g, d1, _, _ = self._g(x)
-        if self.piece == 3:
-            return _pack2(-s * (h * h / (16.0 * ell)) * d1 + np.zeros_like(y),
-                          a * y - a * h / 2.0)
-        sig, base = self._mirror(g)
-        ramp = 1.0 + g if self.piece == 2 else 3.0 - g
-        return _pack2(sig * s * (h / (4.0 * ell)) * d1 * (base - y),
-                      -a * y + (a * h / 4.0) * ramp)
-
-    def grad(self, x, y):
-        a, h, ell = self.alpha, self.h, self.ell
-        s = a * (1.0 - a)
-        y = np.asarray(y, dtype=float)
-        zero = np.zeros_like(y)
-        if self.piece == 1 or self.piece == 5:
-            return _pack_grad(zero, zero, zero, zero + a)
-        g, d1, d2, _ = self._g(x)
-        if self.piece == 3:
-            return _pack_grad(-s * (h * h / (16.0 * ell * ell)) * d2 + zero,
-                              zero, zero, zero + a)
-        sig, base = self._mirror(g)
-        return _pack_grad(
-            sig * s * (h / (4.0 * ell * ell)) * (d2 * (base - y) + sig * (h / 8.0) * d1 * d1),
-            -sig * s * (h / (4.0 * ell)) * d1 + zero,
-            sig * (a * h / (4.0 * ell)) * d1 + zero,
-            zero - a,
-        )
-
-    def hess(self, x, y):
-        a, h, ell = self.alpha, self.h, self.ell
-        s = a * (1.0 - a)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(np.asarray(x, float), y).shape + (2, 2, 2))
-        if self.piece == 1 or self.piece == 5:
-            return out
-        g, d1, d2, d3 = self._g(x)
-        if self.piece == 3:
-            out[..., 0, 0, 0] = -s * (h * h / (16.0 * np.float_power(ell, 3))) * d3
-            return out
-        sig, base = self._mirror(g)
-        out[..., 0, 0, 0] = sig * s * (h / (4.0 * np.float_power(ell, 3))) * (
-            d3 * (base - y) + sig * (3.0 * h / 8.0) * d1 * d2)
-        out[..., 0, 0, 1] = -sig * s * (h / (4.0 * ell * ell)) * d2
-        out[..., 0, 1, 0] = out[..., 0, 0, 1]
-        out[..., 1, 0, 0] = sig * (a * h / (4.0 * ell * ell)) * d2
-        return out
-
-    def hess_profile(self, x):
-        a, h, ell = self.alpha, self.h, self.ell
-        s = a * (1.0 - a)
-        x = np.asarray(x, dtype=float)
-        zero = np.zeros_like(x)
-        if self.piece in (1, 5):
-            return zero, zero, zero
-        g, d1, d2, d3 = self._g(x)
-        if self.piece == 3:
-            return -s * (h * h / (16.0 * np.float_power(ell, 3))) * d3, zero, zero
-        r2 = (2.0 * np.float_power(s * h / (4.0 * ell * ell), 2)
-              + np.float_power(a * h / (4.0 * ell * ell), 2)) * d2 * d2
-        sig, base = self._mirror(g)
-        coef = s * (h / (4.0 * np.float_power(ell, 3)))
-        return (sig * coef * (d3 * base + sig * (3.0 * h / 8.0) * d1 * d2),
-                -sig * coef * d3, r2)
-
-    def key(self) -> tuple:
-        return ("k2cell", self.piece, self.ell, self.h, self.alpha, self.kind)
-
-
-_PROFILE_TAGS = {(0, "cell"): "k1cell", (0, "boundary"): "k1bd", (1, "boundary"): "k2bd"}
-
-
-@dataclass(frozen=True)
-class ScalarProfilePiece(_MapBase):
-    """Cell piece moving one displacement component by a scalar profile.
-
-    ``u[component] = phi(x, y)`` and the other component is the identity.
-    Pieces 1, 3 and 5 are affine in y; pieces 2 and 4 follow the ramp,
-    ``phi = slope * y + offset +- (alpha h / 4) g(x / ell)``.  Layouts:
-
-    * ``"cell"``, component 0: the shear-case period-doubling cell (``k1cell``);
-    * ``"boundary"``, component 0 or 1: the boundary layer gluing one
-      sawtooth period to the identity trace, shear (``k1bd``) or stretch
-      (``k2bd``) case.
-    """
-
-    component: int
-    layout: str
-    piece: int  # boundary layout: 1=B', 2=M', 3=A, 4=M'', 5=B''
-    ell: float
-    h: float
-    alpha: float
-    kind: str = "quintic"
-
-    def __post_init__(self):
-        if (self.component, self.layout) not in _PROFILE_TAGS:
-            raise ValueError(f"no scalar-profile family for component {self.component} "
-                             f"with layout {self.layout!r}")
-        if self.piece not in (1, 2, 3, 4, 5):
-            raise ValueError("piece index must be 1..5")
-
-    def _profile(self, x, y):
-        """``(phi, d_x phi, d_y phi)``."""
-        a, h, ell = self.alpha, self.h, self.ell
-        y = np.asarray(y, dtype=float)
-        zero = np.zeros_like(y)
-        cell = self.layout == "cell"
-        if self.piece == 1:
-            return a * y, zero, a + zero
-        if self.piece == 3:
-            if cell:
-                return a * y - a * h / 2.0, zero, a + zero
-            return a * (h / 2.0 - y), zero, -a + zero
-        if self.piece == 5:
-            return (a * y - a * h if cell else a * (y - h)), zero, a + zero
-        sign = 1.0 if self.piece == 2 else -1.0
-        g, d1, _, _ = step_profile(self.kind)(np.asarray(x, float) / ell)
-        dx = sign * (a * h / (4.0 * ell)) * d1 + zero
-        if not cell:
-            return sign * (a * h / 4.0) * g + zero, dx, zero
-        ramp = 1.0 + g if self.piece == 2 else 3.0 - g
-        return -a * y + (a * h / 4.0) * ramp, dx, -a + zero
-
-    def disp(self, x, y):
-        val, _, _ = self._profile(x, y)
-        out = np.zeros(val.shape + (2,))
-        out[..., self.component] = val
-        return out
-
-    def grad(self, x, y):
-        _, dx, dy = self._profile(x, y)
-        out = np.zeros(np.broadcast(dx, dy).shape + (2, 2))
-        out[..., self.component, 0] = dx
-        out[..., self.component, 1] = dy
-        return out
-
-    def hess(self, x, y):
-        A, _, _ = self.hess_profile(x)
-        out = np.zeros(np.broadcast(np.asarray(x, float), np.asarray(y, float)).shape
-                       + (2, 2, 2))
-        out[..., self.component, 0, 0] = A
-        return out
-
-    def hess_profile(self, x):
-        x = np.asarray(x, dtype=float)
-        zero = np.zeros_like(x)
-        if self.piece not in (2, 4):
-            return zero, zero, zero
-        sign = 1.0 if self.piece == 2 else -1.0
-        _, _, d2, _ = step_profile(self.kind)(x / self.ell)
-        return (sign * (self.alpha * self.h / (4.0 * np.float_power(self.ell, 2))) * d2,
-                zero, zero)
-
-    def key(self) -> tuple:
-        return (_PROFILE_TAGS[self.component, self.layout], self.piece, self.ell,
-                self.h, self.alpha, self.kind)
+    @classmethod
+    def from_row(cls, kind, cols):
+        return cls(next(cols), next(cols), next(cols), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +170,14 @@ class CellProto:
     def area(self) -> float:
         return self.upper.integral() - self.lower.integral()
 
-    def key(self) -> tuple:
-        return (self.map.key(), self.lower.c0, self.lower.c1,
-                self.upper.c0, self.upper.c1, self.width)
+    def entry(self) -> tuple:
+        (ls, lr), (us, ur), (ms, mr) = self.lower.entry(), self.upper.entry(), self.map.entry()
+        return (CellProto, ls, us, ms), (self.width,) + lr + ur + mr
+
+    @classmethod
+    def from_row(cls, shape, cols):
+        return cls(next(cols), LocalCurve.from_row(shape[1], cols),
+                   LocalCurve.from_row(shape[2], cols), shape[3][0].from_row(shape[3], cols))
 
     def contains(self, x, y, tol: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -456,7 +192,7 @@ class _Stacked:
 
     def anchors(self, k=None) -> np.ndarray:
         """(len(k), 2) anchors of instances ``k`` (default: all of them)."""
-        k = np.arange(self.count) if k is None else np.asarray(k)
+        k = np.arange(self.count) if k is None else np.asarray(k, dtype=float)
         return np.column_stack([np.full(len(k), self.x0), self.y0 + self.dy * k])
 
 
@@ -492,6 +228,19 @@ class Transform:
     c: np.ndarray
     name: str
 
+    # Table protocol.  A deformation has a few conjugations (identity,
+    # mirror, swap, their products, one per value rotation), so the matrices
+    # are the shape; the quadrature conjugates one run of rows at a time.
+    def entry(self) -> tuple:
+        return ((tuple(self.CL.ravel().tolist()), tuple(self.Q.ravel().tolist())),
+                tuple(self.b.tolist()) + tuple(self.c.tolist()))
+
+    @classmethod
+    def from_row(cls, shape, cols):
+        b, c = (np.stack([next(cols), next(cols)], axis=-1) for _ in range(2))
+        CL, Q = (np.reshape(m, (2, 2)) for m in shape)
+        return cls(Q, b, CL, c, "")
+
 
 def mirror_transform(axis_x: float) -> Transform:
     S = np.array([[-1.0, 0.0], [0.0, 1.0]])
@@ -510,21 +259,55 @@ def value_rotation_transform(R: np.ndarray) -> Transform:
                      "value-rotation")
 
 
-def push_forward(CL, du, Q):
-    """``CL @ du @ Q`` over the last two axes of 2x2 batches, written out
-    entry by entry (CL and Q broadcast against du).
+@lru_cache(maxsize=64)
+def _signed_pattern(cl: bytes, q: bytes):
+    """``(pq, sign)`` per entry of ``CL du Q`` (row-major, du_pq at 2p + q)
+    with ``(CL du Q)_ij = sign du_pq``, when every entry is a single product
+    of entries in {-1, 0, 1} (identity, mirror, swap and their products);
+    None otherwise.  Plain Python: the first NumPy reduction along an axis
+    alone adds about 0.3 MB to the resident set."""
+    CL, Q = (np.frombuffer(m).reshape(2, 2).tolist() for m in (cl, q))
+    if not set(CL[0] + CL[1] + Q[0] + Q[1]) <= {-1.0, 0.0, 1.0}:
+        return None
+    pattern = []
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        terms = [(2 * k + l, CL[i][k] * Q[l][j]) for k in (0, 1) for l in (0, 1)
+                 if CL[i][k] * Q[l][j]]
+        if len(terms) != 1:
+            return None
+        pattern += terms
+    return tuple(pattern)
 
-    For the signed permutations of mirror and swap every entry is a single
-    product, so the result is exact; ``+ 0.0`` turns -0 into +0 as an einsum
-    sum does.  Unlike ``@`` it never calls BLAS, whose first 2x2 product
-    alone adds 0.5 MB to the resident set of a quadrature-only run.
+
+def _push_gradient(g, t: Transform | None, out):
+    """Write ``CL (I + g) Q`` into ``out`` (..., 2, 2), from the entries
+    ``g = (g11, g12, g21, g22)`` of displacement gradients; ``t`` holds the
+    2x2 matrices CL and Q (None: the identity).
+
+    A signed-permutation pair writes each entry once, ``sign (g_pq +
+    delta_pq)``.  Any other pair (a value rotation) writes the products out
+    entry by entry, ``(CL du)_i0 Q_0j + (CL du)_i1 Q_1j``.  Either way
+    ``+ 0.0`` turns -0 into +0, as an einsum sum does, and no BLAS call is
+    made: the first 2x2 ``@`` alone adds 0.5 MB to the resident set of a
+    quadrature-only run.
     """
-    M = CL[..., :, :1] * du[..., None, 0, :]
-    M += CL[..., :, 1:] * du[..., None, 1, :]
-    F = M[..., :, :1] * Q[..., None, 0, :]
-    F += M[..., :, 1:] * Q[..., None, 1, :]
-    F += 0.0
-    return F
+    pattern = (((0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)) if t is None
+               else _signed_pattern(t.CL.tobytes(), t.Q.tobytes()))
+    if pattern is None:
+        CL, Q, du = t.CL, t.Q, _ID2 + _pack_grad(out.shape[:-2], *g)
+        M = CL[:, :1] * du[..., None, 0, :]
+        M += CL[:, 1:] * du[..., None, 1, :]
+        np.multiply(M[..., :, :1], Q[0, :], out=out)
+        out += M[..., :, 1:] * Q[1, :]
+        out += 0.0
+        return out
+    for k, (pq, sign) in enumerate(pattern):
+        delta = 1.0 if pq in (0, 3) else 0.0
+        if sign > 0:
+            np.add(g[pq], delta, out=out[..., k // 2, k % 2])
+        else:
+            np.subtract(0.0 - delta, g[pq], out=out[..., k // 2, k % 2])
+    return out
 
 
 def _fold_transforms(transforms: Sequence[Transform]):
@@ -563,10 +346,17 @@ class SideRef:
 
     def grad(self, jx, jy):
         lx, ly = self.local(jx, jy)
-        du = _ID2 + self.map.grad(lx, ly)
-        if self.conj is not None:
-            du = push_forward(self.conj.CL, du, self.conj.Q)
-        return du
+        out = np.empty(np.broadcast(lx, ly).shape + (2, 2))
+        return _push_gradient(self.map.grad_entries(self.map.ramp(lx), ly), self.conj, out)
+
+    def entry(self) -> tuple:
+        (ms, mr), (cs, cr) = self.map.entry(), self.conj.entry() if self.conj else (None, ())
+        return (ms, cs), mr + (self.off_x, self.off_y) + cr
+
+    @classmethod
+    def from_row(cls, shape, cols):
+        return cls(shape[0][0].from_row(shape[0], cols), next(cols), next(cols),
+                   None if shape[1] is None else Transform.from_row(shape[1], cols))
 
 
 @dataclass(frozen=True)
@@ -578,9 +368,15 @@ class GraphJump:
     above: SideRef
     tag: str
 
-    def key(self) -> tuple:
-        return ("graph", self.tag, self.curve.c0, self.curve.c1, self.curve.width,
-                self.below.map.key(), self.above.map.key())
+    def entry(self) -> tuple:
+        (cs, cr), (bs, br), (as_, ar) = self.curve.entry(), self.below.entry(), self.above.entry()
+        return (GraphJump, cs, bs, as_), cr + br + ar
+
+    @classmethod
+    def from_row(cls, shape, cols):
+        # The tag names the curve; no integrand reads it.
+        return cls(LocalCurve.from_row(shape[1], cols), SideRef.from_row(shape[2], cols),
+                   SideRef.from_row(shape[3], cols), "")
 
     def sides(self):
         return self.below, self.above
@@ -605,9 +401,14 @@ class VerticalJump:
     right: SideRef
     tag: str
 
-    def key(self) -> tuple:
-        return ("vertical", self.tag, self.length,
-                self.left.map.key(), self.right.map.key())
+    def entry(self) -> tuple:
+        (ls, lr), (rs, rr) = self.left.entry(), self.right.entry()
+        return (VerticalJump, ls, rs), (self.length,) + lr + rr
+
+    @classmethod
+    def from_row(cls, shape, cols):
+        return cls(next(cols), SideRef.from_row(shape[1], cols),
+                   SideRef.from_row(shape[2], cols), "")
 
     def sides(self):
         return self.left, self.right
@@ -743,19 +544,19 @@ class PiecewiseDeformation:
         p = np.atleast_2d(p)
         n = p.shape[0]
         u = np.empty((n, 2))
-        du = np.empty((n, 2, 2))
+        du = np.empty((n, 2, 2))  # the displacement gradient, until pushed forward
         owner = np.empty(n, dtype=int)
         for ip, idx, q, lx, ly, g in self._locate(p):
             u[idx] = q + g.proto.map.disp(lx, ly)
-            du[idx] = _ID2 + g.proto.map.grad(lx, ly)
+            du[idx] = g.proto.map.grad(lx, ly)
             owner[idx] = ip
         # Push each part's base values through its transform stack in one batch.
         for ip, part in enumerate(self.parts):
             hit = np.flatnonzero(owner == ip)
             if hit.size:
-                Q, _, CL, c = part.folded()
-                u[hit] = u[hit] @ CL.T + c
-                du[hit] = push_forward(CL, du[hit], Q)
+                t = Transform(*part.folded(), "")
+                u[hit] = u[hit] @ t.CL.T + t.c
+                du[hit] = _push_gradient(du[hit].reshape(-1, 4).T, t, np.empty((hit.size, 2, 2)))
         if single:
             return u[0], du[0]
         return u, du
@@ -888,8 +689,9 @@ def coverage_check(def_: PiecewiseDeformation, curve_samples: int = 64,
         if jg.count <= max_instances:
             ks = range(jg.count)
         else:
-            ks = sorted({0, jg.count - 1,
-                         *np.linspace(0, jg.count - 1, max_instances).astype(int)})
+            # Python ints: counts can pass 2**63 as theta -> 1/2.
+            last, div = jg.count - 1, max(max_instances - 1, 1)
+            ks = sorted({0, last, *(last * i // div for i in range(max_instances))})
         for anchor in jg.anchors(ks):
             pts = anchor + np.column_stack([jx, jy])
             v1 = s1.value(pts, jx, jy)

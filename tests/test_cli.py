@@ -5,6 +5,9 @@ import pytest
 
 from twowell import cli
 from twowell.cli import ConfigError, main, parse_config_file
+from twowell.microstructure import horizontal_branched
+from twowell.piecewise import Rect
+from twowell.wells import WellSpec
 
 
 def run_cli(*args):
@@ -162,6 +165,22 @@ def test_construct_outputs(tmp_path):
     assert rc == 0
     svg = (tmp_path / "id" / "construction.svg").read_text()
     assert svg.count("<polygon") == 1
+
+
+def test_construct_refuses_unrenderable_cell_counts(tmp_path, capsys):
+    # theta -> 1/2: k2 at eps = 1e-4 has 5.5e12 cells, k1 at eps = 1e-5 5e30,
+    # which is past int64.
+    for case, eps in (("k2", "1e-4"), ("k1", "1e-5")):
+        out = tmp_path / case
+        argv = ["--case", case, "--epsilon", eps, "--theta", "0.49", "--out", str(out)]
+        assert main(["construct"] + argv) == 2
+        assert "cells" in capsys.readouterr().err
+        assert not out.exists()
+        # The quadrature is O(tau): energy still answers.
+        assert main(["energy"] + argv) == 0
+    # The largest default-theta construction of the acceptance grid renders.
+    big = horizontal_branched(WellSpec("k1", 0.2), 1e-7, Rect(0.0, 0.0, 0.5 ** 0.5, 2.0 ** 0.5))
+    assert 2_000_000 < big.cell_count() <= cli.MAX_CONSTRUCT_CELLS
 
 
 def test_construct_period_doubling_structure(tmp_path):

@@ -11,7 +11,8 @@ from twowell.energy import (
     _Accumulator,
     _column_tv,
     _gauss,
-    _tv_bulk_cells,
+    _integrate_lines,
+    _tv_bulk_integrand,
     elastic_energy,
     total_energy,
     tv_bulk,
@@ -33,7 +34,6 @@ from twowell.piecewise import (
     Rect,
     identity_deformation,
     mirror_x,
-    push_forward,
     rotate_values,
 )
 from twowell.wells import CASE_K1, CASE_K2, WellSpec, rotation, well_matrices
@@ -44,6 +44,17 @@ from twowell.wells import CASE_K1, CASE_K2, WellSpec, rotation, well_matrices
 # batched, one adaptive loop per distinct prototype with scalar fields.  The
 # batched engine must reproduce it bit for bit: values and warnings.
 # ---------------------------------------------------------------------------
+
+
+def push_forward(CL, du, Q):
+    """``CL @ du @ Q`` over 2x2 batches, the products written out as the
+    quadrature wrote them before the conjugation became entry-wise."""
+    M = CL[..., :, :1] * du[..., None, 0, :]
+    M += CL[..., :, 1:] * du[..., None, 1, :]
+    F = M[..., :, :1] * Q[..., None, 0, :]
+    F += M[..., :, 1:] * Q[..., None, 1, :]
+    F += 0.0
+    return F
 
 
 def _oracle_integrate(wave_values, root, order, measure, quad, acc, what):
@@ -133,7 +144,7 @@ def _oracle_terms(def_, spec, quad=None):
     for part in def_.parts:
         Q, _, CL, _ = part.folded()
         for g in part.groups:
-            key = ("elastic", g.proto.key(), CL.tobytes(), Q.tobytes())
+            key = ("elastic", g.proto.entry(), CL.tobytes(), Q.tobytes())
             if key not in cache:
                 def integrand(x, y, proto=g.proto, CL=CL, Q=Q):
                     F = push_forward(CL, np.eye(2) + proto.map.grad(x, y), Q)
@@ -142,14 +153,14 @@ def _oracle_terms(def_, spec, quad=None):
             elastic += g.count * cache[key]
     for part in def_.parts:
         for g in part.groups:
-            key = ("bulk", g.proto.key())
+            key = ("bulk", g.proto.entry())
             if key not in cache:
                 cache[key] = _oracle_tv_bulk_cell(g.proto, quad, acc)
             bulk += g.count * cache[key]
     for part in def_.parts:
         for jg in part.jumps:
             proto = jg.proto
-            key = ("jump", proto.key())
+            key = ("jump", proto.entry())
             if key not in cache:
                 s1, s2 = jg.sides()
 
@@ -161,6 +172,12 @@ def _oracle_terms(def_, spec, quad=None):
                 cache[key] = _oracle_line(proto.length_param(), integrand, quad, acc)
             jump += jg.count * cache[key]
     return elastic, bulk, jump, tuple(sorted(set(acc.warnings)))
+
+
+def _tv_bulk_cells(protos, quad, acc):
+    """Batched bulk-TV integrals of ``protos``, as ``energy._tv_bulk`` runs them."""
+    return _integrate_lines([p.entry() for p in protos], [p.width for p in protos],
+                            _tv_bulk_integrand, quad, acc)
 
 
 def test_identity_energies_closed_form():
@@ -377,6 +394,13 @@ def _oracle_cases():
     cases.append(("laminate", laminate(dom, 0.125, a, CASE_K2), WellSpec(CASE_K2, a), 1e-4))
     cases.append(("rotated-values", rotate_values(horizontal_branched(k2, 1e-4, dom),
                                                   rotation(0.7)), k2, 1e-4))
+    # An offset, non-square domain: every float column of the tables
+    # (anchors, offsets, mirror axis) differs from the unit square's.
+    offset = Rect(0.3, -0.2, 2.0, 0.5)
+    cases.append(("k2-horizontal-offset", horizontal_branched(k2, 1e-4, offset), k2, 1e-4))
+    cases.append(("k1-vertical-offset", vertical_branched_k1(k1, 1e-4, offset), k1, 1e-4))
+    cases.append(("k1-horizontal-theta-N", horizontal_branched(k1, 1e-4, dom, theta=0.3, N=3),
+                  k1, 1e-4))
     return [pytest.param(d, spec, eps, id=name) for name, d, spec, eps in cases]
 
 
@@ -385,6 +409,33 @@ def test_batched_quadrature_matches_per_prototype_oracle(d, spec, eps):
     b = total_energy(d, spec, eps)
     elastic, bulk, jump, warnings = _oracle_terms(d, spec)
     assert (b.elastic, b.tv_bulk, b.tv_jump, b.warnings) == (elastic, bulk, jump, warnings)
+
+
+# repr of (elastic, tv_bulk, tv_jump, error_estimate) at four points of
+# perfbench's ratio_grid sample, as computed before the prototypes became
+# parameter tables.  The oracle above shares the displacement families with
+# the code under test, so it cannot see a change to them; these pins can.
+_PINNED = [
+    ((CASE_K2, 1e-7, 2.0, 0.1, horizontal_branched),
+     "(1.1931092462061027e-06, 0.5208311894650116, 38.58209011197011, 1.7391478239234615e-16)"),
+    ((CASE_K1, 1e-7, 0.5, 0.2, horizontal_branched),
+     "(3.4692459597288762e-06, 0.6863492708952108, 517.2613211848111, 1.6009459347624322e-16)"),
+    ((CASE_K1, 1e-4, 4.0, 0.1, vertical_branched_k1),
+     "(0.00018972093927587726, 0.3281249999999997, 30.03184523809524, 1.6479645051332242e-16)"),
+    ((CASE_K2, 1e-3, 4.0, 0.2, horizontal_branched),
+     "(0.0006673936691419691, 0.4375264396285826, 13.399855128437608, 7.494747412420599e-13)"),
+]
+
+
+@pytest.mark.parametrize("point,pinned", _PINNED,
+                         ids=[f"{c}-{e}-{a}-{al}-{b.__name__}" for (c, e, a, al, b), _ in _PINNED])
+def test_energies_match_pinned_values(point, pinned):
+    case, eps, aspect, alpha, build = point
+    spec = WellSpec(case, alpha)
+    dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
+    b = total_energy(build(spec, eps, dom), spec, eps)
+    assert repr((b.elastic, b.tv_bulk, b.tv_jump, b.error_estimate)) == pinned
+    assert b.warnings == ()
 
 
 def test_kernel_calls_grow_with_shapes_not_prototypes(monkeypatch):
@@ -403,7 +454,7 @@ def test_kernel_calls_grow_with_shapes_not_prototypes(monkeypatch):
         d = horizontal_branched(spec, eps, dom)
         calls.clear()
         elastic_energy(d, spec)
-        protos = {(g.proto.key(), bool(p.transforms)) for p in d.parts for g in p.groups}
+        protos = {(g.proto.entry(), bool(p.transforms)) for p in d.parts for g in p.groups}
         counts.append((len(protos), len(calls)))
     (few, calls_few), (many, calls_many) = counts
     assert many >= 2.5 * few

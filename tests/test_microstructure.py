@@ -7,6 +7,7 @@ from twowell.microstructure import (
     assemble_branched,
     best_construction,
     branching_schedule,
+    horizontal_branched,
     k1_boundary_cell,
     k1_cell,
     k2_boundary_cell,
@@ -194,3 +195,40 @@ def test_best_construction_selection():
     assert label == "branched-horizontal"
     _, _, label = best_construction(spec1, 1e-6, 0.05, 1.0)
     assert label == "branched-vertical"
+
+
+def test_coverage_property():
+    # Tiling, value continuity and the identity trace for random inputs.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(case=st.sampled_from([CASE_K1, CASE_K2]),
+                      vertical=st.booleans(),
+                      alpha=st.floats(0.05, 0.3),
+                      log_eps=st.floats(-5.0, -2.0),
+                      log_aspect=st.floats(math.log(0.25), math.log(4.0)),
+                      theta=st.floats(0.26, 0.4, exclude_min=True, exclude_max=True))
+    def check(case, vertical, alpha, log_eps, log_aspect, theta):
+        aspect = math.exp(log_aspect)
+        dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
+        build = vertical_branched_k1 if vertical and case == CASE_K1 else horizontal_branched
+        rep = coverage_check(build(WellSpec(case, alpha), 10.0 ** log_eps, dom, theta=theta))
+        assert rep.ok, rep.failures
+        assert rep.area_residual <= 1e-9
+        assert rep.continuity_max < 1e-10
+        assert rep.boundary_max <= 1e-12
+
+    check()
+
+
+def test_coverage_samples_counts_past_int64():
+    # theta -> 1/2: the finest k1 stripes hold more than 2**63 cells.
+    d = horizontal_branched(WellSpec(CASE_K1, 0.1), 1e-4, Rect(0.0, 0.0, 1.0, 1.0),
+                            theta=0.49)
+    assert max(jg.count for p in d.parts for jg in p.jumps) > 2 ** 63
+    # Cells 1e-19 high are below double resolution, so no point location:
+    # the tiling area and the sampled jump instances only.
+    rep = coverage_check(d, boundary_tol=None)
+    assert rep.ok, rep.failures
