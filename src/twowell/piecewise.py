@@ -499,6 +499,14 @@ class PiecewiseDeformation:
         frame.  Points on shared cell boundaries resolve deterministically to
         the first part/group/instance in build order (below and left cells
         are emitted first by the construction builders).
+
+        A group is handed only the remaining points of its x-slab, base-frame
+        x in ``[x0 - 2 tol, x0 + width + 2 tol]``: the second ``tol`` covers
+        the rounding of ``x - x0``, so the slab holds every point the group's
+        in-x test accepts, and the yields are those of testing every
+        remaining point, element for element.  The slab is a mask per group,
+        not a sort by x: a part has tens of groups, and NumPy's sort kernels
+        would add 0.7 MB of code pages to the resident set.
         """
         tol = self._geom_tol()
         if not np.all(self.domain.contains(p, tol)):
@@ -510,29 +518,34 @@ class PiecewiseDeformation:
                 continue
             Q, b, _, _ = part.folded()
             q = p[sel] @ Q.T + b
+            qx = q[:, 0]
+            pending = np.ones(sel.size, dtype=bool)
             for g in part.groups:
-                rem = np.flatnonzero(~done[sel])
+                rem = np.flatnonzero(pending & (qx >= g.x0 - 2.0 * tol)
+                                     & (qx <= g.x0 + g.proto.width + 2.0 * tol))
                 if rem.size == 0:
-                    break
+                    continue
                 xl = q[rem, 0] - g.x0
                 in_x = (xl >= -tol) & (xl <= g.proto.width + tol)
                 if not np.any(in_x):
                     continue
-                if g.count > 1:
-                    kf = np.floor((q[rem, 1] - g.y0) / g.dy).astype(int)
-                else:
-                    kf = np.zeros(rem.size, dtype=int)
-                for delta in (-1, 0, 1):
+                y = q[rem, 1]
+                # Instance offsets stay floats: counts can pass 2**63 as
+                # theta -> 1/2, where an integer cast would overflow.
+                kf = np.floor((y - g.y0) / g.dy) if g.count > 1 else np.zeros(rem.size)
+                count = float(g.count)
+                for delta in (-1.0, 0.0, 1.0):
                     k = kf + delta
-                    cand = in_x & (k >= 0) & (k < g.count) & ~done[sel[rem]]
+                    cand = in_x & (k >= 0.0) & (k < count) & pending[rem]
                     if not np.any(cand):
                         continue
-                    yl = q[rem, 1] - (g.y0 + k * g.dy)
+                    yl = y - (g.y0 + k * g.dy)
                     ok = cand & g.proto.contains(xl, yl, tol)
                     if not np.any(ok):
                         continue
                     hit = rem[ok]
                     done[sel[hit]] = True
+                    pending[hit] = False
                     yield ip, sel[hit], q[hit], xl[ok], yl[ok], g
         if not np.all(done):
             raise DomainError("point not covered by any cell (broken tiling?)")
@@ -692,11 +705,12 @@ def coverage_check(def_: PiecewiseDeformation, curve_samples: int = 64,
             # Python ints: counts can pass 2**63 as theta -> 1/2.
             last, div = jg.count - 1, max(max_instances - 1, 1)
             ks = sorted({0, last, *(last * i // div for i in range(max_instances))})
-        for anchor in jg.anchors(ks):
-            pts = anchor + np.column_stack([jx, jy])
-            v1 = s1.value(pts, jx, jy)
-            v2 = s2.value(pts, jx, jy)
-            cont = max(cont, float(np.max(np.abs(v1 - v2))))
+        # A side's displacement does not depend on the anchor: one (k, m, 2)
+        # block of all sampled instances per side.
+        pts = jg.anchors(ks)[:, None] + np.column_stack([jx, jy])
+        v1 = s1.value(pts, jx, jy)
+        v2 = s2.value(pts, jx, jy)
+        cont = max(cont, float(np.max(np.abs(v1 - v2))))
     if cont > continuity_tol:
         failures.append(f"value mismatch {cont:.3e} across a jump curve")
 

@@ -60,15 +60,23 @@ def construction_svg(def_: PiecewiseDeformation, spec: WellSpec,
              head: str, tail: str) -> None:
         # All instances of a group, in blocks: base points shifted to every
         # anchor, mapped base-to-world and then to pixels, each instance
-        # written through one template ('%.6g' % x is _fmt(x)).
-        template = head + " ".join(["%.6g,%.6g"] * len(base)) + tail
+        # written through one template ('%.6g' % x is _fmt(x)).  Instances
+        # differ by a shift along one axis, so one pixel coordinate of every
+        # point is the same across a block: the columns equal as bits (-0 and
+        # 0 format apart) are formatted once, into the template.
         for start in range(0, group.count, _BLOCK):
             k = np.arange(start, min(start + _BLOCK, group.count))
             pts = (base[None] + group.anchors(k)[:, None] - b).reshape(-1, 2) @ inv.T
             px = np.empty_like(pts)
             px[:, 0] = (pts[:, 0] - dom.x0) * sx
             px[:, 1] = (dom.y1 - pts[:, 1]) * sx
-            lines.extend(template % tuple(row) for row in px.reshape(len(k), -1).tolist())
+            px = px.reshape(len(k), -1)
+            bits = px.view(np.int64)
+            fixed = (bits == bits[:1]).all(axis=0)
+            cols = ["%.6g" % v if f else "%.6g"
+                    for f, v in zip(fixed.tolist(), px[0].tolist())]
+            template = head + " ".join(map(",".join, zip(cols[::2], cols[1::2]))) + tail
+            lines.extend(template % tuple(row) for row in px[:, ~fixed].tolist())
 
     for part in def_.parts:
         Q, b, CL, c = part.folded()

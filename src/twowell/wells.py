@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -105,12 +106,18 @@ class WellSpec:
         return notes
 
 
+@lru_cache(maxsize=256)
 def well_matrices(spec: WellSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (A, B) of well matrices for the given case."""
+    """The pair (A, B) of well matrices for the given case, memoized per spec
+    and read-only: copy before changing an entry."""
     a = spec.alpha
     if spec.case == CASE_K1:
-        return mat2(1.0, -a, 0.0, 1.0), mat2(1.0, a, 0.0, 1.0)
-    return mat2(1.0, 0.0, 0.0, 1.0 - a), mat2(1.0, 0.0, 0.0, 1.0 + a)
+        pair = mat2(1.0, -a, 0.0, 1.0), mat2(1.0, a, 0.0, 1.0)
+    else:
+        pair = mat2(1.0, 0.0, 0.0, 1.0 - a), mat2(1.0, 0.0, 0.0, 1.0 + a)
+    for m in pair:
+        m.flags.writeable = False
+    return pair
 
 
 class OrbitDistance(NamedTuple):

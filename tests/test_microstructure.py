@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from twowell.microstructure import (
     sawtooth,
     vertical_branched_k1,
 )
-from twowell.piecewise import Rect, coverage_check
+from twowell.piecewise import PiecewiseDeformation, Rect, coverage_check
 from twowell.profiles import smooth_step
 from twowell.wells import CASE_K1, CASE_K2, WellSpec, dist_to_wells
+
+from piecewise_oracles import edge_points, located, oracle_coverage_check, oracle_locate
 
 
 def test_sawtooth_identities():
@@ -214,11 +217,19 @@ def test_coverage_property():
         aspect = math.exp(log_aspect)
         dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
         build = vertical_branched_k1 if vertical and case == CASE_K1 else horizontal_branched
-        rep = coverage_check(build(WellSpec(case, alpha), 10.0 ** log_eps, dom, theta=theta))
+        d = build(WellSpec(case, alpha), 10.0 ** log_eps, dom, theta=theta)
+        rep = coverage_check(d)
         assert rep.ok, rep.failures
         assert rep.area_residual <= 1e-9
         assert rep.continuity_max < 1e-10
         assert rep.boundary_max <= 1e-12
+        # The x-slab locator and the one-pass continuity check against the
+        # per-group and per-instance oracles.
+        assert repr(rep) == repr(oracle_coverage_check(d))
+        rng = np.random.default_rng(int(1e6 * alpha))
+        pts = np.concatenate([rng.uniform((dom.x0, dom.y0), (dom.x1, dom.y1), (200, 2)),
+                              edge_points(d, rng, per_group=1)])
+        assert located(PiecewiseDeformation._locate, d, pts) == located(oracle_locate, d, pts)
 
     check()
 
@@ -232,3 +243,21 @@ def test_coverage_samples_counts_past_int64():
     # the tiling area and the sampled jump instances only.
     rep = coverage_check(d, boundary_tol=None)
     assert rep.ok, rep.failures
+
+
+def test_locate_counts_past_int64():
+    # Instance offsets of groups past 2**63 cells stay floats: no cast
+    # warning, and the boundary trace is located and checked.
+    d = horizontal_branched(WellSpec(CASE_K1, 0.1), 1e-4, Rect(0.0, 0.0, 1.0, 1.0),
+                            theta=0.49)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = coverage_check(d)
+        assert rep.ok, rep.failures
+        assert rep.boundary_max <= 1e-12
+        # Points in the boundary layer, 3e-20 wide, of cells 1e-19 high.
+        ys = np.linspace(0.0, 1.0, 101)
+        pts = np.column_stack([np.full_like(ys, 1e-20), ys])
+        assert max(g.count for *_, g in d._locate(pts)) > 2 ** 63
+        u, _ = d.evaluate(pts)
+        assert np.abs(u - pts).max() < 1e-9

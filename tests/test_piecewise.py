@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from twowell.microstructure import (
+    horizontal_branched,
     k1_cell,
     k2_boundary_cell,
     k2_cell,
     laminate,
+    vertical_branched_k1,
 )
 from twowell.piecewise import (
     BoundaryPointError,
@@ -24,7 +26,16 @@ from twowell.piecewise import (
     write_manifest,
 )
 from twowell.profiles import sawtooth
-from twowell.wells import rotation
+from twowell.wells import CASE_K1, CASE_K2, WellSpec, rotation
+
+from piecewise_oracles import (
+    edge_points,
+    located,
+    oracle_coverage_check,
+    oracle_evaluate,
+    oracle_locate,
+    oracle_second_gradient,
+)
 
 ELL, H, ALPHA = 1.0, 0.25, 0.3
 
@@ -244,3 +255,72 @@ def test_manifest_roundtrip_smoke():
     assert text.startswith("domain x0=0.0")
     assert text.count("cell part=0 family=k2bd") == 5
     assert "jump part=0" in text
+
+
+# ---------------------------------------------------------------------------
+# x-slab locator and one continuity pass per jump group, against the
+# per-group and per-instance oracles of ``piecewise_oracles``.
+# ---------------------------------------------------------------------------
+
+K1, K2 = WellSpec(CASE_K1, 0.1), WellSpec(CASE_K2, 0.1)
+UNIT = Rect(0.0, 0.0, 1.0, 1.0)
+ORACLE_CASES = {
+    # The four constructions of the benchmark's construct_check workload.
+    "k1-1e-3": lambda: horizontal_branched(K1, 1e-3, UNIT),
+    "k2-1e-4": lambda: horizontal_branched(K2, 1e-4, UNIT),
+    "k1-1e-4": lambda: horizontal_branched(K1, 1e-4, UNIT),
+    "k2-1e-5": lambda: horizontal_branched(K2, 1e-5, UNIT),
+    "k1-vertical-0.5x2": lambda: vertical_branched_k1(K1, 1e-3, Rect(0.0, 0.0, 0.5, 2.0)),
+    "k2-theta0.3-N3": lambda: horizontal_branched(K2, 1e-4, UNIT, theta=0.3, N=3),
+    "k1-value-rotation": lambda: rotate_values(horizontal_branched(K1, 1e-3, UNIT),
+                                               rotation(0.7)),
+    "k2-offset": lambda: horizontal_branched(K2, 1e-4, Rect(0.3, -0.2, 2.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_coverage_report_matches_per_instance_oracle(name):
+    d = ORACLE_CASES[name]()
+    assert repr(coverage_check(d)) == repr(oracle_coverage_check(d))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_locator_matches_per_group_oracle(name):
+    d = ORACLE_CASES[name]()
+    dom = d.domain
+    rng = np.random.default_rng(17)
+    cloud = np.column_stack([rng.uniform(dom.x0, dom.x1, 1500),
+                             rng.uniform(dom.y0, dom.y1, 1500)])
+    pts = np.concatenate([cloud, edge_points(d, rng)])
+    assert located(PiecewiseDeformation._locate, d, pts) == located(oracle_locate, d, pts)
+    for a, b in zip(d.evaluate(pts), oracle_evaluate(d, pts)):
+        assert _same_bits(a, b)
+    try:
+        hess = d.second_gradient(cloud)
+    except BoundaryPointError:
+        with pytest.raises(BoundaryPointError):
+            oracle_second_gradient(d, cloud)
+    else:
+        assert _same_bits(hess, oracle_second_gradient(d, cloud))
+
+
+def test_locator_slab_covers_rounding_far_from_origin():
+    # At x ~ 1e5 one ulp (1.5e-11) exceeds the geometric tolerance (1e-11):
+    # the slab must still hand every group the points its in-x test accepts,
+    # here the floats within four ulps of every group's left and right edge.
+    d = horizontal_branched(K2, 1e-3, Rect(1e5, -3e4, 1.0, 1.0))
+    pts = []
+    for part in d.parts:
+        Q, b, _, _ = part.folded()
+        for g in part.groups:
+            for x in (g.x0, g.x0 + g.proto.width):
+                xs = x + np.arange(-4, 5) * np.spacing(x)
+                base = np.column_stack([xs, np.full_like(xs, g.y0 + 0.37 * g.dy)])
+                pts.extend((base - b) @ np.linalg.inv(Q).T)
+    pts = np.array(pts)
+    pts = pts[d.domain.contains(pts)]
+    assert located(PiecewiseDeformation._locate, d, pts) == located(oracle_locate, d, pts)

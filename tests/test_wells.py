@@ -31,6 +31,19 @@ def test_well_matrices_match_case_definitions():
     np.testing.assert_allclose(B, np.diag([1.0, 1.2]))
 
 
+def test_well_matrices_memoized_and_read_only():
+    spec = WellSpec(CASE_K1, 0.3)
+    A, B = well_matrices(spec)
+    assert well_matrices(WellSpec(CASE_K1, 0.3)) is well_matrices(spec)
+    # Bit-identical to freshly built matrices.
+    assert A.tobytes() == mat2(1.0, -0.3, 0.0, 1.0).tobytes()
+    assert B.tobytes() == mat2(1.0, 0.3, 0.0, 1.0).tobytes()
+    for m in (A, B):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 2.0
+    assert A[0, 0] == 1.0
+
+
 def test_well_matrices_degenerate_strain_limit():
     A, B = well_matrices(WellSpec(CASE_K2, 1e-12))
     assert np.abs(A - np.eye(2)).max() <= 2e-12
