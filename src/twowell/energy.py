@@ -12,7 +12,10 @@ are refined adaptively by comparing Gauss rules of order p and 2p.  All
 congruent cells (translated copies of one prototype under the same
 conjugation) share a single quadrature, multiplied by the instance count.
 
-Every prototype of one term is refined in the same waves.  The branched
+Every prototype of one term is refined in the same waves, across all the
+deformations of one :func:`total_energies` call: the candidates of
+``best_construction`` share their piece shapes, and at equal cell sizes
+their prototypes, which are then integrated once.  The branched
 constructions repeat one five-piece cell with rescaled (ell, h), so their
 prototypes fall into a few *shapes*: each family declares its discrete
 fields (class, piece index, ramp kind, conjugation matrices) and its float
@@ -37,7 +40,7 @@ from .piecewise import CellProto, PiecewiseDeformation, Transform, _push_gradien
 from .wells import WellSpec, well_matrices
 
 __all__ = ["QuadratureSpec", "EnergyBreakdown", "elastic_energy", "tv_bulk",
-           "tv_jump", "total_energy"]
+           "tv_jump", "total_energy", "total_energies"]
 
 
 @dataclass(frozen=True)
@@ -97,12 +100,6 @@ _NOISE_FLOOR = 1e-12
 # Integrand points per batched call (coarse and fine nodes together); caps
 # the transient memory of one wave however many panels it refines.
 _MAX_POINTS = 1 << 12
-
-
-class _Accumulator:
-    def __init__(self):
-        self.error = 0.0
-        self.warnings: list[str] = []
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +186,7 @@ def _sums_by_owner(values: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
 
 
 def _integrate(wave_values, roots: np.ndarray, order: int, measures: np.ndarray,
-               quad: QuadratureSpec, acc: _Accumulator, what: str):
+               quad: QuadratureSpec):
     """Adaptive Gauss integrals over the boxes ``roots``, an (n, 2d) array
     with one row of (lo, hi) pairs per axis for each of n prototypes.
 
@@ -202,13 +199,16 @@ def _integrate(wave_values, roots: np.ndarray, order: int, measures: np.ndarray,
     ordered with axis 0 fastest, stacked child-pattern-major, so each
     prototype's panels keep the order of a refinement of its own).
     ``measures`` scales the absolute noise floor.  Returns each prototype's
-    total and its error estimate, the sum of ``|fine - coarse|`` over its
-    accepted panels.
+    total, its error estimate (the sum of ``|fine - coarse|`` over its
+    accepted panels) and whether it hit the depth limit: panels still above
+    tolerance at ``max_refinement_depth`` whose errors sum to more than ten
+    times its tolerance.
     """
     rules = (_gauss(order), _gauss(2 * order))
     root_size = np.prod(roots[:, 1::2] - roots[:, 0::2], axis=1)
     n = len(roots)
     totals, errors = np.zeros(n), np.zeros(n)
+    hit = np.zeros(n, dtype=bool)
     panels, owner = roots, np.arange(n)
     depth = 0
     while True:
@@ -223,14 +223,13 @@ def _integrate(wave_values, roots: np.ndarray, order: int, measures: np.ndarray,
         done = err <= tol
         if depth >= quad.max_refinement_depth:
             left_over = _sums_by_owner(err[~done], owner[~done], n)
-            acc.warnings += [f"{what} quadrature hit the refinement limit"] * int(
-                np.count_nonzero(left_over > 10.0 * quad.rel_tol * scale))
+            hit = left_over > 10.0 * quad.rel_tol * scale
             done[:] = True
         totals += _sums_by_owner(fine[done], owner[done], n)
         errors += np.bincount(owner[done], err[done], minlength=n)
         rest, owner = panels[~done], owner[~done]
         if not len(rest):
-            return totals.tolist(), errors
+            return totals.tolist(), errors, hit
         lo, hi = rest[:, 0::2], rest[:, 1::2]
         mid = 0.5 * (lo + hi)
         children = []
@@ -242,7 +241,7 @@ def _integrate(wave_values, roots: np.ndarray, order: int, measures: np.ndarray,
         depth += 1
 
 
-def _integrate_cells(entries, protos, integrand, quad: QuadratureSpec, acc: _Accumulator):
+def _integrate_cells(entries, protos, integrand, quad: QuadratureSpec):
     """Integral of ``integrand(proto, runs, x, y, rep)`` over each cell
     ``protos[i]`` under a conjugation, on its graph parameterization
     ``(x, s)``.
@@ -288,10 +287,10 @@ def _integrate_cells(entries, protos, integrand, quad: QuadratureSpec, acc: _Acc
 
     roots = np.array([[0.0, proto.width, 0.0, 1.0] for proto in protos])
     measures = np.array([abs(proto.area()) for proto in protos])
-    return _integrate(wave_values, roots, p, measures, quad, acc, "cell")
+    return _integrate(wave_values, roots, p, measures, quad)
 
 
-def _integrate_lines(entries, spans, integrand, quad: QuadratureSpec, acc: _Accumulator):
+def _integrate_lines(entries, spans, integrand, quad: QuadratureSpec):
     """Integral of ``integrand(proto, t)`` over (0, span) for each table
     entry of a cell or jump prototype (its shape led by the class, which
     builds the member with (m, 1) float columns; (m, n) parameters t)."""
@@ -311,7 +310,7 @@ def _integrate_lines(entries, spans, integrand, quad: QuadratureSpec, acc: _Accu
 
     spans = np.asarray(spans, dtype=float)
     roots = np.column_stack([np.zeros_like(spans), spans])
-    return _integrate(wave_values, roots, p, spans, quad, acc, "line")
+    return _integrate(wave_values, roots, p, spans, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -319,28 +318,40 @@ def _integrate_lines(entries, spans, integrand, quad: QuadratureSpec, acc: _Accu
 # ---------------------------------------------------------------------------
 
 
-def _unique_integrals(keyed, integrate, acc: _Accumulator) -> float:
-    """``sum(count * integral)`` over ``keyed`` = [(entry, item, count)], in
-    order, integrating each distinct table entry ``(shape, row)`` once;
-    ``integrate(entries, items)`` returns one value and one error estimate
-    per item.  The errors are added to ``acc`` once per cell or curve
-    instance, as the values are to the sum."""
+def _unique_integrals(keyed, integrate, what: str) -> list[tuple[float, float, tuple]]:
+    """``(sum(count * integral), sum(count * error), warnings)`` for each
+    deformation's list ``keyed`` = [(entry, item, count)], summed in that
+    list's order.
+
+    Each distinct table entry ``(shape, row)`` of all the deformations is
+    integrated once: ``integrate(entries, items)`` returns one value, one
+    error estimate and one depth-limit flag per item.  A deformation gets
+    the ``what`` quadrature warning when one of its own entries hit the
+    limit.
+    """
     index: dict = {}
     entries, items = [], []
-    for entry, item, _ in keyed:
+    for entry, item, _ in itertools.chain.from_iterable(keyed):
         if entry not in index:
             index[entry] = len(items)
             entries.append(entry)
             items.append(item)
     if not items:
-        return 0.0
-    values, errors = integrate(entries, items)
-    errors = errors.tolist()
-    total = 0.0
-    for entry, _, count in keyed:
-        total += count * values[index[entry]]
-        acc.error += count * errors[index[entry]]
-    return total
+        return [(0.0, 0.0, ())] * len(keyed)
+    values, errors, hit = integrate(entries, items)
+    errors, hit = errors.tolist(), hit.tolist()
+    out = []
+    for own in keyed:
+        total = error = 0.0
+        warned = False
+        for entry, _, count in own:
+            i = index[entry]
+            total += count * values[i]
+            error += count * errors[i]
+            warned = warned or hit[i]
+        out.append((total, error,
+                    (f"{what} quadrature hit the refinement limit",) if warned else ()))
+    return out
 
 
 def _elastic_integrand(A, B):
@@ -362,34 +373,34 @@ def _elastic_integrand(A, B):
 def elastic_energy(def_: PiecewiseDeformation, spec: WellSpec,
                    quad: QuadratureSpec | None = None) -> float:
     """Integral of the squared well distance of the gradient."""
-    quad = quad or QuadratureSpec()
-    acc = _Accumulator()
-    return _elastic(def_, spec, quad, acc)
+    return _elastic([def_], spec, quad or QuadratureSpec())[0][0]
 
 
-def _elastic(def_, spec, quad, acc):
+def _elastic(defs, spec, quad):
     A, B = well_matrices(spec)
     keyed = []
-    for part in def_.parts:
-        conj = Transform(*part.folded(), "").entry()
-        keyed += [((g.proto.entry(), conj), g.proto, g.count) for g in part.groups]
+    for def_ in defs:
+        own = []
+        for part in def_.parts:
+            conj = Transform(*part.folded(), "").entry()
+            own += [((g.proto.entry(), conj), g.proto, g.count) for g in part.groups]
+        keyed.append(own)
     return _unique_integrals(keyed, lambda entries, protos: _integrate_cells(
-        entries, protos, _elastic_integrand(A, B), quad, acc), acc)
+        entries, protos, _elastic_integrand(A, B), quad), "cell")
 
 
 def tv_bulk(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> float:
     """Absolutely continuous part of |D^2 u|: cell integrals of the
     Frobenius norm of the second gradient (invariant under the isometric
     transform stacks)."""
-    quad = quad or QuadratureSpec()
-    acc = _Accumulator()
-    return _tv_bulk(def_, quad, acc)
+    return _tv_bulk([def_], quad or QuadratureSpec())[0][0]
 
 
-def _tv_bulk(def_, quad, acc):
-    keyed = [(g.proto.entry(), g.proto, g.count) for part in def_.parts for g in part.groups]
+def _tv_bulk(defs, quad):
+    keyed = [[(g.proto.entry(), g.proto, g.count) for part in def_.parts for g in part.groups]
+             for def_ in defs]
     return _unique_integrals(keyed, lambda entries, protos: _integrate_lines(
-        entries, [p.width for p in protos], _tv_bulk_integrand, quad, acc), acc)
+        entries, [p.width for p in protos], _tv_bulk_integrand, quad), "line")
 
 
 def _tv_bulk_integrand(proto, x):
@@ -434,9 +445,7 @@ def _column_tv(A, B, R2, lo, hi):
 def tv_jump(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> float:
     """Jump part of |D^2 u|: arclength integrals of |Du+ - Du-| over the
     jump curves."""
-    quad = quad or QuadratureSpec()
-    acc = _Accumulator()
-    return _tv_jump(def_, quad, acc)
+    return _tv_jump([def_], quad or QuadratureSpec())[0][0]
 
 
 def _tv_jump_integrand(proto, t):
@@ -447,22 +456,35 @@ def _tv_jump_integrand(proto, t):
     return norm * proto.weight(t)
 
 
-def _tv_jump(def_, quad, acc):
-    keyed = [(jg.proto.entry(), jg.proto, jg.count) for part in def_.parts for jg in part.jumps]
+def _tv_jump(defs, quad):
+    keyed = [[(jg.proto.entry(), jg.proto, jg.count) for part in def_.parts for jg in part.jumps]
+             for def_ in defs]
     return _unique_integrals(keyed, lambda entries, protos: _integrate_lines(
-        entries, [p.length_param() for p in protos], _tv_jump_integrand, quad, acc), acc)
+        entries, [p.length_param() for p in protos], _tv_jump_integrand, quad), "line")
+
+
+def total_energies(defs: list[PiecewiseDeformation], spec: WellSpec, epsilon: float,
+                   quad: QuadratureSpec | None = None) -> list[EnergyBreakdown]:
+    """Breakdown ``elastic + epsilon (tv_bulk + tv_jump)`` of each deformation.
+
+    Each term integrates the distinct cells or jump curves of all the
+    deformations in one refinement loop, so an entry they share is
+    integrated once; every breakdown, its error estimate and its warnings
+    included, is the one its deformation gets on its own.
+    """
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    quad = quad or QuadratureSpec()
+    out = []
+    for (elastic, e_err, e_warn), (bulk, b_err, b_warn), (jump, j_err, j_warn) in zip(
+            _elastic(defs, spec, quad), _tv_bulk(defs, quad), _tv_jump(defs, quad)):
+        out.append(EnergyBreakdown.combine(elastic, bulk, jump, epsilon,
+                                           e_err + epsilon * (b_err + j_err),
+                                           sorted({*e_warn, *b_warn, *j_warn})))
+    return out
 
 
 def total_energy(def_: PiecewiseDeformation, spec: WellSpec, epsilon: float,
                  quad: QuadratureSpec | None = None) -> EnergyBreakdown:
     """Full breakdown ``elastic + epsilon (tv_bulk + tv_jump)``."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    quad = quad or QuadratureSpec()
-    accs = [_Accumulator() for _ in range(3)]
-    elastic = _elastic(def_, spec, quad, accs[0])
-    bulk = _tv_bulk(def_, quad, accs[1])
-    jump = _tv_jump(def_, quad, accs[2])
-    error = accs[0].error + epsilon * (accs[1].error + accs[2].error)
-    warnings = sorted({w for acc in accs for w in acc.warnings})
-    return EnergyBreakdown.combine(elastic, bulk, jump, epsilon, error, warnings)
+    return total_energies([def_], spec, epsilon, quad)[0]

@@ -508,7 +508,7 @@ def best_construction(spec: WellSpec, epsilon: float, L: float, H: float,
     Returns ``(deformation, breakdown, label)`` for the minimum measured
     total energy.
     """
-    from .energy import total_energy
+    from .energy import total_energies
 
     domain = Rect(0.0, 0.0, L, H)
     candidates = [identity_deformation(domain)]
@@ -518,8 +518,7 @@ def best_construction(spec: WellSpec, epsilon: float, L: float, H: float,
         candidates.append(vertical_branched_k1(spec, epsilon, domain, theta=theta,
                                                gamma_kind=gamma_kind))
     best = None
-    for cand in candidates:
-        breakdown = total_energy(cand, spec, epsilon, quad)
+    for cand, breakdown in zip(candidates, total_energies(candidates, spec, epsilon, quad)):
         if best is None or breakdown.total < best[1].total:
             best = (cand, breakdown, cand.meta.get("label", "unknown"))
     return best

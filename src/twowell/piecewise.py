@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .families import AffineDisp, K2CellPiece, ScalarProfilePiece, _MapBase, _pack_grad
-from .profiles import step_profile
+from .profiles import step_slope, step_value
 
 __all__ = [
     "Rect",
@@ -131,12 +131,11 @@ class LocalCurve:
     kind: str = "quintic"
 
     def value(self, x):
-        g, _, _, _ = step_profile(self.kind)(np.asarray(x, dtype=float) / self.width)
-        return self.c0 + self.c1 * g
+        return self.c0 + self.c1 * step_value(self.kind, np.asarray(x, dtype=float) / self.width)
 
     def slope(self, x):
-        _, d1, _, _ = step_profile(self.kind)(np.asarray(x, dtype=float) / self.width)
-        return self.c1 * d1 / self.width
+        t = np.asarray(x, dtype=float) / self.width
+        return self.c1 * step_slope(self.kind, t) / self.width
 
     def integral(self) -> float:
         # Both ramp kinds integrate to 1/2 over [0, 1].

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sawtooth", "smooth_step", "linear_step", "step_profile"]
+__all__ = ["sawtooth", "smooth_step", "linear_step", "step_profile", "step_value",
+           "step_slope"]
 
 
 def sawtooth(h: float, t):
@@ -36,11 +37,17 @@ def smooth_step(t):
     derivatives vanish at t = 0 and t = 1.
     """
     t = np.asarray(t, dtype=float)
-    g = ((6.0 * t - 15.0) * t + 10.0) * t * t * t
-    d1 = ((30.0 * t - 60.0) * t + 30.0) * t * t
     d2 = ((120.0 * t - 180.0) * t + 60.0) * t
     d3 = (360.0 * t - 360.0) * t + 60.0
-    return g, d1, d2, d3
+    return _quintic(t), _quintic_slope(t), d2, d3
+
+
+def _quintic(t):
+    return ((6.0 * t - 15.0) * t + 10.0) * t * t * t
+
+
+def _quintic_slope(t):
+    return ((30.0 * t - 60.0) * t + 30.0) * t * t
 
 
 def linear_step(t):
@@ -58,3 +65,15 @@ def step_profile(kind: str):
     if kind == "linear":
         return linear_step
     raise ValueError(f"unknown ramp kind {kind!r}")
+
+
+def step_value(kind: str, t):
+    """The ramp value g alone, as :func:`step_profile` computes it."""
+    t = np.asarray(t, dtype=float)
+    return _quintic(t) if step_profile(kind) is smooth_step else t
+
+
+def step_slope(kind: str, t):
+    """The ramp slope g' alone, as :func:`step_profile` computes it."""
+    t = np.asarray(t, dtype=float)
+    return _quintic_slope(t) if step_profile(kind) is smooth_step else np.ones_like(t)

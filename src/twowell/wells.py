@@ -120,6 +120,12 @@ def well_matrices(spec: WellSpec) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
+@lru_cache(maxsize=256)
+def _squared_norms(spec: WellSpec) -> tuple:
+    """``|A|^2`` and ``|B|^2`` of :func:`well_matrices`, memoized per spec."""
+    return tuple(np.sum(G * G) for G in well_matrices(spec))
+
+
 class OrbitDistance(NamedTuple):
     distance: float
     angle: float
@@ -139,11 +145,16 @@ def dist_to_rotated_well(F: np.ndarray, G: np.ndarray) -> OrbitDistance:
     When the trace vector ``(M11+M22, M21-M12)`` vanishes every rotation is
     equally close; the angle is then reported as 0 and flagged degenerate.
     """
+    return _orbit_distance(F, G, np.sum(F * F), np.sum(G * G))
+
+
+def _orbit_distance(F, G, f2, g2) -> OrbitDistance:
+    """:func:`dist_to_rotated_well` given ``f2 = |F|^2`` and ``g2 = |G|^2``."""
     M = F @ G.T
     p = M[0, 0] + M[1, 1]
     q = M[1, 0] - M[0, 1]
     r = math.hypot(p, q)
-    d2 = float(np.sum(F * F) + np.sum(G * G)) - 2.0 * r
+    d2 = float(f2 + g2) - 2.0 * r
     d2 = max(d2, 0.0)
     if r == 0.0:
         return OrbitDistance(math.sqrt(d2), 0.0, True)
@@ -200,9 +211,11 @@ def dist_to_wells(F: np.ndarray, spec: WellSpec) -> WellDistanceResult:
     mathematical ties (e.g. the identity in case k2) report well A.
     """
     A, B = well_matrices(spec)
-    da = dist_to_rotated_well(F, A)
-    db = dist_to_rotated_well(F, B)
-    scale = float(np.sum(F * F) + max(np.sum(A * A), np.sum(B * B)))
+    a2, b2 = _squared_norms(spec)
+    f2 = np.sum(F * F)
+    da = _orbit_distance(F, A, f2, a2)
+    db = _orbit_distance(F, B, f2, b2)
+    scale = float(f2 + max(a2, b2))
     tie = abs(da.distance ** 2 - db.distance ** 2) <= 64.0 * np.finfo(float).eps * scale
     if tie or da.distance <= db.distance:
         return WellDistanceResult(da.distance, "A", da.angle, da.degenerate)

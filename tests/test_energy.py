@@ -8,12 +8,12 @@ from twowell import energy, kernels
 from twowell.energy import (
     EnergyBreakdown,
     QuadratureSpec,
-    _Accumulator,
     _column_tv,
     _gauss,
     _integrate_lines,
     _tv_bulk_integrand,
     elastic_energy,
+    total_energies,
     total_energy,
     tv_bulk,
     tv_jump,
@@ -57,7 +57,7 @@ def push_forward(CL, du, Q):
     return F
 
 
-def _oracle_integrate(wave_values, root, order, measure, quad, acc, what):
+def _oracle_integrate(wave_values, root, order, measure, quad, warnings, what):
     xs1, ws1 = _gauss(order)
     xs2, ws2 = _gauss(2 * order)
     root_size = float(np.prod(root[:, 1::2] - root[:, 0::2]))
@@ -77,7 +77,7 @@ def _oracle_integrate(wave_values, root, order, measure, quad, acc, what):
         if depth >= quad.max_refinement_depth:
             left_over = float(np.sum(err[~done]))
             if left_over > 10.0 * quad.rel_tol * scale:
-                acc.warnings.append(f"{what} quadrature hit the refinement limit")
+                warnings.append(f"{what} quadrature hit the refinement limit")
             done = np.ones_like(done)
         total += float(np.sum(fine[done]))
         rest = panels[~done]
@@ -94,7 +94,7 @@ def _oracle_integrate(wave_values, root, order, measure, quad, acc, what):
         depth += 1
 
 
-def _oracle_cell(proto, integrand, quad, acc):
+def _oracle_cell(proto, integrand, quad, warnings):
     """Integral of ``integrand(x, y)`` (flat point arrays) over one cell."""
     def wave_values(panels, xs, ws):
         ax, bx, as_, bs = panels.T
@@ -109,10 +109,10 @@ def _oracle_cell(proto, integrand, quad, acc):
                          vals * (hi - lo)[:, :, None])
 
     return _oracle_integrate(wave_values, np.array([[0.0, proto.width, 0.0, 1.0]]),
-                             quad.base_order, abs(proto.area()), quad, acc, "cell")
+                             quad.base_order, abs(proto.area()), quad, warnings, "cell")
 
 
-def _oracle_line(span, integrand, quad, acc):
+def _oracle_line(span, integrand, quad, warnings):
     def wave_values(ab, xs, ws):
         a, b = ab.T
         t = a[:, None] + (b - a)[:, None] * xs
@@ -120,10 +120,10 @@ def _oracle_line(span, integrand, quad, acc):
         return np.einsum("mi,mi->m", ws * (b - a)[:, None], vals)
 
     return _oracle_integrate(wave_values, np.array([[0.0, span]]), max(quad.line_points, 2),
-                             span, quad, acc, "line")
+                             span, quad, warnings, "line")
 
 
-def _oracle_tv_bulk_cell(proto, quad, acc):
+def _oracle_tv_bulk_cell(proto, quad, warnings):
     if not any(np.any(v) for v in proto.map.hess_profile(np.linspace(0.0, proto.width, 17))):
         return 0.0
 
@@ -131,13 +131,13 @@ def _oracle_tv_bulk_cell(proto, quad, acc):
         A, B, R2 = proto.map.hess_profile(x)
         return _column_tv(A, B, R2, proto.lower.value(x), proto.upper.value(x))
 
-    return _oracle_line(proto.width, integrand, quad, acc)
+    return _oracle_line(proto.width, integrand, quad, warnings)
 
 
 def _oracle_terms(def_, spec, quad=None):
     """(elastic, tv_bulk, tv_jump, sorted warnings) by the per-prototype loop."""
     quad = quad or QuadratureSpec()
-    acc = _Accumulator()
+    warnings: list[str] = []
     A, B = well_matrices(spec)
     elastic = bulk = jump = 0.0
     cache: dict = {}
@@ -149,13 +149,13 @@ def _oracle_terms(def_, spec, quad=None):
                 def integrand(x, y, proto=g.proto, CL=CL, Q=Q):
                     F = push_forward(CL, np.eye(2) + proto.map.grad(x, y), Q)
                     return kernels.dist2_two_wells(F, A, B)[0]
-                cache[key] = _oracle_cell(g.proto, integrand, quad, acc)
+                cache[key] = _oracle_cell(g.proto, integrand, quad, warnings)
             elastic += g.count * cache[key]
     for part in def_.parts:
         for g in part.groups:
             key = ("bulk", g.proto.entry())
             if key not in cache:
-                cache[key] = _oracle_tv_bulk_cell(g.proto, quad, acc)
+                cache[key] = _oracle_tv_bulk_cell(g.proto, quad, warnings)
             bulk += g.count * cache[key]
     for part in def_.parts:
         for jg in part.jumps:
@@ -169,15 +169,16 @@ def _oracle_terms(def_, spec, quad=None):
                     diff = s2.grad(jx, jy) - s1.grad(jx, jy)
                     return np.sqrt(np.einsum("nij,nij->n", diff, diff)) * proto.weight(t)
 
-                cache[key] = _oracle_line(proto.length_param(), integrand, quad, acc)
+                cache[key] = _oracle_line(proto.length_param(), integrand, quad, warnings)
             jump += jg.count * cache[key]
-    return elastic, bulk, jump, tuple(sorted(set(acc.warnings)))
+    return elastic, bulk, jump, tuple(sorted(set(warnings)))
 
 
-def _tv_bulk_cells(protos, quad, acc):
-    """Batched bulk-TV integrals of ``protos``, as ``energy._tv_bulk`` runs them."""
+def _tv_bulk_cells(protos, quad):
+    """Batched bulk-TV integrals of ``protos``, as ``energy._tv_bulk`` runs them:
+    values, error estimates and depth-limit flags."""
     return _integrate_lines([p.entry() for p in protos], [p.width for p in protos],
-                            _tv_bulk_integrand, quad, acc)
+                            _tv_bulk_integrand, quad)
 
 
 def test_identity_energies_closed_form():
@@ -411,6 +412,38 @@ def test_batched_quadrature_matches_per_prototype_oracle(d, spec, eps):
     assert (b.elastic, b.tv_bulk, b.tv_jump, b.warnings) == (elastic, bulk, jump, warnings)
 
 
+# A coarse rule at depth 1: both branched k1 candidates hit the limit in
+# cells and on lines at eps = 1e-3 on the unit square, the identity does not.
+_COARSE = QuadratureSpec(max_refinement_depth=1, rel_tol=1e-12, base_order=2, line_points=2)
+
+
+def _candidate_cases():
+    k1, k2 = WellSpec(CASE_K1, 0.1), WellSpec(CASE_K2, 0.2)
+    cases = [(f"{spec.case}-aspect-{aspect}", spec, 1e-4,
+              Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect)), {}, None)
+             for spec in (k1, k2) for aspect in (0.25, 1.0, 4.0)]
+    cases += [("k1-offset", k1, 1e-5, Rect(0.3, -0.2, 2.0, 0.5), {}, None),
+              ("k2-offset", k2, 1e-5, Rect(0.3, -0.2, 2.0, 0.5), {}, None),
+              ("k1-theta", k1, 1e-4, Rect(0.0, 0.0, 1.0, 1.0), {"theta": 0.3}, None),
+              ("k1-coarse", k1, 1e-3, Rect(0.0, 0.0, 1.0, 1.0), {}, _COARSE)]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("spec,eps,dom,kw,quad", _candidate_cases())
+def test_total_energies_match_one_deformation_at_a_time(spec, eps, dom, kw, quad):
+    # The candidates of best_construction; at aspect 1 the horizontal and
+    # the vertical k1 constructions share prototypes.
+    cands = [identity_deformation(dom), horizontal_branched(spec, eps, dom, **kw)]
+    if spec.case == CASE_K1:
+        cands.append(vertical_branched_k1(spec, eps, dom, **kw))
+    merged = total_energies(cands, spec, eps, quad)
+    assert [repr(b) for b in merged] == [repr(total_energy(c, spec, eps, quad)) for c in cands]
+    if quad is _COARSE:
+        assert [b.warnings for b in merged] == [()] + 2 * [(
+            "cell quadrature hit the refinement limit",
+            "line quadrature hit the refinement limit")]
+
+
 # repr of (elastic, tv_bulk, tv_jump, error_estimate) at four points of
 # perfbench's ratio_grid sample, as computed before the prototypes became
 # parameter tables.  The oracle above shares the displacement families with
@@ -470,15 +503,14 @@ def test_one_prototype_at_the_depth_limit_leaves_the_batch_alone():
                                 k1_cell((0.0, 0.0), 0.5, 0.25, 0.2))
               for g in d.parts[0].groups]
     quad = QuadratureSpec(max_refinement_depth=4)
-    acc = _Accumulator()
-    batched, _ = _tv_bulk_cells(protos, quad, acc)
+    batched, _, hit = _tv_bulk_cells(protos, quad)
     warned = []
     for i, proto in enumerate(protos):
-        one = _Accumulator()
+        one = []
         assert batched[i] == _oracle_tv_bulk_cell(proto, quad, one), proto.map.key()
-        warned += [i] * len(one.warnings)
+        warned += [i] * len(one)
     assert warned == [2]
-    assert acc.warnings == ["line quadrature hit the refinement limit"]
+    assert np.flatnonzero(hit).tolist() == [2]
 
 
 def _hess_norm_integrand(proto):
@@ -527,6 +559,6 @@ def test_hess_profile_matches_full_hessian():
                       axis=-1) / (2.0 * step)
         np.testing.assert_allclose(fd, hess, rtol=0.0, atol=1e-6 * np.abs(hess).max() + 1e-12)
 
-        column = _tv_bulk_cells([proto], QuadratureSpec(), _Accumulator())[0][0]
-        oracle = _oracle_cell(proto, _hess_norm_integrand(proto), oracle_quad, _Accumulator())
+        column = _tv_bulk_cells([proto], QuadratureSpec())[0][0]
+        oracle = _oracle_cell(proto, _hess_norm_integrand(proto), oracle_quad, [])
         assert abs(column - oracle) <= 1e-9 * oracle, (proto.map.key(), column, oracle)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from twowell.energy import total_energy
 from twowell.microstructure import (
     assemble_branched,
     best_construction,
@@ -17,7 +18,7 @@ from twowell.microstructure import (
     sawtooth,
     vertical_branched_k1,
 )
-from twowell.piecewise import PiecewiseDeformation, Rect, coverage_check
+from twowell.piecewise import PiecewiseDeformation, Rect, coverage_check, identity_deformation
 from twowell.profiles import smooth_step
 from twowell.wells import CASE_K1, CASE_K2, WellSpec, dist_to_wells
 
@@ -198,6 +199,32 @@ def test_best_construction_selection():
     assert label == "branched-horizontal"
     _, _, label = best_construction(spec1, 1e-6, 0.05, 1.0)
     assert label == "branched-vertical"
+
+
+def _best_construction_oracle(spec, eps, L, H):
+    """One ``total_energy`` per candidate, the cheapest kept (first on ties)."""
+    dom = Rect(0.0, 0.0, L, H)
+    cands = [identity_deformation(dom), horizontal_branched(spec, eps, dom)]
+    if spec.case == CASE_K1:
+        cands.append(vertical_branched_k1(spec, eps, dom))
+    best = None
+    for cand in cands:
+        b = total_energy(cand, spec, eps)
+        if best is None or b.total < best[1].total:
+            best = (cand.meta["label"], b)
+    return best
+
+
+@pytest.mark.parametrize("case,eps,aspect,alpha", [
+    (CASE_K1, 1e-7, 1.0, 0.1), (CASE_K1, 1e-5, 0.25, 0.2), (CASE_K1, 1e-3, 4.0, 0.05),
+    (CASE_K1, 1e-4, 2.0, 0.1), (CASE_K2, 1e-6, 1.0, 0.2), (CASE_K2, 1e-3, 0.5, 0.05),
+    (CASE_K2, 1e-7, 4.0, 0.1)])
+def test_best_construction_matches_per_candidate_loop(case, eps, aspect, alpha):
+    # Points of the acceptance grid (tests/test_acceptance.py, criterion 5).
+    spec = WellSpec(case, alpha)
+    L, H = math.sqrt(aspect), 1.0 / math.sqrt(aspect)
+    _, b, label = best_construction(spec, eps, L, H)
+    assert repr((label, b)) == repr(_best_construction_oracle(spec, eps, L, H))
 
 
 def test_coverage_property():

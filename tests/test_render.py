@@ -2,6 +2,7 @@
 loops they replaced, kept here as oracles: every comparison is on the full
 output text, so a changed byte anywhere fails."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -22,6 +23,27 @@ from twowell.render import (
 )
 from twowell.scaling import phase_diagram
 from twowell.wells import CASE_K1, CASE_K2, WellSpec, dist_to_wells
+
+
+def _assert_same_text(got, want):
+    """``assert got == want`` for long str or bytes outputs that fails fast.
+
+    On a mismatch pytest would explain the failed ``==`` by diffing both
+    texts, which takes minutes for a multi-megabyte SVG; this reports the
+    digests and the first differing offset instead.
+    """
+    if got != want:
+        n = min(len(got), len(want))
+        i = next((k for k in range(0, n, 4096) if got[k:k + 4096] != want[k:k + 4096]), n)
+        i += next((k for k, (a, b) in enumerate(zip(got[i:i + 4096], want[i:i + 4096]))
+                   if a != b), 0)
+        digests = [hashlib.sha256(t.encode() if isinstance(t, str) else t).hexdigest()[:16]
+                   for t in (got, want)]
+        pytest.fail(f"outputs differ (sha256 {digests[0]} != {digests[1]}, lengths "
+                    f"{len(got)} != {len(want)}) first at offset {i}: "
+                    f"{got[max(i - 40, 0):i + 40]!r} != {want[max(i - 40, 0):i + 40]!r}",
+                    pytrace=False)
+    assert got == want
 
 
 def _oracle_construction_svg(def_, spec, width_px=800):
@@ -153,7 +175,7 @@ def test_construction_svg_matches_per_instance_oracle(name):
     build, spec = CONSTRUCTIONS[name]
     d = build()
     svg = construction_svg(d, spec)
-    assert svg == _oracle_construction_svg(d, spec)
+    _assert_same_text(svg, _oracle_construction_svg(d, spec))
     n_cells = sum(g.count for p in d.parts for g in p.groups)
     n_jumps = sum(j.count for p in d.parts for j in p.jumps)
     assert svg.count("<polygon") == n_cells and svg.count("<polyline") == n_jumps
@@ -186,7 +208,7 @@ def test_construction_svg_property():
         dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
         build = vertical_branched_k1 if vertical and case == CASE_K1 else horizontal_branched
         d = _first_instances(build(spec, 10.0 ** log_eps, dom, theta=theta), 3)
-        assert construction_svg(d, spec) == _oracle_construction_svg(d, spec)
+        _assert_same_text(construction_svg(d, spec), _oracle_construction_svg(d, spec))
 
     check()
 
@@ -204,15 +226,15 @@ def test_phase_outputs_match_per_cell_writers(tmp_path, case, alpha, n):
             for i, ll in enumerate(pd.log10_L_over_eps)]
     header = ["case", "alpha", "log10_L_over_eps", "log10_H_over_eps", "regime",
               "bound_value"]
-    assert (tmp_path / "phase.csv").read_bytes() == _oracle_csv(header, rows)
-    assert (tmp_path / "phase.svg").read_text() == _oracle_phase_svg(pd)
+    _assert_same_text((tmp_path / "phase.csv").read_bytes(), _oracle_csv(header, rows))
+    _assert_same_text((tmp_path / "phase.svg").read_text(), _oracle_phase_svg(pd))
 
 
 def test_phase_svg_unknown_regime_falls_back_to_black():
     pd = phase_diagram(CASE_K2, 0.1, n=5)
     pd.regimes[2, 3] = "??"
     svg = phase_svg(pd)
-    assert svg == _oracle_phase_svg(pd)
+    _assert_same_text(svg, _oracle_phase_svg(pd))
     assert 'fill="#000000"' in svg
 
 
@@ -231,4 +253,4 @@ def test_energy_sweep_and_field_csv_match_per_cell_writer(tmp_path, monkeypatch)
     main(["minimize", "--mesh", "6,5", "--max-iter", "5", "--out", str(tmp_path / "m")])
     assert [p.name for p, _, _ in written] == ["energy.csv", "sweep.csv", "field.csv"]
     for path, header, rows in written:
-        assert path.read_bytes() == _oracle_csv(header, rows)
+        _assert_same_text(path.read_bytes(), _oracle_csv(header, rows))
