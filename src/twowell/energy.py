@@ -25,6 +25,18 @@ are evaluated by one integrand call on a member built from (m, 1) columns
 of that matrix.  The elastic integrand evaluates the ramp once per panel
 column of nodes, and writes F entry by entry: a signed-permutation
 conjugation (identity, mirror, swap) is a signed copy of each entry.
+
+What is exactly zero by structure is not integrated, and every value stays
+the same to the last bit, because the quadrature of an integrand that is
+0.0 at every node is 0.0 with error 0.0:
+
+* the bulk TV skips cells whose map does not bend (D^2 u = 0);
+* the elastic term writes the constant F of each distinct flat (cell,
+  conjugation) entry once, by the integrand's arithmetic, and skips the
+  entries whose well distance (one kernel call for all of them) is 0.0;
+* the jump TV skips the curves a construction marks ``smooth``, where both
+  sides have the same gradient (stack lines between cells, and stripe and
+  centre lines when the ramp has flat ends).
 """
 
 from __future__ import annotations
@@ -53,8 +65,12 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.base_order < 2:
             raise ValueError("base_order must be at least 2")
+        if self.max_refinement_depth < 0:
+            raise ValueError("max_refinement_depth must be nonnegative")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
+        if self.line_points < 2:
+            raise ValueError("line_points must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -295,7 +311,7 @@ def _integrate_lines(entries, spans, integrand, quad: QuadratureSpec):
     entry of a cell or jump prototype (its shape led by the class, which
     builds the member with (m, 1) float columns; (m, n) parameters t)."""
     table = _Table(entries)
-    p = max(quad.line_points, 2)
+    p = quad.line_points
 
     def wave_values(ab, owner, rules):
         out = np.empty((2, len(ab)))
@@ -378,15 +394,40 @@ def elastic_energy(def_: PiecewiseDeformation, spec: WellSpec,
 
 def _elastic(defs, spec, quad):
     A, B = well_matrices(spec)
-    keyed = []
+    keyed, flat = [], {}
     for def_ in defs:
         own = []
         for part in def_.parts:
-            conj = Transform(*part.folded(), "").entry()
-            own += [((g.proto.entry(), conj), g.proto, g.count) for g in part.groups]
+            t = Transform(*part.folded(), "")
+            conj = t.entry()
+            for g in part.groups:
+                entry = (g.proto.entry(), conj)
+                if not g.proto.map.bends:
+                    flat.setdefault(entry, (g.proto.map, t))
+                own.append((entry, g.proto, g.count))
         keyed.append(own)
+    in_well = _in_well(flat, A, B)
+    keyed = [[k for k in own if k[0] not in in_well] for own in keyed]
     return _unique_integrals(keyed, lambda entries, protos: _integrate_cells(
         entries, protos, _elastic_integrand(A, B), quad), "cell")
+
+
+def _in_well(flat, A, B) -> set:
+    """The entries of ``flat`` = {entry: (map, conjugation)} of cells
+    that do not bend, whose constant gradient sits exactly on a well.
+
+    Each F is written once by the integrand's arithmetic, and the kernel
+    is pointwise, so where its d2 is exactly 0.0 the integrand is 0.0 at
+    every node, and the integral and its error estimate are exactly 0.0.
+    One kernel call covers every entry.
+    """
+    if not flat:
+        return set()
+    F = np.empty((len(flat), 2, 2))
+    for out, (map_, t) in zip(F, flat.values()):
+        _push_gradient(map_.grad_entries(None, 0.0), t, out)
+    d2, _ = kernels.dist2_two_wells(F, A, B)
+    return {entry for entry, zero in zip(flat, (d2 == 0.0).tolist()) if zero}
 
 
 def tv_bulk(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> float:
@@ -397,8 +438,9 @@ def tv_bulk(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> f
 
 
 def _tv_bulk(defs, quad):
-    keyed = [[(g.proto.entry(), g.proto, g.count) for part in def_.parts for g in part.groups]
-             for def_ in defs]
+    # A map that does not bend has D^2 u = 0: its column integral is 0.0.
+    keyed = [[(g.proto.entry(), g.proto, g.count) for part in def_.parts
+              for g in part.groups if g.proto.map.bends] for def_ in defs]
     return _unique_integrals(keyed, lambda entries, protos: _integrate_lines(
         entries, [p.width for p in protos], _tv_bulk_integrand, quad), "line")
 
@@ -408,8 +450,8 @@ def _tv_bulk_integrand(proto, x):
 
     All map families are affine in y at second order (``|D^2 u|^2 =
     (A(x) + B(x) y)^2 + R(x)^2``), so the y direction integrates exactly
-    and only a smooth 1D x-integral is left.  A cell without curvature
-    integrates to exactly 0.0 in one wave.
+    and only a smooth 1D x-integral is left.  :func:`_tv_bulk` passes
+    only cells whose map bends; the others have D^2 u = 0.
     """
     A, B, R2 = proto.map.hess_profile(x)
     return _column_tv(A, B, R2, proto.lower.value(x), proto.upper.value(x))
@@ -457,8 +499,9 @@ def _tv_jump_integrand(proto, t):
 
 
 def _tv_jump(defs, quad):
-    keyed = [[(jg.proto.entry(), jg.proto, jg.count) for part in def_.parts for jg in part.jumps]
-             for def_ in defs]
+    # Across a smooth curve both sides give the same gradient: the jump is 0.0.
+    keyed = [[(jg.proto.entry(), jg.proto, jg.count) for part in def_.parts
+              for jg in part.jumps if not jg.smooth] for def_ in defs]
     return _unique_integrals(keyed, lambda entries, protos: _integrate_lines(
         entries, [p.length_param() for p in protos], _tv_jump_integrand, quad), "line")
 

@@ -22,6 +22,8 @@ class _MapBase:
     A family implements ``disp``, ``grad_entries(ramp, y)`` (the entries
     ``(d1 u1, d2 u1, d1 u2, d2 u2)``, from the ramp values at the local x
     given by ``ramp(x)``, None for pieces that do not bend) and ``key``.
+    ``bends`` tells whether the map follows the ramp: one that does not has
+    a constant gradient and D^2 u = 0, and the quadrature relies on that.
     For the quadrature's tables, ``entry()`` returns its shape (the class
     and the discrete fields) and its row (the float fields), and
     ``from_row(shape, cols)`` builds a member from an iterator of (m, 1)
@@ -33,6 +35,8 @@ class _MapBase:
     (``np.power`` on arrays may take a vectorized path that rounds
     differently).
     """
+
+    bends = False
 
     def ramp(self, x):
         return None
@@ -115,8 +119,12 @@ class _Piece(_MapBase):
     def from_row(cls, shape, cols):
         return cls(*shape[1:-1], next(cols), next(cols), next(cols), shape[-1])
 
+    @property
+    def bends(self) -> bool:
+        return self.piece in self.BENT
+
     def ramp(self, x):
-        if self.piece not in self.BENT:
+        if not self.bends:
             return None
         return step_profile(self.kind)(np.asarray(x, dtype=float) / self.ell)
 
@@ -175,7 +183,7 @@ class K2CellPiece(_Piece):
     def grad_entries(self, ramp, y):
         a, h, ell = self.alpha, self.h, self.ell
         s = a * (1.0 - a)
-        if self.piece == 1 or self.piece == 5:
+        if not self.bends:
             return 0.0, 0.0, 0.0, a
         g, d1, d2, _ = ramp
         if self.piece == 3:
@@ -191,7 +199,7 @@ class K2CellPiece(_Piece):
         s = a * (1.0 - a)
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast(np.asarray(x, float), y).shape + (2, 2, 2))
-        if self.piece == 1 or self.piece == 5:
+        if not self.bends:
             return out
         g, d1, d2, d3 = self.ramp(x)
         if self.piece == 3:
@@ -210,7 +218,7 @@ class K2CellPiece(_Piece):
         s = a * (1.0 - a)
         x = np.asarray(x, dtype=float)
         zero = np.zeros_like(x)
-        if self.piece in (1, 5):
+        if not self.bends:
             return zero, zero, zero
         g, d1, d2, d3 = self.ramp(x)
         if self.piece == 3:
@@ -305,7 +313,7 @@ class ScalarProfilePiece(_Piece):
     def hess_profile(self, x):
         x = np.asarray(x, dtype=float)
         zero = np.zeros_like(x)
-        if self.piece not in (2, 4):
+        if not self.bends:
             return zero, zero, zero
         sign = 1.0 if self.piece == 2 else -1.0
         _, _, d2, _ = self.ramp(x)

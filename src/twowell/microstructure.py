@@ -37,7 +37,7 @@ from .piecewise import (
     mirror_transform,
     rotate_90,
 )
-from .profiles import sawtooth
+from .profiles import flat_ends, sawtooth
 from .wells import CASE_K1, CASE_K2, WellSpec
 
 __all__ = [
@@ -322,6 +322,10 @@ def _vertical_jump_groups(X, H, left_protos, h_left, ell_left,
     stack its left edge (local x = 0) unless a conjugation is given, in
     which case the right side is the mirrored copy of a stack whose right
     edge lies on the line (local x = right_edge_x).
+
+    Both stacks expose the same laminate on the line, so with a ramp whose
+    ends are flat (:func:`twowell.profiles.flat_ends`) the gradient is
+    continuous across it and the groups are marked ``smooth``.
     """
     tol = 1e-12 * max(h_left, h_right)
     period = max(h_left, h_right)
@@ -344,6 +348,7 @@ def _vertical_jump_groups(X, H, left_protos, h_left, ell_left,
         merged.append(period)
 
     count = int(round(H / period))
+    smooth = all(flat_ends(p.map.kind) for p in (*left_protos, *right_protos))
     groups = []
     for seg_lo, seg_hi in zip(merged[:-1], merged[1:]):
         mid = 0.5 * (seg_lo + seg_hi)
@@ -355,14 +360,17 @@ def _vertical_jump_groups(X, H, left_protos, h_left, ell_left,
             right=SideRef(rp.map, redge, seg_lo - r_anchor, conj=right_conj),
             tag=tag,
         )
-        groups.append(JumpGroup(proto, X, seg_lo, period, count))
+        groups.append(JumpGroup(proto, X, seg_lo, period, count, smooth))
     return groups
 
 
 def _cell_stack(map_family, curves, ell, h, alpha, kind, x0, y0, count, groups, jumps):
     """Append the groups of ``count`` cells stacked with period h from (x0, y0),
     their internal jumps and the interfaces between consecutive cells.
-    Returns the five prototypes."""
+    Returns the five prototypes.
+
+    Piece 5 of one cell meets piece 1 of the next on the same laminate
+    gradient, so the interfaces between cells are ``smooth``."""
     protos, jump_protos = _cell_protos(map_family, curves, ell, h, alpha, kind)
     groups.extend(CellGroup(p, x0, y0, h, count) for p in protos)
     jumps.extend(JumpGroup(j, x0, y0, h, count) for j in jump_protos)
@@ -371,7 +379,7 @@ def _cell_stack(map_family, curves, ell, h, alpha, kind, x0, y0, count, groups, 
         jumps.append(JumpGroup(
             GraphJump(line, SideRef(protos[4].map, 0.0, h), SideRef(protos[0].map, 0.0, 0.0),
                       f"{protos[0].map.tag()}-line"),
-            x0, y0 + h, h, count - 1))
+            x0, y0 + h, h, count - 1, smooth=True))
     return protos
 
 

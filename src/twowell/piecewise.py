@@ -425,11 +425,21 @@ class VerticalJump:
 
 @dataclass(frozen=True)
 class JumpGroup(_Stacked):
+    """A jump curve prototype instantiated at anchors (x0, y0 + k dy), k < count.
+
+    ``smooth`` marks curves across which the construction joins its pieces
+    with a continuous gradient, so that both sides' gradients are the same
+    floats and the jump integrand is exactly 0.0.  The jump part of the
+    total variation skips them; the renderer, the manifest and
+    :func:`coverage_check` treat them like any other curve.
+    """
+
     proto: GraphJump | VerticalJump
     x0: float
     y0: float
     dy: float
     count: int
+    smooth: bool = False
 
     def sides(self):
         return self.proto.sides()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["sawtooth", "smooth_step", "linear_step", "step_profile", "step_value",
-           "step_slope"]
+           "step_slope", "flat_ends"]
 
 
 def sawtooth(h: float, t):
@@ -65,6 +65,16 @@ def step_profile(kind: str):
     if kind == "linear":
         return linear_step
     raise ValueError(f"unknown ramp kind {kind!r}")
+
+
+def flat_ends(kind: str) -> bool:
+    """Whether g' and g'' of the ramp ``kind`` vanish at t = 0 and t = 1.
+
+    Then a piece following the ramp has the gradient of its flat neighbours
+    on the vertical edges of its cell, and cells that expose the same
+    laminate there join with a continuous gradient.
+    """
+    return step_profile(kind) is smooth_step
 
 
 def step_value(kind: str, t):

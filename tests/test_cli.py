@@ -43,7 +43,8 @@ def test_config_bad_values(tmp_path):
     cfg.write_text("gamma = linear\ncase = k2\n")
     assert main(["energy", "--config", str(cfg)]) == 2
     for text in ("quad_base_order = 1\n", "quad_rel_tol = 0\n", "phase_n = 1\n",
-                 "epsilons = 1e-6, 0, 1e-4, 1e-3\n", "mesh = 1,8\n", "theta = 0.6\n"):
+                 "epsilons = 1e-6, 0, 1e-4, 1e-3\n", "mesh = 1,8\n", "theta = 0.6\n",
+                 "quad_line_points = 1\n", "quad_max_depth = -2\n"):
         cfg.write_text(text)
         assert main(["sweep", "--config", str(cfg)]) == 2, text
     for argv in (["minimize", "--mesh", "8"], ["minimize", "--mesh", "a,b"],

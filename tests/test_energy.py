@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from twowell import energy, kernels
+from twowell import _kernels_np, energy, kernels
 from twowell.energy import (
     EnergyBreakdown,
     QuadratureSpec,
@@ -32,6 +32,8 @@ from twowell.microstructure import (
 from twowell.piecewise import (
     PiecewiseDeformation,
     Rect,
+    VerticalJump,
+    gradient_jump,
     identity_deformation,
     mirror_x,
     rotate_values,
@@ -58,10 +60,11 @@ def push_forward(CL, du, Q):
 
 
 def _oracle_integrate(wave_values, root, order, measure, quad, warnings, what):
+    """(integral, error estimate) of one prototype."""
     xs1, ws1 = _gauss(order)
     xs2, ws2 = _gauss(2 * order)
     root_size = float(np.prod(root[:, 1::2] - root[:, 0::2]))
-    total = 0.0
+    total = error = 0.0
     panels = root
     depth = 0
     while True:
@@ -80,9 +83,10 @@ def _oracle_integrate(wave_values, root, order, measure, quad, warnings, what):
                 warnings.append(f"{what} quadrature hit the refinement limit")
             done = np.ones_like(done)
         total += float(np.sum(fine[done]))
+        error += float(np.sum(err[done]))
         rest = panels[~done]
         if not len(rest):
-            return total
+            return total, error
         lo, hi = rest[:, 0::2], rest[:, 1::2]
         mid = 0.5 * (lo + hi)
         children = []
@@ -95,7 +99,7 @@ def _oracle_integrate(wave_values, root, order, measure, quad, warnings, what):
 
 
 def _oracle_cell(proto, integrand, quad, warnings):
-    """Integral of ``integrand(x, y)`` (flat point arrays) over one cell."""
+    """(integral, error) of ``integrand(x, y)`` (flat point arrays) over one cell."""
     def wave_values(panels, xs, ws):
         ax, bx, as_, bs = panels.T
         x = ax[:, None] + (bx - ax)[:, None] * xs
@@ -119,14 +123,11 @@ def _oracle_line(span, integrand, quad, warnings):
         vals = integrand(t.ravel()).reshape(t.shape)
         return np.einsum("mi,mi->m", ws * (b - a)[:, None], vals)
 
-    return _oracle_integrate(wave_values, np.array([[0.0, span]]), max(quad.line_points, 2),
+    return _oracle_integrate(wave_values, np.array([[0.0, span]]), quad.line_points,
                              span, quad, warnings, "line")
 
 
 def _oracle_tv_bulk_cell(proto, quad, warnings):
-    if not any(np.any(v) for v in proto.map.hess_profile(np.linspace(0.0, proto.width, 17))):
-        return 0.0
-
     def integrand(x):
         A, B, R2 = proto.map.hess_profile(x)
         return _column_tv(A, B, R2, proto.lower.value(x), proto.upper.value(x))
@@ -134,44 +135,52 @@ def _oracle_tv_bulk_cell(proto, quad, warnings):
     return _oracle_line(proto.width, integrand, quad, warnings)
 
 
-def _oracle_terms(def_, spec, quad=None):
-    """(elastic, tv_bulk, tv_jump, sorted warnings) by the per-prototype loop."""
-    quad = quad or QuadratureSpec()
-    warnings: list[str] = []
+def _oracle_jobs(def_, spec, quad, warnings):
+    """``(term, key, group, job)`` for every cell group (terms "elastic" and
+    "bulk") and jump group ("jump") of ``def_``, in the order the terms sum
+    them; ``key`` is the group's table entry (with the bytes of CL and Q
+    for the elastic term), and ``job()`` integrates it by the per-prototype
+    loop: (value, error).
+    Nothing is skipped: flat cells, cells in a well and smooth curves are
+    integrated like the others."""
     A, B = well_matrices(spec)
-    elastic = bulk = jump = 0.0
-    cache: dict = {}
     for part in def_.parts:
         Q, _, CL, _ = part.folded()
         for g in part.groups:
-            key = ("elastic", g.proto.entry(), CL.tobytes(), Q.tobytes())
-            if key not in cache:
-                def integrand(x, y, proto=g.proto, CL=CL, Q=Q):
-                    F = push_forward(CL, np.eye(2) + proto.map.grad(x, y), Q)
-                    return kernels.dist2_two_wells(F, A, B)[0]
-                cache[key] = _oracle_cell(g.proto, integrand, quad, warnings)
-            elastic += g.count * cache[key]
+            def integrand(x, y, proto=g.proto, CL=CL, Q=Q):
+                F = push_forward(CL, np.eye(2) + proto.map.grad(x, y), Q)
+                return kernels.dist2_two_wells(F, A, B)[0]
+            yield ("elastic", (g.proto.entry(), CL.tobytes(), Q.tobytes()), g,
+                   lambda proto=g.proto, f=integrand: _oracle_cell(proto, f, quad, warnings))
     for part in def_.parts:
         for g in part.groups:
-            key = ("bulk", g.proto.entry())
-            if key not in cache:
-                cache[key] = _oracle_tv_bulk_cell(g.proto, quad, warnings)
-            bulk += g.count * cache[key]
+            yield ("bulk", g.proto.entry(), g,
+                   lambda proto=g.proto: _oracle_tv_bulk_cell(proto, quad, warnings))
     for part in def_.parts:
         for jg in part.jumps:
             proto = jg.proto
-            key = ("jump", proto.entry())
-            if key not in cache:
-                s1, s2 = jg.sides()
+            s1, s2 = jg.sides()
 
-                def integrand(t, proto=proto, s1=s1, s2=s2):
-                    jx, jy = proto.points(t)
-                    diff = s2.grad(jx, jy) - s1.grad(jx, jy)
-                    return np.sqrt(np.einsum("nij,nij->n", diff, diff)) * proto.weight(t)
+            def integrand(t, proto=proto, s1=s1, s2=s2):
+                jx, jy = proto.points(t)
+                diff = s2.grad(jx, jy) - s1.grad(jx, jy)
+                return np.sqrt(np.einsum("nij,nij->n", diff, diff)) * proto.weight(t)
 
-                cache[key] = _oracle_line(proto.length_param(), integrand, quad, warnings)
-            jump += jg.count * cache[key]
-    return elastic, bulk, jump, tuple(sorted(set(warnings)))
+            yield ("jump", proto.entry(), jg,
+                   lambda proto=proto, f=integrand: _oracle_line(proto.length_param(), f,
+                                                                 quad, warnings))
+
+
+def _oracle_terms(def_, spec, quad=None):
+    """(elastic, tv_bulk, tv_jump, sorted warnings) by the per-prototype loop."""
+    warnings: list[str] = []
+    sums = {"elastic": 0.0, "bulk": 0.0, "jump": 0.0}
+    cache: dict = {}
+    for term, key, group, job in _oracle_jobs(def_, spec, quad or QuadratureSpec(), warnings):
+        if (term, key) not in cache:
+            cache[term, key] = job()[0]
+        sums[term] += group.count * cache[term, key]
+    return sums["elastic"], sums["bulk"], sums["jump"], tuple(sorted(set(warnings)))
 
 
 def _tv_bulk_cells(protos, quad):
@@ -462,7 +471,10 @@ _PINNED = [
 
 @pytest.mark.parametrize("point,pinned", _PINNED,
                          ids=[f"{c}-{e}-{a}-{al}-{b.__name__}" for (c, e, a, al, b), _ in _PINNED])
-def test_energies_match_pinned_values(point, pinned):
+def test_energies_match_pinned_values(point, pinned, monkeypatch):
+    # The pins are the NumPy kernel's values; the compiled twin rounds d2
+    # differently (test_backends_agree bounds the difference).
+    monkeypatch.setattr(kernels, "dist2_two_wells", _kernels_np.dist2_two_wells)
     case, eps, aspect, alpha, build = point
     spec = WellSpec(case, alpha)
     dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
@@ -507,7 +519,7 @@ def test_one_prototype_at_the_depth_limit_leaves_the_batch_alone():
     warned = []
     for i, proto in enumerate(protos):
         one = []
-        assert batched[i] == _oracle_tv_bulk_cell(proto, quad, one), proto.map.key()
+        assert batched[i] == _oracle_tv_bulk_cell(proto, quad, one)[0], proto.map.key()
         warned += [i] * len(one)
     assert warned == [2]
     assert np.flatnonzero(hit).tolist() == [2]
@@ -560,5 +572,104 @@ def test_hess_profile_matches_full_hessian():
         np.testing.assert_allclose(fd, hess, rtol=0.0, atol=1e-6 * np.abs(hess).max() + 1e-12)
 
         column = _tv_bulk_cells([proto], QuadratureSpec())[0][0]
-        oracle = _oracle_cell(proto, _hess_norm_integrand(proto), oracle_quad, [])
+        oracle = _oracle_cell(proto, _hess_norm_integrand(proto), oracle_quad, [])[0]
         assert abs(column - oracle) <= 1e-9 * oracle, (proto.map.key(), column, oracle)
+
+
+def _integrated_entries(d, spec, eps):
+    """The table entries each term of ``total_energy(d, spec, eps)`` integrates,
+    keyed as :func:`_oracle_jobs` keys them."""
+    seen = []
+    unique = energy._unique_integrals
+
+    def recording(keyed, integrate, what):
+        seen.append({entry for own in keyed for entry, _, _ in own})
+        return unique(keyed, integrate, what)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_unique_integrals", recording)
+        total_energy(d, spec, eps)
+    elastic, bulk, jump = seen
+    # The elastic term keys (cell, Transform.entry()); the oracle its matrices.
+    elastic = {(cell, np.array(cl).tobytes(), np.array(q).tobytes())
+               for cell, ((cl, q), _) in elastic}
+    return {"elastic": elastic, "bulk": bulk, "jump": jump}
+
+
+def test_skipped_entries_are_exact_zeros():
+    # Every entry the quadrature skips (flat cells in the bulk TV, flat
+    # cells in a well, smooth curves) integrates to exactly 0.0 with zero
+    # error under the per-prototype oracle, and the gradient is exactly
+    # continuous across every smooth curve.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    quad = QuadratureSpec()
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(case=st.sampled_from([CASE_K1, CASE_K2]),
+                      vertical=st.booleans(), linear=st.booleans(), rotate=st.booleans(),
+                      alpha=st.floats(0.05, 0.45),
+                      log_eps=st.floats(-6.0, -2.0),
+                      log_aspect=st.floats(math.log(0.25), math.log(4.0)),
+                      theta=st.floats(0.26, 0.4, exclude_min=True, exclude_max=True))
+    def check(case, vertical, linear, rotate, alpha, log_eps, log_aspect, theta):
+        spec, eps, aspect = WellSpec(case, alpha), 10.0 ** log_eps, math.exp(log_aspect)
+        dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
+        k1 = case == CASE_K1
+        build = vertical_branched_k1 if vertical and k1 else horizontal_branched
+        kind = "linear" if linear and k1 else "quintic"
+        d = build(spec, eps, dom, theta=theta, gamma_kind=kind)
+        if rotate:
+            d = rotate_values(d, rotation(1.0 + alpha))
+        integrated = _integrated_entries(d, spec, eps)
+        skipped, seams = {}, 0.0
+        for term, key, group, job in _oracle_jobs(d, spec, quad, []):
+            if key not in integrated[term] and (term, key) not in skipped:
+                skipped[term, key] = job()
+            if term == "jump" and isinstance(group.proto, VerticalJump):
+                assert group.smooth == (kind == "quintic")
+                if kind == "linear":
+                    seams += group.count * job()[0]
+        terms = {term for term, _ in skipped}
+        assert {"bulk", "jump"} <= terms
+        # The swap puts the k1 laminate off the wells by O(alpha^2), and a
+        # value rotation rounds the flat gradients off them.
+        assert rotate or vertical and k1 or "elastic" in terms
+        assert set(skipped.values()) == {(0.0, 0.0)}
+        for part, jg in d.iter_jump_groups():
+            if jg.smooth:
+                for t in np.linspace(0.0, jg.proto.length_param(), 5)[1:-1]:
+                    assert not np.any(gradient_jump(d, part, jg, t)), jg.proto.tag
+        # Negative control: the linear ramp's slope is not flat at the cell
+        # edges, so the stripe and centre lines carry a gradient jump.
+        assert (seams > 0.0) == (kind == "linear")
+
+    check()
+
+
+def test_integrands_never_see_what_is_skipped(monkeypatch):
+    spec = WellSpec(CASE_K1, 0.1)
+    d = horizontal_branched(spec, 1e-4, Rect(0.0, 0.0, 1.0, 1.0))
+    groups = [jg for _, jg in d.iter_jump_groups()]
+    smooth = {jg.proto.entry() for jg in groups if jg.smooth}
+    smooth -= {jg.proto.entry() for jg in groups if not jg.smooth}
+    assert smooth
+    bends, rows = [], set()
+    bulk, jump = energy._tv_bulk_integrand, energy._tv_jump_integrand
+
+    def counting_bulk(proto, x):
+        bends.append(proto.map.bends)
+        return bulk(proto, x)
+
+    def counting_jump(proto, t):
+        shape, row = proto.entry()
+        rows.update((shape, r) for r in map(tuple, np.hstack(row).tolist()))
+        return jump(proto, t)
+
+    monkeypatch.setattr(energy, "_tv_bulk_integrand", counting_bulk)
+    monkeypatch.setattr(energy, "_tv_jump_integrand", counting_jump)
+    b = total_energy(d, spec, 1e-4)
+    assert b.tv_bulk > 0.0 and b.tv_jump > 0.0
+    assert bends and all(bends)
+    assert rows and not rows & smooth
