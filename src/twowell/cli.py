@@ -28,7 +28,7 @@ import numpy as np
 
 from .checks import run_checks
 from .energy import QuadratureSpec
-from .fem import DiscreteField, Mesh, MinimizeOptions, discrete_energy, minimize, seed_from_construction
+from .fem import DiscreteField, Mesh, MinimizeOptions, minimize, seed_from_construction
 from .microstructure import best_construction, horizontal_branched, vertical_branched_k1
 from .piecewise import Rect, write_manifest
 from .render import construction_svg, phase_svg
@@ -338,8 +338,9 @@ def cmd_minimize(cfg: RunConfig) -> int:
     report = []
     results = []
     for name, fld, _ in starts:
-        seed_energy = discrete_energy(fld, spec, cfg.epsilon, cfg.huber_delta)[2]
         res = minimize(fld, spec, cfg.epsilon, opts)
+        # The trace starts at the seed's discrete_energy total, same delta.
+        seed_energy = float(res.energy_trace[0])
         results.append((name, seed_energy, res))
         report.append(
             f"start={name} seed_energy={_f(seed_energy)} "

@@ -30,7 +30,8 @@ What is exactly zero by structure is not integrated, and every value stays
 the same to the last bit, because the quadrature of an integrand that is
 0.0 at every node is 0.0 with error 0.0:
 
-* the bulk TV skips cells whose map does not bend (D^2 u = 0);
+* the bulk TV skips cells whose map is not curved (D^2 u = 0: the map
+  does not bend, or it reads the linear ramp only through g' = 1);
 * the elastic term writes the constant F of each distinct flat (cell,
   conjugation) entry once, by the integrand's arithmetic, and skips the
   entries whose well distance (one kernel call for all of them) is 0.0;
@@ -438,9 +439,9 @@ def tv_bulk(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> f
 
 
 def _tv_bulk(defs, quad):
-    # A map that does not bend has D^2 u = 0: its column integral is 0.0.
+    # A map that is not curved has D^2 u = 0: its column integral is 0.0.
     keyed = [[(g.proto.entry(), g.proto, g.count) for part in def_.parts
-              for g in part.groups if g.proto.map.bends] for def_ in defs]
+              for g in part.groups if g.proto.map.curved] for def_ in defs]
     return _unique_integrals(keyed, lambda entries, protos: _integrate_lines(
         entries, [p.width for p in protos], _tv_bulk_integrand, quad), "line")
 
@@ -451,7 +452,7 @@ def _tv_bulk_integrand(proto, x):
     All map families are affine in y at second order (``|D^2 u|^2 =
     (A(x) + B(x) y)^2 + R(x)^2``), so the y direction integrates exactly
     and only a smooth 1D x-integral is left.  :func:`_tv_bulk` passes
-    only cells whose map bends; the others have D^2 u = 0.
+    only cells whose map is curved; the others have D^2 u = 0.
     """
     A, B, R2 = proto.map.hess_profile(x)
     return _column_tv(A, B, R2, proto.lower.value(x), proto.upper.value(x))

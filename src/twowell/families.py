@@ -24,6 +24,9 @@ class _MapBase:
     given by ``ramp(x)``, None for pieces that do not bend) and ``key``.
     ``bends`` tells whether the map follows the ramp: one that does not has
     a constant gradient and D^2 u = 0, and the quadrature relies on that.
+    ``curved`` tells whether D^2 u can be nonzero: never where the map does
+    not bend, and not on a piece whose D^2 u is a multiple of g'' when the
+    ramp is linear.
     For the quadrature's tables, ``entry()`` returns its shape (the class
     and the discrete fields) and its row (the float fields), and
     ``from_row(shape, cols)`` builds a member from an iterator of (m, 1)
@@ -37,6 +40,10 @@ class _MapBase:
     """
 
     bends = False
+
+    @property
+    def curved(self) -> bool:
+        return self.bends
 
     def ramp(self, x):
         return None
@@ -260,6 +267,11 @@ class ScalarProfilePiece(_Piece):
     kind: str = "quintic"
 
     BENT = (2, 4)
+
+    @property
+    def curved(self) -> bool:
+        # D^2 u is (alpha h / 4 ell^2) g'' on the bent pieces.
+        return self.bends and self.kind != "linear"
 
     def __post_init__(self):
         if (self.component, self.layout) not in _PROFILE_TAGS:

@@ -15,10 +15,17 @@ claim is made, nonconvexity is handled by multi-start.
 Every pass works on slices of the (ny+1, nx+1) node grid: F is a
 difference of shifted node slices, the edge jumps are differences of
 shifted F blocks, and the nodal gradient is the adjoint of those stencils,
-added back into the node grid with slices.  Armijo trial points evaluate
-the energy only; the accepted point keeps its F, jumps and kernel terms,
-so its gradient runs no second kernel pass and the reported exact total
-variation comes from its jump norms.
+added back into the node grid with slices.  Each pass writes into a
+workspace allocated once per :func:`minimize` call (a fresh one for
+:func:`discrete_energy`, :func:`discrete_gradient` and :func:`exact_tv`),
+so a pass allocates no array of the mesh's size; NumPy still buffers
+strided operands in blocks of at most 8192 elements.  The workspace holds
+two points, the accepted one and an Armijo trial, which trade places when
+a trial is accepted.  Trial points evaluate the energy only; the accepted
+point keeps its F, jumps and the nearest well's kernel terms, so its
+gradient runs no second kernel pass and the reported exact total
+variation comes from its jump norms.  The L-BFGS pairs live in ring
+buffers with their rho = 1/(y.s), computed once when a pair is stored.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels_np import frobenius2, nearest_well, nearest_well_grad
+from ._kernels_np import frobenius2, kernel_work, nearest_well, nearest_well_grad
 from .energy import EnergyBreakdown
 from .piecewise import PiecewiseDeformation, Rect
 from .wells import WellSpec, well_matrices
@@ -114,26 +121,22 @@ def default_huber_delta(spec: WellSpec) -> float:
     return 1e-6 * spec.alpha
 
 
-def _huber(t: np.ndarray, delta: float) -> np.ndarray:
-    small = t <= delta
-    return np.where(small, t * t / (2.0 * delta), t - 0.5 * delta)
-
-
-def _gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """Per-triangle gradients: ``F[c, d]`` (2, ny, nx) is du_c/dx_d, lower
-    half first, so ``F[c, d].ravel()`` runs in ``mesh.tris`` order.  Written
-    ``ix * u10 - ix * u00``, an entry rounds like the stencil product
-    ``(-ix, ix, 0) . (u00, u10, u11)``."""
+def _gradients(mesh: Mesh, values: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Per-triangle gradients into ``out``: ``F[c, d]`` (2, ny, nx) is
+    du_c/dx_d, lower half first, so ``F[c, d].ravel()`` runs in ``mesh.tris``
+    order; ``tmp`` is (2, ny+1, nx+1, 2) scratch for the nodal values scaled
+    by 1/hx and 1/hy.  Written ``ix * u10 - ix * u00``, an entry rounds like
+    the stencil product ``(-ix, ix, 0) . (u00, u10, u11)``."""
     ny, nx = mesh.ny, mesh.nx
-    ix, iy = 1.0 / mesh.hx, 1.0 / mesh.hy
-    U = values.reshape(ny + 1, nx + 1, 2).transpose(2, 0, 1)
-    u00, u10, u01, u11 = U[:, :-1, :-1], U[:, :-1, 1:], U[:, 1:, :-1], U[:, 1:, 1:]
-    F = np.empty((2, 2, 2, ny, nx))
-    F[:, 0, 0] = ix * u10 - ix * u00  # lower triangle (n00, n10, n11)
-    F[:, 1, 0] = iy * u11 - iy * u10
-    F[:, 0, 1] = ix * u11 - ix * u01  # upper triangle (n00, n11, n01)
-    F[:, 1, 1] = iy * u01 - iy * u00
-    return F
+    U = values.reshape(ny + 1, nx + 1, 2)
+    X, Y = (np.multiply(U, s, out=t).transpose(2, 0, 1)
+            for s, t in ((1.0 / mesh.hx, tmp[0]), (1.0 / mesh.hy, tmp[1])))
+    # lower triangle (n00, n10, n11), then upper triangle (n00, n11, n01)
+    np.subtract(X[:, :-1, 1:], X[:, :-1, :-1], out=out[:, 0, 0])
+    np.subtract(Y[:, 1:, 1:], Y[:, :-1, 1:], out=out[:, 1, 0])
+    np.subtract(X[:, 1:, 1:], X[:, 1:, :-1], out=out[:, 0, 1])
+    np.subtract(Y[:, 1:, :-1], Y[:, :-1, :-1], out=out[:, 1, 1])
+    return out
 
 
 # Edge kinds as (left, right, slot): the two triangles on the (c, d, half,
@@ -144,54 +147,105 @@ _EDGES = ((np.s_[..., 0, :, :], np.s_[..., 1, :, :], np.s_[:, :, 0]),
           (np.s_[..., 1, :-1, :], np.s_[..., 0, 1:, :], np.s_[:-1, :, 2]))
 
 
-def _edge_jumps(mesh: Mesh, F: np.ndarray):
-    """Left-minus-right gradient jumps ``J`` of each edge kind, as (2, 2, ...)
-    blocks, and their Frobenius norms ``jn`` (ny, nx, 3) in the slots of
-    ``mesh.edge_mask`` (0 in the others)."""
-    J = [F[left] - F[right] for left, right, _ in _EDGES]
-    jn = np.zeros((mesh.ny, mesh.nx, 3))
-    for (*_, slot), Jk in zip(_EDGES, J):
-        jn[slot] = np.sqrt(frobenius2(Jk.reshape(4, *Jk.shape[2:])))
-    return J, jn
+class _Point:
+    """One point of the passes: F, the nearest well and its kernel terms
+    ``(p, q, r)``, the left-minus-right gradient jumps ``J`` of each edge kind
+    as (2, 2, ...) blocks, their Frobenius norms ``jn`` (ny, nx, 3) in the
+    slots of ``mesh.edge_mask`` (0 in the others), and the energy terms."""
+
+    def __init__(self, mesh: Mesh):
+        nt = mesh.n_tris
+        self.F = np.empty((2, 2, 2, mesh.ny, mesh.nx))
+        self.which = np.empty(nt, dtype=bool)
+        self.pqr = np.empty((3, nt))
+        self.J = [np.empty(self.F[left].shape) for left, _, _ in _EDGES]
+        self.jn = np.zeros((mesh.ny, mesh.nx, 3))
+        self.elastic = self.tv = 0.0
+
+
+class _Workspace:
+    """Every array of the passes on one mesh, allocated once: two points (the
+    accepted one and an Armijo trial), the kernel scratch, the edge values
+    and their index in the (ny, nx, 3) slots, the Huber weights, dF, the
+    node-grid gradient and one block of scratch for two scaled copies of the
+    node grid (stencil), jump norms, weighted jumps or the scatter."""
+
+    def __init__(self, mesh: Mesh):
+        self.points = (_Point(mesh), _Point(mesh))
+        self.kernel = kernel_work(mesh.n_tris)
+        # jn.ravel()[edge_index] is jn[mesh.edge_mask], in edge_len order.
+        self.edge_index = np.flatnonzero(mesh.edge_mask)
+        self.edges = np.empty((2, self.edge_index.size))
+        self.small = np.empty(self.edge_index.size, dtype=bool)
+        self.w = np.empty((mesh.ny, mesh.nx, 3))
+        self.dF = np.empty((2, 2, 2, mesh.ny, mesh.nx))
+        self.G = np.empty((2, mesh.ny + 1, mesh.nx + 1))
+        self._cells = np.empty(4 * (mesh.ny + 1) * (mesh.nx + 1))
+
+    def scratch(self, shape, k: int = 0) -> np.ndarray:
+        """The ``k``-th block of ``shape`` in the cell-sized scratch."""
+        n = math.prod(shape)
+        return self._cells[k * n:(k + 1) * n].reshape(shape)
+
+
+def _edge_jumps(mesh: Mesh, F: np.ndarray, pt: _Point, ws: _Workspace) -> None:
+    """The jumps ``pt.J`` and their norms ``pt.jn`` of the gradients ``F``."""
+    for (left, right, slot), Jk in zip(_EDGES, pt.J):
+        np.subtract(F[left], F[right], out=Jk)
+        shape = Jk.shape[2:]
+        f2 = frobenius2(Jk.reshape(4, *shape), ws.scratch(shape, 0),
+                        (ws.scratch(shape, 1), ws.scratch(shape, 2)))
+        np.sqrt(f2, out=pt.jn[slot])
 
 
 def _energy_pass(mesh: Mesh, values: np.ndarray, A: np.ndarray, B: np.ndarray,
-                 delta: float):
-    """``(elastic, tv, state)`` at nodal ``values``; ``state`` (F, the kernel
-    terms, J and |J|) is what :func:`_gradient_pass` reuses.  The Huber
-    terms are summed in the edge order of ``mesh.edge_len``."""
-    F = _gradients(mesh, values)
-    d2, *terms = nearest_well(F.reshape(4, -1), A, B)
-    elastic = mesh.tri_area * float(np.sum(d2))
-    J, jn = _edge_jumps(mesh, F)
-    tv = float(np.sum(mesh.edge_len * _huber(jn[mesh.edge_mask], delta)))
-    return elastic, tv, (F, terms, J, jn)
+                 delta: float, ws: _Workspace, pt: _Point) -> None:
+    """Evaluate nodal ``values`` into ``pt``: F, the kernel terms, J and |J|,
+    which :func:`_gradient_pass` reuses, and ``pt.elastic`` and ``pt.tv``.
+    The Huber terms are summed in the edge order of ``mesh.edge_len``; the
+    quadratic branch is written only on the edges with |J| <= delta."""
+    F = _gradients(mesh, values, pt.F, ws.scratch((2, mesh.ny + 1, mesh.nx + 1, 2)))
+    d2, _, _ = nearest_well(F.reshape(4, -1), A, B, out=(pt.which, pt.pqr), work=ws.kernel)
+    pt.elastic = mesh.tri_area * float(np.sum(d2))
+    _edge_jumps(mesh, F, pt, ws)
+    t, h = ws.edges
+    np.take(pt.jn.ravel(), ws.edge_index, out=t, mode="clip")
+    np.subtract(t, 0.5 * delta, out=h)
+    small = np.flatnonzero(np.less_equal(t, delta, out=ws.small))
+    if small.size:
+        ts = t[small]
+        h[small] = ts * ts / (2.0 * delta)
+    pt.tv = float(np.sum(np.multiply(mesh.edge_len, h, out=h)))
 
 
-def _gradient_pass(mesh: Mesh, state, A: np.ndarray, B: np.ndarray, eps: float,
-                   delta: float) -> np.ndarray:
-    """Gradient of ``elastic + eps * tv`` from the ``state`` of
-    :func:`_energy_pass`, as a (2, ny+1, nx+1) node grid, boundary included.
-    Per-triangle dE/dF (kernel gradient, plus the Huberized jump term on each
-    edge's left triangle, minus it on the right one) goes back to the nodes
-    through the adjoint of the stencils of :func:`_gradients`."""
-    F, terms, J, jn = state
-    dW = np.stack(nearest_well_grad(F.reshape(4, -1), *terms, A, B))
-    dF = (mesh.tri_area * dW).reshape(F.shape)
+def _gradient_pass(mesh: Mesh, pt: _Point, A: np.ndarray, B: np.ndarray, eps: float,
+                   delta: float, ws: _Workspace) -> np.ndarray:
+    """Gradient of ``elastic + eps * tv`` at the point ``pt`` of
+    :func:`_energy_pass`, as the (2, ny+1, nx+1) node grid ``ws.G``, boundary
+    included.  Per-triangle dE/dF (kernel gradient, plus the Huberized jump
+    term on each edge's left triangle, minus it on the right one) goes back
+    to the nodes through the adjoint of the stencils of :func:`_gradients`."""
+    dF = ws.dF
+    nearest_well_grad(pt.F.reshape(4, -1), pt.which, pt.pqr, A, B,
+                      out=dF.reshape(4, -1), work=ws.kernel)
+    dF *= mesh.tri_area
     if eps != 0.0:
-        w = (eps * mesh.edge_kind_len) * (1.0 / np.maximum(jn, delta))
-        for (left, right, slot), Jk in zip(_EDGES, J):
-            wJ = Jk * w[slot]
+        w = np.maximum(pt.jn, delta, out=ws.w)
+        np.multiply(eps * mesh.edge_kind_len, np.divide(1.0, w, out=w), out=w)
+        for (left, right, slot), Jk in zip(_EDGES, pt.J):
+            wJ = np.multiply(Jk, w[slot], out=ws.scratch(Jk.shape))
             dF[left] += wJ
             dF[right] -= wJ
-    ix, iy = 1.0 / mesh.hx, 1.0 / mesh.hy
-    a, b = ix * dF[:, 0, 0], iy * dF[:, 1, 0]  # lower triangle
-    c, d = ix * dF[:, 0, 1], iy * dF[:, 1, 1]  # upper triangle
-    G = np.zeros((2, mesh.ny + 1, mesh.nx + 1))
-    G[:, :-1, :-1] -= a + d
-    G[:, :-1, 1:] += a - b
-    G[:, 1:, 1:] += b + c
-    G[:, 1:, :-1] += d - c
+    dF[:, 0] *= 1.0 / mesh.hx
+    dF[:, 1] *= 1.0 / mesh.hy
+    a, b = dF[:, 0, 0], dF[:, 1, 0]  # lower triangle
+    c, d = dF[:, 0, 1], dF[:, 1, 1]  # upper triangle
+    G, t = ws.G, ws.scratch(a.shape)
+    G.fill(0.0)
+    G[:, :-1, :-1] -= np.add(a, d, out=t)
+    G[:, :-1, 1:] += np.subtract(a, b, out=t)
+    G[:, 1:, 1:] += np.add(b, c, out=t)
+    G[:, 1:, :-1] += np.subtract(d, c, out=t)
     return G
 
 
@@ -200,18 +254,25 @@ def discrete_energy(field: DiscreteField, spec: WellSpec, eps: float,
     """(elastic, tv, total): per-triangle well distance plus Huberized
     edge-jump total variation; ``total = elastic + eps * tv``."""
     delta = default_huber_delta(spec) if delta is None else delta
-    elastic, tv, _ = _energy_pass(field.mesh, field.values, *well_matrices(spec), delta)
-    return elastic, tv, elastic + eps * tv
+    ws = _Workspace(field.mesh)
+    pt = ws.points[0]
+    _energy_pass(field.mesh, field.values, *well_matrices(spec), delta, ws, pt)
+    return pt.elastic, pt.tv, pt.elastic + eps * pt.tv
 
 
-def _exact_tv(mesh: Mesh, jn: np.ndarray) -> float:
-    return float(np.sum(mesh.edge_len * jn[mesh.edge_mask]))
+def _exact_tv(mesh: Mesh, jn: np.ndarray, ws: _Workspace) -> float:
+    t = np.take(jn.ravel(), ws.edge_index, out=ws.edges[0], mode="clip")
+    return float(np.sum(np.multiply(mesh.edge_len, t, out=t)))
 
 
 def exact_tv(field: DiscreteField) -> float:
     """Unsmoothed jump total variation of the piecewise-affine field."""
     mesh = field.mesh
-    return _exact_tv(mesh, _edge_jumps(mesh, _gradients(mesh, field.values))[1])
+    ws = _Workspace(mesh)
+    pt = ws.points[0]
+    F = _gradients(mesh, field.values, pt.F, ws.scratch((2, mesh.ny + 1, mesh.nx + 1, 2)))
+    _edge_jumps(mesh, F, pt, ws)
+    return _exact_tv(mesh, pt.jn, ws)
 
 
 def discrete_gradient(field: DiscreteField, spec: WellSpec, eps: float,
@@ -221,8 +282,10 @@ def discrete_gradient(field: DiscreteField, spec: WellSpec, eps: float,
     ties toward well A."""
     delta = default_huber_delta(spec) if delta is None else delta
     A, B = well_matrices(spec)
-    *_, state = _energy_pass(field.mesh, field.values, A, B, delta)
-    G = _gradient_pass(field.mesh, state, A, B, eps, delta).reshape(2, -1).T.copy()
+    ws = _Workspace(field.mesh)
+    pt = ws.points[0]
+    _energy_pass(field.mesh, field.values, A, B, delta, ws, pt)
+    G = _gradient_pass(field.mesh, pt, A, B, eps, delta, ws).reshape(2, -1).T.copy()
     G[field.mesh.boundary_mask] = 0.0
     return G
 
@@ -271,29 +334,37 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
     values = initial.values.copy()
     # The free nodes are the interior of the node grid, in row-major order.
     interior = values.reshape(mesh.ny + 1, mesh.nx + 1, 2)[1:-1, 1:-1]
+    ws = _Workspace(mesh)
+    point, trial = ws.points
     energy_evals = grad_evals = backtracks = 0
 
-    def energy_at(x):
+    def energy_at(x, pt):
         nonlocal energy_evals
         energy_evals += 1
         interior[...] = x.reshape(interior.shape)
-        return _energy_pass(mesh, values, A, B, delta)
+        _energy_pass(mesh, values, A, B, delta, ws, pt)
+        return pt.elastic + eps * pt.tv
 
-    def gradient_at(point):
+    def gradient_at(pt, out):
         nonlocal grad_evals
         grad_evals += 1
-        G = _gradient_pass(mesh, point[2], A, B, eps, delta)
-        return G[:, 1:-1, 1:-1].transpose(1, 2, 0).ravel()
+        G = _gradient_pass(mesh, pt, A, B, eps, delta, ws)
+        np.copyto(out.reshape(interior.shape), G[:, 1:-1, 1:-1].transpose(1, 2, 0))
 
-    def total(point):
-        return point[0] + eps * point[1]
-
-    x = interior.ravel().copy()
-    point = energy_at(x)
-    f, g = total(point), gradient_at(point)
+    # The iterate, the trial point, their gradients, the direction and scratch.
+    x, x_new, g, g_new, q, tmp = np.empty((6, interior.size))
+    np.copyto(x.reshape(interior.shape), interior)
+    f = energy_at(x, point)
+    gradient_at(point, g)
     trace = [f]
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
+    # The L-BFGS pairs (s, y) and their rho = 1/(y.s) in a ring of memory + 1
+    # slots: ``head`` is the free slot a new pair is written to before its
+    # curvature test, the ``count`` stored pairs sit just before it.
+    slots = opts.memory + 1
+    S, Y = np.empty((2, slots, interior.size))
+    rho, alpha = np.empty((2, slots))
+    head = count = 0
+    scale = 1.0  # s.y / y.y of the newest pair
     status = "max_iter"
     it = 0
     for it in range(1, opts.max_iter + 1):
@@ -301,33 +372,27 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
         if gnorm <= tol:
             status = "gtol"
             break
-        # Two-loop recursion.
-        q = -g.copy()
-        alphas = []
-        for s, y in zip(reversed(s_list), reversed(y_list)):
-            rho = 1.0 / float(y @ s)
-            a = rho * float(s @ q)
-            alphas.append((a, rho, s, y))
-            q -= a * y
-        if y_list:
-            y = y_list[-1]
-            s = s_list[-1]
-            q *= float(s @ y) / float(y @ y)
-        for a, rho, s, y in reversed(alphas):
-            b = rho * float(y @ q)
-            q += (a - b) * s
-        d = q
-        slope = float(g @ d)
+        # Two-loop recursion, newest pair first.
+        np.negative(g, out=q)
+        order = [(head - 1 - j) % slots for j in range(count)]
+        for k in order:
+            alpha[k] = rho[k] * float(S[k] @ q)
+            q -= np.multiply(Y[k], alpha[k], out=tmp)
+        if count:
+            q *= scale
+        for k in reversed(order):
+            b = rho[k] * float(Y[k] @ q)
+            q += np.multiply(S[k], alpha[k] - b, out=tmp)
+        slope = float(g @ q)
         if slope >= 0.0:
-            d = -g
+            np.negative(g, out=q)
             slope = -float(g @ g)
         # Armijo backtracking: trial points need the energy only.
         t = 1.0
         accepted = False
         for _ in range(opts.max_backtracks):
-            x_new = x + t * d
-            new_point = energy_at(x_new)
-            f_new = total(new_point)
+            np.add(x, np.multiply(q, t, out=x_new), out=x_new)
+            f_new = energy_at(x_new, trial)
             if f_new <= f + opts.armijo * t * slope:
                 accepted = True
                 break
@@ -336,22 +401,22 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
         if not accepted:
             status = "stalled"
             break
-        g_new = gradient_at(new_point)
-        s_vec = x_new - x
-        y_vec = g_new - g
-        if float(s_vec @ y_vec) > 1e-300:
-            s_list.append(s_vec)
-            y_list.append(y_vec)
-            if len(s_list) > opts.memory:
-                s_list.pop(0)
-                y_list.pop(0)
-        x, f, g, point = x_new, f_new, g_new, new_point
+        gradient_at(trial, g_new)
+        s, y = np.subtract(x_new, x, out=S[head]), np.subtract(g_new, g, out=Y[head])
+        sy = float(s @ y)
+        if sy > 1e-300:
+            rho[head] = 1.0 / float(y @ s)
+            scale = sy / float(y @ y)
+            head = (head + 1) % slots
+            count = min(count + 1, opts.memory)
+        x, x_new, g, g_new, point, trial = x_new, x, g_new, g, trial, point
+        f = f_new
         trace.append(f)
 
     interior[...] = x.reshape(interior.shape)
     out_field = DiscreteField(mesh, values)
-    jn = point[2][3]  # the accepted point's jump norms
-    breakdown = EnergyBreakdown.combine(point[0], 0.0, _exact_tv(mesh, jn), eps, 0.0)
+    breakdown = EnergyBreakdown.combine(point.elastic, 0.0, _exact_tv(mesh, point.jn, ws),
+                                        eps, 0.0)
     gnorm = float(np.linalg.norm(g))
     return MinimizeResult(out_field, np.asarray(trace), breakdown, it,
                           status == "gtol", gnorm, status,

@@ -224,6 +224,35 @@ def test_minimize_exit_codes(tmp_path):
     assert "best=identity" in report and "sandwich=ok" in report
 
 
+def test_minimize_seed_energy_is_the_trace_start(tmp_path, monkeypatch):
+    # Each start's reported seed_energy is its trace's first entry, which
+    # must be discrete_energy's total with the run's Huber width.
+    from twowell.fem import discrete_energy
+
+    starts = []
+
+    def recording(fld, spec, eps, opts):
+        starts.append((fld, spec, eps, opts.delta_huber))
+        return minimize(fld, spec, eps, opts)
+
+    minimize = cli.minimize
+    monkeypatch.setattr(cli, "minimize", recording)
+    cfg = tmp_path / "delta.cfg"
+    cfg.write_text("huber_delta = 1e-4\n")
+    runs = [["--case", "k1"], ["--case", "k2"], ["--case", "k2", "--config", str(cfg)]]
+    for k, extra in enumerate(runs):
+        starts.clear()
+        out = tmp_path / str(k)
+        main(["minimize", *extra, "--alpha", "0.1", "--epsilon", "1e-3", "--mesh", "12,10",
+              "--max-iter", "5", "--out", str(out)])
+        lines = (out / "minimize_report.txt").read_text().splitlines()
+        reported = [line.split()[1] for line in lines if line.startswith("start=")]
+        assert len(reported) == len(starts) == (3 if extra[1] == "k1" else 2)
+        for line, (fld, spec, eps, delta) in zip(reported, starts):
+            assert line == f"seed_energy={cli._f(discrete_energy(fld, spec, eps, delta)[2])}"
+        assert starts[0][3] == (1e-4 if "--config" in extra else None)
+
+
 def test_validate_subprocess_and_negative_control():
     r = run_cli("validate", "--seed", "7")
     assert r.returncode == 0

@@ -19,6 +19,7 @@ from twowell.energy import (
     tv_jump,
 )
 from twowell.microstructure import (
+    best_construction,
     branching_schedule,
     assemble_branched,
     horizontal_branched,
@@ -673,3 +674,32 @@ def test_integrands_never_see_what_is_skipped(monkeypatch):
     assert b.tv_bulk > 0.0 and b.tv_jump > 0.0
     assert bends and all(bends)
     assert rows and not rows & smooth
+
+
+def test_linear_ramp_pieces_are_not_curved(monkeypatch):
+    # With the linear ramp the bent pieces of the shear case have g'' = 0,
+    # so D^2 u = 0: the bulk TV integrates none of their lines, and the
+    # breakdown is the one it had when it did (every such line was 0.0).
+    lines = {}
+    integrate = energy._integrate_lines
+
+    def counting(entries, spans, integrand, quad):
+        if integrand is energy._tv_bulk_integrand:
+            lines[kind] = lines.get(kind, 0) + len(entries)
+        return integrate(entries, spans, integrand, quad)
+
+    monkeypatch.setattr(energy, "_integrate_lines", counting)
+    spec = WellSpec(CASE_K1, 0.1)
+    results = {}
+    for kind in ("linear", "quintic"):
+        results[kind] = best_construction(spec, 1e-4, 1.0, 1.0, gamma_kind=kind)
+    assert lines.get("linear", 0) == 0
+    assert lines["quintic"] > 0  # the quintic ramp curves
+    d, breakdown, label = results["linear"]
+    assert label == "branched-horizontal"
+    assert repr(breakdown) == (
+        "EnergyBreakdown(elastic=0.00011745969946647316, tv_bulk=0.0, "
+        "tv_jump=17.5092757936508, epsilon=0.0001, total=0.0018683872788315533, "
+        "error_estimate=4.1695832103303374e-19, warnings=())")
+    bent = [g.proto.map for part in d.parts for g in part.groups if g.proto.map.bends]
+    assert bent and not any(m.curved for m in bent)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,8 @@ from twowell.fem import (
 from twowell.microstructure import horizontal_branched, laminate
 from twowell.piecewise import Rect, identity_deformation
 from twowell.wells import CASE_K1, CASE_K2, WellSpec, well_matrices
+
+import fem_oracles
 
 DOM = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -246,8 +249,8 @@ def test_oracle_rejects_swapped_upper_stencil(monkeypatch):
     triangles must fail the oracle comparison."""
     stencil = fem._gradients
 
-    def swapped(mesh, values):
-        F = stencil(mesh, values)  # F[c, d, half]
+    def swapped(mesh, values, *buffers):
+        F = stencil(mesh, values, *buffers)  # F[c, d, half]
         F[:, :, 1] = F[:, ::-1, 1].copy()
         return F
 
@@ -427,3 +430,78 @@ def test_seed_domain_mismatch_rejected():
 
 def test_default_huber_delta_scales_with_strain():
     assert default_huber_delta(WellSpec(CASE_K1, 0.2)) == pytest.approx(2e-7)
+
+
+def _assert_same_run(res, ref):
+    np.testing.assert_array_equal(res.energy_trace, ref.energy_trace)
+    np.testing.assert_array_equal(res.field.values, ref.field.values)
+    assert res.final_energy == ref.final_energy
+    for name in ("iterations", "status", "gradient_norm", "energy_evals", "grad_evals",
+                 "backtracks"):
+        assert getattr(res, name) == getattr(ref, name), name
+
+
+@pytest.mark.parametrize("case", [CASE_K1, CASE_K2])
+@pytest.mark.parametrize("nx, ny, rect", [(24, 24, DOM), (17, 11, Rect(-0.3, 0.2, 1.4, 0.9))])
+def test_minimize_matches_oracle_bit_for_bit(nx, ny, rect, case):
+    """The workspace passes, the specialized kernel and the ring-buffer
+    L-BFGS reproduce the allocating oracle exactly."""
+    spec = WellSpec(case, 0.1)
+    mesh = Mesh(nx, ny, rect)
+    seed, _ = seed_from_construction(horizontal_branched(spec, 1e-3, rect), mesh)
+    runs = [(1e-3, MinimizeOptions(max_iter=40)),
+            (0.0, MinimizeOptions(max_iter=40)),
+            (1e-3, MinimizeOptions(max_iter=40, delta_huber=1e-4)),
+            (1e-3, MinimizeOptions(max_iter=40, memory=1))]
+    for start in (DiscreteField.identity(mesh), seed):
+        for eps, opts in runs:
+            _assert_same_run(minimize(start, spec, eps, opts),
+                             fem_oracles.minimize(start, spec, eps, opts))
+
+
+def test_minimize_matches_oracle_at_gtol_and_stall():
+    spec = WellSpec(CASE_K2, 0.1)
+    mesh = Mesh(17, 11, Rect(-0.3, 0.2, 1.4, 0.9))
+    seed, _ = seed_from_construction(horizontal_branched(spec, 1e-3, mesh.rect), mesh)
+    # The stall leaves a rejected trial in the workspace; the report must
+    # still come from the accepted point.
+    for status, opts in (("gtol", MinimizeOptions(max_iter=200)),
+                         ("stalled", MinimizeOptions(max_iter=200, grad_tol_scale=0.0,
+                                                     max_backtracks=12))):
+        res = minimize(seed, spec, 0.0, opts)
+        assert res.status == status and res.iterations > 20
+        _assert_same_run(res, fem_oracles.minimize(seed, spec, 0.0, opts))
+
+
+def test_passes_allocate_nothing_in_the_workspace():
+    """After a warm-up, an energy and gradient evaluation in a workspace
+    traces less new memory than one F array; the allocating oracle passes
+    trace more (negative control)."""
+    mesh = Mesh(64, 64, DOM)
+    spec = WellSpec(CASE_K2, 0.1)
+    A, B = well_matrices(spec)
+    delta = default_huber_delta(spec)
+    values = _perturbed(mesh, np.random.default_rng(8)).values
+    ws = fem._Workspace(mesh)
+    pt = ws.points[0]
+    f_bytes = 2 * 2 * 2 * 64 * 64 * 8
+
+    def ours():
+        fem._energy_pass(mesh, values, A, B, delta, ws, pt)
+        fem._gradient_pass(mesh, pt, A, B, 1e-3, delta, ws)
+
+    def oracle():
+        *_, state = fem_oracles._energy_pass(mesh, values, A, B, delta)
+        fem_oracles._gradient_pass(mesh, state, A, B, 1e-3, delta)
+
+    def traced_peak(evaluate):
+        evaluate()
+        tracemalloc.start()
+        try:
+            evaluate()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(ours) < f_bytes
+    assert traced_peak(oracle) > f_bytes

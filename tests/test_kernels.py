@@ -3,7 +3,10 @@ import pytest
 
 from twowell import _kernels_np
 from twowell import kernels
-from twowell.wells import WellSpec, dist_to_wells, well_matrices
+from twowell.wells import WellSpec, dist_to_wells, rotation, well_matrices
+
+from fem_oracles import nearest_well as dense_nearest_well
+from fem_oracles import nearest_well_grad as dense_nearest_well_grad
 
 try:
     from twowell import _kernels as _kernels_cy
@@ -125,9 +128,82 @@ def test_entry_kernel_is_bit_identical_to_einsum_form():
                             _batch(rng, 5000) * rng.uniform(0.01, 10.0, (5000, 1, 1))])
         d2a, *want_a = _orbit_terms_einsum(F, A)
         d2b, *want_b = _orbit_terms_einsum(F, B)
-        d2, which, (terms_a, terms_b) = _kernels_np.nearest_well(F.reshape(-1, 4).T, A, B)
+        d2, which, pqr = _kernels_np.nearest_well(F.reshape(-1, 4).T, A, B)
         np.testing.assert_array_equal(which, d2b < d2a)
         np.testing.assert_array_equal(d2, np.where(which, d2b, d2a))
-        np.testing.assert_array_equal(np.stack(terms_a), np.stack(want_a))
-        np.testing.assert_array_equal(np.stack(terms_b), np.stack(want_b))
+        # the nearest well's (p, q, r)
+        np.testing.assert_array_equal(pqr, np.where(which, np.stack(want_b), np.stack(want_a)))
         np.testing.assert_array_equal(_kernels_np.dist2_two_wells(F, A, B)[0], d2)
+
+
+def _rotated_pair():
+    """The k2 wells conjugated by a rotation: no entry is 0 or +-1."""
+    Q = rotation(0.3)
+    A, B = well_matrices(WellSpec("k2", 0.2))
+    pair = (Q @ A @ Q.T, Q @ B @ Q.T)
+    assert not np.isin(np.abs(np.stack(pair)), (0.0, 1.0)).any()
+    return pair
+
+
+_WELL_PAIRS = {f"{case}-{a}": well_matrices(WellSpec(case, a))
+               for case in ("k1", "k2") for a in (0.05, 0.45)}
+_WELL_PAIRS["rotated"] = _rotated_pair()
+
+
+def _dense(f, A, B):
+    d2, which, terms = dense_nearest_well(f, A, B)
+    return d2, which, np.stack(dense_nearest_well_grad(f, which, terms, A, B))
+
+
+def _specialized(f, A, B):
+    d2, which, pqr = _kernels_np.nearest_well(f, A, B)
+    d2, which = d2.copy(), which.copy()
+    return d2, which, _kernels_np.nearest_well_grad(f, which, pqr, A, B)
+
+
+@pytest.mark.parametrize("name", list(_WELL_PAIRS))
+def test_specialized_kernel_matches_dense_form(name):
+    """The kernel that leaves out the products by zero well entries and the
+    multiplications by +-1 gives the dense entry form's values: random F,
+    both wells, F = 0 (the r = 0 branch) and exact A/B ties."""
+    A, B = _WELL_PAIRS[name]
+    rng = np.random.default_rng(6)
+    special = [A, B, np.zeros((2, 2)), np.eye(2), 0.5 * (A + B), 0.5 * (A + B).T]
+    F = np.concatenate([np.stack(special), _batch(rng, 4000),
+                        _batch(rng, 1000) * rng.uniform(1e-3, 1e3, (1000, 1, 1))])
+    f = F.reshape(-1, 4).T.copy()
+    d2, which, grad = _specialized(f, A, B)
+    want_d2, want_which, want_grad = _dense(f, A, B)
+    np.testing.assert_array_equal(d2, want_d2)
+    np.testing.assert_array_equal(which, want_which)
+    assert np.all(grad == want_grad)
+    np.testing.assert_array_equal(grad[:, 2], -2.0 * A.ravel())  # r = 0: 2 (F - A)
+    if name.startswith("k1"):
+        # I is equidistant from the shear wells, to the last bit: a tie to A
+        eye = np.eye(2).reshape(4, 1)
+        assert dense_nearest_well(eye, A, A)[0] == dense_nearest_well(eye, B, B)[0]
+        assert not which[3]
+
+
+@pytest.mark.parametrize("name", list(_WELL_PAIRS))
+def test_specialized_kernel_on_non_finite_entries(name):
+    """With inf or NaN entries, d2 and ``which`` are the dense form's (d2 is
+    NaN through |F|^2), and the gradient is NaN wherever the dense form's
+    is, and equal to it elsewhere."""
+    A, B = _WELL_PAIRS[name]
+    rng = np.random.default_rng(7)
+    F = _batch(rng, 3000)
+    hit = rng.random(F.shape) < 0.3
+    F[hit] = rng.choice([np.inf, -np.inf, np.nan], size=F.shape)[hit]
+    f = F.reshape(-1, 4).T.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        d2, which, grad = _specialized(f, A, B)
+        want_d2, want_which, want_grad = _dense(f, A, B)
+    bad = ~np.isfinite(F).reshape(-1, 4).all(axis=1)
+    assert bad.any() and not bad.all()
+    assert np.isnan(d2[bad]).all()
+    np.testing.assert_array_equal(d2, want_d2)  # NaN where the dense d2 is NaN
+    np.testing.assert_array_equal(which, want_which)
+    nan = np.isnan(want_grad)
+    assert nan.any() and np.isnan(grad[nan]).all()
+    assert np.all(grad[~nan] == want_grad[~nan])
