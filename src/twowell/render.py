@@ -7,6 +7,7 @@ stays byte-reproducible (no timestamps, no library-dependent ids).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ __all__ = ["construction_svg", "phase_svg"]
 
 _WELL_COLORS = {"A": (217, 95, 2), "B": (27, 158, 119)}
 
-# Instances rendered per array pass: bounds the transient arrays of tall stacks.
+# Instance offsets formatted per array pass: bounds the transient arrays of tall stacks.
 _BLOCK = 1024
 
 _REGIME_COLORS = {
@@ -43,40 +44,47 @@ def _shade(base: tuple[int, int, int], angle: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def _ident(n: int) -> str:
+    # Letters-only ids a, ..., z, aa, ab, ...: the <use> lines that make up
+    # most of a large file stay short.
+    return (_ident(n // 26 - 1) if n >= 26 else "") + chr(97 + n % 26)
+
+
 def construction_svg(def_: PiecewiseDeformation, spec: WellSpec,
                      width_px: int = 800) -> str:
     """Domain colored by the nearest well of the gradient (shaded by the
-    optimal rotation angle) with the jump curves drawn on top."""
+    optimal rotation angle) with the jump curves drawn on top.
+
+    Each cell or jump group draws its first instance once, as a polygon or
+    polyline with an id; every further instance k is a ``<use>`` of it
+    translated by k times the group's step in pixels."""
     dom = def_.domain
     sx = width_px / dom.width
     height_px = dom.height * sx
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'xmlns:xlink="http://www.w3.org/1999/xlink" width="{width_px}" '
         f'height="{_fmt(height_px)}" viewBox="0 0 {width_px} {_fmt(height_px)}">',
         f'<rect width="{width_px}" height="{_fmt(height_px)}" fill="white"/>',
     ]
+    ids = itertools.count()
 
     def draw(group, base: np.ndarray, b: np.ndarray, inv: np.ndarray,
-             head: str, tail: str) -> None:
-        # All instances of a group, in blocks: base points shifted to every
-        # anchor, mapped base-to-world and then to pixels, each instance
-        # written through one template ('%.6g' % x is _fmt(x)).  Instances
-        # differ by a shift along one axis, so one pixel coordinate of every
-        # point is the same across a block: the columns equal as bits (-0 and
-        # 0 format apart) are formatted once, into the template.
-        for start in range(0, group.count, _BLOCK):
+             tag: str, style: str) -> None:
+        # The first instance, mapped base-to-world and then to pixels.
+        ident = _ident(next(ids))
+        pts = (base + group.anchors([0])[0] - b) @ inv.T
+        px = np.column_stack([(pts[:, 0] - dom.x0) * sx, (dom.y1 - pts[:, 1]) * sx])
+        path = " ".join("%.6g,%.6g" % p for p in map(tuple, px.tolist()))
+        lines.append(f'<{tag} id="{ident}" points="{path}" {style}/>')
+        # The anchor step (0, dy) in pixels; under the signed-permutation
+        # transforms one of its components is exactly 0 and is left out.
+        step = inv @ np.array([0.0, group.dy]) * np.array([sx, -sx])
+        axes = [i for i in (0, 1) if step[i] != 0.0]
+        use = f'<use xlink:href="#{ident}"' + "".join(f' {"xy"[i]}="%.6g"' for i in axes) + "/>"
+        for start in range(1, group.count, _BLOCK):
             k = np.arange(start, min(start + _BLOCK, group.count))
-            pts = (base[None] + group.anchors(k)[:, None] - b).reshape(-1, 2) @ inv.T
-            px = np.empty_like(pts)
-            px[:, 0] = (pts[:, 0] - dom.x0) * sx
-            px[:, 1] = (dom.y1 - pts[:, 1]) * sx
-            px = px.reshape(len(k), -1)
-            bits = px.view(np.int64)
-            fixed = (bits == bits[:1]).all(axis=0)
-            cols = ["%.6g" % v if f else "%.6g"
-                    for f, v in zip(fixed.tolist(), px[0].tolist())]
-            template = head + " ".join(map(",".join, zip(cols[::2], cols[1::2]))) + tail
-            lines.extend(template % tuple(row) for row in px[:, ~fixed].tolist())
+            lines.extend(map(use.__mod__, map(tuple, (k[:, None] * step[axes]).tolist())))
 
     for part in def_.parts:
         Q, b, CL, c = part.folded()
@@ -96,15 +104,14 @@ def construction_svg(def_: PiecewiseDeformation, spec: WellSpec,
             F = CL @ du @ Q
             wd = dist_to_wells(F, spec)
             fill = _shade(_WELL_COLORS[wd.nearest_well], wd.optimal_angle)
-            draw(g, ring_base, b, inv, '<polygon points="', f'" fill="{fill}" stroke="none"/>')
+            draw(g, ring_base, b, inv, "polygon", f'fill="{fill}" stroke="none"')
         for jg in part.jumps:
             proto = jg.proto
             ts = np.linspace(0.0, proto.length_param(), 17)
             jx, jy = proto.points(ts)
             base = np.column_stack([np.broadcast_to(jx, ts.shape),
                                     np.broadcast_to(jy, ts.shape)])
-            draw(jg, base, b, inv, '<polyline points="',
-                 '" fill="none" stroke="black" stroke-width="0.4"/>')
+            draw(jg, base, b, inv, "polyline", 'fill="none" stroke="black" stroke-width="0.4"')
     # The empty last element ends the text with a newline without copying it.
     lines += ["</svg>", ""]
     return "\n".join(lines)
@@ -143,7 +150,7 @@ def phase_svg(diagram: PhaseDiagram, width_px: int = 640) -> str:
                  f'log10(H/eps)</text>')
     lines.append(f'<text x="{margin}" y="{margin - 10}" font-size="14">'
                  f'case {diagram.case}, alpha={diagram.alpha}</text>')
-    present = sorted(set(str(r) for r in diagram.regimes.ravel()))
+    present = sorted(diagram.labels())
     for k, lab in enumerate(present):
         x = margin + plot + 8
         y = margin + 18 * (k + 1)

@@ -165,7 +165,7 @@ class PhaseDiagram:
     bound_values: np.ndarray  # (nH, nL)
 
     def labels(self) -> set[str]:
-        return set(np.unique(self.regimes))
+        return set(self.regimes.ravel().tolist())
 
 
 def phase_diagram(case: str, alpha: float,

@@ -161,12 +161,22 @@ def _orbit_distance(F, G, f2, g2) -> OrbitDistance:
     return OrbitDistance(math.sqrt(d2), math.atan2(q, p), False)
 
 
+@lru_cache(maxsize=8)
+def _angle_grid(samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scan angles and their cosines and sines, read-only and shared by
+    every call with the same ``samples``."""
+    phis = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    grid = (phis, np.cos(phis), np.sin(phis))
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
 def angle_scan_distance(F: np.ndarray, G: np.ndarray, samples: int = 4096,
                         refine: bool = True) -> OrbitDistance:
     """Oracle for :func:`dist_to_rotated_well`: dense scan over the rotation
     angle followed by golden-section refinement of the best bracket."""
-    phis = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    c, s = np.cos(phis), np.sin(phis)
+    phis, c, s = _angle_grid(samples)
     # |F - Q(phi) G|^2 expanded; only the cross term depends on phi.
     M = F @ G.T
     p = M[0, 0] + M[1, 1]

@@ -1,9 +1,12 @@
-"""The batched SVG and CSV writers against the per-instance and per-cell
-loops they replaced, kept here as oracles: every comparison is on the full
-output text, so a changed byte anywhere fails."""
+"""The SVG and CSV writers against the per-instance and per-cell loops they
+replaced, kept here as oracles.  The phase and CSV comparisons are on the
+full output text, so a changed byte anywhere fails; the construction SVG,
+which draws each group once and every further instance as a ``<use>``, is
+compared shape by shape after expanding the references."""
 
 import hashlib
 import math
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
@@ -170,15 +173,89 @@ CONSTRUCTIONS = {
 }
 
 
+def _points(text):
+    return np.array([p.split(",") for p in text.split()], dtype=float)
+
+
+def _expand(svg):
+    """The root's children in order, every ``<use>`` replaced by the shape it
+    refers to: one (tag, attributes without id and points, points text as
+    written or None for a use, defined points, translation) per element.
+    Fails unless the text parses and each use refers to an id defined
+    earlier."""
+    root = ET.fromstring(svg)
+    defined, out = {}, []
+    for el in root:
+        tag = el.tag.rpartition("}")[2]
+        attrs = {k: v for k, v in el.attrib.items() if k not in ("id", "points")}
+        if tag != "use":
+            text = el.get("points")
+            pts = _points(text) if text is not None else np.zeros((0, 2))
+            if "id" in el.attrib:
+                assert el.get("id") not in defined
+                defined[el.get("id")] = (tag, attrs, pts)
+            out.append((tag, attrs, text, pts, np.zeros(2)))
+            continue
+        href = attrs.pop("{http://www.w3.org/1999/xlink}href")
+        off = np.array([float(attrs.pop("x", 0.0)), float(attrs.pop("y", 0.0))])
+        assert not attrs and href[0] == "#"
+        assert href[1:] in defined, f"<use> of {href} before its definition"
+        tag, base_attrs, pts = defined[href[1:]]
+        out.append((tag, base_attrs, None, pts, off))
+    return root, out
+
+
+def _assert_same_geometry(svg, oracle):
+    """``svg`` draws the oracle's shapes: the same element order, tags and
+    style attributes, each defined shape's points text unchanged, and every
+    expanded coordinate within 1.5 units of the 6th significant digit of
+    the largest of the defined point, the translation and the oracle value
+    (one rounding each)."""
+    root, got = _expand(svg)
+    want_root, want = _expand(oracle)
+    assert root.attrib == want_root.attrib
+    assert len(got) == len(want)
+    defined, offsets, expected = [], [], []
+    for i, ((tag, attrs, text, pts, off), (wtag, wattrs, wtext, wpts, _)) in \
+            enumerate(zip(got, want)):
+        if tag != wtag or attrs != wattrs or len(pts) != len(wpts) \
+                or (text is not None and text != wtext):
+            pytest.fail(f"element {i}: <{tag} {attrs} points={text!r}> != "
+                        f"<{wtag} {wattrs} points={wtext!r}>", pytrace=False)
+        defined.append(pts)
+        offsets.append(np.broadcast_to(off, pts.shape))
+        expected.append(wpts)
+    d, o, w = (np.concatenate(a) if a else np.zeros((0, 2))
+               for a in (defined, offsets, expected))
+    m = np.maximum(np.maximum(abs(d), abs(o)), abs(w))
+    tol = 1.5 * 10.0 ** (np.floor(np.log10(np.where(m > 0.0, m, 1.0))) - 5)
+    bad = np.flatnonzero((abs(d + o - w) > tol).any(axis=1))
+    if bad.size:
+        pytest.fail(f"{bad.size} points off; first: defined {d[bad[0]]}, offset "
+                    f"{o[bad[0]]}, oracle {w[bad[0]]}", pytrace=False)
+
+
 @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
 def test_construction_svg_matches_per_instance_oracle(name):
     build, spec = CONSTRUCTIONS[name]
     d = build()
     svg = construction_svg(d, spec)
-    _assert_same_text(svg, _oracle_construction_svg(d, spec))
-    n_cells = sum(g.count for p in d.parts for g in p.groups)
-    n_jumps = sum(j.count for p in d.parts for j in p.jumps)
-    assert svg.count("<polygon") == n_cells and svg.count("<polyline") == n_jumps
+    _assert_same_geometry(svg, _oracle_construction_svg(d, spec))
+    groups = [g for p in d.parts for g in p.groups]
+    jumps = [j for p in d.parts for j in p.jumps]
+    assert svg.count("<polygon") == len(groups) and svg.count("<polyline") == len(jumps)
+    assert svg.count("<use") == sum(g.count - 1 for g in groups + jumps)
+
+
+def test_construction_svg_size_guard():
+    # The largest construction of the construct_check benchmark: 13,970
+    # cells and 23,680 jump curves, 10.1 MB when every instance was written
+    # out in full.
+    d = horizontal_branched(K2, 1e-5, Rect(0.0, 0.0, 1.0, 1.0))
+    assert d.cell_count() == 13970
+    svg = construction_svg(d, K2)
+    assert len(svg.encode()) < 1_500_000
+    ET.fromstring(svg)
 
 
 def _first_instances(d, keep):
@@ -208,7 +285,7 @@ def test_construction_svg_property():
         dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
         build = vertical_branched_k1 if vertical and case == CASE_K1 else horizontal_branched
         d = _first_instances(build(spec, 10.0 ** log_eps, dom, theta=theta), 3)
-        _assert_same_text(construction_svg(d, spec), _oracle_construction_svg(d, spec))
+        _assert_same_geometry(construction_svg(d, spec), _oracle_construction_svg(d, spec))
 
     check()
 

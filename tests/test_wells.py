@@ -100,6 +100,24 @@ def test_closed_form_matches_angle_scan_oracle():
         assert abs(closed.distance - oracle.distance) < 1e-9
 
 
+def test_angle_scan_grid_memoized_and_read_only():
+    grid = wells._angle_grid(4096)
+    assert wells._angle_grid(4096) is grid
+    # Bit-identical to a freshly built grid.
+    phis = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    for got, want in zip(grid, (phis, np.cos(phis), np.sin(phis))):
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 1.0
+    rng = np.random.default_rng(29)
+    G = well_matrices(WellSpec(CASE_K2, 0.25))[1]
+    for _ in range(20):
+        F = rng.uniform(-3.0, 3.0, (2, 2))
+        for samples, refine in ((4096, True), (64, False)):
+            first = angle_scan_distance(F, G, samples, refine)
+            assert angle_scan_distance(F, G, samples, refine) == first
+
+
 def test_orbit_invariance_under_rotations():
     rng = np.random.default_rng(5)
     G = well_matrices(WellSpec(CASE_K2, 0.2))[1]
