@@ -1,9 +1,9 @@
-"""NumPy reference implementation of the hot kernels.
+"""NumPy implementation of the hot kernels.
 
-The quadrature calls :func:`dist2_two_wells` through :mod:`twowell.kernels`,
-which may pick its Cython twin in ``_kernels.pyx``; the minimizer calls
-:func:`nearest_well` and :func:`nearest_well_grad` on entry arrays, with
-its own output and scratch buffers, so a pass allocates nothing.
+The quadrature calls :func:`dist2_two_wells` through :mod:`twowell.kernels`;
+the minimizer calls :func:`nearest_well` and :func:`nearest_well_grad` on
+entry arrays, with its own output and scratch buffers, so a pass allocates
+nothing.
 
 Convention: gradients are batches of shape (n, 2, 2), or their entries
 ``(f00, f01, f10, f11)``; ``which`` is 0 (False) where well A is (weakly)

@@ -1,26 +1,17 @@
-"""Kernel backend selection: compiled extension if available, NumPy otherwise.
+"""The batched well kernel the quadrature calls.
 
-Set ``TWOWELL_FORCE_NUMPY=1`` to skip the extension (used by the benchmark
-to compare both backends in one process via explicit module access).
+The NumPy functions of :mod:`twowell._kernels_np` are the only backend.
+This module stays so that callers look them up here at call time
+(``kernels.dist2_two_wells``): the benchmark harness and the tests replace
+these attributes with counting or timing wrappers.
 """
 
 from __future__ import annotations
 
-import os
+from ._kernels_np import dist2_two_wells, dist2_two_wells_grad
 
-from . import _kernels_np
-
-if os.environ.get("TWOWELL_FORCE_NUMPY"):
-    _impl = _kernels_np
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_np
-
-dist2_two_wells = _impl.dist2_two_wells
-dist2_two_wells_grad = _impl.dist2_two_wells_grad
+__all__ = ["dist2_two_wells", "dist2_two_wells_grad", "backend_name"]
 
 
 def backend_name() -> str:
-    return "cython" if _impl.__name__.endswith("_kernels") else "numpy"
+    return "numpy"

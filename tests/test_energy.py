@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from twowell import _kernels_np, energy, kernels
+from twowell import energy, kernels
 from twowell.energy import (
     EnergyBreakdown,
     QuadratureSpec,
@@ -472,10 +472,7 @@ _PINNED = [
 
 @pytest.mark.parametrize("point,pinned", _PINNED,
                          ids=[f"{c}-{e}-{a}-{al}-{b.__name__}" for (c, e, a, al, b), _ in _PINNED])
-def test_energies_match_pinned_values(point, pinned, monkeypatch):
-    # The pins are the NumPy kernel's values; the compiled twin rounds d2
-    # differently (test_backends_agree bounds the difference).
-    monkeypatch.setattr(kernels, "dist2_two_wells", _kernels_np.dist2_two_wells)
+def test_energies_match_pinned_values(point, pinned):
     case, eps, aspect, alpha, build = point
     spec = WellSpec(case, alpha)
     dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
