@@ -58,7 +58,7 @@ class RunConfig:
     quad_rel_tol: float = 1e-8
     quad_max_depth: int = 12
     quad_line_points: int = 16
-    epsilons: tuple[float, ...] = ()
+    epsilons: tuple[float, ...] = (1e-7, 1e-6, 1e-5, 1e-4)
     phase_log_min: float = 0.5
     phase_log_max: float = 6.0
     phase_n: int = 121

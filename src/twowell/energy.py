@@ -26,18 +26,27 @@ of that matrix.  The elastic integrand evaluates the ramp once per panel
 column of nodes, and writes F entry by entry: a signed-permutation
 conjugation (identity, mirror, swap) is a signed copy of each entry.
 
-What is exactly zero by structure is not integrated, and every value stays
-the same to the last bit, because the quadrature of an integrand that is
-0.0 at every node is 0.0 with error 0.0:
+What is exact by structure gets its exact rule instead of the generic
+refinement:
 
 * the bulk TV skips cells whose map is not curved (D^2 u = 0: the map
   does not bend, or it reads the linear ramp only through g' = 1);
-* the elastic term writes the constant F of each distinct flat (cell,
-  conjugation) entry once, by the integrand's arithmetic, and skips the
-  entries whose well distance (one kernel call for all of them) is 0.0;
+* it splits a cell's root panel at the kinks its map declares
+  (``kinks()``: the k2 cell's middle piece, where |g'''| has corners at
+  t = (3 -+ sqrt 3) / 6), so each root panel holds a smooth integrand;
+  a prototype's scale and size are the sums over its roots;
+* the elastic term writes the constant F of each distinct (cell,
+  conjugation) entry whose map is not curved once, by the integrand's
+  arithmetic, and takes its well distance d2 for all of them in one kernel
+  call; such an entry integrates to d2 * area with error 0.0, and is
+  skipped where d2 is 0.0;
 * the jump TV skips the curves a construction marks ``smooth``, where both
   sides have the same gradient (stack lines between cells, and stripe and
   centre lines when the ramp has flat ends).
+
+The skips keep every bit (an integrand that is 0.0 at every node
+integrates to 0.0 with error 0.0); the closed forms and kink splits move
+the last bits of the values they replace.
 """
 
 from __future__ import annotations
@@ -202,10 +211,11 @@ def _sums_by_owner(values: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
     return sums
 
 
-def _integrate(wave_values, roots: np.ndarray, order: int, measures: np.ndarray,
-               quad: QuadratureSpec):
-    """Adaptive Gauss integrals over the boxes ``roots``, an (n, 2d) array
-    with one row of (lo, hi) pairs per axis for each of n prototypes.
+def _integrate(wave_values, roots: np.ndarray, owner: np.ndarray, order: int,
+               measures: np.ndarray, quad: QuadratureSpec):
+    """Adaptive Gauss integrals of n prototypes over their root panels: the
+    boxes ``roots``, an (r, 2d) array with one row of (lo, hi) pairs per
+    axis for each root, where ``owner`` holds each root's prototype.
 
     ``wave_values(panels, owner, rules)`` returns the integrals of every panel
     by both ``rules`` (Gauss nodes and weights on [0, 1] of order p and 2p);
@@ -214,25 +224,29 @@ def _integrate(wave_values, roots: np.ndarray, order: int, measures: np.ndarray,
     order-p / order-2p Richardson difference is below its share of its
     prototype's tolerance, otherwise it is halved along every axis (children
     ordered with axis 0 fastest, stacked child-pattern-major, so each
-    prototype's panels keep the order of a refinement of its own).
-    ``measures`` scales the absolute noise floor.  Returns each prototype's
-    total, its error estimate (the sum of ``|fine - coarse|`` over its
-    accepted panels) and whether it hit the depth limit: panels still above
-    tolerance at ``max_refinement_depth`` whose errors sum to more than ten
-    times its tolerance.
+    prototype's panels keep the order of a refinement of its own).  A
+    prototype's scale is the sum of its roots' wave-0 fine values, and its
+    size the sum of their sizes; with a single root, both are that root's
+    own values, bit for bit.
+    ``measures`` (one per prototype) scales the absolute noise floor.
+    Returns each prototype's total, its error estimate (the sum of
+    ``|fine - coarse|`` over its accepted panels) and whether it hit the
+    depth limit: panels still above tolerance at ``max_refinement_depth``
+    whose errors sum to more than ten times its tolerance.
     """
     rules = (_gauss(order), _gauss(2 * order))
-    root_size = np.prod(roots[:, 1::2] - roots[:, 0::2], axis=1)
-    n = len(roots)
+    n = len(measures)
+    root_size = np.bincount(owner, np.prod(roots[:, 1::2] - roots[:, 0::2], axis=1),
+                            minlength=n)
     totals, errors = np.zeros(n), np.zeros(n)
     hit = np.zeros(n, dtype=bool)
-    panels, owner = roots, np.arange(n)
+    panels = roots
     depth = 0
     while True:
         coarse, fine = wave_values(panels, owner, rules)
         if depth == 0:
-            # Each root panel's fine value sets the scale of its relative test.
-            scale = np.maximum(np.abs(fine), 1e-300)
+            # The roots' fine values set the scale of each prototype's relative test.
+            scale = np.maximum(np.abs(_sums_by_owner(fine, owner, n)), 1e-300)
         err = np.abs(fine - coarse)
         frac = np.prod(panels[:, 1::2] - panels[:, 0::2], axis=1) / root_size[owner]
         tol = np.maximum(quad.rel_tol * scale[owner] * np.maximum(frac, 1e-6),
@@ -304,13 +318,15 @@ def _integrate_cells(entries, protos, integrand, quad: QuadratureSpec):
 
     roots = np.array([[0.0, proto.width, 0.0, 1.0] for proto in protos])
     measures = np.array([abs(proto.area()) for proto in protos])
-    return _integrate(wave_values, roots, p, measures, quad)
+    return _integrate(wave_values, roots, np.arange(len(roots)), p, measures, quad)
 
 
-def _integrate_lines(entries, spans, integrand, quad: QuadratureSpec):
-    """Integral of ``integrand(proto, t)`` over (0, span) for each table
-    entry of a cell or jump prototype (its shape led by the class, which
-    builds the member with (m, 1) float columns; (m, n) parameters t)."""
+def _integrate_lines(entries, edges, integrand, quad: QuadratureSpec):
+    """Integral of ``integrand(proto, t)`` over (edges[0], edges[-1]) for
+    each table entry of a cell or jump prototype (its shape led by the
+    class, which builds the member with (m, 1) float columns; (m, n)
+    parameters t).  ``edges`` lists each prototype's increasing root panel
+    edges: its ends and the kinks of its integrand between them."""
     table = _Table(entries)
     p = quad.line_points
 
@@ -325,9 +341,10 @@ def _integrate_lines(entries, spans, integrand, quad: QuadratureSpec):
                 out[r, idx] = np.einsum("mi,mi->m", ws * (b - a)[:, None], vals[:, lo:hi])
         return out
 
-    spans = np.asarray(spans, dtype=float)
-    roots = np.column_stack([np.zeros_like(spans), spans])
-    return _integrate(wave_values, roots, p, spans, quad)
+    roots = np.array([(a, b) for e in edges for a, b in zip(e[:-1], e[1:])], dtype=float)
+    owner = np.repeat(np.arange(len(edges)), [len(e) - 1 for e in edges])
+    return _integrate(wave_values, roots, owner, p,
+                      np.array([e[-1] - e[0] for e in edges], dtype=float), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -403,32 +420,44 @@ def _elastic(defs, spec, quad):
             conj = t.entry()
             for g in part.groups:
                 entry = (g.proto.entry(), conj)
-                if not g.proto.map.bends:
+                if not g.proto.map.curved:
                     flat.setdefault(entry, (g.proto.map, t))
                 own.append((entry, g.proto, g.count))
         keyed.append(own)
-    in_well = _in_well(flat, A, B)
-    keyed = [[k for k in own if k[0] not in in_well] for own in keyed]
-    return _unique_integrals(keyed, lambda entries, protos: _integrate_cells(
-        entries, protos, _elastic_integrand(A, B), quad), "cell")
+    d2 = _flat_dist2(flat, A, B)
+    keyed = [[k for k in own if d2.get(k[0]) != 0.0] for own in keyed]
+    integrand = _elastic_integrand(A, B)
+
+    def integrate(entries, protos):
+        # A constant gradient integrates to d2 * area, exactly up to rounding.
+        values = np.array([d2[e] * p.area() if e in d2 else 0.0
+                           for e, p in zip(entries, protos)])
+        errors, hit = np.zeros(len(entries)), np.zeros(len(entries), dtype=bool)
+        rest = [i for i, e in enumerate(entries) if e not in d2]
+        if rest:
+            values[rest], errors[rest], hit[rest] = _integrate_cells(
+                [entries[i] for i in rest], [protos[i] for i in rest], integrand, quad)
+        return values.tolist(), errors, hit
+
+    return _unique_integrals(keyed, integrate, "cell")
 
 
-def _in_well(flat, A, B) -> set:
-    """The entries of ``flat`` = {entry: (map, conjugation)} of cells
-    that do not bend, whose constant gradient sits exactly on a well.
+def _flat_dist2(flat, A, B) -> dict:
+    """{entry: d2} for the entries of ``flat`` = {entry: (map, conjugation)}
+    of cells whose map is not curved: the squared well distance of their
+    constant gradient, in one kernel call.
 
     Each F is written once by the integrand's arithmetic, and the kernel
-    is pointwise, so where its d2 is exactly 0.0 the integrand is 0.0 at
-    every node, and the integral and its error estimate are exactly 0.0.
-    One kernel call covers every entry.
+    is pointwise, so this is the integrand's value at every node; where it
+    is exactly 0.0 the integral and its error estimate are exactly 0.0.
     """
     if not flat:
-        return set()
+        return {}
     F = np.empty((len(flat), 2, 2))
     for out, (map_, t) in zip(F, flat.values()):
-        _push_gradient(map_.grad_entries(None, 0.0), t, out)
+        _push_gradient(map_.grad_entries(map_.ramp(0.0), 0.0), t, out)
     d2, _ = kernels.dist2_two_wells(F, A, B)
-    return {entry for entry, zero in zip(flat, (d2 == 0.0).tolist()) if zero}
+    return dict(zip(flat, d2.tolist()))
 
 
 def tv_bulk(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> float:
@@ -443,7 +472,8 @@ def _tv_bulk(defs, quad):
     keyed = [[(g.proto.entry(), g.proto, g.count) for part in def_.parts
               for g in part.groups if g.proto.map.curved] for def_ in defs]
     return _unique_integrals(keyed, lambda entries, protos: _integrate_lines(
-        entries, [p.width for p in protos], _tv_bulk_integrand, quad), "line")
+        entries, [(0.0, *p.map.kinks(), p.width) for p in protos], _tv_bulk_integrand,
+        quad), "line")
 
 
 def _tv_bulk_integrand(proto, x):
@@ -504,7 +534,8 @@ def _tv_jump(defs, quad):
     keyed = [[(jg.proto.entry(), jg.proto, jg.count) for part in def_.parts
               for jg in part.jumps if not jg.smooth] for def_ in defs]
     return _unique_integrals(keyed, lambda entries, protos: _integrate_lines(
-        entries, [p.length_param() for p in protos], _tv_jump_integrand, quad), "line")
+        entries, [(0.0, p.length_param()) for p in protos], _tv_jump_integrand, quad),
+        "line")
 
 
 def total_energies(defs: list[PiecewiseDeformation], spec: WellSpec, epsilon: float,

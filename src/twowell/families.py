@@ -7,6 +7,7 @@ A cell's map is ``u(p) = p + disp(p - anchor)`` in cell-local coordinates;
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +23,13 @@ class _MapBase:
     A family implements ``disp``, ``grad_entries(ramp, y)`` (the entries
     ``(d1 u1, d2 u1, d1 u2, d2 u2)``, from the ramp values at the local x
     given by ``ramp(x)``, None for pieces that do not bend) and ``key``.
-    ``bends`` tells whether the map follows the ramp: one that does not has
-    a constant gradient and D^2 u = 0, and the quadrature relies on that.
-    ``curved`` tells whether D^2 u can be nonzero: never where the map does
-    not bend, and not on a piece whose D^2 u is a multiple of g'' when the
-    ramp is linear.
+    ``bends`` tells whether the map follows the ramp at all.  ``curved``
+    tells whether D^2 u can be nonzero: never where the map does not bend,
+    and not on a piece whose D^2 u is a multiple of g'' when the ramp is
+    linear.  A map that is not curved has a constant gradient, and the
+    quadrature relies on that.  ``kinks()`` lists the local x inside the cell where the
+    bulk-TV column integrand has a kink (none by default); the quadrature
+    splits the cell's root panel there.
     For the quadrature's tables, ``entry()`` returns its shape (the class
     and the discrete fields) and its row (the float fields), and
     ``from_row(shape, cols)`` builds a member from an iterator of (m, 1)
@@ -47,6 +50,9 @@ class _MapBase:
 
     def ramp(self, x):
         return None
+
+    def kinks(self) -> tuple[float, ...]:
+        return ()
 
     def grad(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -162,6 +168,14 @@ class K2CellPiece(_Piece):
 
     def _discrete(self) -> tuple:
         return (self.piece,)
+
+    def kinks(self) -> tuple[float, ...]:
+        # Piece 3's |D^2 u| is a multiple of |g'''(x / ell)|, and the
+        # quintic's g''' = 60 (6 t^2 - 6 t + 1) changes sign at (3 -+ sqrt 3) / 6.
+        if self.piece != 3:
+            return ()
+        return (self.ell * (3.0 - math.sqrt(3.0)) / 6.0,
+                self.ell * (3.0 + math.sqrt(3.0)) / 6.0)
 
     def _mirror(self, g):
         """Sign and base curve ``y = base(x)`` of the transition pieces: piece

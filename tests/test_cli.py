@@ -125,6 +125,18 @@ def test_sweep_fit_and_refusal(tmp_path, capsys):
     assert rc == 2
 
 
+def test_sweep_runs_at_its_defaults(tmp_path, capsys):
+    # The default epsilon list lies in the branching regime at the default
+    # alpha, L and H, so the fit is made: slopes near 2/3 (k1) and 4/5 (k2).
+    for case, lo, hi in (("k1", 0.6, 0.75), ("k2", 0.75, 0.85)):
+        out = tmp_path / case
+        assert main(["sweep", "--case", case, "--out", str(out)]) == 0
+        fit = capsys.readouterr().out
+        assert "points=4" in fit
+        assert lo < float(fit.split("slope=")[1].split()[0]) < hi
+        assert len((out / "sweep.csv").read_text().splitlines()) == 5
+
+
 def test_quadrature_warnings_reach_stderr(tmp_path, capsys):
     # No refinement at all: the order-2 rule misses the tolerance at once.
     cfg = tmp_path / "shallow.cfg"

@@ -33,6 +33,7 @@ from twowell.microstructure import (
 from twowell.piecewise import (
     PiecewiseDeformation,
     Rect,
+    Transform,
     VerticalJump,
     gradient_jump,
     identity_deformation,
@@ -60,19 +61,19 @@ def push_forward(CL, du, Q):
     return F
 
 
-def _oracle_integrate(wave_values, root, order, measure, quad, warnings, what):
-    """(integral, error estimate) of one prototype."""
+def _oracle_integrate(wave_values, roots, order, measure, quad, warnings, what):
+    """(integral, error estimate) of one prototype over its root panels."""
     xs1, ws1 = _gauss(order)
     xs2, ws2 = _gauss(2 * order)
-    root_size = float(np.prod(root[:, 1::2] - root[:, 0::2]))
+    root_size = sum(np.prod(roots[:, 1::2] - roots[:, 0::2], axis=1).tolist())
     total = error = 0.0
-    panels = root
+    panels = roots
     depth = 0
     while True:
         coarse = wave_values(panels, xs1, ws1)
         fine = wave_values(panels, xs2, ws2)
         if depth == 0:
-            scale = max(abs(float(fine[0])), 1e-300)
+            scale = max(abs(sum(fine.tolist())), 1e-300)
         err = np.abs(fine - coarse)
         frac = np.prod(panels[:, 1::2] - panels[:, 0::2], axis=1) / root_size
         tol = np.maximum(quad.rel_tol * scale * np.maximum(frac, 1e-6),
@@ -117,15 +118,18 @@ def _oracle_cell(proto, integrand, quad, warnings):
                              quad.base_order, abs(proto.area()), quad, warnings, "cell")
 
 
-def _oracle_line(span, integrand, quad, warnings):
+def _oracle_line(edges, integrand, quad, warnings):
+    """(integral, error) of ``integrand(t)`` over (edges[0], edges[-1]), one
+    root panel between each pair of consecutive edges."""
     def wave_values(ab, xs, ws):
         a, b = ab.T
         t = a[:, None] + (b - a)[:, None] * xs
         vals = integrand(t.ravel()).reshape(t.shape)
         return np.einsum("mi,mi->m", ws * (b - a)[:, None], vals)
 
-    return _oracle_integrate(wave_values, np.array([[0.0, span]]), quad.line_points,
-                             span, quad, warnings, "line")
+    roots = np.array(list(zip(edges[:-1], edges[1:])))
+    return _oracle_integrate(wave_values, roots, quad.line_points,
+                             edges[-1] - edges[0], quad, warnings, "line")
 
 
 def _oracle_tv_bulk_cell(proto, quad, warnings):
@@ -133,17 +137,19 @@ def _oracle_tv_bulk_cell(proto, quad, warnings):
         A, B, R2 = proto.map.hess_profile(x)
         return _column_tv(A, B, R2, proto.lower.value(x), proto.upper.value(x))
 
-    return _oracle_line(proto.width, integrand, quad, warnings)
+    return _oracle_line((0.0, *proto.map.kinks(), proto.width), integrand, quad, warnings)
 
 
-def _oracle_jobs(def_, spec, quad, warnings):
+def _oracle_jobs(def_, spec, quad, warnings, closed_form=False):
     """``(term, key, group, job)`` for every cell group (terms "elastic" and
     "bulk") and jump group ("jump") of ``def_``, in the order the terms sum
     them; ``key`` is the group's table entry (with the bytes of CL and Q
     for the elastic term), and ``job()`` integrates it by the per-prototype
     loop: (value, error).
     Nothing is skipped: flat cells, cells in a well and smooth curves are
-    integrated like the others."""
+    integrated like the others.  With ``closed_form``, the elastic job of a
+    cell whose map is not curved (constant gradient) returns d2 at one
+    point times the cell's area, with error 0.0."""
     A, B = well_matrices(spec)
     for part in def_.parts:
         Q, _, CL, _ = part.folded()
@@ -151,8 +157,13 @@ def _oracle_jobs(def_, spec, quad, warnings):
             def integrand(x, y, proto=g.proto, CL=CL, Q=Q):
                 F = push_forward(CL, np.eye(2) + proto.map.grad(x, y), Q)
                 return kernels.dist2_two_wells(F, A, B)[0]
-            yield ("elastic", (g.proto.entry(), CL.tobytes(), Q.tobytes()), g,
-                   lambda proto=g.proto, f=integrand: _oracle_cell(proto, f, quad, warnings))
+
+            def job(proto=g.proto, f=integrand):
+                if closed_form and not proto.map.curved:
+                    return float(f(np.zeros(1), np.zeros(1))[0]) * proto.area(), 0.0
+                return _oracle_cell(proto, f, quad, warnings)
+
+            yield "elastic", (g.proto.entry(), CL.tobytes(), Q.tobytes()), g, job
     for part in def_.parts:
         for g in part.groups:
             yield ("bulk", g.proto.entry(), g,
@@ -168,8 +179,8 @@ def _oracle_jobs(def_, spec, quad, warnings):
                 return np.sqrt(np.einsum("nij,nij->n", diff, diff)) * proto.weight(t)
 
             yield ("jump", proto.entry(), jg,
-                   lambda proto=proto, f=integrand: _oracle_line(proto.length_param(), f,
-                                                                 quad, warnings))
+                   lambda proto=proto, f=integrand: _oracle_line((0.0, proto.length_param()),
+                                                                 f, quad, warnings))
 
 
 def _oracle_terms(def_, spec, quad=None):
@@ -177,7 +188,8 @@ def _oracle_terms(def_, spec, quad=None):
     warnings: list[str] = []
     sums = {"elastic": 0.0, "bulk": 0.0, "jump": 0.0}
     cache: dict = {}
-    for term, key, group, job in _oracle_jobs(def_, spec, quad or QuadratureSpec(), warnings):
+    for term, key, group, job in _oracle_jobs(def_, spec, quad or QuadratureSpec(), warnings,
+                                              closed_form=True):
         if (term, key) not in cache:
             cache[term, key] = job()[0]
         sums[term] += group.count * cache[term, key]
@@ -187,7 +199,8 @@ def _oracle_terms(def_, spec, quad=None):
 def _tv_bulk_cells(protos, quad):
     """Batched bulk-TV integrals of ``protos``, as ``energy._tv_bulk`` runs them:
     values, error estimates and depth-limit flags."""
-    return _integrate_lines([p.entry() for p in protos], [p.width for p in protos],
+    return _integrate_lines([p.entry() for p in protos],
+                            [(0.0, *p.map.kinks(), p.width) for p in protos],
                             _tv_bulk_integrand, quad)
 
 
@@ -458,15 +471,19 @@ def test_total_energies_match_one_deformation_at_a_time(spec, eps, dom, kw, quad
 # perfbench's ratio_grid sample, as computed before the prototypes became
 # parameter tables.  The oracle above shares the displacement families with
 # the code under test, so it cannot see a change to them; these pins can.
+# The k2 tv_bulk values and the error estimates moved when the k2 cell's
+# middle piece was split at its kinks and constant-gradient cells got their
+# closed form: the middle piece now matches scipy.integrate.quad to 1e-15
+# (1e-10 before), see test_quadrature_matches_scipy_oracle.
 _PINNED = [
     ((CASE_K2, 1e-7, 2.0, 0.1, horizontal_branched),
-     "(1.1931092462061027e-06, 0.5208311894650116, 38.58209011197011, 1.7391478239234615e-16)"),
+     "(1.1931092462061027e-06, 0.5208311894605422, 38.58209011197011, 1.7134317365208936e-16)"),
     ((CASE_K1, 1e-7, 0.5, 0.2, horizontal_branched),
      "(3.4692459597288762e-06, 0.6863492708952108, 517.2613211848111, 1.6009459347624322e-16)"),
     ((CASE_K1, 1e-4, 4.0, 0.1, vertical_branched_k1),
-     "(0.00018972093927587726, 0.3281249999999997, 30.03184523809524, 1.6479645051332242e-16)"),
+     "(0.00018972093927587726, 0.3281249999999997, 30.03184523809524, 1.6477866282143008e-16)"),
     ((CASE_K2, 1e-3, 4.0, 0.2, horizontal_branched),
-     "(0.0006673936691419691, 0.4375264396285826, 13.399855128437608, 7.494747412420599e-13)"),
+     "(0.0006673936691419691, 0.43752643962447074, 13.399855128437608, 7.258159675565175e-13)"),
 ]
 
 
@@ -505,13 +522,14 @@ def test_kernel_calls_grow_with_shapes_not_prototypes(monkeypatch):
 
 
 def test_one_prototype_at_the_depth_limit_leaves_the_batch_alone():
-    # At depth 4 only the k2 cell's middle piece (|A| ~ |g'''|, kinks at
-    # t = (3 +- sqrt 3)/6) is still refining; its neighbours in the batch
-    # converge in fewer waves.
+    # At depth 4 only the lower transition piece of a thin k2 cell (h / ell
+    # = 1/128) is still refining; its neighbours in the batch converge in
+    # fewer waves, the middle piece split at its kinks in one.
     protos = [g.proto for d in (k2_cell((0.0, 0.0), 1.0, 0.25, 0.2),
                                 k2_boundary_cell((0.0, 0.0), 0.5, 0.25, 0.2),
                                 k1_cell((0.0, 0.0), 0.5, 0.25, 0.2))
               for g in d.parts[0].groups]
+    protos.insert(2, k2_cell((0.0, 0.0), 1.0, 1.0 / 128.0, 0.2).parts[0].groups[1].proto)
     quad = QuadratureSpec(max_refinement_depth=4)
     batched, _, hit = _tv_bulk_cells(protos, quad)
     warned = []
@@ -574,24 +592,99 @@ def test_hess_profile_matches_full_hessian():
         assert abs(column - oracle) <= 1e-9 * oracle, (proto.map.key(), column, oracle)
 
 
-def _integrated_entries(d, spec, eps):
-    """The table entries each term of ``total_energy(d, spec, eps)`` integrates,
-    keyed as :func:`_oracle_jobs` keys them."""
-    seen = []
+def _recorded_integrals(defs, spec, eps):
+    """One dict per term of ``total_energies(defs, spec, eps)`` (elastic,
+    bulk TV, jump TV): {entry: (value, error, item)} of every table entry
+    the term integrates, by quadrature or closed form."""
+    terms = []
     unique = energy._unique_integrals
 
     def recording(keyed, integrate, what):
-        seen.append({entry for own in keyed for entry, _, _ in own})
-        return unique(keyed, integrate, what)
+        seen = {}
+        terms.append(seen)
+
+        def wrapped(entries, items):
+            values, errors, hit = integrate(entries, items)
+            seen.update(zip(entries, zip(values, errors.tolist(), items)))
+            return values, errors, hit
+        return unique(keyed, wrapped, what)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy, "_unique_integrals", recording)
-        total_energy(d, spec, eps)
-    elastic, bulk, jump = seen
+        total_energies(defs, spec, eps)
+    return terms
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-7])
+def test_quadrature_matches_scipy_oracle(eps):
+    # An independent adaptive rule (QUADPACK) checks the bulk TV of one
+    # curved prototype of every family and piece, the k2 cell's middle piece
+    # split at its kinks like ours, and every constant-gradient elastic
+    # entry's closed form d2 * area against scipy's 2D integral of d2.
+    integrate = pytest.importorskip("scipy.integrate")
+    dom = Rect(0.0, 0.0, 1.0, 1.0)
+    k1, k2 = WellSpec(CASE_K1, 0.1), WellSpec(CASE_K2, 0.1)
+    # A value rotation moves the k2 laminate gradients off the wells.
+    constant = 0
+    for spec, defs in ((k2, [rotate_values(horizontal_branched(k2, eps, dom), rotation(0.7))]),
+                       (k1, [horizontal_branched(k1, eps, dom),
+                             vertical_branched_k1(k1, eps, dom)])):
+        elastic, bulk, _ = _recorded_integrals(defs, spec, eps)
+        curved = {}
+        for value, error, proto in bulk.values():
+            curved.setdefault(proto.map.key()[:2], (proto, value, error))
+        tags = {"k2": {"k2cell", "k2bd"}, "k1": {"k1cell", "k1bd"}}[spec.case]
+        assert {tag for tag, _ in curved} == tags
+        for (tag, piece), (proto, value, error) in curved.items():
+            def column(x, proto=proto):
+                x = np.array([x])
+                A, B, R2 = proto.map.hess_profile(x)
+                return float(_column_tv(A, B, R2, proto.lower.value(x),
+                                        proto.upper.value(x))[0])
+
+            ref, ref_err = integrate.quad(column, 0.0, proto.width,
+                                          points=proto.map.kinks() or None,
+                                          epsabs=0.0, epsrel=2e-14, limit=200)
+            assert (tag, piece) != ("k2cell", 3) or proto.map.kinks()
+            # The estimate bounds the error, up to the reference's own.
+            assert abs(value - ref) <= error + ref_err, (tag, piece, value, ref, error)
+            assert abs(value - ref) <= 1e-9 * ref
+            if (tag, piece) == ("k2cell", 3):
+                assert abs(value - ref) <= 1e-13 * ref
+
+        A, B = well_matrices(spec)
+        for d in defs:
+            for part in d.parts:
+                Q, _, CL, _ = part.folded()
+                conj = Transform(*part.folded(), "").entry()
+                for g in part.groups:
+                    if g.proto.map.curved or (g.proto.entry(), conj) not in elastic:
+                        continue
+                    value, error, _ = elastic[g.proto.entry(), conj]
+
+                    def d2(y, x, proto=g.proto, CL=CL, Q=Q):
+                        F = push_forward(CL, np.eye(2) + proto.map.grad(np.array([x]),
+                                                                        np.array([y])), Q)
+                        return float(kernels.dist2_two_wells(F, A, B)[0][0])
+
+                    proto = g.proto
+                    ref, ref_err = integrate.dblquad(d2, 0.0, proto.width, proto.lower.value,
+                                                     proto.upper.value, epsabs=0.0,
+                                                     epsrel=1e-13)
+                    assert error == 0.0 and value > 0.0
+                    assert abs(value - ref) <= 1e-13 * ref + ref_err, (value, ref)
+                    constant += 1
+    assert constant > 0
+
+
+def _integrated_entries(d, spec, eps):
+    """The table entries each term of ``total_energy(d, spec, eps)`` integrates,
+    keyed as :func:`_oracle_jobs` keys them."""
+    elastic, bulk, jump = _recorded_integrals([d], spec, eps)
     # The elastic term keys (cell, Transform.entry()); the oracle its matrices.
     elastic = {(cell, np.array(cl).tobytes(), np.array(q).tobytes())
                for cell, ((cl, q), _) in elastic}
-    return {"elastic": elastic, "bulk": bulk, "jump": jump}
+    return {"elastic": elastic, "bulk": set(bulk), "jump": set(jump)}
 
 
 def test_skipped_entries_are_exact_zeros():
@@ -675,28 +768,36 @@ def test_integrands_never_see_what_is_skipped(monkeypatch):
 
 def test_linear_ramp_pieces_are_not_curved(monkeypatch):
     # With the linear ramp the bent pieces of the shear case have g'' = 0,
-    # so D^2 u = 0: the bulk TV integrates none of their lines, and the
-    # breakdown is the one it had when it did (every such line was 0.0).
-    lines = {}
-    integrate = energy._integrate_lines
+    # so D^2 u = 0 and their gradient is constant: the bulk TV integrates
+    # none of their lines, and the elastic term gives them their closed
+    # form d2 * area instead of the 2D loop.
+    lines, cells = {}, {}
+    integrate_lines, integrate_cells = energy._integrate_lines, energy._integrate_cells
 
-    def counting(entries, spans, integrand, quad):
+    def counting_lines(entries, edges, integrand, quad):
         if integrand is energy._tv_bulk_integrand:
             lines[kind] = lines.get(kind, 0) + len(entries)
-        return integrate(entries, spans, integrand, quad)
+        return integrate_lines(entries, edges, integrand, quad)
 
-    monkeypatch.setattr(energy, "_integrate_lines", counting)
+    def counting_cells(entries, protos, integrand, quad):
+        cells[kind] = cells.get(kind, 0) + sum(p.map.bends for p in protos)
+        return integrate_cells(entries, protos, integrand, quad)
+
+    monkeypatch.setattr(energy, "_integrate_lines", counting_lines)
+    monkeypatch.setattr(energy, "_integrate_cells", counting_cells)
     spec = WellSpec(CASE_K1, 0.1)
     results = {}
     for kind in ("linear", "quintic"):
         results[kind] = best_construction(spec, 1e-4, 1.0, 1.0, gamma_kind=kind)
-    assert lines.get("linear", 0) == 0
-    assert lines["quintic"] > 0  # the quintic ramp curves
+    assert lines.get("linear", 0) == 0 and cells.get("linear", 0) == 0
+    assert lines["quintic"] > 0 and cells["quintic"] > 0  # the quintic ramp curves
     d, breakdown, label = results["linear"]
     assert label == "branched-horizontal"
     assert repr(breakdown) == (
-        "EnergyBreakdown(elastic=0.00011745969946647316, tv_bulk=0.0, "
+        "EnergyBreakdown(elastic=0.0001174596994664732, tv_bulk=0.0, "
         "tv_jump=17.5092757936508, epsilon=0.0001, total=0.0018683872788315533, "
-        "error_estimate=4.1695832103303374e-19, warnings=())")
+        "error_estimate=3.306138999722985e-19, warnings=())")
+    # The value the 2D loop gave those pieces, every node the same F.
+    assert breakdown.elastic == pytest.approx(0.00011745969946647316, rel=1e-14, abs=0.0)
     bent = [g.proto.map for part in d.parts for g in part.groups if g.proto.map.bends]
     assert bent and not any(m.curved for m in bent)
