@@ -19,6 +19,7 @@ with its traceback, so ``python -m twowell`` exits 1.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -29,7 +30,7 @@ import numpy as np
 from .checks import run_checks
 from .energy import QuadratureSpec
 from .fem import DiscreteField, Mesh, MinimizeOptions, minimize, seed_from_construction
-from .microstructure import best_construction, horizontal_branched, vertical_branched_k1
+from .microstructure import best_construction, branched_constructions
 from .piecewise import Rect, write_manifest
 from .render import construction_svg, phase_svg
 from .scaling import RATIO_PIN_C, classify_regime, min_energy_bound, phase_diagram
@@ -155,14 +156,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"case must be k1 or k2, got {cfg.case!r}")
     if not (0.0 < cfg.alpha < 1.0):
         raise ConfigError("alpha must lie in (0, 1)")
-    if min(cfg.epsilon, cfg.L, cfg.H) <= 0:
-        raise ConfigError("epsilon, L and H must be positive")
+    # Written so that NaN fails: it compares false with anything.
+    if not all(0.0 < v < math.inf for v in (cfg.epsilon, cfg.L, cfg.H, *cfg.epsilons)):
+        raise ConfigError("epsilon, L, H and epsilons must be positive and finite")
     if cfg.gamma not in ("quintic", "linear"):
         raise ConfigError("gamma must be quintic or linear")
     if cfg.gamma == "linear" and cfg.case != CASE_K1:
         raise ConfigError("the linear ramp is only admissible for case k1")
-    if not all(e > 0 for e in cfg.epsilons):
-        raise ConfigError("epsilons must be positive")
+    if cfg.huber_delta is not None and not 0.0 < cfg.huber_delta < math.inf:
+        raise ConfigError("huber_delta must be positive and finite")
+    if cfg.max_iter < 1:
+        raise ConfigError("max_iter must be at least 1")
     if cfg.theta is not None and not (0.25 < cfg.theta < 0.5):
         raise ConfigError("theta must lie in (1/4, 1/2)")
     try:
@@ -324,12 +328,8 @@ def cmd_minimize(cfg: RunConfig) -> int:
     opts = MinimizeOptions(max_iter=cfg.max_iter, delta_huber=cfg.huber_delta)
 
     starts = [("identity", DiscreteField.identity(mesh), None)]
-    builders = [("horizontal", horizontal_branched)]
-    if cfg.case == CASE_K1:
-        builders.append(("vertical", vertical_branched_k1))
-    for name, build in builders:
-        d = build(spec, cfg.epsilon, cfg.domain(), theta=cfg.theta,
-                  gamma_kind=cfg.gamma)
+    for name, d in branched_constructions(spec, cfg.epsilon, cfg.domain(), cfg.theta,
+                                          cfg.gamma).items():
         fld, notes = seed_from_construction(d, mesh)
         for note in notes:
             print(f"warning: {name} seed {note}", file=sys.stderr)

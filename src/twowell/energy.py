@@ -52,13 +52,14 @@ the last bits of the values they replace.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
-from .piecewise import CellProto, PiecewiseDeformation, Transform, _push_gradient
+from .piecewise import CellProto, PiecewiseDeformation, Transform
 from .wells import WellSpec, well_matrices
 
 __all__ = ["QuadratureSpec", "EnergyBreakdown", "elastic_energy", "tv_bulk",
@@ -77,8 +78,8 @@ class QuadratureSpec:
             raise ValueError("base_order must be at least 2")
         if self.max_refinement_depth < 0:
             raise ValueError("max_refinement_depth must be nonnegative")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
         if self.line_points < 2:
             raise ValueError("line_points must be at least 2")
 
@@ -396,8 +397,8 @@ def _elastic_integrand(A, B):
         g = proto.map.grad_entries(ramp, y)
         F = np.empty(y.shape + (2, 2))
         for shape, cols, rows in runs:
-            _push_gradient([e[rows] if isinstance(e, np.ndarray) else e for e in g],
-                           Transform.from_row(shape, cols), F[rows])
+            Transform.from_row(shape, cols).gradient(
+                [e[rows] if isinstance(e, np.ndarray) else e for e in g], F[rows])
         del ramp, g  # keeps them out of the kernel's peak memory
         d2, _ = kernels.dist2_two_wells(F.reshape(-1, 2, 2), A, B)
         return d2.reshape(y.shape)
@@ -416,12 +417,11 @@ def _elastic(defs, spec, quad):
     for def_ in defs:
         own = []
         for part in def_.parts:
-            t = Transform(*part.folded(), "")
-            conj = t.entry()
+            conj = part.transform.entry()
             for g in part.groups:
                 entry = (g.proto.entry(), conj)
                 if not g.proto.map.curved:
-                    flat.setdefault(entry, (g.proto.map, t))
+                    flat.setdefault(entry, (g.proto.map, part.transform))
                 own.append((entry, g.proto, g.count))
         keyed.append(own)
     d2 = _flat_dist2(flat, A, B)
@@ -455,7 +455,7 @@ def _flat_dist2(flat, A, B) -> dict:
         return {}
     F = np.empty((len(flat), 2, 2))
     for out, (map_, t) in zip(F, flat.values()):
-        _push_gradient(map_.grad_entries(map_.ramp(0.0), 0.0), t, out)
+        t.gradient(map_.grad_entries(map_.ramp(0.0), 0.0), out)
     d2, _ = kernels.dist2_two_wells(F, A, B)
     return dict(zip(flat, d2.tolist()))
 
@@ -463,7 +463,7 @@ def _flat_dist2(flat, A, B) -> dict:
 def tv_bulk(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> float:
     """Absolutely continuous part of |D^2 u|: cell integrals of the
     Frobenius norm of the second gradient (invariant under the isometric
-    transform stacks)."""
+    transforms)."""
     return _tv_bulk([def_], quad or QuadratureSpec())[0][0]
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .piecewise import (
+    IDENTITY,
     AffineDisp,
     CellGroup,
     CellProto,
@@ -51,6 +52,7 @@ __all__ = [
     "laminate",
     "assemble_branched",
     "vertical_branched_k1",
+    "branched_constructions",
     "identity_deformation",
 ]
 
@@ -124,7 +126,7 @@ def _single_cell(map_family, curve_fn, origin, ell, h, alpha, kind,
     groups = tuple(CellGroup(p, x0, y0, 0.0, 1) for p in protos)
     jumps = tuple(JumpGroup(j, x0, y0, 0.0, 1) for j in jump_protos)
     rect = Rect(x0, y0, ell, h)
-    part = Part(groups, jumps, (), rect)
+    part = Part(groups, jumps, IDENTITY, rect)
     return PiecewiseDeformation(rect, (part,), meta={"label": label})
 
 
@@ -198,7 +200,7 @@ def laminate(rect: Rect, h: float, alpha: float, case: str) -> PiecewiseDeformat
             (rect.y0 + h, m - 1, GraphJump(line, SideRef(rows[2][2], 0.0, h / 4.0),
                                            SideRef(rows[0][2], 0.0, 0.0), "laminate-line")))
     jumps = tuple(JumpGroup(j, rect.x0, y0, h, cnt) for y0, cnt, j in jump_protos)
-    part = Part(groups, jumps, (), rect)
+    part = Part(groups, jumps, IDENTITY, rect)
     meta = {"label": "laminate", "finest_period": h, "period_axis": "y"}
     return PiecewiseDeformation(rect, (part,), meta=meta)
 
@@ -456,8 +458,8 @@ def assemble_branched(spec: WellSpec, sched: BranchingSchedule, domain: Rect,
         right_conj=conj, right_edge_x=redge[2])
 
     left_rect = Rect(domain.x0, domain.y0, sched.L / 2.0, domain.height)
-    left = Part(tuple(lg), tuple(lj) + tuple(center), (), left_rect)
-    right = Part(tuple(rg), tuple(rj), (conj,),
+    left = Part(tuple(lg), tuple(lj) + tuple(center), IDENTITY, left_rect)
+    right = Part(tuple(rg), tuple(rj), conj,
                  Rect(axis, domain.y0, sched.L / 2.0, domain.height))
 
     lemma_cells = 2 * sum(stripes)
@@ -507,6 +509,18 @@ def vertical_branched_k1(spec: WellSpec, epsilon: float, domain: Rect,
     return out
 
 
+def branched_constructions(spec: WellSpec, epsilon: float, domain: Rect,
+                           theta: float | None = None,
+                           gamma_kind: str = "quintic") -> dict[str, PiecewiseDeformation]:
+    """``{name: deformation}`` of the branched constructions: ``horizontal``,
+    and in the shear case k1 the rotated ``vertical`` one."""
+    builders = {"horizontal": horizontal_branched}
+    if spec.case == CASE_K1:
+        builders["vertical"] = vertical_branched_k1
+    return {name: build(spec, epsilon, domain, theta=theta, gamma_kind=gamma_kind)
+            for name, build in builders.items()}
+
+
 def best_construction(spec: WellSpec, epsilon: float, L: float, H: float,
                       quad=None, theta: float | None = None,
                       gamma_kind: str = "quintic"):
@@ -519,14 +533,9 @@ def best_construction(spec: WellSpec, epsilon: float, L: float, H: float,
     from .energy import total_energies
 
     domain = Rect(0.0, 0.0, L, H)
-    candidates = [identity_deformation(domain)]
-    candidates.append(horizontal_branched(spec, epsilon, domain, theta=theta,
-                                          gamma_kind=gamma_kind))
-    if spec.case == CASE_K1:
-        candidates.append(vertical_branched_k1(spec, epsilon, domain, theta=theta,
-                                               gamma_kind=gamma_kind))
-    best = None
-    for cand, breakdown in zip(candidates, total_energies(candidates, spec, epsilon, quad)):
-        if best is None or breakdown.total < best[1].total:
-            best = (cand, breakdown, cand.meta.get("label", "unknown"))
-    return best
+    candidates = [identity_deformation(domain),
+                  *branched_constructions(spec, epsilon, domain, theta, gamma_kind).values()]
+    # min keeps the first of equal totals.
+    return min(((cand, breakdown, cand.meta.get("label", "unknown")) for cand, breakdown
+                in zip(candidates, total_energies(candidates, spec, epsilon, quad))),
+               key=lambda r: r[1].total)

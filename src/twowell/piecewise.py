@@ -10,9 +10,9 @@ continuous across them by construction.
 Because the branched constructions repeat one cell thousands of times, a
 cell prototype is stored once and instantiated along a vertical stack of
 translated anchors (a :class:`CellGroup`).  Whole-field isometries (mirror
-about a vertical axis, quarter rotation) and value rotations are kept as
-lazy transforms on a :class:`Part` rather than rewriting cell lists, which
-preserves exactness of traces and gradients.
+about a vertical axis, quarter rotation) and value rotations are composed
+into one :class:`Transform` per :class:`Part` rather than rewriting cell
+lists, which preserves exactness of traces and gradients.
 
 Boundary curves are restricted to the family ``c0 + c1 * ramp(x / w)`` with
 the quintic (or linear) ramp of :mod:`twowell.profiles`; every construction
@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .families import AffineDisp, K2CellPiece, ScalarProfilePiece, _MapBase, _pack_grad
 from .profiles import step_slope, step_value
+from .wells import Z_SWAP
 
 __all__ = [
     "Rect",
@@ -48,6 +49,7 @@ __all__ = [
     "VerticalJump",
     "JumpGroup",
     "Transform",
+    "IDENTITY",
     "mirror_transform",
     "rotate90_transform",
     "value_rotation_transform",
@@ -217,8 +219,11 @@ class Transform:
     """Affine conjugation wrapper: ``u_world(p) = CL u_base(Q p + b) + c``.
 
     Mirror, quarter-rotation and value-rotation wrappers are all of this
-    form; ``Q`` is the Jacobian of the point map, so gradients push forward
-    as ``CL Du Q`` and second gradients pick up one ``Q`` per derivative.
+    form, and so is any stack of them (:meth:`around`); ``Q`` is the
+    Jacobian of the point map, so gradients push forward as ``CL Du Q`` and
+    second gradients pick up one ``Q`` per derivative.  ``Q`` is a signed
+    permutation (identity, mirror, swap and their products), so the point
+    map is inverted by ``Q^T``.
     """
 
     Q: np.ndarray
@@ -226,6 +231,53 @@ class Transform:
     CL: np.ndarray
     c: np.ndarray
     name: str
+
+    def around(self, inner: "Transform") -> "Transform":
+        """This transform put outermost on ``inner``, as one transform; the
+        names join outermost first."""
+        return Transform(inner.Q @ self.Q, inner.Q @ self.b + inner.b,
+                         self.CL @ inner.CL, self.c + self.CL @ inner.c,
+                         ",".join(n for n in (self.name, inner.name) if n))
+
+    def to_base(self, p: np.ndarray) -> np.ndarray:
+        """World points (..., 2) to the base frame: ``Q p + b``."""
+        return p @ self.Q.T + self.b
+
+    def to_world(self, q: np.ndarray) -> np.ndarray:
+        """Base-frame points (..., 2) to the world: ``Q^T (q - b)``."""
+        return (q - self.b) @ self.Q
+
+    def value(self, u: np.ndarray) -> np.ndarray:
+        """Base values (..., 2) to world values: ``CL u + c``."""
+        return u @ self.CL.T + self.c
+
+    def gradient(self, g, out):
+        """Write ``CL (I + g) Q`` into ``out`` (..., 2, 2), from the entries
+        ``g = (g11, g12, g21, g22)`` of displacement gradients.
+
+        A signed-permutation pair writes each entry once, ``sign (g_pq +
+        delta_pq)``.  Any other pair (a value rotation) writes the products
+        out entry by entry, ``(CL du)_i0 Q_0j + (CL du)_i1 Q_1j``.  Either
+        way ``+ 0.0`` turns -0 into +0, as an einsum sum does, and no BLAS
+        call is made: the first 2x2 ``@`` alone adds 0.5 MB to the resident
+        set of a quadrature-only run.
+        """
+        pattern = _signed_pattern(self.CL.tobytes(), self.Q.tobytes())
+        if pattern is None:
+            CL, Q, du = self.CL, self.Q, _ID2 + _pack_grad(out.shape[:-2], *g)
+            M = CL[:, :1] * du[..., None, 0, :]
+            M += CL[:, 1:] * du[..., None, 1, :]
+            np.multiply(M[..., :, :1], Q[0, :], out=out)
+            out += M[..., :, 1:] * Q[1, :]
+            out += 0.0
+            return out
+        for k, (pq, sign) in enumerate(pattern):
+            delta = 1.0 if pq in (0, 3) else 0.0
+            if sign > 0:
+                np.add(g[pq], delta, out=out[..., k // 2, k % 2])
+            else:
+                np.subtract(0.0 - delta, g[pq], out=out[..., k // 2, k % 2])
+        return out
 
     # Table protocol.  A deformation has a few conjugations (identity,
     # mirror, swap, their products, one per value rotation), so the matrices
@@ -241,6 +293,9 @@ class Transform:
         return cls(Q, b, CL, c, "")
 
 
+IDENTITY = Transform(_ID2, np.zeros(2), _ID2, np.zeros(2), "")
+
+
 def mirror_transform(axis_x: float) -> Transform:
     S = np.array([[-1.0, 0.0], [0.0, 1.0]])
     shift = np.array([2.0 * axis_x, 0.0])
@@ -248,9 +303,7 @@ def mirror_transform(axis_x: float) -> Transform:
 
 
 def rotate90_transform() -> Transform:
-    Z = np.array([[0.0, 1.0], [1.0, 0.0]])
-    zero = np.zeros(2)
-    return Transform(Z, zero, Z, zero, "swap-rotate")
+    return Transform(Z_SWAP, np.zeros(2), Z_SWAP, np.zeros(2), "swap-rotate")
 
 
 def value_rotation_transform(R: np.ndarray) -> Transform:
@@ -278,49 +331,6 @@ def _signed_pattern(cl: bytes, q: bytes):
     return tuple(pattern)
 
 
-def _push_gradient(g, t: Transform | None, out):
-    """Write ``CL (I + g) Q`` into ``out`` (..., 2, 2), from the entries
-    ``g = (g11, g12, g21, g22)`` of displacement gradients; ``t`` holds the
-    2x2 matrices CL and Q (None: the identity).
-
-    A signed-permutation pair writes each entry once, ``sign (g_pq +
-    delta_pq)``.  Any other pair (a value rotation) writes the products out
-    entry by entry, ``(CL du)_i0 Q_0j + (CL du)_i1 Q_1j``.  Either way
-    ``+ 0.0`` turns -0 into +0, as an einsum sum does, and no BLAS call is
-    made: the first 2x2 ``@`` alone adds 0.5 MB to the resident set of a
-    quadrature-only run.
-    """
-    pattern = (((0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)) if t is None
-               else _signed_pattern(t.CL.tobytes(), t.Q.tobytes()))
-    if pattern is None:
-        CL, Q, du = t.CL, t.Q, _ID2 + _pack_grad(out.shape[:-2], *g)
-        M = CL[:, :1] * du[..., None, 0, :]
-        M += CL[:, 1:] * du[..., None, 1, :]
-        np.multiply(M[..., :, :1], Q[0, :], out=out)
-        out += M[..., :, 1:] * Q[1, :]
-        out += 0.0
-        return out
-    for k, (pq, sign) in enumerate(pattern):
-        delta = 1.0 if pq in (0, 3) else 0.0
-        if sign > 0:
-            np.add(g[pq], delta, out=out[..., k // 2, k % 2])
-        else:
-            np.subtract(0.0 - delta, g[pq], out=out[..., k // 2, k % 2])
-    return out
-
-
-def _fold_transforms(transforms: Sequence[Transform]):
-    """Composite (Q, b, CL, c) for a stack applied outermost-first."""
-    Q, b = _ID2.copy(), np.zeros(2)
-    CL, c = _ID2.copy(), np.zeros(2)
-    for t in transforms:
-        Q = t.Q @ Q
-        b = t.Q @ b + t.b
-        c = c + CL @ t.c
-        CL = CL @ t.CL
-    return Q, b, CL, c
-
-
 @dataclass(frozen=True)
 class SideRef:
     """One side of a jump curve: a displacement map plus the offset taking
@@ -339,14 +349,12 @@ class SideRef:
     def value(self, pts_abs, jx, jy):
         lx, ly = self.local(jx, jy)
         u = pts_abs + self.map.disp(lx, ly)
-        if self.conj is not None:
-            u = u @ self.conj.CL.T + self.conj.c
-        return u
+        return u if self.conj is None else self.conj.value(u)
 
     def grad(self, jx, jy):
         lx, ly = self.local(jx, jy)
         out = np.empty(np.broadcast(lx, ly).shape + (2, 2))
-        return _push_gradient(self.map.grad_entries(self.map.ramp(lx), ly), self.conj, out)
+        return (self.conj or IDENTITY).gradient(self.map.grad_entries(self.map.ramp(lx), ly), out)
 
     def entry(self) -> tuple:
         (ms, mr), (cs, cr) = self.map.entry(), self.conj.entry() if self.conj else (None, ())
@@ -447,27 +455,21 @@ class JumpGroup(_Stacked):
 
 @dataclass(frozen=True)
 class Part:
-    """Cells and jumps sharing one (possibly empty) transform stack."""
+    """Cells and jumps sharing one transform (:data:`IDENTITY` for none)."""
 
     groups: tuple[CellGroup, ...]
     jumps: tuple[JumpGroup, ...]
-    transforms: tuple[Transform, ...]
+    transform: Transform
     support: Rect
 
     def folded(self):
-        return _fold_transforms(self.transforms)
+        return self.transform.Q, self.transform.b, self.transform.CL, self.transform.c
 
 
 def _transform_rect(t: Transform, r: Rect) -> Rect:
-    # The inverse point map sends base to world; for our isometries Q is an
-    # involution or a rotation, so map the corners and rebox.
-    corners = np.array([[r.x0, r.y0], [r.x1, r.y0], [r.x0, r.y1], [r.x1, r.y1]])
-    # world points p satisfy Q p + b = base corner  =>  p = Q^-1 (corner - b)
-    inv = np.linalg.inv(t.Q)
-    world = (corners - t.b) @ inv.T
-    lo = world.min(axis=0)
-    hi = world.max(axis=0)
-    return Rect(lo[0], lo[1], hi[0] - lo[0], hi[1] - lo[1])
+    # Q is a signed permutation: opposite corners map to opposite corners.
+    (ax, ay), (bx, by) = t.to_world(np.array([[r.x0, r.y0], [r.x1, r.y1]])).tolist()
+    return Rect(min(ax, bx), min(ay, by), abs(bx - ax), abs(by - ay))
 
 
 @dataclass
@@ -525,8 +527,7 @@ class PiecewiseDeformation:
             sel = np.flatnonzero(~done & part.support.contains(p, tol))
             if sel.size == 0:
                 continue
-            Q, b, _, _ = part.folded()
-            q = p[sel] @ Q.T + b
+            q = part.transform.to_base(p[sel])
             qx = q[:, 0]
             pending = np.ones(sel.size, dtype=bool)
             for g in part.groups:
@@ -572,13 +573,13 @@ class PiecewiseDeformation:
             u[idx] = q + g.proto.map.disp(lx, ly)
             du[idx] = g.proto.map.grad(lx, ly)
             owner[idx] = ip
-        # Push each part's base values through its transform stack in one batch.
+        # Push each part's base values through its transform in one batch.
         for ip, part in enumerate(self.parts):
             hit = np.flatnonzero(owner == ip)
             if hit.size:
-                t = Transform(*part.folded(), "")
-                u[hit] = u[hit] @ t.CL.T + t.c
-                du[hit] = _push_gradient(du[hit].reshape(-1, 4).T, t, np.empty((hit.size, 2, 2)))
+                t = part.transform
+                u[hit] = t.value(u[hit])
+                du[hit] = t.gradient(du[hit].reshape(-1, 4).T, np.empty((hit.size, 2, 2)))
         if single:
             return u[0], du[0]
         return u, du
@@ -594,10 +595,10 @@ class PiecewiseDeformation:
             # A negative tolerance asks for points at least edge_tol inside.
             if not np.all(g.proto.contains(lx, ly, -edge_tol)):
                 raise BoundaryPointError("second gradient requested on a cell boundary")
-            Q, _, CL, _ = self.parts[ip].folded()
+            t = self.parts[ip].transform
             hess = g.proto.map.hess(lx, ly)
             # (CL hess)[i] is a 2x2 matrix in (b, c); conjugate it by Q.
-            out[idx] = Q.T @ (CL @ hess.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2) @ Q
+            out[idx] = t.Q.T @ (t.CL @ hess.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2) @ t.Q
         if single:
             return out[0]
         return out
@@ -616,13 +617,13 @@ def identity_deformation(rect: Rect) -> PiecewiseDeformation:
         map=AffineDisp(),
     )
     group = CellGroup(proto, rect.x0, rect.y0, 0.0, 1)
-    part = Part((group,), (), (), rect)
+    part = Part((group,), (), IDENTITY, rect)
     return PiecewiseDeformation(rect, (part,), meta={"label": "identity"})
 
 
 def _wrap(def_: PiecewiseDeformation, t: Transform, domain: Rect) -> PiecewiseDeformation:
-    """Put ``t`` outermost on every part's transform stack."""
-    parts = tuple(Part(p.groups, p.jumps, (t,) + p.transforms, _transform_rect(t, p.support))
+    """Put ``t`` outermost on every part's transform."""
+    parts = tuple(Part(p.groups, p.jumps, t.around(p.transform), _transform_rect(t, p.support))
                   for p in def_.parts)
     return PiecewiseDeformation(domain, parts, meta=dict(def_.meta))
 
@@ -655,17 +656,13 @@ def rotate_values(def_: PiecewiseDeformation, R: np.ndarray) -> PiecewiseDeforma
 
 
 def gradient_jump(def_: PiecewiseDeformation, part: Part, jump: JumpGroup,
-                  t: float, instance: int = 0) -> np.ndarray:
+                  t: float) -> np.ndarray:
     """Gradient jump (second side minus first) at curve parameter t, pushed
-    through the part's transform stack."""
-    proto = jump.proto
-    jx, jy = proto.points(np.asarray([t], dtype=float))
+    through the part's transform."""
+    jx, jy = jump.proto.points(np.asarray([t], dtype=float))
     s1, s2 = jump.sides()
-    d1 = s1.grad(jx, jy)
-    d2 = s2.grad(jx, jy)
-    Q, b, CL, c = part.folded()
-    diff = d2[0] - d1[0]
-    return CL @ diff @ Q
+    diff = s2.grad(jx, jy)[0] - s1.grad(jx, jy)[0]
+    return part.transform.CL @ diff @ part.transform.Q
 
 
 # ---------------------------------------------------------------------------
@@ -685,11 +682,11 @@ class CoverageReport:
         return not self.failures
 
 
-def coverage_check(def_: PiecewiseDeformation, curve_samples: int = 64,
-                   boundary_samples: int = 256, max_instances: int = 8,
-                   area_rtol: float = 1e-9, continuity_tol: float = 1e-10,
+def coverage_check(def_: PiecewiseDeformation,
                    boundary_tol: float | None = 1e-12) -> CoverageReport:
-    """Verify tiling area, value continuity across jumps and boundary trace.
+    """Verify tiling area (to 1e-9 relative), value continuity across jumps
+    (to 1e-10, at 64 points of up to 8 instances per jump group) and the
+    boundary trace (at 256 points).
 
     ``boundary_tol`` of None skips the identity-trace check (single cells
     and laminates do not satisfy identity data on all four sides).
@@ -698,34 +695,32 @@ def coverage_check(def_: PiecewiseDeformation, curve_samples: int = 64,
 
     area = sum(g.proto.area() * g.count for p in def_.parts for g in p.groups)
     area_res = abs(area - def_.domain.area) / def_.domain.area
-    if area_res > area_rtol:
+    if area_res > 1e-9:
         failures.append(f"cell areas sum to {area!r}, domain area {def_.domain.area!r}")
 
     cont = 0.0
     for part, jg in def_.iter_jump_groups():
         proto = jg.proto
         span = proto.length_param()
-        ts = np.linspace(0.0, span, curve_samples + 2)[1:-1]
+        ts = np.linspace(0.0, span, 66)[1:-1]
         jx, jy = proto.points(ts)
         s1, s2 = jg.sides()
-        if jg.count <= max_instances:
-            ks = range(jg.count)
-        else:
-            # Python ints: counts can pass 2**63 as theta -> 1/2.
-            last, div = jg.count - 1, max(max_instances - 1, 1)
-            ks = sorted({0, last, *(last * i // div for i in range(max_instances))})
+        # Eight instances spread from the first to the last, in Python ints:
+        # counts can pass 2**63 as theta -> 1/2.
+        ks = (range(jg.count) if jg.count <= 8
+              else [(jg.count - 1) * i // 7 for i in range(8)])
         # A side's displacement does not depend on the anchor: one (k, m, 2)
         # block of all sampled instances per side.
         pts = jg.anchors(ks)[:, None] + np.column_stack([jx, jy])
         v1 = s1.value(pts, jx, jy)
         v2 = s2.value(pts, jx, jy)
         cont = max(cont, float(np.max(np.abs(v1 - v2))))
-    if cont > continuity_tol:
+    if cont > 1e-10:
         failures.append(f"value mismatch {cont:.3e} across a jump curve")
 
     bmax = 0.0
     if boundary_tol is not None:
-        pts = def_.domain.boundary_points(boundary_samples)
+        pts = def_.domain.boundary_points(256)
         u, _ = def_.evaluate(pts)
         bmax = float(np.max(np.abs(u - pts)))
         if bmax > boundary_tol:
@@ -749,8 +744,7 @@ def write_manifest(def_: PiecewiseDeformation, stream) -> None:
         for meta_k in sorted(def_.meta):
             fh.write(f"meta {meta_k}={def_.meta[meta_k]!r}\n")
         for ip, part in enumerate(def_.parts):
-            names = ",".join(t.name for t in part.transforms) or "none"
-            fh.write(f"part {ip} transforms={names} cells="
+            fh.write(f"part {ip} transforms={part.transform.name or 'none'} cells="
                      f"{sum(g.count for g in part.groups)}\n")
             for g in part.groups:
                 key = g.proto.map.key()

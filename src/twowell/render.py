@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .piecewise import PiecewiseDeformation
+from .piecewise import PiecewiseDeformation, Transform
 from .scaling import PhaseDiagram
 from .wells import WellSpec, dist_to_wells
 
@@ -50,14 +50,14 @@ def _ident(n: int) -> str:
     return (_ident(n // 26 - 1) if n >= 26 else "") + chr(97 + n % 26)
 
 
-def construction_svg(def_: PiecewiseDeformation, spec: WellSpec,
-                     width_px: int = 800) -> str:
+def construction_svg(def_: PiecewiseDeformation, spec: WellSpec) -> str:
     """Domain colored by the nearest well of the gradient (shaded by the
-    optimal rotation angle) with the jump curves drawn on top.
+    optimal rotation angle) with the jump curves drawn on top, 800 px wide.
 
     Each cell or jump group draws its first instance once, as a polygon or
     polyline with an id; every further instance k is a ``<use>`` of it
     translated by k times the group's step in pixels."""
+    width_px = 800
     dom = def_.domain
     sx = width_px / dom.width
     height_px = dom.height * sx
@@ -69,17 +69,16 @@ def construction_svg(def_: PiecewiseDeformation, spec: WellSpec,
     ]
     ids = itertools.count()
 
-    def draw(group, base: np.ndarray, b: np.ndarray, inv: np.ndarray,
-             tag: str, style: str) -> None:
+    def draw(group, base: np.ndarray, t: Transform, tag: str, style: str) -> None:
         # The first instance, mapped base-to-world and then to pixels.
         ident = _ident(next(ids))
-        pts = (base + group.anchors([0])[0] - b) @ inv.T
+        pts = t.to_world(base + group.anchors([0])[0])
         px = np.column_stack([(pts[:, 0] - dom.x0) * sx, (dom.y1 - pts[:, 1]) * sx])
         path = " ".join("%.6g,%.6g" % p for p in map(tuple, px.tolist()))
         lines.append(f'<{tag} id="{ident}" points="{path}" {style}/>')
-        # The anchor step (0, dy) in pixels; under the signed-permutation
-        # transforms one of its components is exactly 0 and is left out.
-        step = inv @ np.array([0.0, group.dy]) * np.array([sx, -sx])
+        # The anchor step (0, dy), a direction that Q^T alone maps, in pixels;
+        # Q is a signed permutation, so one component is exactly 0: left out.
+        step = np.array([0.0, group.dy]) @ t.Q * np.array([sx, -sx])
         axes = [i for i in (0, 1) if step[i] != 0.0]
         use = f'<use xlink:href="#{ident}"' + "".join(f' {"xy"[i]}="%.6g"' for i in axes) + "/>"
         for start in range(1, group.count, _BLOCK):
@@ -87,8 +86,7 @@ def construction_svg(def_: PiecewiseDeformation, spec: WellSpec,
             lines.extend(map(use.__mod__, map(tuple, (k[:, None] * step[axes]).tolist())))
 
     for part in def_.parts:
-        Q, b, CL, c = part.folded()
-        inv = np.linalg.inv(Q)
+        t = part.transform
         for g in part.groups:
             w = g.proto.width
             npts = max(2, min(16, int(round(w / dom.width * 256))))
@@ -100,25 +98,25 @@ def construction_svg(def_: PiecewiseDeformation, spec: WellSpec,
             # Gradient at the cell centre classifies the whole cell.
             xm = np.array([0.5 * w])
             ym = 0.5 * (g.proto.lower.value(xm) + g.proto.upper.value(xm))
-            du = np.eye(2) + g.proto.map.grad(xm, ym)[0]
-            F = CL @ du @ Q
+            F = t.gradient(g.proto.map.grad(xm, ym).reshape(-1, 4).T, np.empty((1, 2, 2)))[0]
             wd = dist_to_wells(F, spec)
             fill = _shade(_WELL_COLORS[wd.nearest_well], wd.optimal_angle)
-            draw(g, ring_base, b, inv, "polygon", f'fill="{fill}" stroke="none"')
+            draw(g, ring_base, t, "polygon", f'fill="{fill}" stroke="none"')
         for jg in part.jumps:
             proto = jg.proto
             ts = np.linspace(0.0, proto.length_param(), 17)
             jx, jy = proto.points(ts)
             base = np.column_stack([np.broadcast_to(jx, ts.shape),
                                     np.broadcast_to(jy, ts.shape)])
-            draw(jg, base, b, inv, "polyline", 'fill="none" stroke="black" stroke-width="0.4"')
+            draw(jg, base, t, "polyline", 'fill="none" stroke="black" stroke-width="0.4"')
     # The empty last element ends the text with a newline without copying it.
     lines += ["</svg>", ""]
     return "\n".join(lines)
 
 
-def phase_svg(diagram: PhaseDiagram, width_px: int = 640) -> str:
-    """Regime map in the log10(L/eps), log10(H/eps) plane."""
+def phase_svg(diagram: PhaseDiagram) -> str:
+    """Regime map in the log10(L/eps), log10(H/eps) plane, 640 px square."""
+    width_px = 640
     n_l = len(diagram.log10_L_over_eps)
     n_h = len(diagram.log10_H_over_eps)
     margin = 60

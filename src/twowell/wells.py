@@ -91,10 +91,6 @@ class WellSpec:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
-    @property
-    def wells(self) -> tuple[np.ndarray, np.ndarray]:
-        return well_matrices(self)
-
     def theory_notes(self) -> list[str]:
         """Caveats to surface in reports; the library itself accepts all of (0,1)."""
         notes = []

@@ -54,6 +54,34 @@ def test_config_bad_values(tmp_path):
     assert not (tmp_path / "unused").exists()
 
 
+@pytest.mark.parametrize("argv, line", [
+    ("energy --epsilon inf", ""),
+    ("energy --epsilon nan", ""),
+    ("energy --L inf", ""),
+    ("energy --H nan", ""),
+    ("energy --alpha nan", ""),
+    ("energy --alpha inf", ""),
+    ("sweep", "epsilons = 1e-7, 1e-6, inf, 1e-4"),
+    ("sweep", "epsilons = 1e-7, nan, 1e-5, 1e-4"),
+    ("energy", "quad_rel_tol = nan"),
+    ("energy", "quad_rel_tol = inf"),
+    ("minimize", "huber_delta = 0"),
+    ("minimize", "huber_delta = -1"),
+    ("minimize", "huber_delta = nan"),
+    ("minimize", "huber_delta = inf"),
+    ("minimize --max-iter 0", ""),
+    ("minimize --max-iter -3", ""),
+])
+def test_config_rejects_nonfinite_and_degenerate_values(tmp_path, argv, line):
+    # Each was accepted once: a NaN or infinite energy reported with exit 0,
+    # a ValueError traceback (exit 1), a quadrature that never returns, or
+    # an empty iteration budget reported as non-convergence (exit 4).
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(argv.split() + ["--config", str(cfg), "--out", str(tmp_path / "unused")]) == 2
+    assert not (tmp_path / "unused").exists()
+
+
 def test_internal_errors_are_not_config_errors(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("library bug")

@@ -514,7 +514,7 @@ def test_kernel_calls_grow_with_shapes_not_prototypes(monkeypatch):
         d = horizontal_branched(spec, eps, dom)
         calls.clear()
         elastic_energy(d, spec)
-        protos = {(g.proto.entry(), bool(p.transforms)) for p in d.parts for g in p.groups}
+        protos = {(g.proto.entry(), p.transform.name) for p in d.parts for g in p.groups}
         counts.append((len(protos), len(calls)))
     (few, calls_few), (many, calls_many) = counts
     assert many >= 2.5 * few

@@ -212,12 +212,55 @@ def test_value_rotation_transform():
     np.testing.assert_allclose(du1, np.einsum("ab,nbc->nac", R, du0), atol=1e-15)
 
 
+def test_composed_transforms_match_hand_compositions():
+    # u_world(p) = CL u_base(Q p + b) + c.  The mirror about x = a is
+    # (S, s, S, s) with s = (2a, 0), the swap (Z, 0, Z, 0); the swap put
+    # around a mirror is u = Z (S u_base(S (Z p) + s) + s), that is
+    # (S Z, s, Z S, Z s).
+    S = np.array([[-1.0, 0.0], [0.0, 1.0]])
+    Z = np.array([[0.0, 1.0], [1.0, 0.0]])
+    I, zero = np.eye(2), np.zeros(2)
+
+    def mirror(a):
+        s = np.array([2.0 * a, 0.0])
+        return S, s, S, s
+
+    def swap_around_mirror(a):
+        s = np.array([2.0 * a, 0.0])
+        return S @ Z, s, Z @ S, Z @ s
+
+    unit, offset = Rect(0.0, 0.0, 1.0, 1.0), Rect(0.3, -0.2, 1.5, 0.7)
+    k1, k2 = WellSpec(CASE_K1, 0.1), WellSpec(CASE_K2, 0.1)
+    cases = [
+        (horizontal_branched(k1, 1e-3, unit), [(I, zero, I, zero), mirror(0.5)]),
+        (horizontal_branched(k2, 1e-3, unit), [(I, zero, I, zero), mirror(0.5)]),
+        (horizontal_branched(k2, 1e-3, offset),
+         [(I, zero, I, zero), mirror(0.3 + 1.5 / 2.0)]),
+        (vertical_branched_k1(k1, 1e-3, unit), [(Z, zero, Z, zero), swap_around_mirror(0.5)]),
+        (rotate_90(mirror_x(k2_cell((0.0, 0.0), ELL, H, ALPHA), ELL)),
+         [swap_around_mirror(ELL)]),
+    ]
+    for d, expected in cases:
+        assert len(d.parts) == len(expected)
+        for part, want in zip(d.parts, expected):
+            got = part.folded()
+            assert len(got) == 4
+            for a, e in zip(got, want):
+                assert np.array_equal(a, e), (d.meta, a, e)
+
+    buf = io.StringIO()
+    write_manifest(vertical_branched_k1(k1, 1e-3, unit), buf)
+    parts = [line for line in buf.getvalue().splitlines() if line.startswith("part ")]
+    assert parts[0].startswith("part 0 transforms=swap-rotate cells=")
+    assert parts[1].startswith("part 1 transforms=swap-rotate,mirror(x=0.5) cells=")
+
+
 def test_coverage_check_negative_control():
     d = k2_cell((0.0, 0.0), ELL, H, ALPHA)
     part = d.parts[0]
     broken = PiecewiseDeformation(d.domain,
                                   (type(part)(part.groups[1:], part.jumps,
-                                              part.transforms, part.support),))
+                                              part.transform, part.support),))
     rep = coverage_check(broken, boundary_tol=None)
     assert not rep.ok
     assert any("area" in f for f in rep.failures)
