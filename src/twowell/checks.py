@@ -2,9 +2,7 @@
 
 Each check recomputes a mathematical fact from scratch (oracle scans,
 finite differences, trace sampling) with a seeded generator, so a pass is
-seed-independent.  The ``corrupt_wells`` hook deliberately perturbs one
-well matrix inside the orbit-distance check; it exists purely as a negative
-control for the harness itself.
+seed-independent.
 """
 
 from __future__ import annotations
@@ -103,7 +101,7 @@ def gradient_fd_error(rng, gradient=discrete_gradient) -> float:
     return worst
 
 
-def run_checks(seed: int = 0, corrupt_wells: bool = False) -> list[CheckResult]:
+def run_checks(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 
@@ -111,16 +109,12 @@ def run_checks(seed: int = 0, corrupt_wells: bool = False) -> list[CheckResult]:
         results.append(CheckResult(name, bool(passed), detail))
 
     # Closed-form orbit distance against the dense angle-scan oracle.
-    spec_scan = WellSpec(CASE_K1, 0.3)
-    A_scan, B_scan = well_matrices(spec_scan)
-    if corrupt_wells:
-        B_scan = B_scan.copy()
-        B_scan[0, 0] += 1e-3
+    B_scan = well_matrices(WellSpec(CASE_K1, 0.3))[1]
     worst = 0.0
     for _ in range(300):
         F = _random_mat(rng)
         closed = dist_to_rotated_well(F, B_scan).distance
-        oracle = angle_scan_distance(F, well_matrices(spec_scan)[1]).distance
+        oracle = angle_scan_distance(F, B_scan).distance
         worst = max(worst, abs(closed - oracle))
     record("orbit-distance closed form vs angle scan", worst < 1e-9,
            f"max deviation {worst:.3e}")

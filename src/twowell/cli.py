@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -43,6 +43,22 @@ class ConfigError(ValueError):
     pass
 
 
+def _parse_mesh(text: str) -> tuple[int, int]:
+    parts = text.replace("x", ",").split(",")
+    if len(parts) != 2:
+        raise ConfigError(f"mesh must be NX,NY, got {text!r}")
+    return int(parts[0]), int(parts[1])
+
+
+def _parse_epsilons(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.split(",") if t.strip())
+
+
+def _parsed(default, parse):
+    """A field whose text is read by ``parse``, not by its default's type."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     case: str = CASE_K2
@@ -50,8 +66,8 @@ class RunConfig:
     epsilon: float = 1e-4
     L: float = 1.0
     H: float = 1.0
-    mesh: tuple[int, int] = (96, 96)
-    theta: float | None = None
+    mesh: tuple[int, int] = _parsed((96, 96), _parse_mesh)
+    theta: float | None = _parsed(None, float)
     gamma: str = "quintic"
     seed: int = 0
     out: str = "out"
@@ -59,12 +75,12 @@ class RunConfig:
     quad_rel_tol: float = 1e-8
     quad_max_depth: int = 12
     quad_line_points: int = 16
-    epsilons: tuple[float, ...] = (1e-7, 1e-6, 1e-5, 1e-4)
+    epsilons: tuple[float, ...] = _parsed((1e-7, 1e-6, 1e-5, 1e-4), _parse_epsilons)
     phase_log_min: float = 0.5
     phase_log_max: float = 6.0
     phase_n: int = 121
     max_iter: int = 2000
-    huber_delta: float | None = None
+    huber_delta: float | None = _parsed(None, float)
 
     def spec(self) -> WellSpec:
         return WellSpec(self.case, self.alpha)
@@ -77,39 +93,9 @@ class RunConfig:
         return Rect(0.0, 0.0, self.L, self.H)
 
 
-def _parse_mesh(text: str) -> tuple[int, int]:
-    parts = text.replace("x", ",").split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"mesh must be NX,NY, got {text!r}")
-    return int(parts[0]), int(parts[1])
-
-
-def _parse_epsilons(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip())
-
-
-_PARSERS = {
-    "case": str,
-    "alpha": float,
-    "epsilon": float,
-    "L": float,
-    "H": float,
-    "mesh": _parse_mesh,
-    "theta": float,
-    "gamma": str,
-    "seed": int,
-    "out": str,
-    "quad_base_order": int,
-    "quad_rel_tol": float,
-    "quad_max_depth": int,
-    "quad_line_points": int,
-    "epsilons": _parse_epsilons,
-    "phase_log_min": float,
-    "phase_log_max": float,
-    "phase_n": int,
-    "max_iter": int,
-    "huber_delta": float,
-}
+# The text parser of every config key: the type of its default, unless the
+# field names one.
+_PARSERS = {f.name: f.metadata.get("parse", type(f.default)) for f in fields(RunConfig)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -139,11 +125,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    for key in _PARSERS:
+    for key, parse in _PARSERS.items():
         flag = getattr(args, key, None)
-        if isinstance(flag, str) and key in ("mesh", "epsilons"):
+        if isinstance(flag, str):
             try:
-                flag = _PARSERS[key](flag)
+                flag = parse(flag)
             except ValueError as exc:
                 raise ConfigError(f"bad value for --{key}: {exc}") from exc
         if flag is not None:
@@ -175,6 +161,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"quadrature settings: {exc}") from exc
     if cfg.phase_n < 2:
         raise ConfigError("phase_n must be at least 2")
+    if not -math.inf < cfg.phase_log_min < cfg.phase_log_max < math.inf:
+        raise ConfigError("phase_log_min and phase_log_max must be finite, "
+                          "with phase_log_min < phase_log_max")
     if min(cfg.mesh) < 2:
         raise ConfigError("mesh needs at least 2 cells per direction")
     if cfg.seed < 0:
@@ -368,8 +357,8 @@ def cmd_minimize(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig, corrupt_wells: bool = False) -> int:
-    results = run_checks(seed=cfg.seed, corrupt_wells=corrupt_wells)
+def cmd_validate(cfg: RunConfig) -> int:
+    results = run_checks(seed=cfg.seed)
     ok = True
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
@@ -408,9 +397,6 @@ def main(argv: list[str] | None = None) -> int:
         _add_common(p)
         if name == "sweep":
             p.add_argument("--epsilons", help="comma-separated epsilon list")
-        if name == "validate":
-            p.add_argument("--corrupt-wells", action="store_true",
-                           help="negative-control hook: corrupt a well matrix")
 
     args = parser.parse_args(argv)
     try:
@@ -425,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_phase(cfg)
         if args.command == "minimize":
             return cmd_minimize(cfg)
-        return cmd_validate(cfg, corrupt_wells=getattr(args, "corrupt_wells", False))
+        return cmd_validate(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

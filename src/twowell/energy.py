@@ -172,7 +172,7 @@ class _Table:
         ``inner`` is a second table over the same prototypes (the elastic
         term's conjugations).  Its groups split no batch: each batch lists
         its panels grouped by their inner group instead, and ``runs`` holds
-        ``(inner shape, inner columns, row slice)`` for each such run.
+        ``(inner shape, row slice)`` for each such run.
         """
         gid = self.group[owner]
         step = max(1, _MAX_POINTS // points)
@@ -189,8 +189,8 @@ class _Table:
                 if inner is not None:
                     sub = inner.group[owner[part]]
                     cuts = [0, *(np.flatnonzero(sub[1:] != sub[:-1]) + 1).tolist(), len(part)]
-                    runs = [(inner.shapes[sub[a]], inner.columns(sub[a], owner[part[a:b]]),
-                             slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
+                    runs = [(inner.shapes[sub[a]], slice(a, b))
+                            for a, b in zip(cuts[:-1], cuts[1:])]
                 yield self.shapes[g], self.columns(g, owner[part]), part, runs
 
 
@@ -396,8 +396,8 @@ def _elastic_integrand(A, B):
             ramp = [r[:, rep] for r in ramp]
         g = proto.map.grad_entries(ramp, y)
         F = np.empty(y.shape + (2, 2))
-        for shape, cols, rows in runs:
-            Transform.from_row(shape, cols).gradient(
+        for shape, rows in runs:
+            Transform.from_row(shape).gradient(
                 [e[rows] if isinstance(e, np.ndarray) else e for e in g], F[rows])
         del ramp, g  # keeps them out of the kernel's peak memory
         d2, _ = kernels.dist2_two_wells(F.reshape(-1, 2, 2), A, B)

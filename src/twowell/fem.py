@@ -290,14 +290,19 @@ def discrete_gradient(field: DiscreteField, spec: WellSpec, eps: float,
     return G
 
 
+# The L-BFGS constants: gradient tolerance GRAD_TOL_SCALE * sqrt(free dof
+# count), MEMORY stored pairs, the Armijo sufficient-decrease factor, the
+# step SHRINK per rejected trial and at most MAX_BACKTRACKS trials a step.
+GRAD_TOL_SCALE = 1e-8
+MEMORY = 10
+ARMIJO = 1e-4
+SHRINK = 0.5
+MAX_BACKTRACKS = 40
+
+
 @dataclass(frozen=True)
 class MinimizeOptions:
     max_iter: int = 5000
-    grad_tol_scale: float = 1e-8   # tolerance = scale * sqrt(free dof count)
-    memory: int = 10
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    max_backtracks: int = 40
     delta_huber: float | None = None
 
 
@@ -307,7 +312,6 @@ class MinimizeResult:
     energy_trace: np.ndarray
     final_energy: EnergyBreakdown
     iterations: int
-    converged: bool
     gradient_norm: float
     status: str  # "gtol" | "stalled" | "max_iter"
     energy_evals: int  # energy passes: the start and every Armijo trial
@@ -328,7 +332,7 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
         raise ValueError("minimization requires an identity-pinned start")
     mesh = initial.mesh
     delta = opts.delta_huber if opts.delta_huber is not None else default_huber_delta(spec)
-    tol = opts.grad_tol_scale * math.sqrt(2.0 * mesh.n_free)
+    tol = GRAD_TOL_SCALE * math.sqrt(2.0 * mesh.n_free)
 
     A, B = well_matrices(spec)
     values = initial.values.copy()
@@ -357,10 +361,10 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
     f = energy_at(x, point)
     gradient_at(point, g)
     trace = [f]
-    # The L-BFGS pairs (s, y) and their rho = 1/(y.s) in a ring of memory + 1
+    # The L-BFGS pairs (s, y) and their rho = 1/(y.s) in a ring of MEMORY + 1
     # slots: ``head`` is the free slot a new pair is written to before its
     # curvature test, the ``count`` stored pairs sit just before it.
-    slots = opts.memory + 1
+    slots = MEMORY + 1
     S, Y = np.empty((2, slots, interior.size))
     rho, alpha = np.empty((2, slots))
     head = count = 0
@@ -390,14 +394,14 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
         # Armijo backtracking: trial points need the energy only.
         t = 1.0
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             np.add(x, np.multiply(q, t, out=x_new), out=x_new)
             f_new = energy_at(x_new, trial)
-            if f_new <= f + opts.armijo * t * slope:
+            if f_new <= f + ARMIJO * t * slope:
                 accepted = True
                 break
             backtracks += 1
-            t *= opts.shrink
+            t *= SHRINK
         if not accepted:
             status = "stalled"
             break
@@ -408,7 +412,7 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
             rho[head] = 1.0 / float(y @ s)
             scale = sy / float(y @ y)
             head = (head + 1) % slots
-            count = min(count + 1, opts.memory)
+            count = min(count + 1, MEMORY)
         x, x_new, g, g_new, point, trial = x_new, x, g_new, g, trial, point
         f = f_new
         trace.append(f)
@@ -418,8 +422,7 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
     breakdown = EnergyBreakdown.combine(point.elastic, 0.0, _exact_tv(mesh, point.jn, ws),
                                         eps, 0.0)
     gnorm = float(np.linalg.norm(g))
-    return MinimizeResult(out_field, np.asarray(trace), breakdown, it,
-                          status == "gtol", gnorm, status,
+    return MinimizeResult(out_field, np.asarray(trace), breakdown, it, gnorm, status,
                           energy_evals, grad_evals, backtracks)
 
 

@@ -390,16 +390,15 @@ def _half_assembly(case, alpha, sched: BranchingSchedule, x_off, y_off, gamma_ki
     left-to-right build order.  Returns (groups, jumps, stripe_counts)."""
     kind = gamma_kind if case == CASE_K1 else "quintic"
     cell_family, bd_family = _FAMILIES[case]
-    H, L = sched.H, sched.L
-    tau, N = sched.tau, sched.N
+    H, tau, N = sched.H, sched.tau, sched.N
     groups: list[CellGroup] = []
     jumps: list[JumpGroup] = []
     stripe_counts: list[int] = []
     stripe_protos: dict[int, list[CellProto]] = {}
 
-    # Boundary layer on (0, x_tau); for degenerate schedules x_tau = L/2.
-    bd_ell = sched.x[tau] if tau >= 0 else L / 2.0
-    bd_h = sched.h[tau] if tau >= 0 else sched.h[0]
+    # Boundary layer on (0, x_tau).  A degenerate schedule (tau = -1) holds
+    # one entry, x = L/2 and h_0, which index tau reads.
+    bd_ell, bd_h = sched.x[tau], sched.h[tau]
     bd_count = N * 2 ** tau if tau >= 0 else N
     bd_protos = _cell_stack(bd_family, _boundary_curves(bd_h, bd_ell, kind), bd_ell, bd_h,
                             alpha, kind, x_off, y_off, bd_count, groups, jumps)
@@ -424,7 +423,7 @@ def _half_assembly(case, alpha, sched: BranchingSchedule, x_off, y_off, gamma_ki
                 x_off + sched.x[i], H, stripe_protos[i], sched.h[i], sched.ell[i],
                 stripe_protos[i - 1], sched.h[i - 1], "stripe-line"))
     edge_protos = stripe_protos[0] if tau >= 1 else bd_protos
-    edge_h = sched.h[0] if tau >= 0 else sched.h[0]
+    edge_h = sched.h[0]
     edge_ell = sched.ell[0] if tau >= 1 else bd_ell
     return groups, jumps, stripe_counts, (edge_protos, edge_h, edge_ell)
 
@@ -473,7 +472,7 @@ def assemble_branched(spec: WellSpec, sched: BranchingSchedule, domain: Rect,
         "tau": sched.tau,
         "lemma_cells": lemma_cells,
         "stripe_counts": tuple(stripes),
-        "finest_period": sched.h[sched.tau] if sched.tau >= 0 else sched.h[0],
+        "finest_period": sched.h[sched.tau],
         "period_axis": "y",
         "degenerate_schedule": sched.degenerate,
     }

@@ -282,15 +282,15 @@ class Transform:
     # Table protocol.  A deformation has a few conjugations (identity,
     # mirror, swap, their products, one per value rotation), so the matrices
     # are the shape; the quadrature conjugates one run of rows at a time.
+    # The integrands read only gradients, so the row is empty: a member is
+    # built from the shape alone, with zero offsets b and c.
     def entry(self) -> tuple:
-        return ((tuple(self.CL.ravel().tolist()), tuple(self.Q.ravel().tolist())),
-                tuple(self.b.tolist()) + tuple(self.c.tolist()))
+        return (tuple(self.CL.ravel().tolist()), tuple(self.Q.ravel().tolist())), ()
 
     @classmethod
-    def from_row(cls, shape, cols):
-        b, c = (np.stack([next(cols), next(cols)], axis=-1) for _ in range(2))
+    def from_row(cls, shape):
         CL, Q = (np.reshape(m, (2, 2)) for m in shape)
-        return cls(Q, b, CL, c, "")
+        return cls(Q, np.zeros(2), CL, np.zeros(2), "")
 
 
 IDENTITY = Transform(_ID2, np.zeros(2), _ID2, np.zeros(2), "")
@@ -357,13 +357,13 @@ class SideRef:
         return (self.conj or IDENTITY).gradient(self.map.grad_entries(self.map.ramp(lx), ly), out)
 
     def entry(self) -> tuple:
-        (ms, mr), (cs, cr) = self.map.entry(), self.conj.entry() if self.conj else (None, ())
-        return (ms, cs), mr + (self.off_x, self.off_y) + cr
+        (ms, mr), cs = self.map.entry(), self.conj and self.conj.entry()[0]
+        return (ms, cs), mr + (self.off_x, self.off_y)
 
     @classmethod
     def from_row(cls, shape, cols):
         return cls(shape[0][0].from_row(shape[0], cols), next(cols), next(cols),
-                   None if shape[1] is None else Transform.from_row(shape[1], cols))
+                   None if shape[1] is None else Transform.from_row(shape[1]))
 
 
 @dataclass(frozen=True)

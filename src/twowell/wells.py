@@ -157,22 +157,25 @@ def _orbit_distance(F, G, f2, g2) -> OrbitDistance:
     return OrbitDistance(math.sqrt(d2), math.atan2(q, p), False)
 
 
-@lru_cache(maxsize=8)
-def _angle_grid(samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# Rotation angles of the angle-scan oracle's dense scan.
+_SCAN_SAMPLES = 4096
+
+
+@lru_cache(maxsize=1)
+def _angle_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scan angles and their cosines and sines, read-only and shared by
-    every call with the same ``samples``."""
-    phis = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    every call."""
+    phis = np.linspace(0.0, 2.0 * math.pi, _SCAN_SAMPLES, endpoint=False)
     grid = (phis, np.cos(phis), np.sin(phis))
     for a in grid:
         a.flags.writeable = False
     return grid
 
 
-def angle_scan_distance(F: np.ndarray, G: np.ndarray, samples: int = 4096,
-                        refine: bool = True) -> OrbitDistance:
+def angle_scan_distance(F: np.ndarray, G: np.ndarray) -> OrbitDistance:
     """Oracle for :func:`dist_to_rotated_well`: dense scan over the rotation
     angle followed by golden-section refinement of the best bracket."""
-    phis, c, s = _angle_grid(samples)
+    phis, c, s = _angle_grid()
     # |F - Q(phi) G|^2 expanded; only the cross term depends on phi.
     M = F @ G.T
     p = M[0, 0] + M[1, 1]
@@ -184,27 +187,24 @@ def angle_scan_distance(F: np.ndarray, G: np.ndarray, samples: int = 4096,
     def d2(phi: float) -> float:
         return const - 2.0 * (math.cos(phi) * p + math.sin(phi) * q)
 
-    lo = phis[k] - 2.0 * math.pi / samples
-    hi = phis[k] + 2.0 * math.pi / samples
-    best = phis[k]
-    if refine:
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        x1 = b - invphi * (b - a)
-        x2 = a + invphi * (b - a)
-        f1, f2 = d2(x1), d2(x2)
-        for _ in range(200):
-            if f1 < f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - invphi * (b - a)
-                f1 = d2(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + invphi * (b - a)
-                f2 = d2(x2)
-            if b - a < 1e-15:
-                break
-        best = 0.5 * (a + b)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a = phis[k] - 2.0 * math.pi / _SCAN_SAMPLES
+    b = phis[k] + 2.0 * math.pi / _SCAN_SAMPLES
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = d2(x1), d2(x2)
+    for _ in range(200):
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = d2(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = d2(x2)
+        if b - a < 1e-15:
+            break
+    best = 0.5 * (a + b)
     val = max(d2(best), 0.0)
     angle = math.atan2(math.sin(best), math.cos(best))
     return OrbitDistance(math.sqrt(val), angle, False)

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from twowell import fem
 from twowell.energy import EnergyBreakdown
 from twowell.fem import DiscreteField, Mesh, MinimizeOptions, MinimizeResult, default_huber_delta
 from twowell.wells import WellSpec, well_matrices
@@ -155,13 +156,15 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
     Stops when the free-node gradient norm drops below the tolerance
     ("gtol"), when backtracking cannot decrease the energy any further
     ("stalled": numerically at a local minimum of the smoothed energy), or
-    at the iteration budget ("max_iter")."""
+    at the iteration budget ("max_iter").  The L-BFGS constants are read
+    from :mod:`twowell.fem` at call time, so a test that patches them
+    patches both minimizers."""
     opts = options or MinimizeOptions()
     if not initial.pinned:
         raise ValueError("minimization requires an identity-pinned start")
     mesh = initial.mesh
     delta = opts.delta_huber if opts.delta_huber is not None else default_huber_delta(spec)
-    tol = opts.grad_tol_scale * math.sqrt(2.0 * mesh.n_free)
+    tol = fem.GRAD_TOL_SCALE * math.sqrt(2.0 * mesh.n_free)
 
     A, B = well_matrices(spec)
     values = initial.values.copy()
@@ -220,15 +223,15 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
         # Armijo backtracking: trial points need the energy only.
         t = 1.0
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(fem.MAX_BACKTRACKS):
             x_new = x + t * d
             new_point = energy_at(x_new)
             f_new = total(new_point)
-            if f_new <= f + opts.armijo * t * slope:
+            if f_new <= f + fem.ARMIJO * t * slope:
                 accepted = True
                 break
             backtracks += 1
-            t *= opts.shrink
+            t *= fem.SHRINK
         if not accepted:
             status = "stalled"
             break
@@ -238,7 +241,7 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
         if float(s_vec @ y_vec) > 1e-300:
             s_list.append(s_vec)
             y_list.append(y_vec)
-            if len(s_list) > opts.memory:
+            if len(s_list) > fem.MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
         x, f, g, point = x_new, f_new, g_new, new_point
@@ -249,8 +252,7 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
     jn = point[2][3]  # the accepted point's jump norms
     breakdown = EnergyBreakdown.combine(point[0], 0.0, _exact_tv(mesh, jn), eps, 0.0)
     gnorm = float(np.linalg.norm(g))
-    return MinimizeResult(out_field, np.asarray(trace), breakdown, it,
-                          status == "gtol", gnorm, status,
+    return MinimizeResult(out_field, np.asarray(trace), breakdown, it, gnorm, status,
                           energy_evals, grad_evals, backtracks)
 
 

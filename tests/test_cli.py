@@ -71,11 +71,18 @@ def test_config_bad_values(tmp_path):
     ("minimize", "huber_delta = inf"),
     ("minimize --max-iter 0", ""),
     ("minimize --max-iter -3", ""),
+    ("phase", "phase_log_min = nan"),
+    ("phase", "phase_log_max = nan"),
+    ("phase", "phase_log_max = inf"),
+    ("phase", "phase_log_min = -inf"),
+    ("phase", "phase_log_min = 7\nphase_log_max = 1"),
+    ("phase", "phase_log_min = 2\nphase_log_max = 2"),
 ])
 def test_config_rejects_nonfinite_and_degenerate_values(tmp_path, argv, line):
     # Each was accepted once: a NaN or infinite energy reported with exit 0,
     # a ValueError traceback (exit 1), a quadrature that never returns, or
-    # an empty iteration budget reported as non-convergence (exit 4).
+    # an empty iteration budget reported as non-convergence (exit 4), or a
+    # phase map of NaN axes or reversed axes (exit 0).
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     assert main(argv.split() + ["--config", str(cfg), "--out", str(tmp_path / "unused")]) == 2
@@ -297,9 +304,27 @@ def test_validate_subprocess_and_negative_control():
     r = run_cli("validate", "--seed", "7")
     assert r.returncode == 0
     assert "FAIL" not in r.stdout
+    # Negative control: the closed form sees well B of the orbit-distance
+    # check off by 1e-3 in one entry, the angle-scan oracle the true well.
+    script = ("import runpy, sys\n"
+              "import numpy as np\n"
+              "import twowell.checks as checks\n"
+              "from twowell.wells import WellSpec, well_matrices\n"
+              "B = well_matrices(WellSpec('k1', 0.3))[1]\n"
+              "closed = checks.dist_to_rotated_well\n"
+              "def corrupted(F, G):\n"
+              "    if np.array_equal(G, B):\n"
+              "        G = G + np.array([[1e-3, 0.0], [0.0, 0.0]])\n"
+              "    return closed(F, G)\n"
+              "checks.dist_to_rotated_well = corrupted\n"
+              "sys.argv = ['twowell', 'validate']\n"
+              "runpy.run_module('twowell', run_name='__main__')\n")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 3, r.stderr
+    fails = [line for line in r.stdout.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and "orbit-distance closed form vs angle scan" in fails[0]
     r = run_cli("validate", "--corrupt-wells")
-    assert r.returncode == 3
-    assert "FAIL" in r.stdout
+    assert r.returncode == 2 and "unrecognized arguments: --corrupt-wells" in r.stderr
 
 
 def test_validate_seed_independence():

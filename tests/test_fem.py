@@ -443,31 +443,34 @@ def _assert_same_run(res, ref):
 
 @pytest.mark.parametrize("case", [CASE_K1, CASE_K2])
 @pytest.mark.parametrize("nx, ny, rect", [(24, 24, DOM), (17, 11, Rect(-0.3, 0.2, 1.4, 0.9))])
-def test_minimize_matches_oracle_bit_for_bit(nx, ny, rect, case):
+def test_minimize_matches_oracle_bit_for_bit(nx, ny, rect, case, monkeypatch):
     """The workspace passes, the specialized kernel and the ring-buffer
     L-BFGS reproduce the allocating oracle exactly."""
     spec = WellSpec(case, 0.1)
     mesh = Mesh(nx, ny, rect)
     seed, _ = seed_from_construction(horizontal_branched(spec, 1e-3, rect), mesh)
-    runs = [(1e-3, MinimizeOptions(max_iter=40)),
-            (0.0, MinimizeOptions(max_iter=40)),
-            (1e-3, MinimizeOptions(max_iter=40, delta_huber=1e-4)),
-            (1e-3, MinimizeOptions(max_iter=40, memory=1))]
+    runs = [(1e-3, MinimizeOptions(max_iter=40), fem.MEMORY),
+            (0.0, MinimizeOptions(max_iter=40), fem.MEMORY),
+            (1e-3, MinimizeOptions(max_iter=40, delta_huber=1e-4), fem.MEMORY),
+            (1e-3, MinimizeOptions(max_iter=40), 1)]
     for start in (DiscreteField.identity(mesh), seed):
-        for eps, opts in runs:
+        for eps, opts, memory in runs:
+            monkeypatch.setattr(fem, "MEMORY", memory)
             _assert_same_run(minimize(start, spec, eps, opts),
                              fem_oracles.minimize(start, spec, eps, opts))
 
 
-def test_minimize_matches_oracle_at_gtol_and_stall():
+def test_minimize_matches_oracle_at_gtol_and_stall(monkeypatch):
     spec = WellSpec(CASE_K2, 0.1)
     mesh = Mesh(17, 11, Rect(-0.3, 0.2, 1.4, 0.9))
     seed, _ = seed_from_construction(horizontal_branched(spec, 1e-3, mesh.rect), mesh)
+    opts = MinimizeOptions(max_iter=200)
     # The stall leaves a rejected trial in the workspace; the report must
     # still come from the accepted point.
-    for status, opts in (("gtol", MinimizeOptions(max_iter=200)),
-                         ("stalled", MinimizeOptions(max_iter=200, grad_tol_scale=0.0,
-                                                     max_backtracks=12))):
+    for status, grad_tol_scale, max_backtracks in (
+            ("gtol", fem.GRAD_TOL_SCALE, fem.MAX_BACKTRACKS), ("stalled", 0.0, 12)):
+        monkeypatch.setattr(fem, "GRAD_TOL_SCALE", grad_tol_scale)
+        monkeypatch.setattr(fem, "MAX_BACKTRACKS", max_backtracks)
         res = minimize(seed, spec, 0.0, opts)
         assert res.status == status and res.iterations > 20
         _assert_same_run(res, fem_oracles.minimize(seed, spec, 0.0, opts))

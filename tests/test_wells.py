@@ -101,8 +101,8 @@ def test_closed_form_matches_angle_scan_oracle():
 
 
 def test_angle_scan_grid_memoized_and_read_only():
-    grid = wells._angle_grid(4096)
-    assert wells._angle_grid(4096) is grid
+    grid = wells._angle_grid()
+    assert wells._angle_grid() is grid
     # Bit-identical to a freshly built grid.
     phis = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     for got, want in zip(grid, (phis, np.cos(phis), np.sin(phis))):
@@ -113,9 +113,8 @@ def test_angle_scan_grid_memoized_and_read_only():
     G = well_matrices(WellSpec(CASE_K2, 0.25))[1]
     for _ in range(20):
         F = rng.uniform(-3.0, 3.0, (2, 2))
-        for samples, refine in ((4096, True), (64, False)):
-            first = angle_scan_distance(F, G, samples, refine)
-            assert angle_scan_distance(F, G, samples, refine) == first
+        first = angle_scan_distance(F, G)
+        assert angle_scan_distance(F, G) == first
 
 
 def test_orbit_invariance_under_rotations():
