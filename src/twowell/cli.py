@@ -246,7 +246,8 @@ def cmd_construct(cfg: RunConfig) -> int:
     write_manifest(d, str(out / "manifest.txt"))
     (out / "construction.svg").write_text(construction_svg(d, spec))
     print(f"construction={label} cells={d.cell_count()} total={_f(b.total)} "
-          f"elastic={_f(b.elastic)} tv_bulk={_f(b.tv_bulk)} tv_jump={_f(b.tv_jump)}")
+          f"elastic={_f(b.elastic)} tv_bulk={_f(b.tv_bulk)} tv_jump={_f(b.tv_jump)} "
+          f"error_estimate={b.error_estimate:.3g}")
     return 0
 
 
@@ -257,7 +258,8 @@ def cmd_energy(cfg: RunConfig) -> int:
     _write_csv(out / "energy.csv", _SWEEP_HEADER, [row])
     print(f"construction={row[5]} total={_f(b.total)} bound={_f(row[10])} "
           f"ratio={_f(row[11])} regime="
-          f"{classify_regime(cfg.case, cfg.alpha, cfg.epsilon, cfg.L, cfg.H)}")
+          f"{classify_regime(cfg.case, cfg.alpha, cfg.epsilon, cfg.L, cfg.H)} "
+          f"error_estimate={b.error_estimate:.3g}")
     return 0
 
 

@@ -6,10 +6,21 @@ part of the total variation (Frobenius norm of the second gradient inside
 cells) and the jump part (Frobenius norm of the gradient jump integrated
 over the jump curves by arclength).
 
-Cells are integrated on their graph parameterization ``(x, s) -> (x,
-(1-s) lower(x) + s upper(x))`` whose Jacobian is ``upper - lower``; panels
-are refined adaptively by comparing Gauss rules of order p and 2p.  All
-congruent cells (translated copies of one prototype under the same
+All three are 1D integrals, taken by one adaptive routine that refines
+panels by comparing Gauss rules of order p and 2p (``line_points``).  A
+cell ``lower(x) <= y <= upper(x)`` is integrated over x by its columns:
+
+* the bulk TV's column integral is in closed form, because every family is
+  affine in y at second order (:func:`_column_tv`);
+* the elastic column is ``(upper - lower)(x) d2(F(x))``: every family's
+  gradient depends on x alone, except on the k2 cell's transition pieces
+  (``grad_reads_y``), whose one y-dependent entry is affine in y.  Their
+  columns take the mean of d2 by a fixed ``base_order``-point Gauss rule
+  across the column: d2 is analytic along a column whose nodes are all
+  nearest to the same well.
+
+The jump TV integrates ``|Du+ - Du-|`` times the arclength weight along
+each curve.  Congruent cells (translated copies of one prototype under one
 conjugation) share a single quadrature, multiplied by the instance count.
 
 Every prototype of one term is refined in the same waves, across all the
@@ -22,9 +33,11 @@ fields (class, piece index, ramp kind, conjugation matrices) and its float
 row (ell, h, alpha, curve coefficients, offsets) through ``entry()``, and
 the prototypes of one shape form one float matrix.  The panels of one shape
 are evaluated by one integrand call on a member built from (m, 1) columns
-of that matrix.  The elastic integrand evaluates the ramp once per panel
-column of nodes, and writes F entry by entry: a signed-permutation
-conjugation (identity, mirror, swap) is a signed copy of each entry.
+of that matrix.  An elastic entry is a cell under the conjugation of its
+part (:class:`_ConjugatedCell`), so a batch holds one conjugation.  The
+elastic integrand evaluates the ramp once per column and writes F entry by
+entry: a signed-permutation conjugation (identity, mirror, swap) is a
+signed copy of each entry.
 
 What is exact by structure gets its exact rule instead of the generic
 refinement:
@@ -68,6 +81,16 @@ __all__ = ["QuadratureSpec", "EnergyBreakdown", "elastic_energy", "tv_bulk",
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """Settings of the one adaptive quadrature routine.
+
+    ``line_points`` is the Gauss order p along x, and along a jump curve,
+    for all three terms: a panel is accepted when its order-p and order-2p
+    values agree to its share of ``rel_tol`` times its prototype's
+    integral, and is halved otherwise, at most ``max_refinement_depth``
+    times.  ``base_order`` is the fixed Gauss order across a column whose
+    gradient depends on y (the k2 cell's transition pieces).
+    """
+
     base_order: int = 8
     max_refinement_depth: int = 12
     rel_tol: float = 1e-8
@@ -124,8 +147,9 @@ def _gauss(order: int):
 # noise to the depth limit.
 _NOISE_FLOOR = 1e-12
 
-# Integrand points per batched call (coarse and fine nodes together); caps
-# the transient memory of one wave however many panels it refines.
+# Integrand points per batched call (the nodes of both rules, times the
+# nodes across a column where there are several); caps the transient
+# memory of one wave however many panels it refines.
 _MAX_POINTS = 1 << 12
 
 
@@ -164,34 +188,19 @@ class _Table:
         """Iterator over the (m, 1) columns of group g's rows of ``owners``."""
         return iter(self.values[g][self.row[owners]].T[..., None])
 
-    def batches(self, owner: np.ndarray, points: int, inner: "_Table | None" = None):
-        """Yield ``(shape, columns, panel indices, runs)`` covering every
-        panel once: one shape per batch, the columns of the rows of each
-        panel's owner, at most ``_MAX_POINTS`` integrand points.
-
-        ``inner`` is a second table over the same prototypes (the elastic
-        term's conjugations).  Its groups split no batch: each batch lists
-        its panels grouped by their inner group instead, and ``runs`` holds
-        ``(inner shape, row slice)`` for each such run.
-        """
+    def batches(self, owner: np.ndarray, points: np.ndarray):
+        """Yield ``(shape, columns, panel indices)`` covering every panel
+        once: one shape per batch, the columns of the rows of each panel's
+        owner, at most ``_MAX_POINTS`` integrand points, where a panel of
+        group g takes ``points[g]``."""
         gid = self.group[owner]
-        step = max(1, _MAX_POINTS // points)
         # Not np.unique: it imports numpy.ma, about 1 MB of resident memory.
         for g in np.flatnonzero(np.bincount(gid)).tolist():
             idx = np.flatnonzero(gid == g)
-            if inner is not None:
-                sub = inner.group[owner[idx]]
-                idx = np.concatenate([idx[sub == s]
-                                      for s in np.flatnonzero(np.bincount(sub)).tolist()])
+            step = max(1, _MAX_POINTS // int(points[g]))
             for lo in range(0, len(idx), step):
                 part = idx[lo:lo + step]
-                runs = []
-                if inner is not None:
-                    sub = inner.group[owner[part]]
-                    cuts = [0, *(np.flatnonzero(sub[1:] != sub[:-1]) + 1).tolist(), len(part)]
-                    runs = [(inner.shapes[sub[a]], slice(a, b))
-                            for a, b in zip(cuts[:-1], cuts[1:])]
-                yield self.shapes[g], self.columns(g, owner[part]), part, runs
+                yield self.shapes[g], self.columns(g, owner[part]), part
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +223,20 @@ def _sums_by_owner(values: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
 
 def _integrate(wave_values, roots: np.ndarray, owner: np.ndarray, order: int,
                measures: np.ndarray, quad: QuadratureSpec):
-    """Adaptive Gauss integrals of n prototypes over their root panels: the
-    boxes ``roots``, an (r, 2d) array with one row of (lo, hi) pairs per
-    axis for each root, where ``owner`` holds each root's prototype.
+    """Adaptive Gauss integrals of n prototypes over their root intervals:
+    ``roots`` is an (r, 2) array of (lo, hi), and ``owner`` holds each
+    root's prototype.
 
     ``wave_values(panels, owner, rules)`` returns the integrals of every panel
     by both ``rules`` (Gauss nodes and weights on [0, 1] of order p and 2p);
     ``owner`` holds each panel's prototype.  All prototypes refine in the same
     waves, but every rule is per prototype: a panel is accepted when its
     order-p / order-2p Richardson difference is below its share of its
-    prototype's tolerance, otherwise it is halved along every axis (children
-    ordered with axis 0 fastest, stacked child-pattern-major, so each
-    prototype's panels keep the order of a refinement of its own).  A
-    prototype's scale is the sum of its roots' wave-0 fine values, and its
-    size the sum of their sizes; with a single root, both are that root's
-    own values, bit for bit.
+    prototype's tolerance, otherwise it is halved (all left halves, then all
+    right halves, so each prototype's panels keep the order of a refinement
+    of its own).  A prototype's scale is the sum of its roots' wave-0 fine
+    values, and its size the sum of their lengths; with a single root, both
+    are that root's own values, bit for bit.
     ``measures`` (one per prototype) scales the absolute noise floor.
     Returns each prototype's total, its error estimate (the sum of
     ``|fine - coarse|`` over its accepted panels) and whether it hit the
@@ -237,8 +245,7 @@ def _integrate(wave_values, roots: np.ndarray, owner: np.ndarray, order: int,
     """
     rules = (_gauss(order), _gauss(2 * order))
     n = len(measures)
-    root_size = np.bincount(owner, np.prod(roots[:, 1::2] - roots[:, 0::2], axis=1),
-                            minlength=n)
+    root_size = np.bincount(owner, roots[:, 1] - roots[:, 0], minlength=n)
     totals, errors = np.zeros(n), np.zeros(n)
     hit = np.zeros(n, dtype=bool)
     panels = roots
@@ -249,7 +256,7 @@ def _integrate(wave_values, roots: np.ndarray, owner: np.ndarray, order: int,
             # The roots' fine values set the scale of each prototype's relative test.
             scale = np.maximum(np.abs(_sums_by_owner(fine, owner, n)), 1e-300)
         err = np.abs(fine - coarse)
-        frac = np.prod(panels[:, 1::2] - panels[:, 0::2], axis=1) / root_size[owner]
+        frac = (panels[:, 1] - panels[:, 0]) / root_size[owner]
         tol = np.maximum(quad.rel_tol * scale[owner] * np.maximum(frac, 1e-6),
                          _NOISE_FLOOR * measures[owner] * frac)
         done = err <= tol
@@ -262,80 +269,35 @@ def _integrate(wave_values, roots: np.ndarray, owner: np.ndarray, order: int,
         rest, owner = panels[~done], owner[~done]
         if not len(rest):
             return totals.tolist(), errors, hit
-        lo, hi = rest[:, 0::2], rest[:, 1::2]
+        lo, hi = rest.T
         mid = 0.5 * (lo + hi)
-        children = []
-        for upper in itertools.product((False, True), repeat=lo.shape[1]):
-            up = np.array(upper[::-1])
-            children.append(np.stack([np.where(up, mid, lo), np.where(up, hi, mid)],
-                                     axis=2).reshape(len(rest), -1))
-        panels, owner = np.vstack(children), np.tile(owner, len(children))
+        panels = np.column_stack([np.concatenate([lo, mid]), np.concatenate([mid, hi])])
+        owner = np.tile(owner, 2)
         depth += 1
 
 
-def _integrate_cells(entries, protos, integrand, quad: QuadratureSpec):
-    """Integral of ``integrand(proto, runs, x, y, rep)`` over each cell
-    ``protos[i]`` under a conjugation, on its graph parameterization
-    ``(x, s)``.
-
-    ``entries[i]`` holds the table entries of the cell and of its
-    :class:`Transform`.  The integrand receives a member with (m, 1) float
-    columns (see :class:`_Table`), the ``runs`` of rows sharing a
-    conjugation shape (:meth:`_Table.batches`), the x-nodes of both rules
-    side by side (m, 3p) and the points' y (m, n); ``x[:, rep]`` are the
-    points' x.  It returns (m, n) values.
-    """
-    cells = _Table([cell for cell, _ in entries])
-    conjugations = _Table([conj for _, conj in entries])
-    p = quad.base_order
-    npts = 5 * p * p  # coarse p x p and fine 2p x 2p nodes
-    xs = np.concatenate([_gauss(p)[0], _gauss(2 * p)[0]])
-    cuts = [0, p, 3 * p]
-    # Point k of each rule's n x n tensor grid, rules side by side, sits at
-    # x-node rep[k] and s-node srep[k].
-    rep = np.concatenate([np.repeat(np.arange(a, b), b - a) for a, b in zip(cuts[:-1], cuts[1:])])
-    srep = np.concatenate([np.tile(np.arange(a, b), b - a) for a, b in zip(cuts[:-1], cuts[1:])])
-
-    def wave_values(panels, owner, rules):
-        out = np.empty((2, len(panels)))
-        for shape, cols, idx, runs in cells.batches(owner, npts, conjugations):
-            proto = CellProto.from_row(shape, cols)
-            ax, bx, as_, bs = panels[idx].T
-            x = ax[:, None] + (bx - ax)[:, None] * xs
-            s = as_[:, None] + (bs - as_)[:, None] * xs
-            lo = proto.lower.value(x)
-            hi = proto.upper.value(x)
-            y = (1.0 - s[:, srep]) * lo[:, rep] + s[:, srep] * hi[:, rep]
-            vals = integrand(proto, runs, x, y, rep)
-            start = 0
-            for r, ((_, ws), a, b) in enumerate(zip(rules, cuts[:-1], cuts[1:])):
-                n = b - a
-                v = vals[:, start:start + n * n].reshape(len(idx), n, n)
-                start += n * n
-                out[r, idx] = np.einsum("mi,mj,mij->m", ws * (bx - ax)[:, None],
-                                        ws * (bs - as_)[:, None],
-                                        v * (hi[:, a:b] - lo[:, a:b])[:, :, None])
-        return out
-
-    roots = np.array([[0.0, proto.width, 0.0, 1.0] for proto in protos])
-    measures = np.array([abs(proto.area()) for proto in protos])
-    return _integrate(wave_values, roots, np.arange(len(roots)), p, measures, quad)
-
-
-def _integrate_lines(entries, edges, integrand, quad: QuadratureSpec):
+def _integrate_lines(entries, edges, integrand, quad: QuadratureSpec, measures=None,
+                     across=None):
     """Integral of ``integrand(proto, t)`` over (edges[0], edges[-1]) for
     each table entry of a cell or jump prototype (its shape led by the
     class, which builds the member with (m, 1) float columns; (m, n)
     parameters t).  ``edges`` lists each prototype's increasing root panel
-    edges: its ends and the kinks of its integrand between them."""
+    edges: its ends and the kinks of its integrand between them.
+    ``measures`` scales each prototype's noise floor (by default the length
+    of its interval).  ``across`` gives the integrand points each prototype
+    evaluates per parameter node (by default 1); it sizes the batches, and
+    is the same for all the prototypes of one shape."""
     table = _Table(entries)
     p = quad.line_points
+    points = np.full(len(table.shapes), 3 * p)
+    if across is not None:
+        points[table.group] = 3 * p * np.asarray(across)
 
     def wave_values(ab, owner, rules):
         out = np.empty((2, len(ab)))
         xs = np.concatenate([xr for xr, _ in rules])
         cuts = np.cumsum([0] + [len(xr) for xr, _ in rules]).tolist()
-        for shape, cols, idx, _ in table.batches(owner, 3 * p):
+        for shape, cols, idx in table.batches(owner, points):
             a, b = ab[idx].T
             vals = integrand(shape[0].from_row(shape, cols), a[:, None] + (b - a)[:, None] * xs)
             for r, ((_, ws), lo, hi) in enumerate(zip(rules, cuts[:-1], cuts[1:])):
@@ -344,8 +306,9 @@ def _integrate_lines(entries, edges, integrand, quad: QuadratureSpec):
 
     roots = np.array([(a, b) for e in edges for a, b in zip(e[:-1], e[1:])], dtype=float)
     owner = np.repeat(np.arange(len(edges)), [len(e) - 1 for e in edges])
-    return _integrate(wave_values, roots, owner, p,
-                      np.array([e[-1] - e[0] for e in edges], dtype=float), quad)
+    if measures is None:
+        measures = [e[-1] - e[0] for e in edges]
+    return _integrate(wave_values, roots, owner, p, np.array(measures, dtype=float), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +352,39 @@ def _unique_integrals(keyed, integrate, what: str) -> list[tuple[float, float, t
     return out
 
 
-def _elastic_integrand(A, B):
-    def integrand(proto, runs, x, y, rep):
-        ramp = proto.map.ramp(x)
-        if ramp is not None:
-            ramp = [r[:, rep] for r in ramp]
-        g = proto.map.grad_entries(ramp, y)
-        F = np.empty(y.shape + (2, 2))
-        for shape, rows in runs:
-            Transform.from_row(shape).gradient(
-                [e[rows] if isinstance(e, np.ndarray) else e for e in g], F[rows])
-        del ramp, g  # keeps them out of the kernel's peak memory
+@dataclass(frozen=True)
+class _ConjugatedCell:
+    """The member of an elastic table entry ``((_ConjugatedCell, cell shape,
+    conjugation shape), cell row)``: a cell under the conjugation of its
+    part.  The conjugation is part of the shape, so a batch holds one."""
+
+    cell: CellProto
+    conj: Transform
+
+    @classmethod
+    def from_row(cls, shape, cols):
+        return cls(CellProto.from_row(shape[1], cols), Transform.from_row(shape[2]))
+
+
+def _elastic_integrand(A, B, base_order: int):
+    s, w = _gauss(base_order)
+
+    def integrand(member, x):
+        """``(upper - lower)(x)`` times the mean of d2 across the column."""
+        cell = member.cell
+        lo, hi = cell.lower.value(x), cell.upper.value(x)
+        ramp = cell.map.ramp(x)
+        across = cell.map.grad_reads_y
+        # The column's s-nodes go on a leading axis, which the (m, 1) fields
+        # and the (m, n) ramp broadcast against; any y will do otherwise.
+        y = (1.0 - s)[:, None, None] * lo + s[:, None, None] * hi if across else x
+        F = member.conj.gradient(cell.map.grad_entries(ramp, y), np.empty(y.shape + (2, 2)))
+        del ramp  # keeps it out of the kernel's peak memory
         d2, _ = kernels.dist2_two_wells(F.reshape(-1, 2, 2), A, B)
-        return d2.reshape(y.shape)
+        d2 = d2.reshape(y.shape)
+        if across:
+            d2 = np.einsum("k,kmn->mn", w, d2)
+        return (hi - lo) * d2
     return integrand
 
 
@@ -417,16 +400,17 @@ def _elastic(defs, spec, quad):
     for def_ in defs:
         own = []
         for part in def_.parts:
-            conj = part.transform.entry()
+            conj = part.transform.entry()[0]
             for g in part.groups:
-                entry = (g.proto.entry(), conj)
+                shape, row = g.proto.entry()
+                entry = ((_ConjugatedCell, shape, conj), row)
                 if not g.proto.map.curved:
                     flat.setdefault(entry, (g.proto.map, part.transform))
                 own.append((entry, g.proto, g.count))
         keyed.append(own)
     d2 = _flat_dist2(flat, A, B)
     keyed = [[k for k in own if d2.get(k[0]) != 0.0] for own in keyed]
-    integrand = _elastic_integrand(A, B)
+    integrand = _elastic_integrand(A, B, quad.base_order)
 
     def integrate(entries, protos):
         # A constant gradient integrates to d2 * area, exactly up to rounding.
@@ -435,8 +419,12 @@ def _elastic(defs, spec, quad):
         errors, hit = np.zeros(len(entries)), np.zeros(len(entries), dtype=bool)
         rest = [i for i, e in enumerate(entries) if e not in d2]
         if rest:
-            values[rest], errors[rest], hit[rest] = _integrate_cells(
-                [entries[i] for i in rest], [protos[i] for i in rest], integrand, quad)
+            cells = [protos[i] for i in rest]
+            # d2's rounding noise is per unit area: so is the noise floor.
+            values[rest], errors[rest], hit[rest] = _integrate_lines(
+                [entries[i] for i in rest], [(0.0, p.width) for p in cells], integrand, quad,
+                measures=[abs(p.area()) for p in cells],
+                across=[quad.base_order if p.map.grad_reads_y else 1 for p in cells])
         return values.tolist(), errors, hit
 
     return _unique_integrals(keyed, integrate, "cell")

@@ -27,9 +27,11 @@ class _MapBase:
     tells whether D^2 u can be nonzero: never where the map does not bend,
     and not on a piece whose D^2 u is a multiple of g'' when the ramp is
     linear.  A map that is not curved has a constant gradient, and the
-    quadrature relies on that.  ``kinks()`` lists the local x inside the cell where the
-    bulk-TV column integrand has a kink (none by default); the quadrature
-    splits the cell's root panel there.
+    quadrature relies on that.  ``grad_reads_y`` tells whether the gradient
+    depends on y (not by default), which it then does affinely; the elastic
+    term takes such columns by a Gauss rule in y.  ``kinks()`` lists the
+    local x inside the cell where the bulk-TV column integrand has a kink
+    (none by default); the quadrature splits the cell's root panel there.
     For the quadrature's tables, ``entry()`` returns its shape (the class
     and the discrete fields) and its row (the float fields), and
     ``from_row(shape, cols)`` builds a member from an iterator of (m, 1)
@@ -43,6 +45,7 @@ class _MapBase:
     """
 
     bends = False
+    grad_reads_y = False
 
     @property
     def curved(self) -> bool:
@@ -168,6 +171,11 @@ class K2CellPiece(_Piece):
 
     def _discrete(self) -> tuple:
         return (self.piece,)
+
+    @property
+    def grad_reads_y(self) -> bool:
+        # The transition pieces' d_x u1 carries d2 (base - y).
+        return self.piece in (2, 4)
 
     def kinks(self) -> tuple[float, ...]:
         # Piece 3's |D^2 u| is a multiple of |g'''(x / ell)|, and the

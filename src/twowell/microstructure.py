@@ -316,14 +316,14 @@ def _piece_at(intervals, period, y):
 
 def _vertical_jump_groups(X, H, left_protos, h_left, ell_left,
                           right_protos, h_right, tag,
-                          right_conj: Transform | None = None,
+                          right_conj: Transform = IDENTITY,
                           right_edge_x: float | None = None):
     """Jump segments along the line x = X between two cell stacks.
 
     The left stack exposes its right edge (local x = ell_left); the right
-    stack its left edge (local x = 0) unless a conjugation is given, in
-    which case the right side is the mirrored copy of a stack whose right
-    edge lies on the line (local x = right_edge_x).
+    stack its left edge (local x = 0) unless ``right_edge_x`` is given, in
+    which case the right side is the copy of a stack whose right edge lies
+    on the line (local x = right_edge_x), mirrored by ``right_conj``.
 
     Both stacks expose the same laminate on the line, so with a ramp whose
     ends are flat (:func:`twowell.profiles.flat_ends`) the gradient is
@@ -332,8 +332,8 @@ def _vertical_jump_groups(X, H, left_protos, h_left, ell_left,
     tol = 1e-12 * max(h_left, h_right)
     period = max(h_left, h_right)
     li = _edge_intervals(left_protos, True, tol)
-    redge = 0.0 if right_conj is None else float(right_edge_x)
-    ri = _edge_intervals(right_protos, right_conj is not None, tol)
+    redge = 0.0 if right_edge_x is None else float(right_edge_x)
+    ri = _edge_intervals(right_protos, right_edge_x is not None, tol)
 
     breaks = set()
     for h_side, intervals in ((h_left, li), (h_right, ri)):

@@ -334,36 +334,36 @@ def _signed_pattern(cl: bytes, q: bytes):
 @dataclass(frozen=True)
 class SideRef:
     """One side of a jump curve: a displacement map plus the offset taking
-    jump-local coordinates into the side cell's local frame.  ``conj`` marks
-    a side that lives on the mirrored copy of the pattern (the jump then
-    sits on the mirror axis, where the point map is the identity)."""
+    jump-local coordinates into the side cell's local frame.  ``conj`` is
+    the mirror for a side that lives on the mirrored copy of the pattern
+    (the jump then sits on the mirror axis, where the point map is the
+    identity), and :data:`IDENTITY` otherwise."""
 
     map: _MapBase
     off_x: float
     off_y: float
-    conj: Transform | None = None
+    conj: Transform = IDENTITY
 
     def local(self, jx, jy):
         return jx + self.off_x, jy + self.off_y
 
     def value(self, pts_abs, jx, jy):
         lx, ly = self.local(jx, jy)
-        u = pts_abs + self.map.disp(lx, ly)
-        return u if self.conj is None else self.conj.value(u)
+        return self.conj.value(pts_abs + self.map.disp(lx, ly))
 
     def grad(self, jx, jy):
         lx, ly = self.local(jx, jy)
         out = np.empty(np.broadcast(lx, ly).shape + (2, 2))
-        return (self.conj or IDENTITY).gradient(self.map.grad_entries(self.map.ramp(lx), ly), out)
+        return self.conj.gradient(self.map.grad_entries(self.map.ramp(lx), ly), out)
 
     def entry(self) -> tuple:
-        (ms, mr), cs = self.map.entry(), self.conj and self.conj.entry()[0]
+        (ms, mr), (cs, _) = self.map.entry(), self.conj.entry()
         return (ms, cs), mr + (self.off_x, self.off_y)
 
     @classmethod
     def from_row(cls, shape, cols):
         return cls(shape[0][0].from_row(shape[0], cols), next(cols), next(cols),
-                   None if shape[1] is None else Transform.from_row(shape[1]))
+                   Transform.from_row(shape[1]))
 
 
 @dataclass(frozen=True)

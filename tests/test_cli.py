@@ -107,12 +107,21 @@ def test_internal_errors_are_not_config_errors(tmp_path, monkeypatch):
     assert "config error" not in r.stderr
 
 
-def test_energy_csv_schema_and_determinism(tmp_path):
+def _error_estimate(stdout: str) -> float:
+    """The ``error_estimate=`` field, the last of the one summary line."""
+    (line,) = stdout.splitlines()
+    key, value = line.split()[-1].split("=")
+    assert key == "error_estimate" and value == format(float(value), ".3g")
+    return float(value)
+
+
+def test_energy_csv_schema_and_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         rc = main(["energy", "--case", "k2", "--alpha", "0.1",
                    "--epsilon", "1e-5", "--out", str(out)])
         assert rc == 0
+        assert 0.0 < _error_estimate(capsys.readouterr().out) < 1e-12
     t1 = (out1 / "energy.csv").read_bytes()
     t2 = (out2 / "energy.csv").read_bytes()
     assert t1 == t2
@@ -173,9 +182,9 @@ def test_sweep_runs_at_its_defaults(tmp_path, capsys):
 
 
 def test_quadrature_warnings_reach_stderr(tmp_path, capsys):
-    # No refinement at all: the order-2 rule misses the tolerance at once.
+    # No refinement at all: the order-2 rules miss the tolerance at once.
     cfg = tmp_path / "shallow.cfg"
-    cfg.write_text("quad_base_order = 2\nquad_max_depth = 0\n")
+    cfg.write_text("quad_base_order = 2\nquad_line_points = 2\nquad_max_depth = 0\n")
     runs = (["energy"], ["construct"],
             ["sweep", "--epsilons", "1e-6,3e-6,1e-5,1e-4"])
     for i, argv in enumerate(runs):
@@ -199,10 +208,11 @@ def test_phase_outputs(tmp_path):
     assert svg.startswith("<svg") and "log10(L/eps)" in svg
 
 
-def test_construct_outputs(tmp_path):
+def test_construct_outputs(tmp_path, capsys):
     rc = main(["construct", "--case", "k2", "--alpha", "0.1",
                "--epsilon", "1e-4", "--out", str(tmp_path)])
     assert rc == 0
+    assert 0.0 < _error_estimate(capsys.readouterr().out) < 1e-12
     manifest = (tmp_path / "manifest.txt").read_text()
     assert manifest.startswith("domain")
     svg = (tmp_path / "construction.svg").read_text()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from twowell.microstructure import (
 from twowell.piecewise import (
     PiecewiseDeformation,
     Rect,
-    Transform,
     VerticalJump,
     gradient_jump,
     identity_deformation,
@@ -100,8 +100,9 @@ def _oracle_integrate(wave_values, roots, order, measure, quad, warnings, what):
         depth += 1
 
 
-def _oracle_cell(proto, integrand, quad, warnings):
-    """(integral, error) of ``integrand(x, y)`` (flat point arrays) over one cell."""
+def _oracle_area(proto, integrand, quad, warnings):
+    """(integral, error) of ``integrand(x, y)`` (flat point arrays) over one
+    cell by the 2D tensor rule on its graph parameterization ``(x, s)``."""
     def wave_values(panels, xs, ws):
         ax, bx, as_, bs = panels.T
         x = ax[:, None] + (bx - ax)[:, None] * xs
@@ -118,9 +119,10 @@ def _oracle_cell(proto, integrand, quad, warnings):
                              quad.base_order, abs(proto.area()), quad, warnings, "cell")
 
 
-def _oracle_line(edges, integrand, quad, warnings):
+def _oracle_line(edges, integrand, quad, warnings, what="line", measure=None):
     """(integral, error) of ``integrand(t)`` over (edges[0], edges[-1]), one
-    root panel between each pair of consecutive edges."""
+    root panel between each pair of consecutive edges; ``measure`` scales
+    the noise floor (by default the interval's length)."""
     def wave_values(ab, xs, ws):
         a, b = ab.T
         t = a[:, None] + (b - a)[:, None] * xs
@@ -129,7 +131,27 @@ def _oracle_line(edges, integrand, quad, warnings):
 
     roots = np.array(list(zip(edges[:-1], edges[1:])))
     return _oracle_integrate(wave_values, roots, quad.line_points,
-                             edges[-1] - edges[0], quad, warnings, "line")
+                             edges[-1] - edges[0] if measure is None else measure,
+                             quad, warnings, what)
+
+
+def _oracle_cell(proto, integrand, quad, warnings):
+    """(integral, error) of ``integrand(x, y)`` (flat point arrays) over one
+    cell, as a line integral over x of its columns: ``(upper - lower)(x)``
+    times the integrand at one point of the column where the map's gradient
+    reads x alone, else its mean by the ``base_order``-point Gauss rule
+    across the column."""
+    s, w = _gauss(quad.base_order)
+
+    def column(x):
+        lo, hi = proto.lower.value(x), proto.upper.value(x)
+        if not proto.map.grad_reads_y:
+            return (hi - lo) * integrand(x, lo)
+        y = (1.0 - s)[:, None] * lo + s[:, None] * hi
+        vals = integrand(np.broadcast_to(x, y.shape).ravel(), y.ravel()).reshape(y.shape)
+        return (hi - lo) * np.einsum("k,kn->n", w, vals)
+
+    return _oracle_line((0.0, proto.width), column, quad, warnings, "cell", abs(proto.area()))
 
 
 def _oracle_tv_bulk_cell(proto, quad, warnings):
@@ -474,16 +496,23 @@ def test_total_energies_match_one_deformation_at_a_time(spec, eps, dom, kw, quad
 # The k2 tv_bulk values and the error estimates moved when the k2 cell's
 # middle piece was split at its kinks and constant-gradient cells got their
 # closed form: the middle piece now matches scipy.integrate.quad to 1e-15
-# (1e-10 before), see test_quadrature_matches_scipy_oracle.
+# (1e-10 before), see test_quadrature_matches_scipy_oracle.  The elastic
+# values and the error estimates moved again when the elastic term became
+# column integrals in x by the line rule (16 and 32 points, where the 2D
+# panels had 8 and 16 per axis); the TV terms kept every bit.  Before:
+#   1.1931092462061027e-06, 1.7134317365208936e-16
+#   3.4692459597288762e-06, 1.6009459347624322e-16
+#   0.00018972093927587726, 1.6477866282143008e-16
+#   0.0006673936691419691, 7.258159675565175e-13
 _PINNED = [
     ((CASE_K2, 1e-7, 2.0, 0.1, horizontal_branched),
-     "(1.1931092462061027e-06, 0.5208311894605422, 38.58209011197011, 1.7134317365208936e-16)"),
+     "(1.1931092461824671e-06, 0.5208311894605422, 38.58209011197011, 1.0466779368162846e-16)"),
     ((CASE_K1, 1e-7, 0.5, 0.2, horizontal_branched),
-     "(3.4692459597288762e-06, 0.6863492708952108, 517.2613211848111, 1.6009459347624322e-16)"),
+     "(3.469245959714852e-06, 0.6863492708952108, 517.2613211848111, 6.949412905896427e-17)"),
     ((CASE_K1, 1e-4, 4.0, 0.1, vertical_branched_k1),
-     "(0.00018972093927587726, 0.3281249999999997, 30.03184523809524, 1.6477866282143008e-16)"),
+     "(0.00018972093927583416, 0.3281249999999997, 30.03184523809524, 7.601109225683712e-17)"),
     ((CASE_K2, 1e-3, 4.0, 0.2, horizontal_branched),
-     "(0.0006673936691419691, 0.43752643962447074, 13.399855128437608, 7.258159675565175e-13)"),
+     "(0.0006673936691419405, 0.43752643962447074, 13.399855128437608, 6.475241118410267e-13)"),
 ]
 
 
@@ -588,7 +617,7 @@ def test_hess_profile_matches_full_hessian():
         np.testing.assert_allclose(fd, hess, rtol=0.0, atol=1e-6 * np.abs(hess).max() + 1e-12)
 
         column = _tv_bulk_cells([proto], QuadratureSpec())[0][0]
-        oracle = _oracle_cell(proto, _hess_norm_integrand(proto), oracle_quad, [])[0]
+        oracle = _oracle_area(proto, _hess_norm_integrand(proto), oracle_quad, [])[0]
         assert abs(column - oracle) <= 1e-9 * oracle, (proto.map.key(), column, oracle)
 
 
@@ -617,10 +646,13 @@ def _recorded_integrals(defs, spec, eps):
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-7])
 def test_quadrature_matches_scipy_oracle(eps):
-    # An independent adaptive rule (QUADPACK) checks the bulk TV of one
-    # curved prototype of every family and piece, the k2 cell's middle piece
-    # split at its kinks like ours, and every constant-gradient elastic
-    # entry's closed form d2 * area against scipy's 2D integral of d2.
+    # An independent adaptive rule (QUADPACK) checks the bulk TV and the
+    # elastic integral of one curved prototype of every family and piece
+    # (the k2 cell's middle piece split at its kinks like ours, its
+    # transition pieces integrated across their columns by the fixed Gauss
+    # rule), and every constant-gradient elastic entry's closed form d2 *
+    # area, against scipy's 1D integral of the closed-form column TV and
+    # its 2D integral of d2.
     integrate = pytest.importorskip("scipy.integrate")
     dom = Rect(0.0, 0.0, 1.0, 1.0)
     k1, k2 = WellSpec(CASE_K1, 0.1), WellSpec(CASE_K2, 0.1)
@@ -653,27 +685,41 @@ def test_quadrature_matches_scipy_oracle(eps):
                 assert abs(value - ref) <= 1e-13 * ref
 
         A, B = well_matrices(spec)
-        for d in defs:
-            for part in d.parts:
-                Q, _, CL, _ = part.folded()
-                conj = Transform(*part.folded(), "").entry()
-                for g in part.groups:
-                    if g.proto.map.curved or (g.proto.entry(), conj) not in elastic:
-                        continue
-                    value, error, _ = elastic[g.proto.entry(), conj]
 
-                    def d2(y, x, proto=g.proto, CL=CL, Q=Q):
-                        F = push_forward(CL, np.eye(2) + proto.map.grad(np.array([x]),
-                                                                        np.array([y])), Q)
-                        return float(kernels.dist2_two_wells(F, A, B)[0][0])
+        def d2_integral(proto, conj):
+            """scipy's integral of d2 over the cell under ``conj``'s matrices."""
+            CL, Q = (np.reshape(m, (2, 2)) for m in conj)
 
-                    proto = g.proto
-                    ref, ref_err = integrate.dblquad(d2, 0.0, proto.width, proto.lower.value,
-                                                     proto.upper.value, epsabs=0.0,
-                                                     epsrel=1e-13)
-                    assert error == 0.0 and value > 0.0
-                    assert abs(value - ref) <= 1e-13 * ref + ref_err, (value, ref)
-                    constant += 1
+            def d2(y, x):
+                F = push_forward(CL, np.eye(2) + proto.map.grad(np.array([x]), np.array([y])), Q)
+                return float(kernels.dist2_two_wells(F, A, B)[0][0])
+
+            return integrate.dblquad(d2, 0.0, proto.width, proto.lower.value,
+                                     proto.upper.value, epsabs=0.0, epsrel=1e-13)
+
+        columns = {}
+        for ((_, _, conj), _), (value, error, proto) in elastic.items():
+            if proto.map.curved:
+                columns.setdefault(proto.map.key()[:2], (proto, conj, value, error))
+                continue
+            ref, ref_err = d2_integral(proto, conj)
+            assert error == 0.0 and value > 0.0
+            assert abs(value - ref) <= 1e-13 * ref + ref_err, (value, ref)
+            constant += 1
+        assert set(columns) == set(curved)
+        assert any(proto.map.grad_reads_y for proto, *_ in columns.values()) == (spec is k2)
+        for (tag, piece), (proto, conj, value, error) in columns.items():
+            # d2 = |F|^2 + |G|^2 - 2 r is rounded to about an ulp of |F|^2 +
+            # |G|^2 at every node, which neither error estimate counts, and
+            # QUADPACK warns of that roundoff: on the k1 cell a 40-digit
+            # evaluation of d2 at the same F moves the integral by 6e-13
+            # relative, a sixth of this allowance.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                ref, ref_err = d2_integral(proto, conj)
+            rounding = np.finfo(float).eps * (np.sum(A * A) + np.sum(B * B)) * abs(proto.area())
+            assert abs(value - ref) <= error + ref_err + rounding, (tag, piece, value, ref, error)
+            assert abs(value - ref) <= 1e-9 * ref, (tag, piece, value, ref)
     assert constant > 0
 
 
@@ -681,9 +727,10 @@ def _integrated_entries(d, spec, eps):
     """The table entries each term of ``total_energy(d, spec, eps)`` integrates,
     keyed as :func:`_oracle_jobs` keys them."""
     elastic, bulk, jump = _recorded_integrals([d], spec, eps)
-    # The elastic term keys (cell, Transform.entry()); the oracle its matrices.
-    elastic = {(cell, np.array(cl).tobytes(), np.array(q).tobytes())
-               for cell, ((cl, q), _) in elastic}
+    # The elastic term keys ((_ConjugatedCell, cell shape, (CL, Q)), cell
+    # row); the oracle keys the cell's entry and the matrices' bytes.
+    elastic = {((cell, row), np.array(cl).tobytes(), np.array(q).tobytes())
+               for (_, cell, (cl, q)), row in elastic}
     return {"elastic": elastic, "bulk": set(bulk), "jump": set(jump)}
 
 
@@ -739,6 +786,50 @@ def test_skipped_entries_are_exact_zeros():
     check()
 
 
+def test_columns_that_read_y_stay_on_one_well():
+    # The elastic term integrates a column whose gradient reads y (the k2
+    # cell's transition pieces) by a fixed base_order-point Gauss rule.
+    # That rule is accurate because d2 is analytic along the column when
+    # all its nodes have the same nearest well: checked here at the root
+    # panel's nodes of both line rules and on a uniform grid of x.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    quad = QuadratureSpec()
+    s = _gauss(quad.base_order)[0]
+    t = np.concatenate([np.linspace(0.0, 1.0, 129), _gauss(quad.line_points)[0],
+                        _gauss(2 * quad.line_points)[0]])
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(case=st.sampled_from([CASE_K1, CASE_K2]),
+                      alpha=st.floats(0.05, 0.45),
+                      log_eps=st.floats(-7.0, -2.0),
+                      log_L=st.floats(math.log(0.25), math.log(4.0)),
+                      log_H=st.floats(math.log(0.25), math.log(4.0)),
+                      theta=st.floats(0.26, 0.45))
+    def check(case, alpha, log_eps, log_L, log_H, theta):
+        spec = WellSpec(case, alpha)
+        d = horizontal_branched(spec, 10.0 ** log_eps,
+                                Rect(0.0, 0.0, math.exp(log_L), math.exp(log_H)), theta=theta)
+        A, B = well_matrices(spec)
+        columns = 0
+        for part in d.parts:
+            Q, _, CL, _ = part.folded()
+            for g in part.groups:
+                proto = g.proto
+                if not proto.map.grad_reads_y:
+                    continue
+                x = proto.width * t
+                y = (1.0 - s)[:, None] * proto.lower.value(x) + s[:, None] * proto.upper.value(x)
+                F = push_forward(CL, np.eye(2) + proto.map.grad(np.broadcast_to(x, y.shape), y), Q)
+                which = kernels.dist2_two_wells(F.reshape(-1, 2, 2), A, B)[1].reshape(y.shape)
+                assert np.all(which == which[0]), (proto.map.key(), part.transform.name)
+                columns += len(x)
+        assert (columns > 0) == (case == CASE_K2)
+
+    check()
+
+
 def test_integrands_never_see_what_is_skipped(monkeypatch):
     spec = WellSpec(CASE_K1, 0.1)
     d = horizontal_branched(spec, 1e-4, Rect(0.0, 0.0, 1.0, 1.0))
@@ -770,21 +861,19 @@ def test_linear_ramp_pieces_are_not_curved(monkeypatch):
     # With the linear ramp the bent pieces of the shear case have g'' = 0,
     # so D^2 u = 0 and their gradient is constant: the bulk TV integrates
     # none of their lines, and the elastic term gives them their closed
-    # form d2 * area instead of the 2D loop.
+    # form d2 * area instead of the column integral.
     lines, cells = {}, {}
-    integrate_lines, integrate_cells = energy._integrate_lines, energy._integrate_cells
+    integrate_lines = energy._integrate_lines
 
-    def counting_lines(entries, edges, integrand, quad):
+    def counting_lines(entries, edges, integrand, quad, **kw):
         if integrand is energy._tv_bulk_integrand:
             lines[kind] = lines.get(kind, 0) + len(entries)
-        return integrate_lines(entries, edges, integrand, quad)
-
-    def counting_cells(entries, protos, integrand, quad):
-        cells[kind] = cells.get(kind, 0) + sum(p.map.bends for p in protos)
-        return integrate_cells(entries, protos, integrand, quad)
+        cells[kind] = cells.get(kind, 0) + sum(
+            shape[0].from_row(shape, iter(row)).cell.map.bends
+            for shape, row in entries if shape[0] is energy._ConjugatedCell)
+        return integrate_lines(entries, edges, integrand, quad, **kw)
 
     monkeypatch.setattr(energy, "_integrate_lines", counting_lines)
-    monkeypatch.setattr(energy, "_integrate_cells", counting_cells)
     spec = WellSpec(CASE_K1, 0.1)
     results = {}
     for kind in ("linear", "quintic"):
@@ -797,7 +886,8 @@ def test_linear_ramp_pieces_are_not_curved(monkeypatch):
         "EnergyBreakdown(elastic=0.0001174596994664732, tv_bulk=0.0, "
         "tv_jump=17.5092757936508, epsilon=0.0001, total=0.0018683872788315533, "
         "error_estimate=3.306138999722985e-19, warnings=())")
-    # The value the 2D loop gave those pieces, every node the same F.
+    # The value the 2D loop gave those pieces before the closed form,
+    # every node the same F.
     assert breakdown.elastic == pytest.approx(0.00011745969946647316, rel=1e-14, abs=0.0)
     bent = [g.proto.map for part in d.parts for g in part.groups if g.proto.map.bends]
     assert bent and not any(m.curved for m in bent)
