@@ -12,19 +12,22 @@ Descent is limited-memory BFGS with Armijo backtracking on the interior
 nodes; boundary nodes are pinned to the identity.  No global-optimality
 claim is made, nonconvexity is handled by multi-start.
 
-Every pass works on slices of the (ny+1, nx+1) node grid: F is a
-difference of shifted node slices, the edge jumps are differences of
-shifted F blocks, and the nodal gradient is the adjoint of those stencils,
-added back into the node grid with slices.  Each pass writes into a
-workspace allocated once per :func:`minimize` call (a fresh one for
-:func:`discrete_energy`, :func:`discrete_gradient` and :func:`exact_tv`),
-so a pass allocates no array of the mesh's size; NumPy still buffers
-strided operands in blocks of at most 8192 elements.  The workspace holds
-two points, the accepted one and an Armijo trial, which trade places when
-a trial is accepted.  Trial points evaluate the energy only; the accepted
-point keeps its F, jumps and the nearest well's kernel terms, so its
-gradient runs no second kernel pass and the reported exact total
-variation comes from its jump norms.  The L-BFGS pairs live in ring
+Every pass works on contiguous rows.  The cell blocks have the node row
+length W = nx + 1, one pad column past the nx cells of each row, so cell
+(j, i) and node (j, i) share the flat index j * W + i: F is a difference of
+node rows at the flat offsets 0, 1, W and W + 1, the edge jumps are
+differences of F rows at the offsets 0, 1 and W, and the nodal gradient is
+the adjoint of those stencils, added back into the node rows at the same
+offsets.  The pad column never reaches a sum: d2 is summed without it, the
+jump norms are gathered edge by edge, and dF is 0 on it before the scatter.
+Each pass writes into a workspace allocated once per :func:`minimize` call
+(a fresh one for :func:`discrete_energy`, :func:`discrete_gradient` and
+:func:`exact_tv`), so a pass allocates no array of the mesh's size.  The
+workspace holds two points, the accepted one and an Armijo trial, which
+trade places when a trial is accepted.  Trial points evaluate the energy
+only; the accepted point keeps its F, jumps and the nearest well's kernel
+terms, so its gradient runs no second kernel pass and the reported exact
+total variation comes from its jump norms.  The L-BFGS pairs live in ring
 buffers with their rho = 1/(y.s), computed once when a pair is stored.
 """
 
@@ -121,66 +124,73 @@ def default_huber_delta(spec: WellSpec) -> float:
     return 1e-6 * spec.alpha
 
 
-def _gradients(mesh: Mesh, values: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Per-triangle gradients into ``out``: ``F[c, d]`` (2, ny, nx) is
-    du_c/dx_d, lower half first, so ``F[c, d].ravel()`` runs in ``mesh.tris``
-    order; ``tmp`` is (2, ny+1, nx+1, 2) scratch for the nodal values scaled
-    by 1/hx and 1/hy.  Written ``ix * u10 - ix * u00``, an entry rounds like
-    the stencil product ``(-ix, ix, 0) . (u00, u10, u11)``."""
-    ny, nx = mesh.ny, mesh.nx
-    U = values.reshape(ny + 1, nx + 1, 2)
-    X, Y = (np.multiply(U, s, out=t).transpose(2, 0, 1)
-            for s, t in ((1.0 / mesh.hx, tmp[0]), (1.0 / mesh.hy, tmp[1])))
+def _gradients(mesh: Mesh, values: np.ndarray, out: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Per-triangle gradients into ``out`` (2, 2, 2, ny * W): ``F[c, d, half,
+    k]`` is du_c/dx_d on the cell with flat index k = j * W + i, W = nx + 1,
+    lower half first, so the cells with i < nx run in ``mesh.tris`` order and
+    i = nx is the pad column.  ``planes`` (2, 2, n_nodes + 1) receives the
+    node grid scaled by 1/hx and 1/hy, one plane per component; its last
+    entry stays 0.  Cell k has the nodes n00 = k, n10 = k + 1, n01 = k + W
+    and n11 = k + W + 1.  Written ``ix * u10 - ix * u00``, an entry rounds
+    like the stencil product ``(-ix, ix, 0) . (u00, u10, u11)``."""
+    n, W, L = mesh.n_nodes, mesh.nx + 1, out.shape[-1]
+    X, Y = planes
+    np.multiply(values.T, 1.0 / mesh.hx, out=X[:, :n])
+    np.multiply(values.T, 1.0 / mesh.hy, out=Y[:, :n])
     # lower triangle (n00, n10, n11), then upper triangle (n00, n11, n01)
-    np.subtract(X[:, :-1, 1:], X[:, :-1, :-1], out=out[:, 0, 0])
-    np.subtract(Y[:, 1:, 1:], Y[:, :-1, 1:], out=out[:, 1, 0])
-    np.subtract(X[:, 1:, 1:], X[:, 1:, :-1], out=out[:, 0, 1])
-    np.subtract(Y[:, 1:, :-1], Y[:, :-1, :-1], out=out[:, 1, 1])
+    np.subtract(X[:, 1:L + 1], X[:, :L], out=out[:, 0, 0])
+    np.subtract(Y[:, W + 1:W + 1 + L], Y[:, 1:L + 1], out=out[:, 1, 0])
+    np.subtract(X[:, W + 1:W + 1 + L], X[:, W:W + L], out=out[:, 0, 1])
+    np.subtract(Y[:, W:W + L], Y[:, :L], out=out[:, 1, 1])
     return out
-
-
-# Edge kinds as (left, right, slot): the two triangles on the (c, d, half,
-# row, col) F blocks and the slot in Mesh.edge_mask.  The kinds: the diagonal,
-# the edge to the right-hand cell, the edge to the cell above.
-_EDGES = ((np.s_[..., 0, :, :], np.s_[..., 1, :, :], np.s_[:, :, 0]),
-          (np.s_[..., 0, :, :-1], np.s_[..., 1, :, 1:], np.s_[:, :-1, 1]),
-          (np.s_[..., 1, :-1, :], np.s_[..., 0, 1:, :], np.s_[:-1, :, 2]))
 
 
 class _Point:
     """One point of the passes: F, the nearest well and its kernel terms
-    ``(p, q, r)``, the left-minus-right gradient jumps ``J`` of each edge kind
-    as (2, 2, ...) blocks, their Frobenius norms ``jn`` (ny, nx, 3) in the
-    slots of ``mesh.edge_mask`` (0 in the others), and the energy terms."""
+    ``(p, q, r)``, the left-minus-right gradient jumps ``J`` (3, 2, 2, ny * W)
+    of the edge kinds, their Frobenius norms ``jn`` (3, ny * W), and the
+    energy terms.  Kind k's jumps fill the first ny * W - offset entries of
+    its rows; ``jn`` is 0 past them."""
 
-    def __init__(self, mesh: Mesh):
-        nt = mesh.n_tris
-        self.F = np.empty((2, 2, 2, mesh.ny, mesh.nx))
-        self.which = np.empty(nt, dtype=bool)
-        self.pqr = np.empty((3, nt))
-        self.J = [np.empty(self.F[left].shape) for left, _, _ in _EDGES]
-        self.jn = np.zeros((mesh.ny, mesh.nx, 3))
+    def __init__(self, ws: "_Workspace"):
+        L = ws.cells
+        self.F = np.empty((2, 2, 2, L))
+        self.which = np.empty(2 * L, dtype=bool)
+        self.pqr = np.empty((3, 2 * L))
+        self.J = np.empty((3, 2, 2, L))
+        self.jn = np.zeros((3, L))
         self.elastic = self.tv = 0.0
 
 
 class _Workspace:
     """Every array of the passes on one mesh, allocated once: two points (the
     accepted one and an Armijo trial), the kernel scratch, the edge values
-    and their index in the (ny, nx, 3) slots, the Huber weights, dF, the
-    node-grid gradient and one block of scratch for two scaled copies of the
-    node grid (stencil), jump norms, weighted jumps or the scatter."""
+    and their index in ``jn``, the Huber weights, dF, the scaled node planes,
+    the node-grid gradient and one block of cell-sized scratch (jump norms,
+    weighted jumps, the scatter terms, d2 without its pad column).
+
+    Edge kinds are (left half, right half, offset): an edge joins the left
+    triangle of cell k to the right triangle of cell k + offset.  The kinds:
+    the diagonal, the edge to the right-hand cell, the edge to the cell
+    above."""
 
     def __init__(self, mesh: Mesh):
-        self.points = (_Point(mesh), _Point(mesh))
-        self.kernel = kernel_work(mesh.n_tris)
-        # jn.ravel()[edge_index] is jn[mesh.edge_mask], in edge_len order.
-        self.edge_index = np.flatnonzero(mesh.edge_mask)
+        W = mesh.nx + 1
+        self.cells = L = mesh.ny * W
+        self.kinds = ((0, 1, 0), (0, 1, 1), (1, 0, W))
+        self.points = (_Point(self), _Point(self))
+        self.kernel = kernel_work(2 * L)
+        # jn.ravel()[edge_index] is the jump norm of every interior edge, in
+        # edge_len order: slot s of cell (j, i) is jn[s, j * W + i].
+        j, i, s = np.nonzero(mesh.edge_mask)
+        self.edge_index = s * L + j * W + i
         self.edges = np.empty((2, self.edge_index.size))
         self.small = np.empty(self.edge_index.size, dtype=bool)
-        self.w = np.empty((mesh.ny, mesh.nx, 3))
-        self.dF = np.empty((2, 2, 2, mesh.ny, mesh.nx))
-        self.G = np.empty((2, mesh.ny + 1, mesh.nx + 1))
-        self._cells = np.empty(4 * (mesh.ny + 1) * (mesh.nx + 1))
+        self.w = np.empty((3, L))
+        self.dF = np.empty((2, 2, 2, L))
+        self.planes = np.zeros((2, 2, mesh.n_nodes + 1))
+        self.G = np.empty((2, mesh.n_nodes + 1))
+        self._cells = np.empty(4 * L)
 
     def scratch(self, shape, k: int = 0) -> np.ndarray:
         """The ``k``-th block of ``shape`` in the cell-sized scratch."""
@@ -188,26 +198,29 @@ class _Workspace:
         return self._cells[k * n:(k + 1) * n].reshape(shape)
 
 
-def _edge_jumps(mesh: Mesh, F: np.ndarray, pt: _Point, ws: _Workspace) -> None:
+def _edge_jumps(F: np.ndarray, pt: _Point, ws: _Workspace) -> None:
     """The jumps ``pt.J`` and their norms ``pt.jn`` of the gradients ``F``."""
-    for (left, right, slot), Jk in zip(_EDGES, pt.J):
-        np.subtract(F[left], F[right], out=Jk)
-        shape = Jk.shape[2:]
-        f2 = frobenius2(Jk.reshape(4, *shape), ws.scratch(shape, 0),
-                        (ws.scratch(shape, 1), ws.scratch(shape, 2)))
-        np.sqrt(f2, out=pt.jn[slot])
+    for (left, right, off), Jk, jn in zip(ws.kinds, pt.J, pt.jn):
+        n = ws.cells - off
+        Jk = np.subtract(F[:, :, left, :n], F[:, :, right, off:], out=Jk[..., :n])
+        f2 = frobenius2(Jk.reshape(4, n), ws.scratch((n,), 0),
+                        (ws.scratch((n,), 1), ws.scratch((n,), 2)))
+        np.sqrt(f2, out=jn[:n])
 
 
 def _energy_pass(mesh: Mesh, values: np.ndarray, A: np.ndarray, B: np.ndarray,
                  delta: float, ws: _Workspace, pt: _Point) -> None:
     """Evaluate nodal ``values`` into ``pt``: F, the kernel terms, J and |J|,
     which :func:`_gradient_pass` reuses, and ``pt.elastic`` and ``pt.tv``.
-    The Huber terms are summed in the edge order of ``mesh.edge_len``; the
-    quadratic branch is written only on the edges with |J| <= delta."""
-    F = _gradients(mesh, values, pt.F, ws.scratch((2, mesh.ny + 1, mesh.nx + 1, 2)))
+    d2 is summed without its pad column, in ``mesh.tris`` order, and the
+    Huber terms in the edge order of ``mesh.edge_len``; the quadratic branch
+    is written only on the edges with |J| <= delta."""
+    F = _gradients(mesh, values, pt.F, ws.planes)
     d2, _, _ = nearest_well(F.reshape(4, -1), A, B, out=(pt.which, pt.pqr), work=ws.kernel)
-    pt.elastic = mesh.tri_area * float(np.sum(d2))
-    _edge_jumps(mesh, F, pt, ws)
+    cells = ws.scratch((mesh.n_tris,))
+    np.copyto(cells.reshape(2, mesh.ny, mesh.nx), d2.reshape(2, mesh.ny, -1)[..., :mesh.nx])
+    pt.elastic = mesh.tri_area * float(np.sum(cells))
+    _edge_jumps(F, pt, ws)
     t, h = ws.edges
     np.take(pt.jn.ravel(), ws.edge_index, out=t, mode="clip")
     np.subtract(t, 0.5 * delta, out=h)
@@ -221,32 +234,41 @@ def _energy_pass(mesh: Mesh, values: np.ndarray, A: np.ndarray, B: np.ndarray,
 def _gradient_pass(mesh: Mesh, pt: _Point, A: np.ndarray, B: np.ndarray, eps: float,
                    delta: float, ws: _Workspace) -> np.ndarray:
     """Gradient of ``elastic + eps * tv`` at the point ``pt`` of
-    :func:`_energy_pass`, as the (2, ny+1, nx+1) node grid ``ws.G``, boundary
+    :func:`_energy_pass`, as the (2, ny+1, nx+1) node grid, boundary
     included.  Per-triangle dE/dF (kernel gradient, plus the Huberized jump
     term on each edge's left triangle, minus it on the right one) goes back
-    to the nodes through the adjoint of the stencils of :func:`_gradients`."""
+    to the nodes through the adjoint of the stencils of :func:`_gradients`.
+    The weighted jumps of the right-hand edges that touch the pad column and
+    dF on the pad column are set to 0 first, so the pad adds only +0 to the
+    nodes."""
+    nx, ny, W, L = mesh.nx, mesh.ny, mesh.nx + 1, ws.cells
     dF = ws.dF
     nearest_well_grad(pt.F.reshape(4, -1), pt.which, pt.pqr, A, B,
                       out=dF.reshape(4, -1), work=ws.kernel)
     dF *= mesh.tri_area
     if eps != 0.0:
         w = np.maximum(pt.jn, delta, out=ws.w)
-        np.multiply(eps * mesh.edge_kind_len, np.divide(1.0, w, out=w), out=w)
-        for (left, right, slot), Jk in zip(_EDGES, pt.J):
-            wJ = np.multiply(Jk, w[slot], out=ws.scratch(Jk.shape))
-            dF[left] += wJ
-            dF[right] -= wJ
+        np.multiply((eps * mesh.edge_kind_len)[:, None], np.divide(1.0, w, out=w), out=w)
+        wJ = ws.scratch((2, 2, L))
+        for (left, right, off), Jk, wk in zip(ws.kinds, pt.J, w):
+            n = L - off
+            np.multiply(Jk[..., :n], wk[:n], out=wJ[..., :n])
+            if off == 1:
+                wJ.reshape(2, 2, ny, W)[..., nx - 1:] = 0.0
+            dF[:, :, left, :n] += wJ[..., :n]
+            dF[:, :, right, off:] -= wJ[..., :n]
+    dF.reshape(2, 2, 2, ny, W)[..., nx] = 0.0
     dF[:, 0] *= 1.0 / mesh.hx
     dF[:, 1] *= 1.0 / mesh.hy
     a, b = dF[:, 0, 0], dF[:, 1, 0]  # lower triangle
     c, d = dF[:, 0, 1], dF[:, 1, 1]  # upper triangle
     G, t = ws.G, ws.scratch(a.shape)
     G.fill(0.0)
-    G[:, :-1, :-1] -= np.add(a, d, out=t)
-    G[:, :-1, 1:] += np.subtract(a, b, out=t)
-    G[:, 1:, 1:] += np.add(b, c, out=t)
-    G[:, 1:, :-1] += np.subtract(d, c, out=t)
-    return G
+    G[:, :L] -= np.add(a, d, out=t)
+    G[:, 1:L + 1] += np.subtract(a, b, out=t)
+    G[:, W + 1:W + 1 + L] += np.add(b, c, out=t)
+    G[:, W:W + L] += np.subtract(d, c, out=t)
+    return G[:, :mesh.n_nodes].reshape(2, ny + 1, W)
 
 
 def discrete_energy(field: DiscreteField, spec: WellSpec, eps: float,
@@ -270,8 +292,8 @@ def exact_tv(field: DiscreteField) -> float:
     mesh = field.mesh
     ws = _Workspace(mesh)
     pt = ws.points[0]
-    F = _gradients(mesh, field.values, pt.F, ws.scratch((2, mesh.ny + 1, mesh.nx + 1, 2)))
-    _edge_jumps(mesh, F, pt, ws)
+    F = _gradients(mesh, field.values, pt.F, ws.planes)
+    _edge_jumps(F, pt, ws)
     return _exact_tv(mesh, pt.jn, ws)
 
 

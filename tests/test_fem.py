@@ -124,8 +124,9 @@ def _oracle_gradients(mesh, t, values):
 
 
 def _oracle_passes(field, spec, eps, delta):
-    """Energy, gradient and exact TV on the unstructured tables: gathered F,
-    fancy-indexed edge jumps and ``np.bincount`` scatters."""
+    """Energy, gradient (boundary nodes included) and exact TV on the
+    unstructured tables: gathered F, fancy-indexed edge jumps and
+    ``np.bincount`` scatters."""
     mesh = field.mesh
     t = _unstructured(mesh)
     A, B = well_matrices(spec)
@@ -153,7 +154,6 @@ def _oracle_passes(field, spec, eps, delta):
     grad = np.empty((mesh.n_nodes, 2))
     for c in range(2):
         grad[:, c] = np.bincount(mesh.tris.ravel(), contrib[c].ravel(), mesh.n_nodes)
-    grad[mesh.boundary_mask] = 0.0
     exact = float(np.sum(t.edge_len * jn))
     return (elastic, tv, elastic + eps * tv), grad, exact
 
@@ -219,12 +219,26 @@ def test_fused_pass_matches_two_pass_reference():
                                            rtol=1e-13, atol=1e-16)
 
 
+def _node_gradient(fld, spec, eps, delta):
+    """The node-grid gradient of the workspace passes, boundary nodes
+    included, as (n_nodes, 2)."""
+    mesh = fld.mesh
+    A, B = well_matrices(spec)
+    ws = fem._Workspace(mesh)
+    pt = ws.points[0]
+    fem._energy_pass(mesh, fld.values, A, B, delta, ws, pt)
+    return fem._gradient_pass(mesh, pt, A, B, eps, delta, ws).reshape(2, -1).T
+
+
 def _assert_matches_oracle(fld, spec):
     delta = default_huber_delta(spec)
+    boundary = fld.mesh.boundary_mask[:, None]
     for eps in (0.0, 1e-3):
         energy, grad, exact = _oracle_passes(fld, spec, eps, delta)
         assert discrete_energy(fld, spec, eps) == energy
-        np.testing.assert_allclose(discrete_gradient(fld, spec, eps), grad,
+        np.testing.assert_allclose(discrete_gradient(fld, spec, eps),
+                                   np.where(boundary, 0.0, grad), rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(_node_gradient(fld, spec, eps, delta), grad,
                                    rtol=1e-13, atol=1e-16)
     assert exact_tv(fld) == exact
 
@@ -242,6 +256,31 @@ def test_stencil_passes_match_unstructured_oracle(nx, ny, rect, case):
     for _ in range(2):
         _assert_matches_oracle(_perturbed(mesh, rng), spec)
     _assert_matches_oracle(_sub_huber_laminate(rng, 3 * nx, 2 * ny), spec)
+
+
+def test_stencil_passes_match_oracle_on_random_meshes():
+    """Random shapes (nx != ny, so a row length taken from the wrong axis
+    shows) and rectangles: the padded passes give the unstructured oracle's
+    energy and exact TV to the bit and its gradient to 1e-13, so no pad
+    entry reaches a sum."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(nx=st.integers(2, 40), ny=st.integers(2, 40),
+                      case=st.sampled_from([CASE_K1, CASE_K2]), alpha=st.floats(0.05, 0.45),
+                      x0=st.floats(-10.0, 10.0), y0=st.floats(-10.0, 10.0),
+                      width=st.floats(0.1, 10.0), height=st.floats(0.1, 10.0),
+                      seed=st.integers(0, 2**32 - 1))
+    def check(nx, ny, case, alpha, x0, y0, width, height, seed):
+        hypothesis.assume(nx != ny)
+        mesh = Mesh(nx, ny, Rect(x0, y0, width, height))
+        rng = np.random.default_rng(seed)
+        fld = _perturbed(mesh, rng, 0.3 * min(mesh.hx, mesh.hy))
+        _assert_matches_oracle(fld, WellSpec(case, alpha))
+
+    check()
 
 
 def test_oracle_rejects_swapped_upper_stencil(monkeypatch):
