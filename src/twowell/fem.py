@@ -322,6 +322,13 @@ SHRINK = 0.5
 MAX_BACKTRACKS = 40
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` of two vectors, summed by ``np.einsum`` in an order that does
+    not depend on the BLAS thread count (``@`` calls BLAS ``ddot``, which
+    splits long sums across threads)."""
+    return float(np.einsum("i,i->", a, b))
+
+
 @dataclass(frozen=True)
 class MinimizeOptions:
     max_iter: int = 5000
@@ -394,7 +401,7 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
     status = "max_iter"
     it = 0
     for it in range(1, opts.max_iter + 1):
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(_dot(g, g))
         if gnorm <= tol:
             status = "gtol"
             break
@@ -402,17 +409,17 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
         np.negative(g, out=q)
         order = [(head - 1 - j) % slots for j in range(count)]
         for k in order:
-            alpha[k] = rho[k] * float(S[k] @ q)
+            alpha[k] = rho[k] * _dot(S[k], q)
             q -= np.multiply(Y[k], alpha[k], out=tmp)
         if count:
             q *= scale
         for k in reversed(order):
-            b = rho[k] * float(Y[k] @ q)
+            b = rho[k] * _dot(Y[k], q)
             q += np.multiply(S[k], alpha[k] - b, out=tmp)
-        slope = float(g @ q)
+        slope = _dot(g, q)
         if slope >= 0.0:
             np.negative(g, out=q)
-            slope = -float(g @ g)
+            slope = -_dot(g, g)
         # Armijo backtracking: trial points need the energy only.
         t = 1.0
         accepted = False
@@ -429,10 +436,10 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
             break
         gradient_at(trial, g_new)
         s, y = np.subtract(x_new, x, out=S[head]), np.subtract(g_new, g, out=Y[head])
-        sy = float(s @ y)
+        sy = _dot(s, y)
         if sy > 1e-300:
-            rho[head] = 1.0 / float(y @ s)
-            scale = sy / float(y @ y)
+            rho[head] = 1.0 / sy
+            scale = sy / _dot(y, y)
             head = (head + 1) % slots
             count = min(count + 1, MEMORY)
         x, x_new, g, g_new, point, trial = x_new, x, g_new, g, trial, point
@@ -443,7 +450,7 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
     out_field = DiscreteField(mesh, values)
     breakdown = EnergyBreakdown.combine(point.elastic, 0.0, _exact_tv(mesh, point.jn, ws),
                                         eps, 0.0)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(_dot(g, g))
     return MinimizeResult(out_field, np.asarray(trace), breakdown, it, gnorm, status,
                           energy_evals, grad_evals, backtracks)
 

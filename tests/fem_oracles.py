@@ -3,7 +3,8 @@ were before the minimizer evaluated into a reused workspace, kept as
 oracles: every pass allocates its temporaries afresh, the kernel multiplies
 by every well entry (zeros and ones included) and selects with
 ``np.where``, and the two-loop recursion recomputes rho = 1/(y.s) for every
-stored pair on every iteration.  Not collected by pytest."""
+stored pair on every iteration.  Its dot products and norms are summed by
+``np.einsum``, as in :mod:`twowell.fem`.  Not collected by pytest."""
 
 from __future__ import annotations
 
@@ -62,6 +63,11 @@ def nearest_well_grad(f, which, terms, A: np.ndarray, B: np.ndarray):
     f00, f01, f10, f11 = f
     return (2.0 * f00 - (c1 * g00 - c2 * g10), 2.0 * f01 - (c1 * g01 - c2 * g11),
             2.0 * f10 - (c1 * g10 + c2 * g00), 2.0 * f11 - (c1 * g11 + c2 * g01))
+
+
+def _dot(a, b) -> float:
+    """``a . b`` by ``np.einsum``, whose order does not depend on BLAS threads."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def _huber(t: np.ndarray, delta: float) -> np.ndarray:
@@ -196,7 +202,7 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
     status = "max_iter"
     it = 0
     for it in range(1, opts.max_iter + 1):
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(_dot(g, g))
         if gnorm <= tol:
             status = "gtol"
             break
@@ -204,22 +210,22 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
         q = -g.copy()
         alphas = []
         for s, y in zip(reversed(s_list), reversed(y_list)):
-            rho = 1.0 / float(y @ s)
-            a = rho * float(s @ q)
+            rho = 1.0 / _dot(y, s)
+            a = rho * _dot(s, q)
             alphas.append((a, rho, s, y))
             q -= a * y
         if y_list:
             y = y_list[-1]
             s = s_list[-1]
-            q *= float(s @ y) / float(y @ y)
+            q *= _dot(s, y) / _dot(y, y)
         for a, rho, s, y in reversed(alphas):
-            b = rho * float(y @ q)
+            b = rho * _dot(y, q)
             q += (a - b) * s
         d = q
-        slope = float(g @ d)
+        slope = _dot(g, d)
         if slope >= 0.0:
             d = -g
-            slope = -float(g @ g)
+            slope = -_dot(g, g)
         # Armijo backtracking: trial points need the energy only.
         t = 1.0
         accepted = False
@@ -238,7 +244,7 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
         g_new = gradient_at(new_point)
         s_vec = x_new - x
         y_vec = g_new - g
-        if float(s_vec @ y_vec) > 1e-300:
+        if _dot(s_vec, y_vec) > 1e-300:
             s_list.append(s_vec)
             y_list.append(y_vec)
             if len(s_list) > fem.MEMORY:
@@ -251,7 +257,7 @@ def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
     out_field = DiscreteField(mesh, values)
     jn = point[2][3]  # the accepted point's jump norms
     breakdown = EnergyBreakdown.combine(point[0], 0.0, _exact_tv(mesh, jn), eps, 0.0)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(_dot(g, g))
     return MinimizeResult(out_field, np.asarray(trace), breakdown, it, gnorm, status,
                           energy_evals, grad_evals, backtracks)
 

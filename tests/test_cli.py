@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -340,3 +341,22 @@ def test_validate_subprocess_and_negative_control():
 def test_validate_seed_independence():
     for seed in ("1", "99"):
         assert main(["validate", "--seed", seed]) == 0
+
+
+def test_minimize_output_independent_of_blas_threads(tmp_path):
+    """The L-BFGS dot products and norms do not call BLAS, so ``twowell
+    minimize`` on the default 96x96 mesh writes the same bytes on one and on
+    two BLAS threads (BLAS ddot splits sums of this length across
+    threads)."""
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        r = subprocess.run([sys.executable, "-m", "twowell", "minimize", "--max-iter", "40",
+                            "--out", str(out)], env=env, capture_output=True, text=True)
+        assert r.returncode == 4, r.stderr  # max_iter
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names and names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
