@@ -13,6 +13,15 @@ A product by a well entry that is exactly 0 is left out of its sum and one
 by exactly +-1 becomes the entry itself (an addition turns into a
 subtraction); every sum keeps that order, so the value is the dense form's
 (x + (+-0) = x and x * 1 = x) up to the sign of a zero.
+
+Overflow: r = sqrt(p*p + q*q) overflows once |p| or |q| passes about
+1.3e154, which takes |F| of about 1e154 (``hypot`` would not overflow
+there).  That orbit's d2 is then NaN, never a finite value: where |F|^2
+is still finite, d2 - 2r is -inf, and a clip at 0 alone would turn it
+into d2 = 0.  (Where only |F|^2 overflows, d2 is inf.)  :func:`nearest_well` reports NaN or inf at
+such an F, or, where only B's term overflows, A's finite d2, which is
+|F|^2 up to rounding.  An energy with a NaN in it fails the minimizer's
+Armijo test, so such a trial is rejected.
 """
 
 from __future__ import annotations
@@ -85,9 +94,12 @@ def _combine(f, c, out, t0, t1):
 def _orbit_terms(f, f2, G: np.ndarray, pqr, d2, t0, t1):
     """``(p, q, r)`` of F against the orbit SO(2)G into the rows of ``pqr``,
     and d2 = |F|^2 + |G|^2 - 2r (clipped at 0) into ``d2``: p = F:G, q = F:JG
-    with J the rotation by pi/2, r = |(p, q)|.  ``f2`` is |F|^2, read first;
-    ``t0`` and ``t1`` are scratch.  A non-finite F gives d2 = NaN through
-    ``f2``."""
+    with J the rotation by pi/2, r = sqrt(p*p + q*q).  ``f2`` is |F|^2, read
+    first; ``t0`` and ``t1`` are scratch.
+
+    A non-finite F gives d2 = NaN through ``f2``.  Where p*p + q*q
+    overflows, r = inf and the clip max(d2, 0 r), which is max(d2, 0) for a
+    finite r, makes d2 NaN instead of 0 (see the module docstring)."""
     f00, f01, f10, f11 = f
     (g00, g01), (g10, g11) = G.tolist()
     p, q, r = pqr
@@ -95,9 +107,11 @@ def _orbit_terms(f, f2, G: np.ndarray, pqr, d2, t0, t1):
     _combine((f00, f10, f01, f11), (g00, g10, g01, g11), p, t0, t1)
     # JG = [[-g10, -g11], [g00, g01]]
     _combine((f00, f10, f01, f11), (-g10, g00, -g11, g01), q, t0, t1)
-    np.hypot(p, q, out=r)
+    np.multiply(p, p, out=r)
+    np.add(r, np.multiply(q, q, out=t0), out=r)
+    np.sqrt(r, out=r)
     np.subtract(d2, np.multiply(r, 2.0, out=t0), out=d2)
-    return np.maximum(d2, 0.0, out=d2)
+    return np.maximum(d2, np.multiply(r, 0.0, out=t0), out=d2)
 
 
 def nearest_well(f, A: np.ndarray, B: np.ndarray, out=None, work=None):

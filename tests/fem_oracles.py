@@ -26,15 +26,15 @@ def frobenius2(f):
 
 def _orbit_terms(f, f2, G: np.ndarray):
     """``(d2, p, q, r)`` of F against the orbit SO(2)G: p = F:G, q = F:JG
-    with J the rotation by pi/2, r = |(p, q)| and d2 = |F|^2 + |G|^2 - 2r
-    (clipped at 0).  ``f2`` is |F|^2."""
+    with J the rotation by pi/2, r = sqrt(p*p + q*q) and d2 = |F|^2 + |G|^2
+    - 2r (clipped at 0).  ``f2`` is |F|^2."""
     f00, f01, f10, f11 = f
     (g00, g01), (g10, g11) = G.tolist()
     p = (f00 * g00 + f10 * g10) + (f01 * g01 + f11 * g11)
     q = (f00 * -g10 + f10 * g00) + (f01 * -g11 + f11 * g01)  # JG = [[-g10, -g11], [g00, g01]]
-    r = np.hypot(p, q)
+    r = np.sqrt(p * p + q * q)
     d2 = f2 + float(np.sum(G * G)) - 2.0 * r
-    np.maximum(d2, 0.0, out=d2)
+    np.maximum(d2, 0.0 * r, out=d2)  # NaN where r overflows
     return d2, p, q, r
 
 

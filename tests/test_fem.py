@@ -515,6 +515,38 @@ def test_minimize_matches_oracle_at_gtol_and_stall(monkeypatch):
         _assert_same_run(res, fem_oracles.minimize(seed, spec, 0.0, opts))
 
 
+def test_minimize_rejects_a_trial_that_overflows_the_kernel(monkeypatch):
+    """The one interior node of a 2x2 mesh, moved by 1e153: the energy is
+    finite (about 4e306), but the first trial, 7e153 the other way, has
+    gradients near 1.4e154, where the kernel's p*p + q*q overflows and d2
+    is NaN or inf.  The Armijo test rejects that trial, the backtracked step is
+    accepted, and the run stays finite and matches the oracle minimizer."""
+    mesh = Mesh(2, 2, DOM)
+    spec = WellSpec(CASE_K2, 0.2)
+    vals = mesh.nodes.copy()
+    vals[4, 0] += 1e153
+    start = DiscreteField(mesh, vals)
+    elastic = []
+    energy_pass = fem._energy_pass
+
+    def recorded(mesh, values, A, B, delta, ws, pt):
+        energy_pass(mesh, values, A, B, delta, ws, pt)
+        elastic.append(pt.elastic)
+
+    monkeypatch.setattr(fem, "_energy_pass", recorded)
+    opts = MinimizeOptions(max_iter=20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = minimize(start, spec, 0.0, opts)
+        ref = fem_oracles.minimize(start, spec, 0.0, opts)
+    assert math.isfinite(elastic[0]) and elastic[0] > 1e306
+    assert not math.isfinite(elastic[1])
+    assert res.backtracks >= 1
+    assert np.all(np.isfinite(res.energy_trace)) and res.energy_trace[1] < 1.0
+    assert np.all(np.diff(res.energy_trace) <= 0.0)
+    assert np.all(np.isfinite(res.field.values))
+    _assert_same_run(res, ref)
+
+
 def test_passes_allocate_nothing_in_the_workspace():
     """After a warm-up, an energy and gradient evaluation in a workspace
     traces less new memory than one F array; the allocating oracle passes

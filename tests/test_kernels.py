@@ -113,10 +113,10 @@ def _orbit_terms_einsum(F, G):
     """(d2, p, q, r) of F against SO(2)G, written with einsum."""
     p = np.einsum("nij,ij->n", F, G)
     q = np.einsum("nij,ij->n", F, _J @ G)
-    r = np.hypot(p, q)
+    r = np.sqrt(p * p + q * q)
     f2 = np.einsum("nij,nij->n", F, F)
     d2 = f2 + float(np.sum(G * G)) - 2.0 * r
-    np.maximum(d2, 0.0, out=d2)
+    np.maximum(d2, 0.0 * r, out=d2)
     return d2, p, q, r
 
 
@@ -240,3 +240,32 @@ def test_specialized_kernel_on_non_finite_entries(name):
     nan = np.isnan(want_grad)
     assert nan.any() and np.isnan(grad[nan]).all()
     assert np.all(grad[~nan] == want_grad[~nan])
+
+
+@pytest.mark.parametrize("name", list(_WELL_PAIRS))
+def test_overflowing_orbit_terms_never_give_a_false_distance(name):
+    """F = t R G on a well G, R a rotation: p*p + q*q = t^2 |G|^4 overflows
+    once t |G|^2 passes sqrt(max float), at |F| of about 1e154.  Where
+    |F|^2 = t^2 |G|^2 overflows as well, d2 is NaN or inf, never finite.
+    Between the two, d2 - 2r is -inf on G's orbit, which a clip at 0 alone
+    would report as d2 = 0: d2 is NaN there, or the other well's finite d2,
+    which is |F|^2 up to rounding.  Below the overflow d2 is finite."""
+    A, B = _WELL_PAIRS[name]
+    big = np.sqrt(np.finfo(float).max)
+    R = np.stack([rotation(phi) for phi in np.linspace(-3.0, 3.0, 7)])
+    for G in (A, B):
+        gg = float(np.sum(G * G))
+        below = np.geomspace(0.5, 0.999, 8) * big / gg
+        window = np.geomspace(1.001 * big / gg, 0.999 * big / np.sqrt(gg), 8)
+        above = np.geomspace(1.001 * big / np.sqrt(gg), 1e300, 8)
+        d2 = {}
+        for label, t in (("below", below), ("window", window), ("above", above)):
+            F = (t[:, None, None, None] * (R @ G)[None]).reshape(-1, 2, 2)
+            with np.errstate(over="ignore", invalid="ignore"):
+                d2[label], _ = _kernels_np.dist2_two_wells(F, A, B)
+                dense, _, _ = dense_nearest_well(F.reshape(-1, 4).T.copy(), A, B)
+            np.testing.assert_array_equal(d2[label], dense)
+        assert np.isfinite(d2["below"]).all()
+        f2 = np.repeat(window * window * gg, len(R))
+        assert np.all(~np.isfinite(d2["window"]) | (d2["window"] >= 0.5 * f2))
+        assert not np.isfinite(d2["above"]).any()
