@@ -129,14 +129,15 @@ def _gradients(mesh: Mesh, values: np.ndarray, out: np.ndarray, planes: np.ndarr
     k]`` is du_c/dx_d on the cell with flat index k = j * W + i, W = nx + 1,
     lower half first, so the cells with i < nx run in ``mesh.tris`` order and
     i = nx is the pad column.  ``planes`` (2, 2, n_nodes + 1) receives the
-    node grid scaled by 1/hx and 1/hy, one plane per component; its last
-    entry stays 0.  Cell k has the nodes n00 = k, n10 = k + 1, n01 = k + W
+    node grid scaled by 1/hx and 1/hy, one plane per component, and a 0 past
+    its last node.  Cell k has the nodes n00 = k, n10 = k + 1, n01 = k + W
     and n11 = k + W + 1.  Written ``ix * u10 - ix * u00``, an entry rounds
     like the stencil product ``(-ix, ix, 0) . (u00, u10, u11)``."""
     n, W, L = mesh.n_nodes, mesh.nx + 1, out.shape[-1]
     X, Y = planes
     np.multiply(values.T, 1.0 / mesh.hx, out=X[:, :n])
     np.multiply(values.T, 1.0 / mesh.hy, out=Y[:, :n])
+    planes[..., n] = 0.0
     # lower triangle (n00, n10, n11), then upper triangle (n00, n11, n01)
     np.subtract(X[:, 1:L + 1], X[:, :L], out=out[:, 0, 0])
     np.subtract(Y[:, W + 1:W + 1 + L], Y[:, 1:L + 1], out=out[:, 1, 0])
@@ -165,9 +166,9 @@ class _Point:
 class _Workspace:
     """Every array of the passes on one mesh, allocated once: two points (the
     accepted one and an Armijo trial), the kernel scratch, the edge values
-    and their index in ``jn``, the Huber weights, dF, the scaled node planes,
-    the node-grid gradient and one block of cell-sized scratch (jump norms,
-    weighted jumps, the scatter terms, d2 without its pad column).
+    and their index in ``jn``, the Huber weights, dF, the node-grid gradient
+    and one block of scratch (the scaled node planes, jump norms, weighted
+    jumps, the scatter terms, d2 without its pad column).
 
     Edge kinds are (left half, right half, offset): an edge joins the left
     triangle of cell k to the right triangle of cell k + offset.  The kinds:
@@ -188,12 +189,11 @@ class _Workspace:
         self.small = np.empty(self.edge_index.size, dtype=bool)
         self.w = np.empty((3, L))
         self.dF = np.empty((2, 2, 2, L))
-        self.planes = np.zeros((2, 2, mesh.n_nodes + 1))
         self.G = np.empty((2, mesh.n_nodes + 1))
-        self._cells = np.empty(4 * L)
+        self._cells = np.empty(4 * (mesh.n_nodes + 1))
 
     def scratch(self, shape, k: int = 0) -> np.ndarray:
-        """The ``k``-th block of ``shape`` in the cell-sized scratch."""
+        """The ``k``-th block of ``shape`` in the scratch."""
         n = math.prod(shape)
         return self._cells[k * n:(k + 1) * n].reshape(shape)
 
@@ -215,7 +215,7 @@ def _energy_pass(mesh: Mesh, values: np.ndarray, A: np.ndarray, B: np.ndarray,
     d2 is summed without its pad column, in ``mesh.tris`` order, and the
     Huber terms in the edge order of ``mesh.edge_len``; the quadratic branch
     is written only on the edges with |J| <= delta."""
-    F = _gradients(mesh, values, pt.F, ws.planes)
+    F = _gradients(mesh, values, pt.F, ws.scratch((2, 2, mesh.n_nodes + 1)))
     d2, _, _ = nearest_well(F.reshape(4, -1), A, B, out=(pt.which, pt.pqr), work=ws.kernel)
     cells = ws.scratch((mesh.n_tris,))
     np.copyto(cells.reshape(2, mesh.ny, mesh.nx), d2.reshape(2, mesh.ny, -1)[..., :mesh.nx])
@@ -292,7 +292,7 @@ def exact_tv(field: DiscreteField) -> float:
     mesh = field.mesh
     ws = _Workspace(mesh)
     pt = ws.points[0]
-    F = _gradients(mesh, field.values, pt.F, ws.planes)
+    F = _gradients(mesh, field.values, pt.F, ws.scratch((2, 2, mesh.n_nodes + 1)))
     _edge_jumps(F, pt, ws)
     return _exact_tv(mesh, pt.jn, ws)
 
