@@ -519,8 +519,9 @@ def test_minimize_rejects_a_trial_that_overflows_the_kernel(monkeypatch):
     """The one interior node of a 2x2 mesh, moved by 1e153: the energy is
     finite (about 4e306), but the first trial, 7e153 the other way, has
     gradients near 1.4e154, where the kernel's p*p + q*q overflows and d2
-    is NaN or inf.  The Armijo test rejects that trial, the backtracked step is
-    accepted, and the run stays finite and matches the oracle minimizer."""
+    is NaN or inf.  The Armijo test rejects that trial, a backtracked step
+    is accepted, and the run stays finite and matches the oracle
+    minimizer."""
     mesh = Mesh(2, 2, DOM)
     spec = WellSpec(CASE_K2, 0.2)
     vals = mesh.nodes.copy()
