@@ -183,8 +183,8 @@ class _Workspace:
         self.kernel = kernel_work(2 * L)
         # jn.ravel()[edge_index] is the jump norm of every interior edge, in
         # edge_len order: slot s of cell (j, i) is jn[s, j * W + i].
-        j, i, s = np.nonzero(mesh.edge_mask)
-        self.edge_index = s * L + j * W + i
+        slots = np.arange(3 * L).reshape(3, mesh.ny, W)[:, :, :mesh.nx]
+        self.edge_index = slots.transpose(1, 2, 0)[mesh.edge_mask]
         self.edges = np.empty((2, self.edge_index.size))
         self.small = np.empty(self.edge_index.size, dtype=bool)
         self.w = np.empty((3, L))
