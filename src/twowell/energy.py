@@ -34,20 +34,26 @@ row (ell, h, alpha, curve coefficients, offsets) through ``entry()``, and
 the prototypes of one shape form one float matrix.  The panels of one shape
 are evaluated by one integrand call on a member built from (m, 1) columns
 of that matrix.  An elastic entry is a cell under the conjugation of its
-part (:class:`_ConjugatedCell`), so a batch holds one conjugation.  The
-elastic integrand evaluates the ramp once per column and writes F entry by
-entry: a signed-permutation conjugation (identity, mirror, swap) is a
-signed copy of each entry.
+part (:class:`_ConjugatedCell`), folded by the wells' mirror symmetry
+(:func:`_mirror_fold`), so a batch holds one folded conjugation: in case k2
+the mirrored half of a construction shares the other half's entries, and
+in case k1 both halves share batches.  The elastic integrand evaluates the
+ramp once per column and writes F entry by entry: a signed-permutation
+conjugation (identity, mirror, swap) is a signed copy of each entry.
 
 What is exact by structure gets its exact rule instead of the generic
 refinement:
 
+* the elastic term integrates a cell once for the conjugations (CL, Q),
+  (-CL, -Q), (S CL, Q S) and (-S CL, -Q S), S = diag(-1, 1): they write F
+  or S F S, and the well kernel gives d2(S F S) = d2(F) bit for bit;
 * the bulk TV skips cells whose map is not curved (D^2 u = 0: the map
   does not bend, or it reads the linear ramp only through g' = 1);
 * it splits a cell's root panel at the kinks its map declares
   (``kinks()``: the k2 cell's middle piece, where |g'''| has corners at
-  t = (3 -+ sqrt 3) / 6), so each root panel holds a smooth integrand;
-  a prototype's scale and size are the sums over its roots;
+  t = (3 -+ sqrt 3) / 6, and the bent scalar-profile pieces, where |g''|
+  has one at t = 1/2), so each root panel holds a smooth integrand; a
+  prototype's scale and size are the sums over its roots;
 * the elastic term writes the constant F of each distinct (cell,
   conjugation) entry whose map is not curved once, by the integrand's
   arithmetic, and takes its well distance d2 for all of them in one kernel
@@ -57,9 +63,11 @@ refinement:
   sides have the same gradient (stack lines between cells, and stripe and
   centre lines when the ramp has flat ends).
 
-The skips keep every bit (an integrand that is 0.0 at every node
-integrates to 0.0 with error 0.0); the closed forms and kink splits move
-the last bits of the values they replace.
+The skips and the mirror fold keep every bit (an integrand that is 0.0 at
+every node integrates to 0.0 with error 0.0); the closed forms and the k2
+cell's kink split moved the last bits of the values they replaced.  The
+split at t = 1/2 kept them: the unsplit refinement failed its first wave
+on those pieces and halved them there, into the same accepted panels.
 """
 
 from __future__ import annotations
@@ -372,8 +380,8 @@ def _elastic_integrand(A, B, base_order: int):
     def integrand(member, x):
         """``(upper - lower)(x)`` times the mean of d2 across the column."""
         cell = member.cell
-        lo, hi = cell.lower.value(x), cell.upper.value(x)
         ramp = cell.map.ramp(x)
+        lo, hi = cell.bounds(x, ramp)
         across = cell.map.grad_reads_y
         # The column's s-nodes go on a leading axis, which the (m, 1) fields
         # and the (m, n) ramp broadcast against; any y will do otherwise.
@@ -394,21 +402,40 @@ def elastic_energy(def_: PiecewiseDeformation, spec: WellSpec,
     return _elastic([def_], spec, quad or QuadratureSpec())[0][0]
 
 
+def _mirror_fold(conj: tuple) -> tuple:
+    """The largest of the four conjugation shapes ``(CL, Q)``, ``(-CL, -Q)``,
+    ``(S CL, Q S)`` and ``(-S CL, -Q S)`` with S = diag(-1, 1), which give
+    every F the same d2 bit for bit, so that they key one elastic entry.
+
+    The first two write the same F, the last two F with its off-diagonal
+    entries negated, S F S.  Both well pairs have d2(S F S) = d2(F): in
+    case k2 S fixes each well, and the kernel's q of either well changes
+    sign exactly while its p keeps its value; in case k1 S swaps the
+    wells, and A's terms of S F S are exactly B's terms of F.  Entries are
+    negated as ``0.0 - v``, so a zero stays +0.0.  The largest folds the
+    identity and the plain mirror to the identity."""
+    def neg(m, keep=()):
+        return tuple(v if i in keep else 0.0 - v for i, v in enumerate(m))
+
+    CL, Q = conj
+    # S CL negates CL's first row, Q S negates Q's first column.
+    SCL, QS = neg(CL, keep=(2, 3)), neg(Q, keep=(1, 3))
+    return max(conj, (neg(CL), neg(Q)), (SCL, QS), (neg(SCL), neg(QS)))
+
+
 def _elastic(defs, spec, quad):
     A, B = well_matrices(spec)
-    keyed, flat = [], {}
+    keyed = []
     for def_ in defs:
         own = []
         for part in def_.parts:
-            conj = part.transform.entry()[0]
+            conj = _mirror_fold(part.transform.entry()[0])
             for g in part.groups:
                 shape, row = g.proto.entry()
-                entry = ((_ConjugatedCell, shape, conj), row)
-                if not g.proto.map.curved:
-                    flat.setdefault(entry, (g.proto.map, part.transform))
-                own.append((entry, g.proto, g.count))
+                own.append((((_ConjugatedCell, shape, conj), row), g.proto, g.count))
         keyed.append(own)
-    d2 = _flat_dist2(flat, A, B)
+    d2 = _flat_dist2(dict.fromkeys(entry for own in keyed for entry, proto, _ in own
+                                   if not proto.map.curved), A, B)
     keyed = [[k for k in own if d2.get(k[0]) != 0.0] for own in keyed]
     integrand = _elastic_integrand(A, B, quad.base_order)
 
@@ -431,21 +458,31 @@ def _elastic(defs, spec, quad):
 
 
 def _flat_dist2(flat, A, B) -> dict:
-    """{entry: d2} for the entries of ``flat`` = {entry: (map, conjugation)}
-    of cells whose map is not curved: the squared well distance of their
-    constant gradient, in one kernel call.
+    """{entry: d2} for the elastic entries ``flat`` of cells whose map is
+    not curved: the squared well distance of their constant gradient, in
+    one kernel call.
 
-    Each F is written once by the integrand's arithmetic, and the kernel
-    is pointwise, so this is the integrand's value at every node; where it
-    is exactly 0.0 the integral and its error estimate are exactly 0.0.
+    The F of the entries of one shape (map shape and conjugation) are
+    written at once from (m, 1) columns of their rows, by the integrand's
+    arithmetic, and the kernel is pointwise, so this is the integrand's
+    value at every node; where it is exactly 0.0 the integral and its error
+    estimate are exactly 0.0.
     """
     if not flat:
         return {}
+    shapes: dict = {}
+    for entry in flat:
+        shapes.setdefault(entry[0], []).append(entry)
     F = np.empty((len(flat), 2, 2))
-    for out, (map_, t) in zip(F, flat.values()):
-        t.gradient(map_.grad_entries(map_.ramp(0.0), 0.0), out)
+    keys = []
+    for (_, cell_shape, conj), entries in shapes.items():
+        cols = np.array([row for _, row in entries]).T[..., None]
+        map_ = CellProto.from_row(cell_shape, iter(cols)).map
+        out = F[len(keys):len(keys) + len(entries), None]
+        Transform.from_row(conj).gradient(map_.grad_entries(map_.ramp(0.0), 0.0), out)
+        keys += entries
     d2, _ = kernels.dist2_two_wells(F, A, B)
-    return dict(zip(flat, d2.tolist()))
+    return dict(zip(keys, d2.tolist()))
 
 
 def tv_bulk(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> float:
@@ -472,8 +509,11 @@ def _tv_bulk_integrand(proto, x):
     and only a smooth 1D x-integral is left.  :func:`_tv_bulk` passes
     only cells whose map is curved; the others have D^2 u = 0.
     """
-    A, B, R2 = proto.map.hess_profile(x)
-    return _column_tv(A, B, R2, proto.lower.value(x), proto.upper.value(x))
+    ramp = proto.map.ramp(x)
+    A, B, R2 = proto.map.hess_profile(x, ramp)
+    lo, hi = proto.bounds(x, ramp)
+    del ramp  # keeps it out of the closed form's peak memory
+    return _column_tv(A, B, R2, lo, hi)
 
 
 def _column_tv(A, B, R2, lo, hi):

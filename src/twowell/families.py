@@ -31,7 +31,10 @@ class _MapBase:
     depends on y (not by default), which it then does affinely; the elastic
     term takes such columns by a Gauss rule in y.  ``kinks()`` lists the
     local x inside the cell where the bulk-TV column integrand has a kink
-    (none by default); the quadrature splits the cell's root panel there.
+    (none by default): where the derivative of the ramp that |D^2 u| is a
+    multiple of changes sign, ell / 2 on the curved scalar-profile pieces
+    and two points on the k2 cell's middle piece.  The quadrature splits
+    the cell's root panel there.
     For the quadrature's tables, ``entry()`` returns its shape (the class
     and the discrete fields) and its row (the float fields), and
     ``from_row(shape, cols)`` builds a member from an iterator of (m, 1)
@@ -66,8 +69,9 @@ class _MapBase:
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape + (2, 2, 2))
 
-    def hess_profile(self, x):
-        """Coefficients (A, B, R2) with ``|D^2 u|(x, y)^2 = (A + B y)^2 + R2``.
+    def hess_profile(self, x, ramp=None):
+        """Coefficients (A, B, R2) with ``|D^2 u|(x, y)^2 = (A + B y)^2 + R2``;
+        ``ramp`` is ``ramp(x)`` when the caller has it.
 
         Every family here is affine in y at second order, which lets the
         surface-energy bulk term integrate the y direction in closed form.
@@ -242,14 +246,14 @@ class K2CellPiece(_Piece):
         out[..., 1, 0, 0] = sig * (a * h / (4.0 * ell * ell)) * d2
         return out
 
-    def hess_profile(self, x):
+    def hess_profile(self, x, ramp=None):
         a, h, ell = self.alpha, self.h, self.ell
         s = a * (1.0 - a)
         x = np.asarray(x, dtype=float)
         zero = np.zeros_like(x)
         if not self.bends:
             return zero, zero, zero
-        g, d1, d2, d3 = self.ramp(x)
+        g, d1, d2, d3 = self.ramp(x) if ramp is None else ramp
         if self.piece == 3:
             return -s * (h * h / (16.0 * np.float_power(ell, 3))) * d3, zero, zero
         r2 = (2.0 * np.float_power(s * h / (4.0 * ell * ell), 2)
@@ -305,6 +309,11 @@ class ScalarProfilePiece(_Piece):
     def _discrete(self) -> tuple:
         return (self.component, self.layout, self.piece)
 
+    def kinks(self) -> tuple[float, ...]:
+        # |D^2 u| is a multiple of |g''(x / ell)|, and the quintic's g'' =
+        # 60 t (2 t - 1) (t - 1) changes sign at t = 1/2.
+        return (0.5 * self.ell,) if self.curved else ()
+
     def _profile(self, ramp, y):
         """``(phi, d_x phi, d_y phi)``."""
         a, h, ell = self.alpha, self.h, self.ell
@@ -344,13 +353,13 @@ class ScalarProfilePiece(_Piece):
         out[..., self.component, 0, 0] = A
         return out
 
-    def hess_profile(self, x):
+    def hess_profile(self, x, ramp=None):
         x = np.asarray(x, dtype=float)
         zero = np.zeros_like(x)
         if not self.bends:
             return zero, zero, zero
         sign = 1.0 if self.piece == 2 else -1.0
-        _, _, d2, _ = self.ramp(x)
+        _, _, d2, _ = self.ramp(x) if ramp is None else ramp
         return (sign * (self.alpha * self.h / (4.0 * np.float_power(self.ell, 2))) * d2,
                 zero, zero)
 

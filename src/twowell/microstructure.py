@@ -305,13 +305,10 @@ def _edge_intervals(protos, right: bool, tol):
     return out
 
 
-def _piece_at(intervals, period, y):
-    k = math.floor(y / period + 1e-12)
-    yl = y - k * period
-    for lo, hi, p in intervals:
-        if lo - 1e-12 * period <= yl <= hi + 1e-12 * period:
-            return p, k * period
-    raise RuntimeError("vertical edge profile has a gap")
+def _edge_profile(intervals, h, reps):
+    """(start, end, proto, anchor) of the pieces of an edge repeated ``reps``
+    times with period h, bottom to top."""
+    return [(m * h + lo, m * h + hi, p, m * h) for m in range(reps) for lo, hi, p in intervals]
 
 
 def _vertical_jump_groups(X, H, left_protos, h_left, ell_left,
@@ -325,25 +322,24 @@ def _vertical_jump_groups(X, H, left_protos, h_left, ell_left,
     which case the right side is the copy of a stack whose right edge lies
     on the line (local x = right_edge_x), mirrored by ``right_conj``.
 
+    The segments run between the ends of both edges' pieces over one
+    period, ends closer than 1e-11 period taken as the lowest of them; each
+    side's pieces are walked once along with the segments.
     Both stacks expose the same laminate on the line, so with a ramp whose
     ends are flat (:func:`twowell.profiles.flat_ends`) the gradient is
     continuous across it and the groups are marked ``smooth``.
     """
     tol = 1e-12 * max(h_left, h_right)
     period = max(h_left, h_right)
-    li = _edge_intervals(left_protos, True, tol)
     redge = 0.0 if right_edge_x is None else float(right_edge_x)
-    ri = _edge_intervals(right_protos, right_edge_x is not None, tol)
+    sides = [_edge_profile(_edge_intervals(protos, right, tol), h, round(period / h))
+             for protos, right, h in ((left_protos, True, h_left),
+                                      (right_protos, right_edge_x is not None, h_right))]
 
-    breaks = set()
-    for h_side, intervals in ((h_left, li), (h_right, ri)):
-        for m in range(int(round(period / h_side))):
-            for lo, hi, _ in intervals:
-                breaks.add(m * h_side + lo)
-                breaks.add(m * h_side + hi)
-    pts = sorted(breaks)
+    # Sorting the list with its duplicates keeps the same first end of each
+    # run as sorting the set of ends.
     merged = []
-    for b in pts:
+    for b in sorted([x for side in sides for lo, hi, _, _ in side for x in (lo, hi)]):
         if not merged or b - merged[-1] > 1e-11 * period:
             merged.append(b)
     if abs(merged[-1] - period) > 1e-11 * period:
@@ -351,11 +347,17 @@ def _vertical_jump_groups(X, H, left_protos, h_left, ell_left,
 
     count = int(round(H / period))
     smooth = all(flat_ends(p.map.kind) for p in (*left_protos, *right_protos))
+    left, right = sides
+    i = j = 0
     groups = []
     for seg_lo, seg_hi in zip(merged[:-1], merged[1:]):
         mid = 0.5 * (seg_lo + seg_hi)
-        lp, l_anchor = _piece_at(li, h_left, mid)
-        rp, r_anchor = _piece_at(ri, h_right, mid)
+        while left[i][1] < mid:
+            i += 1
+        while right[j][1] < mid:
+            j += 1
+        _, _, lp, l_anchor = left[i]
+        _, _, rp, r_anchor = right[j]
         proto = VerticalJump(
             length=seg_hi - seg_lo,
             left=SideRef(lp.map, ell_left, seg_lo - l_anchor),

@@ -180,6 +180,20 @@ class CellProto:
         return cls(next(cols), LocalCurve.from_row(shape[1], cols),
                    LocalCurve.from_row(shape[2], cols), shape[3][0].from_row(shape[3], cols))
 
+    def bounds(self, x, ramp):
+        """``(lower(x), upper(x))``, given the map's ``ramp(x)``.  Where the
+        map follows a ramp of both curves' kind and width, as in every
+        construction's cells, the curves take its value g(x / width)
+        instead of evaluating it again: the same arithmetic, so the same
+        bits."""
+        lower, upper = self.lower, self.upper
+        if (ramp is not None and lower.kind == upper.kind == self.map.kind
+                and np.array_equal(lower.width, self.map.ell)
+                and np.array_equal(upper.width, self.map.ell)):
+            g = ramp[0]
+            return lower.c0 + lower.c1 * g, upper.c0 + upper.c1 * g
+        return lower.value(x), upper.value(x)
+
     def contains(self, x, y, tol: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -283,11 +297,12 @@ class Transform:
     # mirror, swap, their products, one per value rotation), so the matrices
     # are the shape; the quadrature conjugates one run of rows at a time.
     # The integrands read only gradients, so the row is empty: a member is
-    # built from the shape alone, with zero offsets b and c.
+    # built from the shape alone, with zero offsets b and c, once per shape.
     def entry(self) -> tuple:
         return (tuple(self.CL.ravel().tolist()), tuple(self.Q.ravel().tolist())), ()
 
     @classmethod
+    @lru_cache(maxsize=64)
     def from_row(cls, shape):
         CL, Q = (np.reshape(m, (2, 2)) for m in shape)
         return cls(Q, np.zeros(2), CL, np.zeros(2), "")

@@ -1,11 +1,25 @@
-"""The per-group point locator and the per-instance continuity loop that
-``PiecewiseDeformation._locate`` and ``coverage_check`` replaced, kept as
-oracles: every group tests every remaining point of its part, and each
-sampled jump instance is evaluated on its own."""
+"""The per-group point locator, the per-instance continuity loop and the
+stripe-line builder that ``PiecewiseDeformation._locate``,
+``coverage_check`` and ``microstructure._vertical_jump_groups`` replaced,
+kept as oracles: every group tests every remaining point of its part, each
+sampled jump instance is evaluated on its own, and each stripe-line segment
+looks its pieces up by a scan of both edges."""
+
+import math
 
 import numpy as np
 
-from twowell.piecewise import CoverageReport, DomainError, PiecewiseDeformation
+from twowell.microstructure import _edge_intervals
+from twowell.piecewise import (
+    IDENTITY,
+    CoverageReport,
+    DomainError,
+    JumpGroup,
+    PiecewiseDeformation,
+    SideRef,
+    VerticalJump,
+)
+from twowell.profiles import flat_ends
 
 
 def oracle_locate(self, p):
@@ -132,3 +146,52 @@ def edge_points(def_, rng, per_group=3):
             pts.extend(np.column_stack([s.x0 + t * s.width, np.full_like(t, y)]))
     pts = np.array(pts)
     return pts[def_.domain.contains(pts)]
+
+
+def _piece_at(intervals, period, y):
+    k = math.floor(y / period + 1e-12)
+    yl = y - k * period
+    for lo, hi, p in intervals:
+        if lo - 1e-12 * period <= yl <= hi + 1e-12 * period:
+            return p, k * period
+    raise RuntimeError("vertical edge profile has a gap")
+
+
+def oracle_vertical_jump_groups(X, H, left_protos, h_left, ell_left, right_protos, h_right,
+                                tag, right_conj=IDENTITY, right_edge_x=None):
+    """The segments between the sorted set of every piece end of both edges
+    over one period, each side's piece found by a scan of its edge."""
+    tol = 1e-12 * max(h_left, h_right)
+    period = max(h_left, h_right)
+    li = _edge_intervals(left_protos, True, tol)
+    redge = 0.0 if right_edge_x is None else float(right_edge_x)
+    ri = _edge_intervals(right_protos, right_edge_x is not None, tol)
+
+    breaks = set()
+    for h_side, intervals in ((h_left, li), (h_right, ri)):
+        for m in range(int(round(period / h_side))):
+            for lo, hi, _ in intervals:
+                breaks.add(m * h_side + lo)
+                breaks.add(m * h_side + hi)
+    merged = []
+    for b in sorted(breaks):
+        if not merged or b - merged[-1] > 1e-11 * period:
+            merged.append(b)
+    if abs(merged[-1] - period) > 1e-11 * period:
+        merged.append(period)
+
+    count = int(round(H / period))
+    smooth = all(flat_ends(p.map.kind) for p in (*left_protos, *right_protos))
+    groups = []
+    for seg_lo, seg_hi in zip(merged[:-1], merged[1:]):
+        mid = 0.5 * (seg_lo + seg_hi)
+        lp, l_anchor = _piece_at(li, h_left, mid)
+        rp, r_anchor = _piece_at(ri, h_right, mid)
+        proto = VerticalJump(
+            length=seg_hi - seg_lo,
+            left=SideRef(lp.map, ell_left, seg_lo - l_anchor),
+            right=SideRef(rp.map, redge, seg_lo - r_anchor, conj=right_conj),
+            tag=tag,
+        )
+        groups.append(JumpGroup(proto, X, seg_lo, period, count, smooth))
+    return groups

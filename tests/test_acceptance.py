@@ -5,6 +5,7 @@ criteria are exponent fits, exact-identity checks, property suites and one
 regression-pinned two-sided ratio; every tolerance is stated inline.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -115,21 +116,31 @@ def test_criterion_04_identity_energies_exact():
                    f"(1e-6 relative)")
 
 
+# sha256 of the repr of (label, elastic, tv_bulk, tv_jump, total,
+# error_estimate, warnings) at each point of the 150-point grid, in order: a
+# change that moves any bit of any breakdown there must re-pin it and say so.
+_GRID_SHA256 = "5bd0a05a037824d43914b12c31ee9027e9cffd6b73eb47c80da5580b8d705223"
+
+
 def test_criterion_05_two_sided_ratio_pin():
     ratios = []
+    digest = hashlib.sha256()
     for case in (CASE_K2, CASE_K1):
         for eps, asp, a in itertools.product(
                 (1e-7, 1e-6, 1e-5, 1e-4, 1e-3), (0.25, 0.5, 1.0, 2.0, 4.0),
                 (0.05, 0.1, 0.2)):
             L, H = math.sqrt(asp), 1.0 / math.sqrt(asp)
             spec = WellSpec(case, a)
-            _, b, _ = best_construction(spec, eps, L, H)
+            _, b, label = best_construction(spec, eps, L, H)
             bound = min_energy_bound(case, a, eps, L, H)
             ratios.append(b.total / bound.value)
+            digest.update(repr((label, b.elastic, b.tv_bulk, b.tv_jump, b.total,
+                                b.error_estimate, b.warnings)).encode())
     lo, hi = min(ratios), max(ratios)
     _report(5, lo >= 1.0 and hi <= RATIO_PIN_C,
             f"total/bound over 150-point grid in [{lo:.2f}, {hi:.2f}] "
             f"(pinned [1, {RATIO_PIN_C:g}])")
+    assert digest.hexdigest() == _GRID_SHA256
 
 
 def test_criterion_06_rank_one_structure():

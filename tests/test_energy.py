@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -12,6 +13,7 @@ from twowell.energy import (
     _column_tv,
     _gauss,
     _integrate_lines,
+    _mirror_fold,
     _tv_bulk_integrand,
     elastic_energy,
     total_energies,
@@ -34,6 +36,7 @@ from twowell.microstructure import (
 from twowell.piecewise import (
     PiecewiseDeformation,
     Rect,
+    ScalarProfilePiece,
     VerticalJump,
     gradient_jump,
     identity_deformation,
@@ -557,6 +560,43 @@ def test_kernel_calls_grow_with_shapes_not_prototypes(monkeypatch):
     assert calls_many <= 1.5 * calls_few
 
 
+def test_mirror_fold_integrates_each_curved_cell_once(monkeypatch):
+    # The right half of a k2 construction is the left half's cells under the
+    # mirror, which fixes both wells: folded, each curved cell is integrated
+    # once, and the kernel sees half the points it sees unfolded.
+    spec = WellSpec(CASE_K2, 0.1)
+    d = horizontal_branched(spec, 1e-6, Rect(0.0, 0.0, 1.0, 1.0))
+    calls, cells = [], []
+    dist2, integrate_lines = kernels.dist2_two_wells, energy._integrate_lines
+
+    def counting(F, A, B):
+        calls.append(len(F))
+        return dist2(F, A, B)
+
+    def recording(entries, edges, integrand, quad, **kw):
+        cells.extend((shape[1], row) for shape, row in entries)
+        return integrate_lines(entries, edges, integrand, quad, **kw)
+
+    monkeypatch.setattr(kernels, "dist2_two_wells", counting)
+    monkeypatch.setattr(energy, "_integrate_lines", recording)
+    counts = []
+    for fold in (True, False):
+        if not fold:
+            monkeypatch.setattr(energy, "_mirror_fold", lambda conj: conj)
+        calls.clear()
+        cells.clear()
+        value = elastic_energy(d, spec)
+        counts.append((len(calls), sum(calls), value))
+        if fold:
+            curved = {g.proto.entry() for part in d.parts for g in part.groups
+                      if g.proto.map.curved}
+            assert len(cells) == len(set(cells)) == len(curved)
+    (calls_folded, points_folded, folded), (calls_unfolded, points_unfolded, unfolded) = counts
+    assert folded == unfolded
+    assert calls_folded < calls_unfolded
+    assert 2 * points_folded <= points_unfolded
+
+
 def test_one_prototype_at_the_depth_limit_leaves_the_batch_alone():
     # At depth 4 only the lower transition piece of a thin k2 cell (h / ell
     # = 1/128) is still refining; its neighbours in the batch converge in
@@ -597,6 +637,57 @@ def _all_piece_protos():
         cells.append(k1_cell((0.0, 0.0), ell, h, a, gamma_kind=kind))
         cells.append(k1_boundary_cell((0.0, 0.0), ell, h, a, gamma_kind=kind))
     return [g.proto for d in cells for g in d.parts[0].groups]
+
+
+def test_declared_kinks_leave_one_wave_of_bulk_tv(monkeypatch):
+    # Split at their kinks, the bulk TV of every curved piece converges on
+    # its root panels (wave 0), except the k2 cell's transition pieces.
+    # Without the split, the scalar-profile pieces' first wave fails.
+    waves = []
+    integrate = energy._integrate
+
+    def counting(wave_values, *args):
+        def counted(*a):
+            waves[-1] += 1
+            return wave_values(*a)
+        waves.append(0)
+        return integrate(counted, *args)
+
+    monkeypatch.setattr(energy, "_integrate", counting)
+    curved = [p for p in _all_piece_protos() if p.map.curved]
+    assert {p.map.tag() for p in curved} == {"k2cell", "k2bd", "k1cell", "k1bd"}
+    for proto in curved:
+        waves.clear()
+        _tv_bulk_cells([proto], QuadratureSpec())
+        refines = proto.map.key()[:2] in {("k2cell", 2), ("k2cell", 4)}
+        assert (waves[0] > 1) == refines, (proto.map.key(), waves)
+        if isinstance(proto.map, ScalarProfilePiece):
+            waves.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(ScalarProfilePiece, "kinks", lambda self: ())
+                _tv_bulk_cells([proto], QuadratureSpec())
+            assert waves[0] > 1, proto.map.key()
+
+
+def test_cell_bounds_share_the_ramp_bit_for_bit():
+    # A cell's curves take its map's ramp value where they follow the same
+    # ramp kind and width, and evaluate their own otherwise.
+    x = np.linspace(0.0, 0.75, 97)
+    shared = 0
+    for proto in _all_piece_protos():
+        ramp = proto.map.ramp(x)
+        lo, hi = proto.bounds(x, ramp)
+        assert (lo.tobytes(), hi.tobytes()) == (proto.lower.value(x).tobytes(),
+                                                proto.upper.value(x).tobytes())
+        if ramp is None:
+            continue
+        shared += 1
+        # An upper curve of another width than the map's evaluates its own
+        # ramp, which differs here from the map's.
+        wide = dataclasses.replace(proto, upper=dataclasses.replace(proto.upper, width=1.5))
+        assert wide.upper.value(x).tobytes() != proto.upper.value(x).tobytes()
+        assert wide.bounds(x, ramp)[1].tobytes() == wide.upper.value(x).tobytes()
+    assert shared > 0
 
 
 def test_hess_profile_matches_full_hessian():
@@ -732,13 +823,22 @@ def test_quadrature_matches_scipy_oracle(eps):
 
 def _integrated_entries(d, spec, eps):
     """The table entries each term of ``total_energy(d, spec, eps)`` integrates,
-    keyed as :func:`_oracle_jobs` keys them."""
+    keyed as :func:`_integrated_key` keys the jobs of :func:`_oracle_jobs`."""
     elastic, bulk, jump = _recorded_integrals([d], spec, eps)
-    # The elastic term keys ((_ConjugatedCell, cell shape, (CL, Q)), cell
-    # row); the oracle keys the cell's entry and the matrices' bytes.
-    elastic = {((cell, row), np.array(cl).tobytes(), np.array(q).tobytes())
-               for (_, cell, (cl, q)), row in elastic}
+    # The elastic term keys ((_ConjugatedCell, cell shape, folded (CL, Q)),
+    # cell row).
+    elastic = {((cell, row), conj) for (_, cell, conj), row in elastic}
     return {"elastic": elastic, "bulk": set(bulk), "jump": set(jump)}
+
+
+def _integrated_key(term, key):
+    """The key of an :func:`_oracle_jobs` job among :func:`_integrated_entries`:
+    an elastic job's cell entry and its conjugation's matrices, folded by
+    the mirror as the elastic term folds them."""
+    if term != "elastic":
+        return key
+    cell, cl, q = key
+    return cell, _mirror_fold(tuple(tuple(np.frombuffer(m).tolist()) for m in (cl, q)))
 
 
 def test_skipped_entries_are_exact_zeros():
@@ -770,6 +870,7 @@ def test_skipped_entries_are_exact_zeros():
         integrated = _integrated_entries(d, spec, eps)
         skipped, seams = {}, 0.0
         for term, key, group, job in _oracle_jobs(d, spec, quad, []):
+            key = _integrated_key(term, key)
             if key not in integrated[term] and (term, key) not in skipped:
                 skipped[term, key] = job()
             if term == "jump" and isinstance(group.proto, VerticalJump):

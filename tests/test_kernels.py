@@ -269,3 +269,26 @@ def test_overflowing_orbit_terms_never_give_a_false_distance(name):
         f2 = np.repeat(window * window * gg, len(R))
         assert np.all(~np.isfinite(d2["window"]) | (d2["window"] >= 0.5 * f2))
         assert not np.isfinite(d2["above"]).any()
+
+
+@pytest.mark.parametrize("case", ["k1", "k2"])
+def test_mirror_conjugation_keeps_every_bit_of_d2(case):
+    # The elastic term keys a cell under (CL, Q) and under (S CL, Q S), S =
+    # diag(-1, 1), as one entry: d2(S F S) must be d2(F) bit for bit.  S F S
+    # negates F's off-diagonal entries; in case k2 S fixes both wells, in k1
+    # it swaps them.
+    rng = np.random.default_rng(21 if case == "k1" else 22)
+    n = 20000
+    F = rng.choice([-1.0, 1.0], (n, 2, 2)) * 10.0 ** rng.uniform(-8.0, 3.0, (n, 2, 2))
+    # Entries near the wells' own, and exact and signed zeros.
+    F[: n // 4] = rng.choice([-1.0, 0.0, 1.0], (n // 4, 2, 2)) + F[: n // 4] * 1e-3
+    zero = rng.random((n, 2, 2)) < 0.2
+    F[zero] = rng.choice([0.0, -0.0], zero.sum())
+    SFS = F.copy()
+    np.negative(SFS[:, 0, 1], out=SFS[:, 0, 1])
+    np.negative(SFS[:, 1, 0], out=SFS[:, 1, 0])
+    for alpha in rng.uniform(0.01, 0.99, 5):
+        A, B = well_matrices(WellSpec(case, float(alpha)))
+        d2, _ = kernels.dist2_two_wells(F, A, B)
+        assert np.all(np.isfinite(d2))
+        assert np.array_equal(kernels.dist2_two_wells(SFS, A, B)[0], d2)

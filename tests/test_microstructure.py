@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from twowell import microstructure
 from twowell.energy import total_energy
 from twowell.microstructure import (
     assemble_branched,
@@ -22,7 +23,13 @@ from twowell.piecewise import PiecewiseDeformation, Rect, coverage_check, identi
 from twowell.profiles import smooth_step
 from twowell.wells import CASE_K1, CASE_K2, WellSpec, dist_to_wells
 
-from piecewise_oracles import edge_points, located, oracle_coverage_check, oracle_locate
+from piecewise_oracles import (
+    edge_points,
+    located,
+    oracle_coverage_check,
+    oracle_locate,
+    oracle_vertical_jump_groups,
+)
 
 
 def test_sawtooth_identities():
@@ -259,6 +266,46 @@ def test_coverage_property():
         assert located(PiecewiseDeformation._locate, d, pts) == located(oracle_locate, d, pts)
 
     check()
+
+
+def test_stripe_lines_match_the_sorted_break_oracle():
+    # The stripe and centre lines built by one walk of both edge profiles
+    # are the groups of the sorted-set-and-scan build, float for float, in
+    # the same order.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    build = microstructure._vertical_jump_groups
+    tags = set()
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(case=st.sampled_from([CASE_K1, CASE_K2]),
+                      linear=st.booleans(),
+                      alpha=st.floats(0.05, 0.45),
+                      log_eps=st.floats(-8.0, -2.0),
+                      log_aspect=st.floats(math.log(0.25), math.log(4.0)),
+                      theta=st.floats(0.26, 0.45))
+    def check(case, linear, alpha, log_eps, log_aspect, theta):
+        aspect = math.exp(log_aspect)
+        dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
+        kind = "linear" if linear and case == CASE_K1 else "quintic"
+        calls = []
+
+        def recording(*args, **kw):
+            calls.append((args, kw, build(*args, **kw)))
+            return calls[-1][2]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(microstructure, "_vertical_jump_groups", recording)
+            horizontal_branched(WellSpec(case, alpha), 10.0 ** log_eps, dom, theta=theta,
+                                gamma_kind=kind)
+        assert calls
+        for args, kw, groups in calls:
+            assert groups == oracle_vertical_jump_groups(*args, **kw)
+            tags.add(groups[0].proto.tag)
+
+    check()
+    assert tags == {"stripe-line", "centre-line"}
 
 
 def test_coverage_samples_counts_past_int64():
