@@ -462,7 +462,7 @@ def _flat_dist2(flat, A, B) -> dict:
     not curved: the squared well distance of their constant gradient, in
     one kernel call.
 
-    The F of the entries of one shape (map shape and conjugation) are
+    The F of the entries of one shape (cell shape and conjugation) are
     written at once from (m, 1) columns of their rows, by the integrand's
     arithmetic, and the kernel is pointwise, so this is the integrand's
     value at every node; where it is exactly 0.0 the integral and its error

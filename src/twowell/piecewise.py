@@ -187,9 +187,11 @@ class CellProto:
         instead of evaluating it again: the same arithmetic, so the same
         bits."""
         lower, upper = self.lower, self.upper
+        # Not np.array_equal: with it the peak resident set of a ratio_grid
+        # round read about 0.1 MB higher.
         if (ramp is not None and lower.kind == upper.kind == self.map.kind
-                and np.array_equal(lower.width, self.map.ell)
-                and np.array_equal(upper.width, self.map.ell)):
+                and not np.count_nonzero(lower.width != self.map.ell)
+                and not np.count_nonzero(upper.width != self.map.ell)):
             g = ramp[0]
             return lower.c0 + lower.c1 * g, upper.c0 + upper.c1 * g
         return lower.value(x), upper.value(x)
