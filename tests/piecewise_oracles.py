@@ -1,5 +1,5 @@
 """The per-group point locator, the per-instance continuity loop and the
-stripe-line builder that ``PiecewiseDeformation._locate``,
+stripe-line construction that ``PiecewiseDeformation._locate``,
 ``coverage_check`` and ``microstructure._vertical_jump_groups`` replaced,
 kept as oracles: every group tests every remaining point of its part, each
 sampled jump instance is evaluated on its own, and each stripe-line segment
