@@ -22,7 +22,6 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -295,16 +294,20 @@ def cmd_phase(cfg: RunConfig) -> int:
     pd = phase_diagram(cfg.case, cfg.alpha,
                        (cfg.phase_log_min, cfg.phase_log_max),
                        (cfg.phase_log_min, cfg.phase_log_max), cfg.phase_n)
-    # Row-major over the (H, L) grid; alpha and the axis values repeat, so
-    # they are formatted once and written as strings.
-    n_l, n_h = len(pd.log10_L_over_eps), len(pd.log10_H_over_eps)
-    log_l = [_f(x) for x in pd.log10_L_over_eps] * n_h
-    log_h = [s for x in pd.log10_H_over_eps for s in [_f(x)] * n_l]
-    rows = list(zip(repeat(cfg.case), repeat(_f(cfg.alpha)), log_l, log_h,
-                    pd.regimes.ravel().tolist(), pd.bound_values.ravel().tolist()))
-    _write_csv(out / "phase.csv",
-               ["case", "alpha", "log10_L_over_eps", "log10_H_over_eps",
-                "regime", "bound_value"], rows)
+    # Row-major over the (H, L) grid, one template per grid row as in
+    # phase_svg: the case, alpha and each column's log L/eps are fixed per
+    # column, leaving the row's log H/eps, the regimes and the bounds.
+    n_l = len(pd.log10_L_over_eps)
+    row = "".join(f"{cfg.case},{_f(cfg.alpha)},{_f(x)},%s,%s,%.17g\n"
+                  for x in pd.log10_L_over_eps)
+    args = [None] * (3 * n_l)
+    with open(out / "phase.csv", "w", newline="") as fh:
+        fh.write("case,alpha,log10_L_over_eps,log10_H_over_eps,regime,bound_value\n")
+        for lh, regimes, bounds in zip(pd.log10_H_over_eps, pd.regimes, pd.bound_values):
+            args[0::3] = [_f(lh)] * n_l
+            args[1::3] = regimes.tolist()
+            args[2::3] = bounds.tolist()
+            fh.write(row % tuple(args))
     (out / "phase.svg").write_text(phase_svg(pd))
     print(f"phase grid {cfg.phase_n}x{cfg.phase_n}: regimes "
           f"{','.join(sorted(pd.labels()))}")

@@ -274,8 +274,12 @@ def branching_schedule(case: str, alpha: float, epsilon: float, L: float, H: flo
         return BranchingSchedule(case, alpha, epsilon, L, H, theta, N, -1,
                                  (L / 2.0,), (h_of(0),), (ell_of(0),), True)
     tau = 0
-    while h_of(tau + 1) <= ell_of(tau + 1):
-        tau += 1
+    try:
+        while h_of(tau + 1) <= ell_of(tau + 1):
+            tau += 1
+    except OverflowError:  # theta near 1/2: 2^i N passes the float range
+        raise ValueError(f"theta={theta!r} is too close to 1/2: H / (2^i N) leaves "
+                         f"the float range at level {tau + 1}") from None
     idx = range(tau + 1)
     return BranchingSchedule(
         case, alpha, epsilon, L, H, theta, N, tau,

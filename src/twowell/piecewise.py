@@ -64,7 +64,6 @@ __all__ = [
     "CoverageReport",
     "write_manifest",
     "DomainError",
-    "BoundaryPointError",
 ]
 
 _ID2 = np.eye(2)
@@ -72,10 +71,6 @@ _ID2 = np.eye(2)
 
 class DomainError(ValueError):
     """A query point lies outside the deformation's domain."""
-
-
-class BoundaryPointError(ValueError):
-    """Second gradients are undefined on cell boundaries."""
 
 
 @dataclass(frozen=True)
@@ -109,18 +104,11 @@ class Rect:
     def boundary_points(self, n: int) -> np.ndarray:
         """n points tracing the boundary counterclockwise from (x0, y0)."""
         t = np.linspace(0.0, 4.0, n, endpoint=False)
-        pts = np.empty((n, 2))
-        for i, s in enumerate(t):
-            side, frac = int(s), s - int(s)
-            if side == 0:
-                pts[i] = (self.x0 + frac * self.width, self.y0)
-            elif side == 1:
-                pts[i] = (self.x1, self.y0 + frac * self.height)
-            elif side == 2:
-                pts[i] = (self.x1 - frac * self.width, self.y1)
-            else:
-                pts[i] = (self.x0, self.y1 - frac * self.height)
-        return pts
+        side = t.astype(int)
+        fw, fh = (t - side) * self.width, (t - side) * self.height
+        x = np.choose(side, (self.x0 + fw, self.x1, self.x1 - fw, self.x0))
+        y = np.choose(side, (self.y0, self.y0 + fh, self.y1, self.y1 - fh))
+        return np.column_stack([x, y])
 
 
 @dataclass(frozen=True)
@@ -601,25 +589,6 @@ class PiecewiseDeformation:
             return u[0], du[0]
         return u, du
 
-    def second_gradient(self, pts):
-        """Second gradient tensor (2, 2, 2) at points strictly inside a cell."""
-        p = np.asarray(pts, dtype=float)
-        single = p.ndim == 1
-        p = np.atleast_2d(p)
-        edge_tol = 1e-13 * max(self.domain.width, self.domain.height)
-        out = np.empty((p.shape[0], 2, 2, 2))
-        for ip, idx, _, lx, ly, g in self._locate(p):
-            # A negative tolerance asks for points at least edge_tol inside.
-            if not np.all(g.proto.contains(lx, ly, -edge_tol)):
-                raise BoundaryPointError("second gradient requested on a cell boundary")
-            t = self.parts[ip].transform
-            hess = g.proto.map.hess(lx, ly)
-            # (CL hess)[i] is a 2x2 matrix in (b, c); conjugate it by Q.
-            out[idx] = t.Q.T @ (t.CL @ hess.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2) @ t.Q
-        if single:
-            return out[0]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Field-level operations
@@ -705,6 +674,10 @@ def coverage_check(def_: PiecewiseDeformation,
     (to 1e-10, at 64 points of up to 8 instances per jump group) and the
     boundary trace (at 256 points).
 
+    A jump group shared by several parts (k2's mirrored half reuses all but
+    its centre lines) is checked once: the values are taken in the base
+    frame, where the part's transform does not enter.
+
     ``boundary_tol`` of None skips the identity-trace check (single cells
     and laminates do not satisfy identity data on all four sides).
     """
@@ -716,7 +689,11 @@ def coverage_check(def_: PiecewiseDeformation,
         failures.append(f"cell areas sum to {area!r}, domain area {def_.domain.area!r}")
 
     cont = 0.0
-    for part, jg in def_.iter_jump_groups():
+    seen = set()  # by id: the sides' ``conj`` hold arrays, so == does not apply
+    for _, jg in def_.iter_jump_groups():
+        if id(jg) in seen:
+            continue
+        seen.add(id(jg))
         proto = jg.proto
         span = proto.length_param()
         ts = np.linspace(0.0, span, 66)[1:-1]

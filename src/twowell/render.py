@@ -68,6 +68,9 @@ def construction_svg(def_: PiecewiseDeformation, spec: WellSpec) -> str:
         f'<rect width="{width_px}" height="{_fmt(height_px)}" fill="white"/>',
     ]
     ids = itertools.count()
+    # Formatted <use> offset tails per (axes, step in pixels, count), shared
+    # by a column's pieces, their jump curves and a mirrored part.
+    offsets = {}
 
     def draw(group, base: np.ndarray, t: Transform, tag: str, style: str) -> None:
         # The first instance, mapped base-to-world and then to pixels.
@@ -76,14 +79,23 @@ def construction_svg(def_: PiecewiseDeformation, spec: WellSpec) -> str:
         px = np.column_stack([(pts[:, 0] - dom.x0) * sx, (dom.y1 - pts[:, 1]) * sx])
         path = " ".join("%.6g,%.6g" % p for p in map(tuple, px.tolist()))
         lines.append(f'<{tag} id="{ident}" points="{path}" {style}/>')
+        if group.count < 2:
+            return
         # The anchor step (0, dy), a direction that Q^T alone maps, in pixels;
         # Q is a signed permutation, so one component is exactly 0: left out.
         step = np.array([0.0, group.dy]) @ t.Q * np.array([sx, -sx])
         axes = [i for i in (0, 1) if step[i] != 0.0]
-        use = f'<use xlink:href="#{ident}"' + "".join(f' {"xy"[i]}="%.6g"' for i in axes) + "/>"
-        for start in range(1, group.count, _BLOCK):
-            k = np.arange(start, min(start + _BLOCK, group.count))
-            lines.extend(map(use.__mod__, map(tuple, (k[:, None] * step[axes]).tolist())))
+        key = (tuple(axes), tuple(step[axes].tolist()), group.count)
+        tails = offsets.get(key)
+        if tails is None:
+            tail = "".join(f' {"xy"[i]}="%.6g"' for i in axes) + "/>"
+            tails = []
+            for start in range(1, group.count, _BLOCK):
+                k = np.arange(start, min(start + _BLOCK, group.count))
+                tails.extend(map(tail.__mod__, map(tuple, (k[:, None] * step[axes]).tolist())))
+            offsets[key] = tails
+        head = f'<use xlink:href="#{ident}"'
+        lines.append(head + ("\n" + head).join(tails))
 
     for part in def_.parts:
         t = part.transform

@@ -1,9 +1,14 @@
-"""The per-group point locator, the per-instance continuity loop and the
-stripe-line construction that ``PiecewiseDeformation._locate``,
-``coverage_check`` and ``microstructure._vertical_jump_groups`` replaced,
-kept as oracles: every group tests every remaining point of its part, each
-sampled jump instance is evaluated on its own, and each stripe-line segment
-looks its pieces up by a scan of both edges."""
+"""The per-group point locator, the per-instance continuity loop, the
+boundary-point loop and the stripe-line construction that
+``PiecewiseDeformation._locate``, ``coverage_check``,
+``Rect.boundary_points`` and ``microstructure._vertical_jump_groups``
+replaced, kept as oracles: every group tests every remaining point of its
+part, each sampled jump instance of every part is evaluated on its own,
+each boundary point is placed by its own side test, and each stripe-line
+segment looks its pieces up by a scan of both edges.
+
+Also the second gradient of a deformation, which only these tests use: a
+finite-difference check of the families' ``hess``."""
 
 import math
 
@@ -108,8 +113,48 @@ def oracle_evaluate(def_, pts):
     return _with_oracle(def_).evaluate(pts)
 
 
+class BoundaryPointError(ValueError):
+    """Second gradients are undefined on cell boundaries."""
+
+
+def second_gradient(def_, pts):
+    """Second gradient tensor (2, 2, 2) at points strictly inside a cell."""
+    p = np.asarray(pts, dtype=float)
+    single = p.ndim == 1
+    p = np.atleast_2d(p)
+    edge_tol = 1e-13 * max(def_.domain.width, def_.domain.height)
+    out = np.empty((p.shape[0], 2, 2, 2))
+    for ip, idx, _, lx, ly, g in def_._locate(p):
+        # A negative tolerance asks for points at least edge_tol inside.
+        if not np.all(g.proto.contains(lx, ly, -edge_tol)):
+            raise BoundaryPointError("second gradient requested on a cell boundary")
+        t = def_.parts[ip].transform
+        hess = g.proto.map.hess(lx, ly)
+        # (CL hess)[i] is a 2x2 matrix in (b, c); conjugate it by Q.
+        out[idx] = t.Q.T @ (t.CL @ hess.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2) @ t.Q
+    if single:
+        return out[0]
+    return out
+
+
 def oracle_second_gradient(def_, pts):
-    return _with_oracle(def_).second_gradient(pts)
+    return second_gradient(_with_oracle(def_), pts)
+
+
+def oracle_boundary_points(rect, n):
+    t = np.linspace(0.0, 4.0, n, endpoint=False)
+    pts = np.empty((n, 2))
+    for i, s in enumerate(t):
+        side, frac = int(s), s - int(s)
+        if side == 0:
+            pts[i] = (rect.x0 + frac * rect.width, rect.y0)
+        elif side == 1:
+            pts[i] = (rect.x1, rect.y0 + frac * rect.height)
+        elif side == 2:
+            pts[i] = (rect.x1 - frac * rect.width, rect.y1)
+        else:
+            pts[i] = (rect.x0, rect.y1 - frac * rect.height)
+    return pts
 
 
 def located(locate, def_, pts):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import repeat
 
 import pytest
 
@@ -8,6 +9,7 @@ from twowell import cli
 from twowell.cli import ConfigError, main, parse_config_file
 from twowell.microstructure import horizontal_branched
 from twowell.piecewise import Rect
+from twowell.scaling import phase_diagram
 from twowell.wells import WellSpec
 
 
@@ -207,6 +209,32 @@ def test_phase_outputs(tmp_path):
     assert labels == {"A", "BR", "HL"}
     svg = (tmp_path / "phase.svg").read_text()
     assert svg.startswith("<svg") and "log10(L/eps)" in svg
+
+
+def _oracle_phase_csv(path, cfg):
+    """The phase rows as six-tuples through the one-template-per-file CSV
+    writer, one ``%`` per grid point."""
+    pd = phase_diagram(cfg.case, cfg.alpha, (cfg.phase_log_min, cfg.phase_log_max),
+                       (cfg.phase_log_min, cfg.phase_log_max), cfg.phase_n)
+    n_l, n_h = len(pd.log10_L_over_eps), len(pd.log10_H_over_eps)
+    log_l = [cli._f(x) for x in pd.log10_L_over_eps] * n_h
+    log_h = [s for x in pd.log10_H_over_eps for s in [cli._f(x)] * n_l]
+    rows = list(zip(repeat(cfg.case), repeat(cli._f(cfg.alpha)), log_l, log_h,
+                    pd.regimes.ravel().tolist(), pd.bound_values.ravel().tolist()))
+    cli._write_csv(path, ["case", "alpha", "log10_L_over_eps", "log10_H_over_eps",
+                          "regime", "bound_value"], rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 121, 200])
+@pytest.mark.parametrize("case, alpha", [("k1", 0.1), ("k2", 0.1), ("k1", 0.3)])
+def test_phase_csv_matches_per_point_writer(tmp_path, case, alpha, n):
+    cfg = tmp_path / "phase.cfg"
+    cfg.write_text(f"case = {case}\nalpha = {alpha!r}\nphase_n = {n}\n"
+                   f"phase_log_min = -0.75\nphase_log_max = 7.3\n")
+    assert main(["phase", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    _oracle_phase_csv(tmp_path / "oracle.csv", cli.RunConfig(**parse_config_file(str(cfg))))
+    assert (tmp_path / "out" / "phase.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_construct_outputs(tmp_path, capsys):

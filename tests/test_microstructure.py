@@ -159,6 +159,14 @@ def test_degenerate_schedule_assembles_boundary_layer_only():
     assert rep.ok
 
 
+def test_schedule_beyond_the_float_range_is_refused():
+    # At theta = 0.4999 the levels run on until 2^i N overflows a float
+    # (i = 1022 here); that was an OverflowError out of the builder.
+    assert branching_schedule(CASE_K1, 0.25, 1e-2, 1.0, 1.0, theta=0.499).tau == 280
+    with pytest.raises(ValueError, match="leaves the float range at level 1022"):
+        branching_schedule(CASE_K1, 0.25, 1e-2, 1.0, 1.0, theta=0.4999)
+
+
 def test_assembly_boundary_trace_and_stripe_lines():
     for case in (CASE_K2, CASE_K1):
         spec = WellSpec(case, 0.1)

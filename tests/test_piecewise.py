@@ -13,10 +13,10 @@ from twowell.microstructure import (
     vertical_branched_k1,
 )
 from twowell.piecewise import (
-    BoundaryPointError,
     DomainError,
     PiecewiseDeformation,
     Rect,
+    SideRef,
     coverage_check,
     gradient_jump,
     identity_deformation,
@@ -29,12 +29,15 @@ from twowell.profiles import sawtooth
 from twowell.wells import CASE_K1, CASE_K2, WellSpec, rotation
 
 from piecewise_oracles import (
+    BoundaryPointError,
     edge_points,
     located,
+    oracle_boundary_points,
     oracle_coverage_check,
     oracle_evaluate,
     oracle_locate,
     oracle_second_gradient,
+    second_gradient,
 )
 
 ELL, H, ALPHA = 1.0, 0.25, 0.3
@@ -47,7 +50,7 @@ def test_identity_field():
     u, du = d.evaluate(pts)
     np.testing.assert_allclose(u, pts)
     np.testing.assert_allclose(du, np.broadcast_to(np.eye(2), (3, 2, 2)))
-    np.testing.assert_allclose(d.second_gradient(np.array([1.0, 0.5])), 0.0)
+    np.testing.assert_allclose(second_gradient(d, np.array([1.0, 0.5])), 0.0)
     rep = coverage_check(d)
     assert rep.ok and rep.area_residual == 0.0
 
@@ -101,7 +104,7 @@ def test_second_gradient_matches_finite_differences():
     checked = 0
     for p in pts:
         try:
-            hess = d.second_gradient(p)
+            hess = second_gradient(d, p)
         except BoundaryPointError:
             continue
         _, dup_x = d.evaluate(p + [step, 0.0])
@@ -123,7 +126,7 @@ def test_second_gradient_matches_finite_differences():
 def test_second_gradient_rejects_boundary_points():
     d = k2_cell((0.0, 0.0), ELL, H, ALPHA)
     with pytest.raises(BoundaryPointError):
-        d.second_gradient(np.array([0.5, 0.0]))
+        second_gradient(d, np.array([0.5, 0.0]))
 
 
 def test_second_gradient_bound_on_transition_piece():
@@ -135,7 +138,7 @@ def test_second_gradient_bound_on_transition_piece():
     for p in np.column_stack([rng.uniform(0.05, 0.95, 200),
                               rng.uniform(0.01 * h, 0.99 * h, 200)]):
         try:
-            hess = d.second_gradient(p)
+            hess = second_gradient(d, p)
         except BoundaryPointError:
             continue
         worst = max(worst, math.sqrt(float(np.sum(hess ** 2))))
@@ -327,6 +330,47 @@ def test_coverage_report_matches_per_instance_oracle(name):
     assert repr(coverage_check(d)) == repr(oracle_coverage_check(d))
 
 
+def _value_calls(monkeypatch, d):
+    """``SideRef.value`` calls of one continuity pass (no boundary trace)."""
+    calls = []
+    real = SideRef.value
+
+    def counted(self, *args):
+        calls.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(SideRef, "value", counted)
+    coverage_check(d, boundary_tol=None)
+    return len(calls)
+
+
+def test_continuity_pass_checks_each_shared_jump_group_once(monkeypatch):
+    # k2's mirrored half reuses the first half's jump groups, all but the
+    # centre lines: two side evaluations per distinct group.
+    d = horizontal_branched(K2, 1e-4, UNIT)
+    walk = [jg for _, jg in d.iter_jump_groups()]
+    distinct = {id(jg) for jg in walk}
+    assert len(d.parts) == 2 and len(distinct) < len(walk)
+    assert _value_calls(monkeypatch, d) == 2 * len(distinct)
+
+
+def test_continuity_pass_walks_every_group_of_k1(monkeypatch):
+    # k1's halves flip the shear sign: separate groups, both passes kept.
+    d = horizontal_branched(K1, 1e-4, UNIT)
+    walk = [jg for _, jg in d.iter_jump_groups()]
+    assert len(d.parts) == 2 and len({id(jg) for jg in walk}) == len(walk)
+    assert _value_calls(monkeypatch, d) == 2 * len(walk)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 256])
+@pytest.mark.parametrize("rect", [Rect(0.3, -0.2, 2.0, 0.5), Rect(1e5, -3e4, 1.0, 1.0),
+                                  Rect(-0.7, 0.1, 1.0 / 3.0, math.pi)])
+def test_boundary_points_match_per_point_loop(rect, n):
+    got, want = rect.boundary_points(n), oracle_boundary_points(rect, n)
+    assert got.shape == want.shape == (n, 2)
+    assert np.array_equal(got, want)
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -343,7 +387,7 @@ def test_locator_matches_per_group_oracle(name):
     for a, b in zip(d.evaluate(pts), oracle_evaluate(d, pts)):
         assert _same_bits(a, b)
     try:
-        hess = d.second_gradient(cloud)
+        hess = second_gradient(d, cloud)
     except BoundaryPointError:
         with pytest.raises(BoundaryPointError):
             oracle_second_gradient(d, cloud)

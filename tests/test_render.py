@@ -2,9 +2,11 @@
 replaced, kept here as oracles.  The phase and CSV comparisons are on the
 full output text, so a changed byte anywhere fails; the construction SVG,
 which draws each group once and every further instance as a ``<use>``, is
-compared shape by shape after expanding the references."""
+compared shape by shape after expanding the references, and byte for byte
+with the writer that formatted each group's ``<use>`` offsets on its own."""
 
 import hashlib
+import itertools
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -15,17 +17,19 @@ import pytest
 from twowell import cli
 from twowell.cli import main
 from twowell.microstructure import horizontal_branched, laminate, vertical_branched_k1
-from twowell.piecewise import Rect, identity_deformation
+from twowell.piecewise import Rect, identity_deformation, rotate_90, rotate_values
 from twowell.render import (
+    _BLOCK,
     _REGIME_COLORS,
     _WELL_COLORS,
     _fmt,
+    _ident,
     _shade,
     construction_svg,
     phase_svg,
 )
 from twowell.scaling import phase_diagram
-from twowell.wells import CASE_K1, CASE_K2, WellSpec, dist_to_wells
+from twowell.wells import CASE_K1, CASE_K2, WellSpec, dist_to_wells, rotation
 
 
 def _assert_same_text(got, want):
@@ -105,6 +109,61 @@ def _oracle_construction_svg(def_, spec, width_px=800):
                              f'stroke="black" stroke-width="0.4"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def _oracle_grouped_svg(def_, spec):
+    """The writer by reference with every group formatting its own ``<use>``
+    offsets, one line at a time."""
+    width_px = 800
+    dom = def_.domain
+    sx = width_px / dom.width
+    height_px = dom.height * sx
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'xmlns:xlink="http://www.w3.org/1999/xlink" width="{width_px}" '
+        f'height="{_fmt(height_px)}" viewBox="0 0 {width_px} {_fmt(height_px)}">',
+        f'<rect width="{width_px}" height="{_fmt(height_px)}" fill="white"/>',
+    ]
+    ids = itertools.count()
+
+    def draw(group, base, t, tag, style):
+        ident = _ident(next(ids))
+        pts = t.to_world(base + group.anchors([0])[0])
+        px = np.column_stack([(pts[:, 0] - dom.x0) * sx, (dom.y1 - pts[:, 1]) * sx])
+        path = " ".join("%.6g,%.6g" % p for p in map(tuple, px.tolist()))
+        lines.append(f'<{tag} id="{ident}" points="{path}" {style}/>')
+        step = np.array([0.0, group.dy]) @ t.Q * np.array([sx, -sx])
+        axes = [i for i in (0, 1) if step[i] != 0.0]
+        use = f'<use xlink:href="#{ident}"' + "".join(f' {"xy"[i]}="%.6g"' for i in axes) + "/>"
+        for start in range(1, group.count, _BLOCK):
+            k = np.arange(start, min(start + _BLOCK, group.count))
+            lines.extend(map(use.__mod__, map(tuple, (k[:, None] * step[axes]).tolist())))
+
+    for part in def_.parts:
+        t = part.transform
+        for g in part.groups:
+            w = g.proto.width
+            npts = max(2, min(16, int(round(w / dom.width * 256))))
+            xs = np.linspace(0.0, w, npts + 1)
+            lo = g.proto.lower.value(xs)
+            hi = g.proto.upper.value(xs)
+            ring_base = np.vstack([np.column_stack([xs, lo]),
+                                   np.column_stack([xs[::-1], hi[::-1]])])
+            xm = np.array([0.5 * w])
+            ym = 0.5 * (g.proto.lower.value(xm) + g.proto.upper.value(xm))
+            F = t.gradient(g.proto.map.grad(xm, ym).reshape(-1, 4).T, np.empty((1, 2, 2)))[0]
+            wd = dist_to_wells(F, spec)
+            fill = _shade(_WELL_COLORS[wd.nearest_well], wd.optimal_angle)
+            draw(g, ring_base, t, "polygon", f'fill="{fill}" stroke="none"')
+        for jg in part.jumps:
+            proto = jg.proto
+            ts = np.linspace(0.0, proto.length_param(), 17)
+            jx, jy = proto.points(ts)
+            base = np.column_stack([np.broadcast_to(jx, ts.shape),
+                                    np.broadcast_to(jy, ts.shape)])
+            draw(jg, base, t, "polyline", 'fill="none" stroke="black" stroke-width="0.4"')
+    lines += ["</svg>", ""]
+    return "\n".join(lines)
 
 
 def _oracle_phase_svg(diagram, width_px=640):
@@ -256,6 +315,7 @@ def test_construction_svg_size_guard():
     svg = construction_svg(d, K2)
     assert len(svg.encode()) < 1_500_000
     ET.fromstring(svg)
+    _assert_same_text(svg, _oracle_grouped_svg(d, K2))
 
 
 def _first_instances(d, keep):
@@ -286,6 +346,53 @@ def test_construction_svg_property():
         build = vertical_branched_k1 if vertical and case == CASE_K1 else horizontal_branched
         d = _first_instances(build(spec, 10.0 ** log_eps, dom, theta=theta), 3)
         _assert_same_geometry(construction_svg(d, spec), _oracle_construction_svg(d, spec))
+
+    check()
+
+
+WRAPS = {
+    "none": lambda d: d,
+    # Quarter rotation: every <use> step falls on the x axis.
+    "rotate_90": rotate_90,
+    # A value rotation: the shading changes, the geometry does not.
+    "rotate_values": lambda d: rotate_values(d, rotation(0.7)),
+}
+
+
+@pytest.mark.parametrize("wrap", sorted(WRAPS))
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_construction_svg_matches_per_group_writer(name, wrap):
+    build, spec = CONSTRUCTIONS[name]
+    d = WRAPS[wrap](build())
+    _assert_same_text(construction_svg(d, spec), _oracle_grouped_svg(d, spec))
+
+
+def test_construction_svg_matches_per_group_writer_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(case=st.sampled_from([CASE_K1, CASE_K2]),
+                      vertical=st.booleans(),
+                      wrap=st.sampled_from(sorted(WRAPS)),
+                      alpha=st.floats(0.05, 0.3),
+                      log_eps=st.floats(-4.0, -2.0),
+                      log_aspect=st.floats(math.log(0.25), math.log(4.0)),
+                      theta=st.floats(0.2501, 0.4999))
+    def check(case, vertical, wrap, alpha, log_eps, log_aspect, theta):
+        spec = WellSpec(case, alpha)
+        aspect = math.exp(log_aspect)
+        dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
+        build = vertical_branched_k1 if vertical and case == CASE_K1 else horizontal_branched
+        try:
+            d = build(spec, 10.0 ** log_eps, dom, theta=theta)
+        except ValueError as exc:
+            # No float schedule exists this close to theta = 1/2.
+            assert "leaves the float range" in str(exc)
+            hypothesis.reject()
+        d = WRAPS[wrap](_first_instances(d, 40))
+        _assert_same_text(construction_svg(d, spec), _oracle_grouped_svg(d, spec))
 
     check()
 
