@@ -327,6 +327,20 @@ def _first_instances(d, keep):
     return replace(d, parts=parts)
 
 
+def _drawn_construction(hypothesis, case, vertical, alpha, log_eps, log_aspect, theta):
+    """The spec and construction of one property-test example; hypothesis
+    rejects the schedules refused this close to theta = 1/2."""
+    spec = WellSpec(case, alpha)
+    aspect = math.exp(log_aspect)
+    dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
+    build = vertical_branched_k1 if vertical and case == CASE_K1 else horizontal_branched
+    try:
+        return spec, build(spec, 10.0 ** log_eps, dom, theta=theta)
+    except ValueError as exc:
+        assert "leaves the float range" in str(exc)
+        hypothesis.reject()
+
+
 def test_construction_svg_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -339,12 +353,9 @@ def test_construction_svg_property():
                       log_eps=st.floats(-4.0, -2.0),
                       log_aspect=st.floats(math.log(0.25), math.log(4.0)),
                       theta=st.floats(0.2501, 0.4999))
-    def check(case, vertical, alpha, log_eps, log_aspect, theta):
-        spec = WellSpec(case, alpha)
-        aspect = math.exp(log_aspect)
-        dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
-        build = vertical_branched_k1 if vertical and case == CASE_K1 else horizontal_branched
-        d = _first_instances(build(spec, 10.0 ** log_eps, dom, theta=theta), 3)
+    def check(**kw):
+        spec, d = _drawn_construction(hypothesis, **kw)
+        d = _first_instances(d, 3)
         _assert_same_geometry(construction_svg(d, spec), _oracle_construction_svg(d, spec))
 
     check()
@@ -380,17 +391,8 @@ def test_construction_svg_matches_per_group_writer_property():
                       log_eps=st.floats(-4.0, -2.0),
                       log_aspect=st.floats(math.log(0.25), math.log(4.0)),
                       theta=st.floats(0.2501, 0.4999))
-    def check(case, vertical, wrap, alpha, log_eps, log_aspect, theta):
-        spec = WellSpec(case, alpha)
-        aspect = math.exp(log_aspect)
-        dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
-        build = vertical_branched_k1 if vertical and case == CASE_K1 else horizontal_branched
-        try:
-            d = build(spec, 10.0 ** log_eps, dom, theta=theta)
-        except ValueError as exc:
-            # No float schedule exists this close to theta = 1/2.
-            assert "leaves the float range" in str(exc)
-            hypothesis.reject()
+    def check(wrap, **kw):
+        spec, d = _drawn_construction(hypothesis, **kw)
         d = WRAPS[wrap](_first_instances(d, 40))
         _assert_same_text(construction_svg(d, spec), _oracle_grouped_svg(d, spec))
 
