@@ -35,10 +35,8 @@ from .scaling import (
     bound_k2,
     check_average_lemma,
     classify_regime,
-    localize_stripes,
     min_energy_bound,
     phase_diagram,
-    thin_domain_bound,
 )
 from .wells import (
     CASE_K1,

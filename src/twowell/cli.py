@@ -9,7 +9,8 @@ reproduce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error (also a construction above
 ``MAX_CONSTRUCT_CELLS`` cells for ``construct``), 3 validation failure,
-4 non-convergence of the minimizer.  Configuration errors are reported as
+4 non-convergence of the minimizer.  Configuration errors, and a theta too
+close to 1/2 for the branching schedule, are reported as
 ``config error: ...`` on stderr; quadrature warnings of ``construct``,
 ``energy`` and ``sweep`` as ``warning: ...`` (exit code unaffected).  Any
 other exception is an internal failure: it propagates out of :func:`main`
@@ -29,7 +30,7 @@ import numpy as np
 from .checks import run_checks
 from .energy import QuadratureSpec
 from .fem import DiscreteField, Mesh, MinimizeOptions, minimize, seed_from_construction
-from .microstructure import best_construction, branched_constructions
+from .microstructure import ScheduleRangeError, best_construction, branched_constructions
 from .piecewise import Rect, write_manifest
 from .render import construction_svg, phase_svg
 from .scaling import RATIO_PIN_C, classify_regime, min_energy_bound, phase_diagram
@@ -252,8 +253,8 @@ def cmd_construct(cfg: RunConfig) -> int:
 
 def cmd_energy(cfg: RunConfig) -> int:
     _notes(cfg.spec())
-    out = _out_dir(cfg)
     _, b, row = _energy_row(cfg, cfg.epsilon)
+    out = _out_dir(cfg)
     _write_csv(out / "energy.csv", _SWEEP_HEADER, [row])
     print(f"construction={row[5]} total={_f(b.total)} bound={_f(row[10])} "
           f"ratio={_f(row[11])} regime="
@@ -268,7 +269,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if max(cfg.epsilons) / min(cfg.epsilons) < 99.0:
         raise ConfigError("sweep epsilons must span at least two decades")
     _notes(cfg.spec())
-    out = _out_dir(cfg)
     rows = []
     br_points = []
     for eps in cfg.epsilons:
@@ -276,7 +276,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         rows.append(row)
         if classify_regime(cfg.case, cfg.alpha, eps, cfg.L, cfg.H) == "BR":
             br_points.append((eps, b.total))
-    _write_csv(out / "sweep.csv", _SWEEP_HEADER, rows)
+    _write_csv(_out_dir(cfg) / "sweep.csv", _SWEEP_HEADER, rows)
     if len(br_points) < 4:
         print(f"fit refused: only {len(br_points)} sweep points classify as "
               f"branching (need 4)", file=sys.stderr)
@@ -317,7 +317,6 @@ def cmd_phase(cfg: RunConfig) -> int:
 def cmd_minimize(cfg: RunConfig) -> int:
     spec = cfg.spec()
     _notes(spec)
-    out = _out_dir(cfg)
     mesh = Mesh(cfg.mesh[0], cfg.mesh[1], cfg.domain())
     opts = MinimizeOptions(max_iter=cfg.max_iter, delta_huber=cfg.huber_delta)
 
@@ -328,6 +327,7 @@ def cmd_minimize(cfg: RunConfig) -> int:
         for note in notes:
             print(f"warning: {name} seed {note}", file=sys.stderr)
         starts.append((name, fld, d))
+    out = _out_dir(cfg)
 
     report = []
     results = []
@@ -417,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "minimize":
             return cmd_minimize(cfg)
         return cmd_validate(cfg)
-    except ConfigError as exc:
+    except (ConfigError, ScheduleRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

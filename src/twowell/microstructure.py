@@ -44,6 +44,7 @@ from .wells import CASE_K1, CASE_K2, WellSpec
 __all__ = [
     "BranchingSchedule",
     "branching_schedule",
+    "ScheduleRangeError",
     "sawtooth",
     "k2_cell",
     "k2_boundary_cell",
@@ -236,6 +237,10 @@ class BranchingSchedule:
     degenerate: bool
 
 
+class ScheduleRangeError(ValueError):
+    """theta so close to 1/2 that the stripe heights leave the float range."""
+
+
 def branching_schedule(case: str, alpha: float, epsilon: float, L: float, H: float,
                        theta: float | None = None,
                        N: int | None = None) -> BranchingSchedule:
@@ -278,7 +283,7 @@ def branching_schedule(case: str, alpha: float, epsilon: float, L: float, H: flo
         while h_of(tau + 1) <= ell_of(tau + 1):
             tau += 1
     except OverflowError:  # theta near 1/2: 2^i N passes the float range
-        raise ValueError(f"theta={theta!r} is too close to 1/2: H / (2^i N) leaves "
+        raise ScheduleRangeError(f"theta={theta!r} is too close to 1/2: H / (2^i N) leaves "
                          f"the float range at level {tau + 1}") from None
     idx = range(tau + 1)
     return BranchingSchedule(
@@ -508,7 +513,6 @@ def vertical_branched_k1(spec: WellSpec, epsilon: float, domain: Rect,
     base = horizontal_branched(spec, epsilon, swapped, theta=theta, N=N,
                                gamma_kind=gamma_kind)
     out = rotate_90(base)
-    out.meta.update(base.meta)
     out.meta["label"] = "branched-vertical"
     out.meta["period_axis"] = "x"
     return out

@@ -16,10 +16,9 @@ case k1 only, the rotated vertical variants (VB1, VB2, VL).  All constants
 are set to one; only exponents are asserted anywhere, ratios against
 measured energies are regression-pinned.
 
-Two executable diagnostics of the lower-bound machinery are included: the
-stripe localization (a pair of low-energy stripes always exists, by a
-counting argument) and the averaging inequality for vector fields of length
-at most ``1 + d`` whose component along a direction has mean one.
+One step of the lower-bound argument is executable: the averaging inequality
+for vector fields of length at most ``1 + d`` whose component along a
+direction has mean one.
 """
 
 from __future__ import annotations
@@ -37,20 +36,15 @@ __all__ = [
     "bound_k2",
     "min_energy_bound",
     "classify_regime",
-    "thin_domain_bound",
     "PhaseDiagram",
     "phase_diagram",
-    "StripePair",
-    "localize_stripes",
     "AverageLemmaReport",
     "HypothesisError",
     "check_average_lemma",
     "K1_REGIMES",
-    "K2_REGIMES",
 ]
 
 K1_REGIMES = ("A", "BR", "HL", "VB1", "VB2", "VL")
-K2_REGIMES = ("A", "BR", "HL")
 
 #: Regression-pinned two-sided constant: measured construction energies stay
 #: within [1, C] times the shape-function value over the acceptance grid
@@ -130,8 +124,8 @@ def classify_regime(case: str, alpha: float, eps: float, L: float, H: float) -> 
 
 
 def _regime_index(case: str, branch, terms):
-    """Position of the regime tag in ``K1_REGIMES`` (``K2_REGIMES`` is its
-    prefix), elementwise over scalar or broadcast-array terms.
+    """Position of the regime tag in ``K1_REGIMES`` (case k2 uses its first
+    three tags), elementwise over scalar or broadcast-array terms.
 
     Branch 0 is BR or HL by its larger addend (BR on a tie); the last branch
     is A; the middle k1 branch is VB1, VB2 or VL by its first largest addend.
@@ -142,17 +136,6 @@ def _regime_index(case: str, branch, terms):
         dominant = np.argmax(np.stack(np.broadcast_arrays(*terms[1])), axis=0)
         index = np.where(branch == 1, 3 + dominant, index)
     return index
-
-
-def thin_domain_bound(case: str, alpha: float, eps: float, L: float, H: float) -> float:
-    """Shape of the thin-domain lower bound ``min{a e (L+H), a^2 L H}``
-    (identical for both cases; constants set to one)."""
-    if case not in (CASE_K1, CASE_K2):
-        raise ValueError(f"unknown case {case!r}")
-    if alpha == 0.0:
-        return 0.0
-    _check_params(alpha, eps, L, H)
-    return min(alpha * eps * (L + H), alpha ** 2 * L * H)
 
 
 @dataclass
@@ -198,78 +181,6 @@ def phase_diagram(case: str, alpha: float,
     vals = sums.min(axis=0)
     regimes = np.array(K1_REGIMES, dtype=object)[_regime_index(case, branch, terms)]
     return PhaseDiagram(case, alpha, logl, logh, regimes, vals)
-
-
-# ---------------------------------------------------------------------------
-# Stripe localization diagnostic
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StripePair:
-    """Offsets of a horizontal stripe S = (0,L) x (s, s+lam) and a vertical
-    stripe S' = (s', s'+lam) x (0,H) on which energy does not concentrate."""
-
-    s: float
-    s_prime: float
-    lam: float
-    energy_horizontal: float
-    energy_vertical: float
-    energy_intersection: float
-    d1u2_intersection: float
-
-
-def _box_integral(density: np.ndarray, L: float, H: float,
-                  x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> float:
-    ny, nx = density.shape
-    ix0 = int(round(x_lo / L * nx))
-    ix1 = max(int(round(x_hi / L * nx)), ix0 + 1)
-    iy0 = int(round(y_lo / H * ny))
-    iy1 = max(int(round(y_hi / H * ny)), iy0 + 1)
-    cell = (L / nx) * (H / ny)
-    return float(np.sum(density[iy0:iy1, ix0:ix1])) * cell
-
-
-def localize_stripes(energy_density: np.ndarray, tv_density: np.ndarray,
-                     d1u2_density: np.ndarray, lam: float, L: float,
-                     H: float) -> StripePair:
-    """First stripe pair satisfying the four non-concentration inequalities.
-
-    ``energy_density`` is the elastic density and ``tv_density`` the
-    eps-weighted surface density, both sampled on a uniform (ny, nx) grid;
-    their sum is the full energy density.  Existence of a qualifying pair is
-    a counting fact (with constant 20); not finding one signals a sampling
-    bug or an inconsistent grid.
-    """
-    if not (0.0 < lam <= min(L, H)):
-        raise ValueError("lam must lie in (0, min(L, H)]")
-    e_density = np.asarray(energy_density, dtype=float) + np.asarray(tv_density, dtype=float)
-    d_density = np.asarray(d1u2_density, dtype=float)
-    if e_density.shape != d_density.shape:
-        raise ValueError("density grids must share a shape")
-    ny, nx = e_density.shape
-    cell = (L / nx) * (H / ny)
-    e_total = float(np.sum(e_density)) * cell
-    d_total = float(np.sum(d_density)) * cell
-    c = 20.0
-    m_rows = int(H / lam)
-    n_cols = int(L / lam)
-    for k in range(m_rows):
-        s = k * lam
-        e_row = _box_integral(e_density, L, H, 0.0, L, s, s + lam)
-        if e_row > c * lam / H * e_total + 1e-15:
-            continue
-        for i in range(n_cols):
-            sp = i * lam
-            e_col = _box_integral(e_density, L, H, sp, sp + lam, 0.0, H)
-            if e_col > c * lam / L * e_total + 1e-15:
-                continue
-            e_q = _box_integral(e_density, L, H, sp, sp + lam, s, s + lam)
-            d_q = _box_integral(d_density, L, H, sp, sp + lam, s, s + lam)
-            lim = c * lam * lam / (L * H)
-            if e_q <= lim * e_total + 1e-15 and d_q <= lim * d_total + 1e-15:
-                return StripePair(s, sp, lam, e_row, e_col, e_q, d_q)
-    raise RuntimeError("no qualifying stripe pair found; check the density grids")
 
 
 # ---------------------------------------------------------------------------

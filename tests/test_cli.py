@@ -80,6 +80,12 @@ def test_config_bad_values(tmp_path):
     ("phase", "phase_log_min = -inf"),
     ("phase", "phase_log_min = 7\nphase_log_max = 1"),
     ("phase", "phase_log_min = 2\nphase_log_max = 2"),
+    # A theta this close to 1/2 takes the schedule's stripe heights out of
+    # the float range.
+    ("construct --case k1 --epsilon 1e-2", "theta = 0.4999"),
+    ("energy --case k1 --epsilon 1e-2", "theta = 0.4999"),
+    ("sweep --case k1", "theta = 0.4999"),
+    ("minimize --case k1 --epsilon 1e-2", "theta = 0.4999"),
 ])
 def test_config_rejects_nonfinite_and_degenerate_values(tmp_path, argv, line):
     # Each was accepted once: a NaN or infinite energy reported with exit 0,

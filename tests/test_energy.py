@@ -312,6 +312,31 @@ def test_mirror_preserves_energies():
     assert tv_bulk(m) == pytest.approx(tv_bulk(d), rel=1e-10)
 
 
+def test_mirror_preserves_whole_construction_energies():
+    # The reflection about the right edge maps K onto itself in both cases
+    # (k2's wells are fixed by it, k1's trade places), so every field of the
+    # breakdown is unchanged, bit for bit.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=16, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(case=st.sampled_from([CASE_K1, CASE_K2]),
+                      vertical=st.booleans(),
+                      alpha=st.floats(0.05, 0.45),
+                      log_eps=st.floats(-6.0, -2.0),
+                      log_aspect=st.floats(math.log(0.25), math.log(4.0)),
+                      theta=st.floats(0.26, 0.45))
+    def check(case, vertical, alpha, log_eps, log_aspect, theta):
+        spec, eps, aspect = WellSpec(case, alpha), 10.0 ** log_eps, math.exp(log_aspect)
+        dom = Rect(0.0, 0.0, math.sqrt(aspect), 1.0 / math.sqrt(aspect))
+        build = vertical_branched_k1 if vertical and case == CASE_K1 else horizontal_branched
+        d = build(spec, eps, dom, theta=theta)
+        assert total_energy(mirror_x(d, d.domain.x1), spec, eps) == total_energy(d, spec, eps)
+
+    check()
+
+
 def test_cell_energy_scaling_laws():
     hs = [2.0 ** -k for k in range(6, 2, -1)]
     a = 0.1

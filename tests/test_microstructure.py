@@ -242,6 +242,50 @@ def test_best_construction_matches_per_candidate_loop(case, eps, aspect, alpha):
     assert repr((label, b)) == repr(_best_construction_oracle(spec, eps, L, H))
 
 
+def test_best_construction_is_scale_invariant():
+    # E(l eps, l L, l H) = l^2 E(eps, L, H): elastic and total scale by l^2,
+    # both TV terms by l, with the same winner, N and tau.  Powers of two
+    # scale every float exactly.  At other l the total and the TV terms
+    # agree within 1e-12; the elastic term alone is not held to it, since it
+    # can be a few percent of the total and moves by its rounding floor (1.4e-12
+    # relative at the second example, whose total moves by 5.4e-14).
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    labels = set()
+    exact = (("elastic", 2), ("tv_bulk", 1), ("tv_jump", 1), ("total", 2))
+
+    @hypothesis.settings(max_examples=16, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(case=st.sampled_from([CASE_K1, CASE_K2]),
+                      alpha=st.floats(0.05, 0.45),
+                      log_eps=st.floats(-7.0, -2.0),
+                      log_L=st.floats(math.log(0.03), math.log(4.0)),
+                      log_H=st.floats(math.log(0.25), math.log(4.0)),
+                      theta=st.floats(0.26, 0.45))
+    @hypothesis.example(case=CASE_K1, alpha=0.1, log_eps=-6.0, log_L=math.log(0.05),
+                        log_H=0.0, theta=1.0 / 3.0)  # the vertical construction wins
+    @hypothesis.example(case=CASE_K1, alpha=0.125, log_eps=-7.0, log_L=0.125,
+                        log_H=1.00390625, theta=0.375)
+    def check(case, alpha, log_eps, log_L, log_H, theta):
+        spec = WellSpec(case, alpha)
+        eps, L, H = 10.0 ** log_eps, math.exp(log_L), math.exp(log_H)
+        d, b, label = best_construction(spec, eps, L, H, theta=theta)
+        labels.add(label)
+        for lam, rel, terms in ((2.0, 0.0, exact), (0.5, 0.0, exact),
+                                (10.0, 1e-12, exact[1:]), (0.37, 1e-12, exact[1:])):
+            ds, bs, label_s = best_construction(spec, lam * eps, lam * L, lam * H,
+                                                theta=theta)
+            assert label_s == label
+            assert ds.meta.get("N") == d.meta.get("N")
+            assert ds.meta.get("tau") == d.meta.get("tau")
+            for name, power in terms:
+                assert getattr(bs, name) == pytest.approx(
+                    lam ** power * getattr(b, name), rel=rel, abs=0.0), (lam, name)
+
+    check()
+    assert labels == {"identity", "branched-horizontal", "branched-vertical"}
+
+
 def test_coverage_property():
     # Tiling, value continuity and the identity trace for random inputs.
     hypothesis = pytest.importorskip("hypothesis")

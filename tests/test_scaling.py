@@ -12,10 +12,8 @@ from twowell.scaling import (
     bound_k2,
     check_average_lemma,
     classify_regime,
-    localize_stripes,
     min_energy_bound,
     phase_diagram,
-    thin_domain_bound,
 )
 
 
@@ -96,14 +94,6 @@ def test_regime_examples():
     assert classify_regime("k1", 0.1, 1.0, 1e3, 10.0 ** 3.6) == "VB1"
     assert classify_regime("k1", 0.1, 1.0, 2e3, 1e7) == "VB2"
     assert classify_regime("k1", 0.1, 1.0, 1e2, 1e6) == "VL"
-
-
-def test_thin_domain_bound_values():
-    v = thin_domain_bound("k1", 0.1, 1e-2, 1.0, 1e-4)
-    assert v == pytest.approx(1e-6, rel=1e-12)
-    assert thin_domain_bound("k2", 0.3, 0.5, 2.0, 3.0) == \
-        thin_domain_bound("k2", 0.3, 0.5, 3.0, 2.0)
-    assert thin_domain_bound("k1", 0.0, 1.0, 1.0, 1.0) == 0.0
 
 
 def _components(regimes, label):
@@ -239,36 +229,6 @@ def test_regime_index_tie_rules_match_oracle():
 def test_phase_diagram_resolution_guard():
     with pytest.raises(ValueError):
         phase_diagram("k2", 0.1, (0.0, 1.0), (0.0, 1.0), 1)
-
-
-def test_localize_stripes_uniform_density():
-    grid = np.ones((40, 40))
-    sp = localize_stripes(grid, 0.0 * grid, grid, 0.25, 1.0, 1.0)
-    assert sp.s == 0.0 and sp.s_prime == 0.0
-    assert sp.energy_horizontal == pytest.approx(0.25, rel=1e-12)
-    assert sp.energy_intersection == pytest.approx(0.0625, rel=1e-12)
-
-
-def test_localize_stripes_avoids_concentration():
-    # with lam/H < 1/c a stripe hoarding the energy fails its allowance
-    grid = np.full((128, 128), 1e-9)
-    grid[:4, :4] = 100.0  # energy piled into the lower-left corner stripe
-    lam = 1.0 / 32.0
-    sp = localize_stripes(grid, 0.0 * grid, np.ones_like(grid), lam, 1.0, 1.0)
-    assert sp.s >= lam and sp.s_prime >= lam
-
-
-def test_localize_stripes_whole_domain_stripe():
-    grid = np.ones((32, 32))
-    sp = localize_stripes(grid, 0.0 * grid, grid, 1.0, 1.0, 1.0)
-    assert sp.s == 0.0 and sp.s_prime == 0.0
-    assert sp.energy_horizontal == pytest.approx(1.0, rel=1e-12)
-
-
-def test_localize_stripes_validates_lambda():
-    with pytest.raises(ValueError):
-        localize_stripes(np.ones((4, 4)), np.zeros((4, 4)), np.ones((4, 4)),
-                         2.0, 1.0, 1.0)
 
 
 def test_average_lemma_trivial_equality():
