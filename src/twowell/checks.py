@@ -33,7 +33,6 @@ from .wells import (
     dist_to_wells,
     interface_degeneracy_gap,
     rank_one_connections,
-    rotation,
     rotation_ra,
     well_matrices,
 )
@@ -48,8 +47,16 @@ class CheckResult:
     detail: str
 
 
-def _random_mat(rng) -> np.ndarray:
-    return rng.uniform(-3.0, 3.0, (2, 2))
+def _random_mats(u: np.ndarray) -> np.ndarray:
+    """Matrices with entries uniform in [-3, 3) from rows of four uniforms in
+    [0, 1), the same bits as ``rng.uniform(-3.0, 3.0, (2, 2))`` per row."""
+    return (-3.0 + 6.0 * u).reshape(-1, 2, 2)
+
+
+def _rotations(phi: np.ndarray) -> np.ndarray:
+    """The stack of :func:`rotation` matrices of the angles ``phi``."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.stack([c, -s, s, c], axis=-1).reshape(*phi.shape, 2, 2)
 
 
 def sample_average_lemma_field(rng, n: int = 64):
@@ -110,45 +117,42 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
 
     # Closed-form orbit distance against the dense angle-scan oracle.
     B_scan = well_matrices(WellSpec(CASE_K1, 0.3))[1]
-    worst = 0.0
-    for _ in range(300):
-        F = _random_mat(rng)
-        closed = dist_to_rotated_well(F, B_scan).distance
-        oracle = angle_scan_distance(F, B_scan).distance
-        worst = max(worst, abs(closed - oracle))
+    F = _random_mats(rng.random((300, 4)))
+    worst = float(np.max(np.abs(dist_to_rotated_well(F, B_scan).distance
+                                - angle_scan_distance(F, B_scan).distance)))
     record("orbit-distance closed form vs angle scan", worst < 1e-9,
            f"max deviation {worst:.3e}")
 
-    # Orbit invariance under left rotations.
-    worst = 0.0
+    # Orbit invariance under left rotations.  Each sample draws F, then the
+    # rotation angle: five uniforms a row.
     G = well_matrices(WellSpec(CASE_K2, 0.25))[0]
-    for _ in range(300):
-        F = _random_mat(rng)
-        R = rotation(rng.uniform(0, 2 * math.pi))
-        worst = max(worst, abs(dist_to_rotated_well(R @ F, G).distance
-                               - dist_to_rotated_well(F, G).distance))
+    u = rng.random((300, 5))
+    F = _random_mats(u[:, :4])
+    R = _rotations(2 * math.pi * u[:, 4])
+    worst = float(np.max(np.abs(dist_to_rotated_well(R @ F, G).distance
+                                - dist_to_rotated_well(F, G).distance)))
     record("orbit distance rotation invariance", worst < 1e-10,
            f"max deviation {worst:.3e}")
 
-    # Distance is a lower bound for any particular rotation.
-    worst = -1.0
-    for _ in range(50):
-        F = _random_mat(rng)
-        d = dist_to_rotated_well(F, G).distance
-        for _ in range(20):
-            Q = rotation(rng.uniform(0, 2 * math.pi))
-            worst = max(worst, d - float(np.linalg.norm(F - Q @ G)))
+    # Distance is a lower bound for any particular rotation: 50 F, each
+    # followed by its 20 sampled angles.
+    u = rng.random((50, 24))
+    F = _random_mats(u[:, :4])
+    Q = _rotations(2 * math.pi * u[:, 4:])
+    # |F - Q G| as the dot product of the entries with themselves, the sum
+    # np.linalg.norm takes of a single matrix.
+    diff = (F[:, None] - Q @ G).reshape(-1, 1, 4)
+    norms = np.sqrt((diff @ diff.transpose(0, 2, 1)).reshape(50, 20))
+    worst = float(np.max(dist_to_rotated_well(F, G).distance[:, None] - norms, initial=-1.0))
     record("orbit distance majorized by samples", worst < 1e-12,
            f"max excess {worst:.3e}")
 
     # Swap-conjugation distance inequality, case k1.
     spec1 = WellSpec(CASE_K1, 0.3)
-    worst = -1.0
-    for _ in range(1000):
-        F = _random_mat(rng)
-        lhs = dist_to_wells(Z_SWAP @ F @ Z_SWAP, spec1).distance
-        rhs = dist_to_wells(F, spec1).distance + spec1.alpha ** 2
-        worst = max(worst, lhs - rhs)
+    F = _random_mats(rng.random((1000, 4)))
+    lhs = dist_to_wells(Z_SWAP @ F @ Z_SWAP, spec1).distance
+    rhs = dist_to_wells(F, spec1).distance + spec1.alpha ** 2
+    worst = float(np.max(lhs - rhs, initial=-1.0))
     record("swap-conjugation distance inequality", worst <= 1e-12,
            f"max violation {worst:.3e}")
 

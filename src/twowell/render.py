@@ -99,7 +99,15 @@ def construction_svg(def_: PiecewiseDeformation, spec: WellSpec) -> str:
 
     for part in def_.parts:
         t = part.transform
-        for g in part.groups:
+        # The gradient at each cell's centre classifies the whole cell; one
+        # dist_to_wells call classifies every group of the part.
+        F = np.empty((len(part.groups), 2, 2))
+        for g, Fg in zip(part.groups, F):
+            xm = np.array([0.5 * g.proto.width])
+            ym = 0.5 * (g.proto.lower.value(xm) + g.proto.upper.value(xm))
+            t.gradient(g.proto.map.grad(xm, ym).reshape(-1, 4).T, Fg[None])
+        wd = dist_to_wells(F, spec)
+        for g, well, angle in zip(part.groups, wd.nearest_well, wd.optimal_angle):
             w = g.proto.width
             npts = max(2, min(16, int(round(w / dom.width * 256))))
             xs = np.linspace(0.0, w, npts + 1)
@@ -107,12 +115,7 @@ def construction_svg(def_: PiecewiseDeformation, spec: WellSpec) -> str:
             hi = g.proto.upper.value(xs)
             ring_base = np.vstack([np.column_stack([xs, lo]),
                                    np.column_stack([xs[::-1], hi[::-1]])])
-            # Gradient at the cell centre classifies the whole cell.
-            xm = np.array([0.5 * w])
-            ym = 0.5 * (g.proto.lower.value(xm) + g.proto.upper.value(xm))
-            F = t.gradient(g.proto.map.grad(xm, ym).reshape(-1, 4).T, np.empty((1, 2, 2)))[0]
-            wd = dist_to_wells(F, spec)
-            fill = _shade(_WELL_COLORS[wd.nearest_well], wd.optimal_angle)
+            fill = _shade(_WELL_COLORS[well], angle)
             draw(g, ring_base, t, "polygon", f'fill="{fill}" stroke="none"')
         for jg in part.jumps:
             proto = jg.proto

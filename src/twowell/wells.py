@@ -135,30 +135,59 @@ class WellDistanceResult(NamedTuple):
     degenerate: bool
 
 
+def _stack(F) -> tuple[np.ndarray, tuple]:
+    """F as a C-contiguous (n, 2, 2) float stack, and the batch shape that
+    :func:`_unstack` restores (``()`` for a single matrix)."""
+    F = np.asarray(F, dtype=float)
+    if F.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix or a stack (..., 2, 2), got shape {F.shape}")
+    return np.ascontiguousarray(F).reshape(-1, 2, 2), F.shape[:-2]
+
+
+def _unstack(cls, shape: tuple, *cols: np.ndarray):
+    """``cls`` of Python scalars for a single matrix, else of arrays of the
+    batch shape."""
+    if shape == ():
+        return cls(*(c.item() for c in cols))
+    return cls(*(c.reshape(shape) for c in cols))
+
+
+def _trace_vector(F: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(M11+M22, M21-M12)`` with ``M = F G^T``, per matrix of the stack F.
+
+    The stacked ``@`` multiplies each 2x2 pair as a single ``F @ G.T`` does,
+    bit for bit, so a matrix gives the same bits alone and in any stack."""
+    M = F @ G.T
+    return M[:, 0, 0] + M[:, 1, 1], M[:, 1, 0] - M[:, 0, 1]
+
+
 def dist_to_rotated_well(F: np.ndarray, G: np.ndarray) -> OrbitDistance:
     """Closed-form Frobenius distance of F to the orbit SO(2)G.
 
-    When the trace vector ``(M11+M22, M21-M12)`` vanishes every rotation is
-    equally close; the angle is then reported as 0 and flagged degenerate.
+    F is one matrix (the fields are Python scalars) or a stack (..., 2, 2)
+    (the fields are arrays of the batch shape); G is one matrix.  When the
+    trace vector ``(M11+M22, M21-M12)`` vanishes every rotation is equally
+    close; the angle is then reported as 0 and flagged degenerate.
     """
-    return _orbit_distance(F, G, np.sum(F * F), np.sum(G * G))
+    F, shape = _stack(F)
+    f2 = np.sum(F * F, axis=(1, 2))
+    return _unstack(OrbitDistance, shape, *_orbit_distance(F, G, f2, np.sum(G * G)))
 
 
-def _orbit_distance(F, G, f2, g2) -> OrbitDistance:
-    """:func:`dist_to_rotated_well` given ``f2 = |F|^2`` and ``g2 = |G|^2``."""
-    M = F @ G.T
-    p = M[0, 0] + M[1, 1]
-    q = M[1, 0] - M[0, 1]
-    r = math.hypot(p, q)
-    d2 = float(f2 + g2) - 2.0 * r
-    d2 = max(d2, 0.0)
-    if r == 0.0:
-        return OrbitDistance(math.sqrt(d2), 0.0, True)
-    return OrbitDistance(math.sqrt(d2), math.atan2(q, p), False)
+def _orbit_distance(F, G, f2, g2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distance, angle and degenerate flag of each matrix of the (n, 2, 2)
+    stack F, given ``f2 = |F|^2`` per matrix and ``g2 = |G|^2``."""
+    p, q = _trace_vector(F, G)
+    r = np.hypot(p, q)
+    d2 = np.maximum((f2 + g2) - 2.0 * r, 0.0)
+    degenerate = r == 0.0
+    return np.sqrt(d2), np.where(degenerate, 0.0, np.arctan2(q, p)), degenerate
 
 
 # Rotation angles of the angle-scan oracle's dense scan.
 _SCAN_SAMPLES = 4096
+# Matrices scanned per array pass: a (64, 4096) float array is 2 MB.
+_SCAN_BLOCK = 64
 
 
 @lru_cache(maxsize=1)
@@ -174,18 +203,24 @@ def _angle_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def angle_scan_distance(F: np.ndarray, G: np.ndarray) -> OrbitDistance:
     """Oracle for :func:`dist_to_rotated_well`: dense scan over the rotation
-    angle followed by golden-section refinement of the best bracket."""
-    phis, c, s = _angle_grid()
-    # |F - Q(phi) G|^2 expanded; only the cross term depends on phi.
-    M = F @ G.T
-    p = M[0, 0] + M[1, 1]
-    q = M[1, 0] - M[0, 1]
-    cross = c * p + s * q
-    const = float(np.sum(F * F) + np.sum(G * G))
-    k = int(np.argmax(cross))
+    angle followed by golden-section refinement of the best bracket.
 
-    def d2(phi: float) -> float:
-        return const - 2.0 * (math.cos(phi) * p + math.sin(phi) * q)
+    Takes and returns what :func:`dist_to_rotated_well` does.  Each matrix
+    of a stack refines its own bracket and stops once it is narrower than
+    1e-15, so it gets the same bits alone and in any stack."""
+    phis, c, s = _angle_grid()
+    F, shape = _stack(F)
+    # |F - Q(phi) G|^2 expanded; only the cross term depends on phi.
+    p, q = _trace_vector(F, G)
+    const = np.sum(F * F, axis=(1, 2)) + np.sum(G * G)
+    k = np.empty(len(F), dtype=np.intp)
+    for i in range(0, len(F), _SCAN_BLOCK):
+        cross = c * p[i:i + _SCAN_BLOCK, None]
+        cross += s * q[i:i + _SCAN_BLOCK, None]
+        k[i:i + _SCAN_BLOCK] = np.argmax(cross, axis=1)
+
+    def d2(phi: np.ndarray) -> np.ndarray:
+        return const - 2.0 * (np.cos(phi) * p + np.sin(phi) * q)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a = phis[k] - 2.0 * math.pi / _SCAN_SAMPLES
@@ -193,39 +228,47 @@ def angle_scan_distance(F: np.ndarray, G: np.ndarray) -> OrbitDistance:
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = d2(x1), d2(x2)
+    live = np.ones(len(F), dtype=bool)
     for _ in range(200):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = d2(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = d2(x2)
-        if b - a < 1e-15:
+        # Where f1 < f2 the bracket keeps [a, x2] and probes a new x1, else
+        # it keeps [x1, b] and probes a new x2.
+        left = f1 < f2
+        na, nb = np.where(left, a, x1), np.where(left, x2, b)
+        x = np.where(left, nb - invphi * (nb - na), na + invphi * (nb - na))
+        fx = d2(x)
+        step = (na, nb, np.where(left, x, x2), np.where(left, fx, f2),
+                np.where(left, x1, x), np.where(left, f1, fx))
+        a, b, x1, f1, x2, f2 = (np.where(live, new, old)
+                                for new, old in zip(step, (a, b, x1, f1, x2, f2)))
+        live &= ~(b - a < 1e-15)
+        if not live.any():
             break
     best = 0.5 * (a + b)
-    val = max(d2(best), 0.0)
-    angle = math.atan2(math.sin(best), math.cos(best))
-    return OrbitDistance(math.sqrt(val), angle, False)
+    val = np.maximum(d2(best), 0.0)
+    angle = np.arctan2(np.sin(best), np.cos(best))
+    return _unstack(OrbitDistance, shape, np.sqrt(val), angle, np.zeros(len(F), dtype=bool))
 
 
 def dist_to_wells(F: np.ndarray, spec: WellSpec) -> WellDistanceResult:
     """Distance of F to the union of both well orbits; ties resolve to well A.
 
-    The tie test allows for the rounding noise of the closed form, so exact
-    mathematical ties (e.g. the identity in case k2) report well A.
+    F is one matrix or a stack (..., 2, 2), as for
+    :func:`dist_to_rotated_well`.  The tie test allows for the rounding
+    noise of the closed form, so exact mathematical ties (e.g. the identity
+    in case k2) report well A.
     """
     A, B = well_matrices(spec)
     a2, b2 = _squared_norms(spec)
-    f2 = np.sum(F * F)
-    da = _orbit_distance(F, A, f2, a2)
-    db = _orbit_distance(F, B, f2, b2)
-    scale = float(f2 + max(a2, b2))
-    tie = abs(da.distance ** 2 - db.distance ** 2) <= 64.0 * np.finfo(float).eps * scale
-    if tie or da.distance <= db.distance:
-        return WellDistanceResult(da.distance, "A", da.angle, da.degenerate)
-    return WellDistanceResult(db.distance, "B", db.angle, db.degenerate)
+    F, shape = _stack(F)
+    f2 = np.sum(F * F, axis=(1, 2))
+    da, angle_a, deg_a = _orbit_distance(F, A, f2, a2)
+    db, angle_b, deg_b = _orbit_distance(F, B, f2, b2)
+    scale = f2 + max(a2, b2)
+    tie = np.abs(da ** 2 - db ** 2) <= 64.0 * np.finfo(float).eps * scale
+    on_a = tie | (da <= db)
+    return _unstack(WellDistanceResult, shape, np.where(on_a, da, db),
+                    np.where(on_a, "A", "B"), np.where(on_a, angle_a, angle_b),
+                    np.where(on_a, deg_a, deg_b))
 
 
 class RankOneCountError(RuntimeError):

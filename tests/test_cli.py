@@ -3,14 +3,15 @@ import subprocess
 import sys
 from itertools import repeat
 
+import numpy as np
 import pytest
 
-from twowell import cli
+from twowell import checks, cli
 from twowell.cli import ConfigError, main, parse_config_file
 from twowell.microstructure import horizontal_branched
 from twowell.piecewise import Rect
 from twowell.scaling import phase_diagram
-from twowell.wells import WellSpec
+from twowell.wells import WellSpec, well_matrices
 
 
 def run_cli(*args):
@@ -370,6 +371,42 @@ def test_validate_subprocess_and_negative_control():
     assert len(fails) == 1 and "orbit-distance closed form vs angle scan" in fails[0]
     r = run_cli("validate", "--corrupt-wells")
     assert r.returncode == 2 and "unrecognized arguments: --corrupt-wells" in r.stderr
+
+
+def _shrink_off_axis(d, F, arg):
+    # The k2 well A of both rotation checks: 0.1% short where F11 > 0, which
+    # a rotation of F changes but which keeps every distance a lower bound.
+    if np.array_equal(arg, well_matrices(WellSpec("k2", 0.25))[0]):
+        return d._replace(distance=d.distance * np.where(F[..., 0, 0] > 0.0, 1.0 - 1e-3, 1.0))
+    return d
+
+
+def _overstate(d, F, arg):
+    # The same well, every distance 1e-3 long: rotation invariant.
+    if np.array_equal(arg, well_matrices(WellSpec("k2", 0.25))[0]):
+        return d._replace(distance=d.distance + 1e-3)
+    return d
+
+
+def _overstate_unswapped(d, F, spec):
+    # 0.1 long where F12 > F21, which the swap conjugation reverses.
+    return d._replace(distance=d.distance + np.where(F[..., 0, 1] > F[..., 1, 0], 0.1, 0.0))
+
+
+@pytest.mark.parametrize("target,corrupt,check", [
+    ("dist_to_rotated_well", _shrink_off_axis, "orbit distance rotation invariance"),
+    ("dist_to_rotated_well", _overstate, "orbit distance majorized by samples"),
+    ("dist_to_wells", _overstate_unswapped, "swap-conjugation distance inequality"),
+], ids=["rotation-invariance", "majorized", "swap-conjugation"])
+def test_validate_negative_controls_of_batched_checks(monkeypatch, capsys, target, corrupt,
+                                                       check):
+    """Each batched check fails, alone, when the closed form it calls is
+    corrupted in a way that check exists to see."""
+    closed = getattr(checks, target)
+    monkeypatch.setattr(checks, target, lambda F, arg: corrupt(closed(F, arg), F, arg))
+    assert main(["validate"]) == 3
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and check in fails[0]
 
 
 def test_validate_seed_independence():

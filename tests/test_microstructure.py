@@ -266,6 +266,16 @@ def test_best_construction_is_scale_invariant():
                         log_H=0.0, theta=1.0 / 3.0)  # the vertical construction wins
     @hypothesis.example(case=CASE_K1, alpha=0.125, log_eps=-7.0, log_L=0.125,
                         log_H=1.00390625, theta=0.375)
+    # Draws whose theta and eps are constants hypothesis mined from the loaded
+    # modules, so whether they are drawn depends on what the run imported.
+    @hypothesis.example(case=CASE_K2, alpha=0.2, log_eps=-3.0, log_L=math.log(4.0),
+                        log_H=math.log(4.0), theta=0.3)
+    @hypothesis.example(case=CASE_K2, alpha=0.2, log_eps=-3.0, log_L=math.log(4.0),
+                        log_H=math.log(4.0), theta=1.0 / 3.0)
+    @hypothesis.example(case=CASE_K2, alpha=0.2, log_eps=-2.00001, log_L=math.log(4.0),
+                        log_H=math.log(4.0), theta=0.3)
+    @hypothesis.example(case=CASE_K2, alpha=0.2, log_eps=-2.00001, log_L=math.log(4.0),
+                        log_H=math.log(4.0), theta=1.0 / 3.0)
     def check(case, alpha, log_eps, log_L, log_H, theta):
         spec = WellSpec(case, alpha)
         eps, L, H = 10.0 ** log_eps, math.exp(log_L), math.exp(log_H)

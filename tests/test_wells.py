@@ -175,6 +175,32 @@ def test_dist_to_wells_examples():
     assert r.optimal_angle == pytest.approx(0.3, abs=1e-9)
 
 
+def test_stacks_match_single_matrix_calls_bit_for_bit():
+    # 130 matrices cross the angle scan's 64-matrix blocks twice; the identity
+    # is an exact k2 tie (nearest well A), the zero matrix a degenerate orbit.
+    spec = WellSpec(CASE_K2, 0.2)
+    G = well_matrices(spec)[1]
+    F = np.random.default_rng(31).uniform(-3.0, 3.0, (130, 2, 2))
+    F[7] = np.eye(2)
+    F[100] = 0.0
+    F = F.reshape(2, 65, 2, 2)
+    for fn, arg in ((dist_to_rotated_well, G), (angle_scan_distance, G), (dist_to_wells, spec)):
+        stacked = fn(F, arg)
+        assert all(np.shape(col) == (2, 65) for col in stacked)
+        for idx in np.ndindex(2, 65):
+            single = fn(F[idx], arg)
+            assert {type(v) for v in single} <= {float, bool, str}
+            # repr tells the bits of a float apart, -0.0 from 0.0 included.
+            assert repr(single) == repr(type(single)(*(col[idx].item() for col in stacked)))
+    tie = dist_to_wells(F[0, 7], spec)
+    assert tie.nearest_well == "A" and tie.distance == pytest.approx(0.2, abs=1e-12)
+    zero = dist_to_rotated_well(F[1, 35], G)
+    assert zero.degenerate and zero.angle == 0.0
+    assert dist_to_wells(F[1, 35], spec).degenerate
+    with pytest.raises(ValueError, match="stack"):
+        dist_to_wells(np.zeros((3, 4)), spec)
+
+
 def test_rank_one_connection_counts_and_values():
     for a in (0.1, 0.2, 0.4):
         roots2 = rank_one_connections(WellSpec(CASE_K2, a))
