@@ -205,9 +205,10 @@ def angle_scan_distance(F: np.ndarray, G: np.ndarray) -> OrbitDistance:
     """Oracle for :func:`dist_to_rotated_well`: dense scan over the rotation
     angle followed by golden-section refinement of the best bracket.
 
-    Takes and returns what :func:`dist_to_rotated_well` does.  Each matrix
-    of a stack refines its own bracket and stops once it is narrower than
-    1e-15, so it gets the same bits alone and in any stack."""
+    Takes and returns what :func:`dist_to_rotated_well` does, with the
+    degenerate flag always False.  Each matrix of a stack refines its own
+    bracket and stops once it is narrower than 1e-15, so it gets the same
+    bits alone and in any stack."""
     phis, c, s = _angle_grid()
     F, shape = _stack(F)
     # |F - Q(phi) G|^2 expanded; only the cross term depends on phi.
