@@ -126,14 +126,44 @@ class AffineDisp(_MapBase):
         return ("affine", self.p11, self.p12, self.p21, self.p22, self.v1, self.v2)
 
 
-class _Piece(_MapBase):
-    """A piece of a five-piece cell: discrete fields, then (ell, h, alpha)
-    and the ramp kind.  Pieces 2 to 4 follow the ramp ``g(x / ell)``."""
+@dataclass(frozen=True)
+class ScalarProfilePiece(_MapBase):
+    """Cell piece moving one displacement component by a scalar profile.
 
-    BENT = (2, 3, 4)
+    ``u[component] = phi(x, y)`` and the other component is the identity.
+    Pieces 1, 3 and 5 are affine in y; pieces 2 and 4 follow the ramp
+    ``g(x / ell)``, ``phi = slope * y + offset +- (alpha h / 4) g(x / ell)``.
+    Layouts:
+
+    * ``"cell"``, component 0: the shear-case period-doubling cell (``k1cell``);
+    * ``"boundary"``, component 0 or 1: the boundary layer gluing one
+      sawtooth period to the identity trace, shear (``k1bd``) or stretch
+      (``k2bd``) case.
+
+    The fields are the discrete ones, then (ell, h, alpha) and the ramp kind.
+    """
+
+    component: int
+    layout: str
+    piece: int  # boundary layout: 1=B', 2=M', 3=A, 4=M'', 5=B''
+    ell: float
+    h: float
+    alpha: float
+    kind: str = "quintic"
+
+    _TAGS = {(0, "cell"): "k1cell", (0, "boundary"): "k1bd", (1, "boundary"): "k2bd"}
+    BENT = (2, 4)
+
+    def __post_init__(self):
+        if (self.component, self.layout) not in self._TAGS:
+            raise ValueError(f"no {type(self).__name__} family for component "
+                             f"{self.component} with layout {self.layout!r}")
+        if self.piece not in (1, 2, 3, 4, 5):
+            raise ValueError("piece index must be 1..5")
 
     def entry(self) -> tuple:
-        return (type(self),) + self._discrete() + (self.kind,), (self.ell, self.h, self.alpha)
+        return ((type(self), self.component, self.layout, self.piece, self.kind),
+                (self.ell, self.h, self.alpha))
 
     @classmethod
     def from_row(cls, shape, cols):
@@ -143,38 +173,102 @@ class _Piece(_MapBase):
     def bends(self) -> bool:
         return self.piece in self.BENT
 
+    @property
+    def curved(self) -> bool:
+        # D^2 u is (alpha h / 4 ell^2) g'' on the bent pieces.
+        return self.bends and self.kind != "linear"
+
     def ramp(self, x):
         if not self.bends:
             return None
         return step_profile(self.kind)(np.asarray(x, dtype=float) / self.ell)
 
+    def kinks(self) -> tuple[float, ...]:
+        # |D^2 u| is a multiple of |g''(x / ell)|, and the quintic's g'' =
+        # 60 t (2 t - 1) (t - 1) changes sign at t = 1/2.
+        return (0.5 * self.ell,) if self.curved else ()
 
-@dataclass(frozen=True)
-class K2CellPiece(_Piece):
-    """One of the five pieces of the stretch-case period-doubling cell.
+    def _phi(self, ramp, y):
+        """``phi`` from the ramp values at x."""
+        a, h = self.alpha, self.h
+        y = np.asarray(y, dtype=float)
+        cell = self.layout == "cell"
+        if self.piece == 1:
+            return a * y
+        if self.piece == 3:
+            return a * y - a * h / 2.0 if cell else a * (h / 2.0 - y)
+        if self.piece == 5:
+            return a * y - a * h if cell else a * (y - h)
+        g = ramp[0]
+        if not cell:
+            return (1.0 if self.piece == 2 else -1.0) * (a * h / 4.0) * g + np.zeros_like(y)
+        return -a * y + (a * h / 4.0) * (1.0 + g if self.piece == 2 else 3.0 - g)
 
-    The vertical component interpolates between the two stretches; the
-    horizontal component cancels the off-diagonal strain to first order
-    (``d_y u1 + (1 - alpha) d_x u2 = 0`` on the transition pieces), which is
-    what buys the ``h^5 / l^3`` cell energy.
+    def _dphi(self, ramp, y):
+        """``(d_x phi, d_y phi)`` from the ramp values at x."""
+        a = self.alpha
+        zero = np.zeros_like(np.asarray(y, dtype=float))
+        if self.piece not in (2, 4):
+            return zero, (-a if self.piece == 3 and self.layout == "boundary" else a) + zero
+        sign = 1.0 if self.piece == 2 else -1.0
+        dx = sign * (a * self.h / (4.0 * self.ell)) * ramp[1] + zero
+        return dx, (-a + zero if self.layout == "cell" else zero)
+
+    def _phi_xx(self, d2):
+        """``d_xx phi`` on pieces 2 and 4, from the ramp's g''."""
+        sign = 1.0 if self.piece == 2 else -1.0
+        return sign * (self.alpha * self.h / (4.0 * np.float_power(self.ell, 2))) * d2
+
+    def disp(self, x, y):
+        val = self._phi(self.ramp(x), y)
+        out = np.zeros(val.shape + (2,))
+        out[..., self.component] = val
+        return out
+
+    def grad_entries(self, ramp, y):
+        dx, dy = self._dphi(ramp, y)
+        return (dx, dy, 0.0, 0.0) if self.component == 0 else (0.0, 0.0, dx, dy)
+
+    def hess(self, x, y):
+        out = np.zeros(np.broadcast(np.asarray(x, float), np.asarray(y, float)).shape
+                       + (2, 2, 2))
+        if self.piece in (2, 4):
+            out[..., self.component, 0, 0] = self._phi_xx(self.ramp(x)[2])
+        return out
+
+    def hess_profile(self, x, ramp=None):
+        x = np.asarray(x, dtype=float)
+        zero = np.zeros_like(x)
+        if not self.bends:
+            return zero, zero, zero
+        _, _, d2, _ = self.ramp(x) if ramp is None else ramp
+        return self._phi_xx(d2), zero, zero
+
+    def key(self) -> tuple:
+        return (self._TAGS[self.component, self.layout], self.piece, self.ell,
+                self.h, self.alpha, self.kind)
+
+
+class K2CellPiece(ScalarProfilePiece):
+    """One of the five pieces of the stretch-case period-doubling cell,
+    ``K2CellPiece(1, "cell", piece, ell, h, alpha)``.
+
+    The vertical component is the period-doubling cell profile, between the
+    two stretches; the horizontal component cancels the off-diagonal strain
+    to first order (``d_y u1 + (1 - alpha) d_x u2 = 0`` on the transition
+    pieces), which is what buys the ``h^5 / l^3`` cell energy.  That
+    corrector also bends piece 3.
     """
 
-    piece: int
-    ell: float
-    h: float
-    alpha: float
-    kind: str = "quintic"
+    _TAGS = {(1, "cell"): "k2cell"}
+    BENT = (2, 3, 4)
 
     def __post_init__(self):
-        if self.piece not in (1, 2, 3, 4, 5):
-            raise ValueError("piece index must be 1..5")
+        super().__post_init__()
         if self.kind != "quintic":
             # The horizontal component uses ramp derivatives; a linear ramp
             # would violate the vertical boundary traces.
             raise ValueError("stretch-case cells require the quintic ramp")
-
-    def _discrete(self) -> tuple:
-        return (self.piece,)
 
     @property
     def grad_reads_y(self) -> bool:
@@ -197,21 +291,18 @@ class K2CellPiece(_Piece):
         return -1.0, (7.0 * self.h / 8.0) - (self.h / 8.0) * g
 
     def disp(self, x, y):
+        ramp = self.ramp(x)
+        y = np.asarray(y, dtype=float)
+        u2 = self._phi(ramp, y)
+        if not self.bends:
+            return _pack2(np.zeros_like(u2), u2)
         a, h, ell = self.alpha, self.h, self.ell
         s = a * (1.0 - a)
-        y = np.asarray(y, dtype=float)
-        if self.piece == 1:
-            return _pack2(np.zeros_like(y), a * y)
-        if self.piece == 5:
-            return _pack2(np.zeros_like(y), a * y - a * h)
-        g, d1, _, _ = self.ramp(x)
+        g, d1, _, _ = ramp
         if self.piece == 3:
-            return _pack2(-s * (h * h / (16.0 * ell)) * d1 + np.zeros_like(y),
-                          a * y - a * h / 2.0)
+            return _pack2(-s * (h * h / (16.0 * ell)) * d1, u2)
         sig, base = self._mirror(g)
-        ramp = 1.0 + g if self.piece == 2 else 3.0 - g
-        return _pack2(sig * s * (h / (4.0 * ell)) * d1 * (base - y),
-                      -a * y + (a * h / 4.0) * ramp)
+        return _pack2(sig * s * (h / (4.0 * ell)) * d1 * (base - y), u2)
 
     def grad_entries(self, ramp, y):
         a, h, ell = self.alpha, self.h, self.ell
@@ -228,22 +319,20 @@ class K2CellPiece(_Piece):
                 -a)
 
     def hess(self, x, y):
-        a, h, ell = self.alpha, self.h, self.ell
-        s = a * (1.0 - a)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(np.asarray(x, float), y).shape + (2, 2, 2))
+        out = super().hess(x, y)
         if not self.bends:
             return out
+        a, h, ell = self.alpha, self.h, self.ell
+        s = a * (1.0 - a)
         g, d1, d2, d3 = self.ramp(x)
         if self.piece == 3:
             out[..., 0, 0, 0] = -s * (h * h / (16.0 * np.float_power(ell, 3))) * d3
             return out
         sig, base = self._mirror(g)
         out[..., 0, 0, 0] = sig * s * (h / (4.0 * np.float_power(ell, 3))) * (
-            d3 * (base - y) + sig * (3.0 * h / 8.0) * d1 * d2)
+            d3 * (base - np.asarray(y, dtype=float)) + sig * (3.0 * h / 8.0) * d1 * d2)
         out[..., 0, 0, 1] = -sig * s * (h / (4.0 * ell * ell)) * d2
         out[..., 0, 1, 0] = out[..., 0, 0, 1]
-        out[..., 1, 0, 0] = sig * (a * h / (4.0 * ell * ell)) * d2
         return out
 
     def hess_profile(self, x, ramp=None):
@@ -262,107 +351,3 @@ class K2CellPiece(_Piece):
         coef = s * (h / (4.0 * np.float_power(ell, 3)))
         return (sig * coef * (d3 * base + sig * (3.0 * h / 8.0) * d1 * d2),
                 -sig * coef * d3, r2)
-
-    def key(self) -> tuple:
-        return ("k2cell", self.piece, self.ell, self.h, self.alpha, self.kind)
-
-
-_PROFILE_TAGS = {(0, "cell"): "k1cell", (0, "boundary"): "k1bd", (1, "boundary"): "k2bd"}
-
-
-@dataclass(frozen=True)
-class ScalarProfilePiece(_Piece):
-    """Cell piece moving one displacement component by a scalar profile.
-
-    ``u[component] = phi(x, y)`` and the other component is the identity.
-    Pieces 1, 3 and 5 are affine in y; pieces 2 and 4 follow the ramp,
-    ``phi = slope * y + offset +- (alpha h / 4) g(x / ell)``.  Layouts:
-
-    * ``"cell"``, component 0: the shear-case period-doubling cell (``k1cell``);
-    * ``"boundary"``, component 0 or 1: the boundary layer gluing one
-      sawtooth period to the identity trace, shear (``k1bd``) or stretch
-      (``k2bd``) case.
-    """
-
-    component: int
-    layout: str
-    piece: int  # boundary layout: 1=B', 2=M', 3=A, 4=M'', 5=B''
-    ell: float
-    h: float
-    alpha: float
-    kind: str = "quintic"
-
-    BENT = (2, 4)
-
-    @property
-    def curved(self) -> bool:
-        # D^2 u is (alpha h / 4 ell^2) g'' on the bent pieces.
-        return self.bends and self.kind != "linear"
-
-    def __post_init__(self):
-        if (self.component, self.layout) not in _PROFILE_TAGS:
-            raise ValueError(f"no scalar-profile family for component {self.component} "
-                             f"with layout {self.layout!r}")
-        if self.piece not in (1, 2, 3, 4, 5):
-            raise ValueError("piece index must be 1..5")
-
-    def _discrete(self) -> tuple:
-        return (self.component, self.layout, self.piece)
-
-    def kinks(self) -> tuple[float, ...]:
-        # |D^2 u| is a multiple of |g''(x / ell)|, and the quintic's g'' =
-        # 60 t (2 t - 1) (t - 1) changes sign at t = 1/2.
-        return (0.5 * self.ell,) if self.curved else ()
-
-    def _profile(self, ramp, y):
-        """``(phi, d_x phi, d_y phi)``."""
-        a, h, ell = self.alpha, self.h, self.ell
-        y = np.asarray(y, dtype=float)
-        zero = np.zeros_like(y)
-        cell = self.layout == "cell"
-        if self.piece == 1:
-            return a * y, zero, a + zero
-        if self.piece == 3:
-            if cell:
-                return a * y - a * h / 2.0, zero, a + zero
-            return a * (h / 2.0 - y), zero, -a + zero
-        if self.piece == 5:
-            return (a * y - a * h if cell else a * (y - h)), zero, a + zero
-        sign = 1.0 if self.piece == 2 else -1.0
-        g, d1, _, _ = ramp
-        dx = sign * (a * h / (4.0 * ell)) * d1 + zero
-        if not cell:
-            return sign * (a * h / 4.0) * g + zero, dx, zero
-        ramp = 1.0 + g if self.piece == 2 else 3.0 - g
-        return -a * y + (a * h / 4.0) * ramp, dx, -a + zero
-
-    def disp(self, x, y):
-        val, _, _ = self._profile(self.ramp(x), y)
-        out = np.zeros(val.shape + (2,))
-        out[..., self.component] = val
-        return out
-
-    def grad_entries(self, ramp, y):
-        _, dx, dy = self._profile(ramp, y)
-        return (dx, dy, 0.0, 0.0) if self.component == 0 else (0.0, 0.0, dx, dy)
-
-    def hess(self, x, y):
-        A, _, _ = self.hess_profile(x)
-        out = np.zeros(np.broadcast(np.asarray(x, float), np.asarray(y, float)).shape
-                       + (2, 2, 2))
-        out[..., self.component, 0, 0] = A
-        return out
-
-    def hess_profile(self, x, ramp=None):
-        x = np.asarray(x, dtype=float)
-        zero = np.zeros_like(x)
-        if not self.bends:
-            return zero, zero, zero
-        sign = 1.0 if self.piece == 2 else -1.0
-        _, _, d2, _ = self.ramp(x) if ramp is None else ramp
-        return (sign * (self.alpha * self.h / (4.0 * np.float_power(self.ell, 2))) * d2,
-                zero, zero)
-
-    def key(self) -> tuple:
-        return (_PROFILE_TAGS[self.component, self.layout], self.piece, self.ell,
-                self.h, self.alpha, self.kind)

@@ -32,7 +32,6 @@ from .piecewise import (
     Rect,
     ScalarProfilePiece,
     SideRef,
-    Transform,
     VerticalJump,
     identity_deformation,
     mirror_transform,
@@ -62,100 +61,82 @@ THETA_DEFAULT = {CASE_K2: 2.0 ** -1.25, CASE_K1: 1.0 / 3.0}
 # Piece families, called as family(piece, ell, h, alpha, kind).
 _K1_CELL = partial(ScalarProfilePiece, 0, "cell")
 _K1_BOUNDARY = partial(ScalarProfilePiece, 0, "boundary")
+_K2_CELL = partial(K2CellPiece, 1, "cell")
 _K2_BOUNDARY = partial(ScalarProfilePiece, 1, "boundary")
-_FAMILIES = {CASE_K1: (_K1_CELL, _K1_BOUNDARY), CASE_K2: (K2CellPiece, _K2_BOUNDARY)}
+_FAMILIES = {CASE_K1: (_K1_CELL, _K1_BOUNDARY), CASE_K2: (_K2_CELL, _K2_BOUNDARY)}
+
+# The curves ``y = c0 + c1 g(x / ell)`` bounding the pieces of a cell, as
+# (c0, c1) in eighths of its height h, bottom to top: the period-doubling
+# cell, the boundary layer and a laminate period.
+_CELL = ((0, 0), (1, 1), (3, 1), (5, -1), (7, -1), (8, 0))
+_BOUNDARY = ((0, 0), (0, 2), (4, -2), (4, 2), (8, -2), (8, 0))
+_LAMINATE = ((0, 0), (2, 0), (6, 0), (8, 0))
 
 
 # ---------------------------------------------------------------------------
-# Single cells
+# Cell stacks
 # ---------------------------------------------------------------------------
 
 
-def _cell_curves(h: float, ell: float, kind: str) -> list[LocalCurve]:
-    """Boundaries of the five-piece period-doubling subdivision."""
-    return [
-        LocalCurve(0.0, 0.0, ell, kind),
-        LocalCurve(h / 8.0, h / 8.0, ell, kind),
-        LocalCurve(3.0 * h / 8.0, h / 8.0, ell, kind),
-        LocalCurve(5.0 * h / 8.0, -h / 8.0, ell, kind),
-        LocalCurve(7.0 * h / 8.0, -h / 8.0, ell, kind),
-        LocalCurve(h, 0.0, ell, kind),
-    ]
+def _cell_stack(family, table, ell, h, alpha, kind, x0, y0, count, groups, jumps):
+    """Append the groups of ``count`` cells stacked with period h from (x0, y0),
+    their internal jumps and the interfaces between consecutive cells.
+    Piece i of a cell is ``family(i, ell, h, alpha, kind)``, between the
+    curves of rows i - 1 and i of ``table``.  Returns the prototypes.
 
-
-def _boundary_curves(h: float, ell: float, kind: str) -> list[LocalCurve]:
-    """Boundaries of the five-piece boundary-layer subdivision."""
-    return [
-        LocalCurve(0.0, 0.0, ell, kind),
-        LocalCurve(0.0, h / 4.0, ell, kind),
-        LocalCurve(h / 2.0, -h / 4.0, ell, kind),
-        LocalCurve(h / 2.0, h / 4.0, ell, kind),
-        LocalCurve(h, -h / 4.0, ell, kind),
-        LocalCurve(h, 0.0, ell, kind),
-    ]
-
-
-def _cell_protos(map_family, curves, ell, h, alpha, kind):
-    protos = []
-    jumps = []
-    for i in range(5):
-        proto = CellProto(
-            width=ell,
-            lower=curves[i],
-            upper=curves[i + 1],
-            map=map_family(i + 1, ell, h, alpha, kind),
-        )
-        protos.append(proto)
+    The top piece of one cell meets the bottom piece of the next on the same
+    laminate gradient, so the interfaces between cells are ``smooth``."""
+    curves = [LocalCurve(a * h / 8.0, b * h / 8.0, ell, kind) for a, b in table]
+    protos = [CellProto(ell, lo, hi, family(i, ell, h, alpha, kind))
+              for i, (lo, hi) in enumerate(zip(curves, curves[1:]), 1)]
     tag = protos[0].map.tag()
-    for i in range(4):
-        jumps.append(GraphJump(
-            curve=curves[i + 1],
-            below=SideRef(protos[i].map, 0.0, 0.0),
-            above=SideRef(protos[i + 1].map, 0.0, 0.0),
-            tag=f"{tag}-b{i + 1}",
-        ))
-    return protos, jumps
+    groups.extend(CellGroup(p, x0, y0, h, count) for p in protos)
+    jumps.extend(
+        JumpGroup(GraphJump(curve, SideRef(below.map, 0.0, 0.0), SideRef(above.map, 0.0, 0.0),
+                            f"{tag}-b{i}"), x0, y0, h, count)
+        for i, (curve, below, above) in enumerate(zip(curves[1:], protos, protos[1:]), 1))
+    if count > 1:
+        jumps.append(JumpGroup(
+            GraphJump(curves[0], SideRef(protos[-1].map, 0.0, h),
+                      SideRef(protos[0].map, 0.0, 0.0), f"{tag}-line"),
+            x0, y0 + h, h, count - 1, smooth=True))
+    return protos
 
 
-def _single_cell(map_family, curve_fn, origin, ell, h, alpha, kind,
-                 label) -> PiecewiseDeformation:
+def _single_cell(family, table, origin, ell, h, alpha, kind, label) -> PiecewiseDeformation:
     if not (0.0 < h <= ell):
         raise ValueError(f"cell needs 0 < h <= ell, got h={h}, ell={ell}")
-    curves = curve_fn(h, ell, kind)
-    protos, jump_protos = _cell_protos(map_family, curves, ell, h, alpha, kind)
-    x0, y0 = origin
-    groups = tuple(CellGroup(p, x0, y0, 0.0, 1) for p in protos)
-    jumps = tuple(JumpGroup(j, x0, y0, 0.0, 1) for j in jump_protos)
-    rect = Rect(x0, y0, ell, h)
-    part = Part(groups, jumps, IDENTITY, rect)
+    groups: list[CellGroup] = []
+    jumps: list[JumpGroup] = []
+    _cell_stack(family, table, ell, h, alpha, kind, *origin, 1, groups, jumps)
+    rect = Rect(*origin, ell, h)
+    part = Part(tuple(groups), tuple(jumps), IDENTITY, rect)
     return PiecewiseDeformation(rect, (part,), meta={"label": label})
 
 
 def k2_cell(origin, ell, h, alpha) -> PiecewiseDeformation:
     """Stretch-case period-doubling cell joining a (h/2)-sawtooth trace on
     the left edge to an h-sawtooth on the right, identity on top and bottom."""
-    return _single_cell(K2CellPiece, _cell_curves, origin, ell, h, alpha,
-                        "quintic", "k2-cell")
+    return _single_cell(_K2_CELL, _CELL, origin, ell, h, alpha, "quintic", "k2-cell")
 
 
 def k2_boundary_cell(origin, ell, h, alpha) -> PiecewiseDeformation:
     """Stretch-case boundary layer: identity on three sides, h-sawtooth on
     the right edge."""
-    return _single_cell(_K2_BOUNDARY, _boundary_curves, origin, ell, h, alpha,
-                        "quintic", "k2-boundary-cell")
+    return _single_cell(_K2_BOUNDARY, _BOUNDARY, origin, ell, h, alpha, "quintic",
+                        "k2-boundary-cell")
 
 
 def k1_cell(origin, ell, h, alpha, gamma_kind: str = "quintic") -> PiecewiseDeformation:
     """Shear-case period-doubling cell (horizontal displacement only)."""
-    return _single_cell(_K1_CELL, _cell_curves, origin, ell, h, alpha,
-                        gamma_kind, "k1-cell")
+    return _single_cell(_K1_CELL, _CELL, origin, ell, h, alpha, gamma_kind, "k1-cell")
 
 
 def k1_boundary_cell(origin, ell, h, alpha,
                      gamma_kind: str = "quintic") -> PiecewiseDeformation:
     """Shear-case boundary layer cell."""
-    return _single_cell(_K1_BOUNDARY, _boundary_curves, origin, ell, h, alpha,
-                        gamma_kind, "k1-boundary-cell")
+    return _single_cell(_K1_BOUNDARY, _BOUNDARY, origin, ell, h, alpha, gamma_kind,
+                        "k1-boundary-cell")
 
 
 def laminate(rect: Rect, h: float, alpha: float, case: str) -> PiecewiseDeformation:
@@ -168,40 +149,18 @@ def laminate(rect: Rect, h: float, alpha: float, case: str) -> PiecewiseDeformat
     m = rect.height / h
     if abs(m - round(m)) > 1e-9 or h <= 0:
         raise ValueError("laminate needs rect.height to be a multiple of h")
-    m = int(round(m))
-    w = rect.width
 
-    def disp(p_slope, v0):
+    def row(i, ell, h, alpha, kind):
+        slope, offset = ((alpha, 0.0), (-alpha, alpha * h / 2.0), (alpha, -alpha * h))[i - 1]
         if case == CASE_K2:
-            return AffineDisp(p22=p_slope, v2=v0)
-        return AffineDisp(p12=p_slope, v1=v0)
+            return AffineDisp(p22=slope, v2=offset)
+        return AffineDisp(p12=slope, v1=offset)
 
-    rows = [
-        (0.0, h / 4.0, disp(alpha, 0.0)),
-        (h / 4.0, 3.0 * h / 4.0, disp(-alpha, alpha * h / 4.0)),
-        (3.0 * h / 4.0, h, disp(alpha, -alpha * h / 4.0)),
-    ]
-    protos = [
-        CellProto(w, LocalCurve(0.0, 0.0, w), LocalCurve(hi - lo, 0.0, w), mp)
-        for lo, hi, mp in rows
-    ]
-    groups = tuple(
-        CellGroup(proto, rect.x0, rect.y0 + lo, h, m)
-        for proto, (lo, hi, mp) in zip(protos, rows)
-    )
-    line = LocalCurve(0.0, 0.0, w)
-    jump_protos = [
-        (rect.y0 + h / 4.0, m, GraphJump(line, SideRef(rows[0][2], 0.0, h / 4.0),
-                                         SideRef(rows[1][2], 0.0, 0.0), "laminate-up")),
-        (rect.y0 + 3.0 * h / 4.0, m, GraphJump(line, SideRef(rows[1][2], 0.0, h / 2.0),
-                                               SideRef(rows[2][2], 0.0, 0.0), "laminate-down")),
-    ]
-    if m > 1:
-        jump_protos.append(
-            (rect.y0 + h, m - 1, GraphJump(line, SideRef(rows[2][2], 0.0, h / 4.0),
-                                           SideRef(rows[0][2], 0.0, 0.0), "laminate-line")))
-    jumps = tuple(JumpGroup(j, rect.x0, y0, h, cnt) for y0, cnt, j in jump_protos)
-    part = Part(groups, jumps, IDENTITY, rect)
+    groups: list[CellGroup] = []
+    jumps: list[JumpGroup] = []
+    _cell_stack(row, _LAMINATE, rect.width, h, alpha, "quintic", rect.x0, rect.y0,
+                int(round(m)), groups, jumps)
+    part = Part(tuple(groups), tuple(jumps), IDENTITY, rect)
     meta = {"label": "laminate", "finest_period": h, "period_axis": "y"}
     return PiecewiseDeformation(rect, (part,), meta=meta)
 
@@ -314,36 +273,29 @@ def _edge_intervals(protos, right: bool, tol):
     return out
 
 
-def _edge_profile(intervals, h, reps):
-    """(start, end, proto, anchor) of the pieces of an edge repeated ``reps``
-    times with period h, bottom to top."""
-    return [(m * h + lo, m * h + hi, p, m * h) for m in range(reps) for lo, hi, p in intervals]
+def _vertical_jump_groups(X, H, left, right, tag, smooth, mirror=None):
+    """Jump segments along the line x = X between two cell stacks, each
+    ``(protos, h, ell)``.
 
-
-def _vertical_jump_groups(X, H, left_protos, h_left, ell_left,
-                          right_protos, h_right, tag,
-                          right_conj: Transform = IDENTITY,
-                          right_edge_x: float | None = None):
-    """Jump segments along the line x = X between two cell stacks.
-
-    The left stack exposes its right edge (local x = ell_left); the right
-    stack its left edge (local x = 0) unless ``right_edge_x`` is given, in
-    which case the right side is the copy of a stack whose right edge lies
-    on the line (local x = right_edge_x), mirrored by ``right_conj``.
+    The left stack exposes its right edge (local x = its ell); the right
+    stack its left edge (local x = 0), unless ``mirror`` is given: the right
+    side is then the copy, mirrored by ``mirror``, of a stack whose right
+    edge lies on the line (local x = its ell).
 
     The segments run between the ends of both edges' pieces over one
     period, ends closer than 1e-11 period taken as the lowest of them; each
     side's pieces are walked once along with the segments.
     Both stacks expose the same laminate on the line, so with a ramp whose
     ends are flat (:func:`twowell.profiles.flat_ends`) the gradient is
-    continuous across it and the groups are marked ``smooth``.
+    continuous across it, and the caller marks the groups ``smooth``.
     """
-    tol = 1e-12 * max(h_left, h_right)
+    (_, h_left, ell_left), (_, h_right, ell_right) = left, right
     period = max(h_left, h_right)
-    redge = 0.0 if right_edge_x is None else float(right_edge_x)
-    sides = [_edge_profile(_edge_intervals(protos, right, tol), h, round(period / h))
-             for protos, right, h in ((left_protos, True, h_left),
-                                      (right_protos, right_edge_x is not None, h_right))]
+    tol = 1e-12 * period
+    # Each edge's (start, end, proto, anchor) over one period, bottom to top.
+    sides = [[(m * h + lo, m * h + hi, p, m * h) for m in range(round(period / h))
+              for lo, hi, p in _edge_intervals(protos, at_right, tol)]
+             for (protos, h, _), at_right in ((left, True), (right, mirror is not None))]
 
     # Sorting the list with its duplicates keeps the same first end of each
     # run as sorting the set of ends.
@@ -355,88 +307,57 @@ def _vertical_jump_groups(X, H, left_protos, h_left, ell_left,
         merged.append(period)
 
     count = int(round(H / period))
-    smooth = all(flat_ends(p.map.kind) for p in (*left_protos, *right_protos))
-    left, right = sides
+    redge, conj = (0.0, IDENTITY) if mirror is None else (ell_right, mirror)
+    lside, rside = sides
     i = j = 0
     groups = []
     for seg_lo, seg_hi in zip(merged[:-1], merged[1:]):
         mid = 0.5 * (seg_lo + seg_hi)
-        while left[i][1] < mid:
+        while lside[i][1] < mid:
             i += 1
-        while right[j][1] < mid:
+        while rside[j][1] < mid:
             j += 1
-        _, _, lp, l_anchor = left[i]
-        _, _, rp, r_anchor = right[j]
+        _, _, lp, l_anchor = lside[i]
+        _, _, rp, r_anchor = rside[j]
         proto = VerticalJump(
             length=seg_hi - seg_lo,
             left=SideRef(lp.map, ell_left, seg_lo - l_anchor),
-            right=SideRef(rp.map, redge, seg_lo - r_anchor, conj=right_conj),
+            right=SideRef(rp.map, redge, seg_lo - r_anchor, conj=conj),
             tag=tag,
         )
         groups.append(JumpGroup(proto, X, seg_lo, period, count, smooth))
     return groups
 
 
-def _cell_stack(map_family, curves, ell, h, alpha, kind, x0, y0, count, groups, jumps):
-    """Append the groups of ``count`` cells stacked with period h from (x0, y0),
-    their internal jumps and the interfaces between consecutive cells.
-    Returns the five prototypes.
-
-    Piece 5 of one cell meets piece 1 of the next on the same laminate
-    gradient, so the interfaces between cells are ``smooth``."""
-    protos, jump_protos = _cell_protos(map_family, curves, ell, h, alpha, kind)
-    groups.extend(CellGroup(p, x0, y0, h, count) for p in protos)
-    jumps.extend(JumpGroup(j, x0, y0, h, count) for j in jump_protos)
-    if count > 1:
-        line = LocalCurve(0.0, 0.0, ell, kind)
-        jumps.append(JumpGroup(
-            GraphJump(line, SideRef(protos[4].map, 0.0, h), SideRef(protos[0].map, 0.0, 0.0),
-                      f"{protos[0].map.tag()}-line"),
-            x0, y0 + h, h, count - 1, smooth=True))
-    return protos
-
-
-def _half_assembly(case, alpha, sched: BranchingSchedule, x_off, y_off, gamma_kind):
+def _half_assembly(case, alpha, sched: BranchingSchedule, x_off, y_off, kind):
     """Cell and jump groups of the left half (0, L/2) x (0, H), in
-    left-to-right build order.  Returns (groups, jumps, stripe_counts)."""
-    kind = gamma_kind if case == CASE_K1 else "quintic"
+    left-to-right build order.  Returns (groups, jumps, stripe_counts, the
+    stack on the centre line as (protos, h, ell))."""
     cell_family, bd_family = _FAMILIES[case]
-    H, tau, N = sched.H, sched.tau, sched.N
+    tau, N = sched.tau, sched.N
     groups: list[CellGroup] = []
     jumps: list[JumpGroup] = []
-    stripe_counts: list[int] = []
-    stripe_protos: dict[int, list[CellProto]] = {}
-
-    # Boundary layer on (0, x_tau).  A degenerate schedule (tau = -1) holds
-    # one entry, x = L/2 and h_0, which index tau reads.
-    bd_ell, bd_h = sched.x[tau], sched.h[tau]
-    bd_count = N * 2 ** tau if tau >= 0 else N
-    bd_protos = _cell_stack(bd_family, _boundary_curves(bd_h, bd_ell, kind), bd_ell, bd_h,
-                            alpha, kind, x_off, y_off, bd_count, groups, jumps)
-    stripe_counts.append(bd_count)
-
-    # Refinement stripes, finest (i = tau-1) to coarsest (i = 0).
-    for i in range(tau - 1, -1, -1):
-        ell_i, h_i = sched.ell[i], sched.h[i]
-        x0 = x_off + sched.x[i + 1]
-        count = N * 2 ** i
-        stripe_protos[i] = _cell_stack(cell_family, _cell_curves(h_i, ell_i, kind), ell_i,
-                                       h_i, alpha, kind, x0, y_off, count, groups, jumps)
+    # (family, table, level, width, left edge) of the boundary layer on
+    # (0, x_tau), then of the refinement stripes, finest (i = tau-1) to
+    # coarsest (i = 0).  A degenerate schedule (tau = -1) holds one entry,
+    # x = L/2 and h_0, which index tau reads.
+    levels = [(bd_family, _BOUNDARY, tau, sched.x[tau], x_off)]
+    levels += [(cell_family, _CELL, i, sched.ell[i], x_off + sched.x[i + 1])
+               for i in range(tau - 1, -1, -1)]
+    stacks, stripe_counts = [], []
+    for family, table, i, ell, x0 in levels:
+        count = N * 2 ** max(i, 0)
+        protos = _cell_stack(family, table, ell, sched.h[i], alpha, kind, x0, y_off, count,
+                             groups, jumps)
+        stacks.append((protos, sched.h[i], ell))
         stripe_counts.append(count)
 
-    # Vertical jump curves on the internal stripe lines.
-    if tau >= 1:
-        jumps.extend(_vertical_jump_groups(
-            x_off + sched.x[tau], H, bd_protos, bd_h, bd_ell,
-            stripe_protos[tau - 1], sched.h[tau - 1], "stripe-line"))
-        for i in range(tau - 1, 0, -1):
-            jumps.extend(_vertical_jump_groups(
-                x_off + sched.x[i], H, stripe_protos[i], sched.h[i], sched.ell[i],
-                stripe_protos[i - 1], sched.h[i - 1], "stripe-line"))
-    edge_protos = stripe_protos[0] if tau >= 1 else bd_protos
-    edge_h = sched.h[0]
-    edge_ell = sched.ell[0] if tau >= 1 else bd_ell
-    return groups, jumps, stripe_counts, (edge_protos, edge_h, edge_ell)
+    # Vertical jump curves on the internal stripe lines x_tau, ..., x_1.
+    smooth = flat_ends(kind)
+    for k, (left, right) in enumerate(zip(stacks, stacks[1:])):
+        jumps.extend(_vertical_jump_groups(x_off + sched.x[tau - k], sched.H, left, right,
+                                           "stripe-line", smooth))
+    return groups, jumps, stripe_counts, stacks[-1]
 
 
 def assemble_branched(spec: WellSpec, sched: BranchingSchedule, domain: Rect,
@@ -448,6 +369,9 @@ def assemble_branched(spec: WellSpec, sched: BranchingSchedule, domain: Rect,
         raise ValueError("schedule was computed for a different rectangle")
     if spec.case != sched.case:
         raise ValueError("well case and schedule case disagree")
+    if spec.case == CASE_K2 and gamma_kind != "quintic":
+        # The k2 cell's horizontal corrector needs the quintic's derivatives.
+        raise ValueError(f"case k2 admits only the quintic ramp, got {gamma_kind!r}")
     alpha = spec.alpha
     axis = domain.x0 + sched.L / 2.0
 
@@ -461,11 +385,8 @@ def assemble_branched(spec: WellSpec, sched: BranchingSchedule, domain: Rect,
 
     # Centre-line jumps: the left edge stack meets the mirrored right stack.
     conj = mirror_transform(axis)
-    edge_protos, edge_h, edge_ell = ledge
-    center = _vertical_jump_groups(
-        axis, sched.H, edge_protos, edge_h, edge_ell,
-        redge[0], redge[1], "centre-line",
-        right_conj=conj, right_edge_x=redge[2])
+    center = _vertical_jump_groups(axis, sched.H, ledge, redge, "centre-line",
+                                   flat_ends(gamma_kind), mirror=conj)
 
     left_rect = Rect(domain.x0, domain.y0, sched.L / 2.0, domain.height)
     left = Part(tuple(lg), tuple(lj) + tuple(center), IDENTITY, left_rect)

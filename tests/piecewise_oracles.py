@@ -202,15 +202,18 @@ def _piece_at(intervals, period, y):
     raise RuntimeError("vertical edge profile has a gap")
 
 
-def oracle_vertical_jump_groups(X, H, left_protos, h_left, ell_left, right_protos, h_right,
-                                tag, right_conj=IDENTITY, right_edge_x=None):
+def oracle_vertical_jump_groups(X, H, left, right, tag, smooth, mirror=None):
     """The segments between the sorted set of every piece end of both edges
-    over one period, each side's piece found by a scan of its edge."""
+    over one period, each side's piece found by a scan of its edge.  The
+    groups are ``smooth`` where every piece of both stacks follows a ramp
+    with flat ends, whatever ``smooth`` says."""
+    (left_protos, h_left, ell_left), (right_protos, h_right, ell_right) = left, right
     tol = 1e-12 * max(h_left, h_right)
     period = max(h_left, h_right)
     li = _edge_intervals(left_protos, True, tol)
-    redge = 0.0 if right_edge_x is None else float(right_edge_x)
-    ri = _edge_intervals(right_protos, right_edge_x is not None, tol)
+    redge = 0.0 if mirror is None else float(ell_right)
+    right_conj = IDENTITY if mirror is None else mirror
+    ri = _edge_intervals(right_protos, mirror is not None, tol)
 
     breaks = set()
     for h_side, intervals in ((h_left, li), (h_right, ri)):

@@ -19,7 +19,14 @@ from twowell.microstructure import (
     sawtooth,
     vertical_branched_k1,
 )
-from twowell.piecewise import PiecewiseDeformation, Rect, coverage_check, identity_deformation
+from twowell.piecewise import (
+    K2CellPiece,
+    PiecewiseDeformation,
+    Rect,
+    ScalarProfilePiece,
+    coverage_check,
+    identity_deformation,
+)
 from twowell.profiles import smooth_step
 from twowell.wells import CASE_K1, CASE_K2, WellSpec, dist_to_wells
 
@@ -60,6 +67,10 @@ def test_cell_preconditions():
         k2_cell((0.0, 0.0), 0.5, 0.6, 0.1)  # h > ell
     with pytest.raises(ValueError):
         k1_boundary_cell((0.0, 0.0), 1.0, 2.0, 0.1)
+    # The stretch-case cell layout belongs to the subclass alone.
+    with pytest.raises(ValueError):
+        ScalarProfilePiece(1, "cell", 2, 1.0, 0.5, 0.1)
+    assert K2CellPiece(1, "cell", 2, 1.0, 0.5, 0.1).tag() == "k2cell"
 
 
 def test_k1_cell_exact_wells_and_trace():
@@ -122,6 +133,17 @@ def test_gradient_deviation_from_identity_bounded():
 def test_laminate_requires_alignment():
     with pytest.raises(ValueError):
         laminate(Rect(0.0, 0.0, 1.0, 1.0), 0.3, 0.1, CASE_K2)
+
+
+@pytest.mark.parametrize("kind", ["linear", "cubic"])
+def test_k2_constructions_refuse_other_ramps(kind):
+    # The k2 cell's horizontal corrector is built on the quintic ramp: any
+    # other kind is refused, not replaced by the quintic.
+    spec = WellSpec(CASE_K2, 0.1)
+    with pytest.raises(ValueError, match="quintic"):
+        horizontal_branched(spec, 1e-4, Rect(0.0, 0.0, 1.0, 1.0), gamma_kind=kind)
+    with pytest.raises(ValueError, match="quintic"):
+        best_construction(spec, 1e-4, 1.0, 1.0, gamma_kind=kind)
 
 
 def test_schedule_frozen_examples():

@@ -6,6 +6,7 @@ compared shape by shape after expanding the references, and byte for byte
 with the writer that formatted each group's ``<use>`` offsets on its own."""
 
 import hashlib
+import io
 import itertools
 import math
 import xml.etree.ElementTree as ET
@@ -22,7 +23,13 @@ from twowell.microstructure import (
     laminate,
     vertical_branched_k1,
 )
-from twowell.piecewise import Rect, identity_deformation, rotate_90, rotate_values
+from twowell.piecewise import (
+    Rect,
+    identity_deformation,
+    rotate_90,
+    rotate_values,
+    write_manifest,
+)
 from twowell.render import (
     _BLOCK,
     _REGIME_COLORS,
@@ -380,6 +387,36 @@ def test_construction_svg_matches_per_group_writer(name, wrap):
     build, spec = CONSTRUCTIONS[name]
     d = WRAPS[wrap](build())
     _assert_same_text(construction_svg(d, spec), _oracle_grouped_svg(d, spec))
+
+
+# sha256 of the manifest and of the construction SVG of four branched
+# constructions (alpha = 0.1): a change that moves any byte of either must
+# re-pin them and say so.
+_PINNED_BYTES = {
+    "k1": (lambda: horizontal_branched(K1, 1e-3, Rect(0.0, 0.0, 1.0, 1.0)), K1,
+           "a0492d3ec6f4f52a695cc1e04cf46b99b423b705ed8595eb6bd116be4c387e58",
+           "3c9a87b86c33620a3e7dd0eee914ae4bc28b059b877f05ebb2b6246ba979f209"),
+    "k2": (lambda: horizontal_branched(K2, 1e-4, Rect(0.0, 0.0, 1.0, 1.0)), K2,
+           "e718b385849d27179a13eb64bf1cef1d1c70ea1b238772e7a125f96fb46f51dd",
+           "edf04cdab8be64c634c193ea2a84daffa1373d1168f2e973f2e0d780adab2b10"),
+    "k1-linear": (lambda: horizontal_branched(K1, 1e-4, Rect(0.0, 0.0, 1.0, 1.0), theta=0.3,
+                                              gamma_kind="linear"), K1,
+                  "3fb9e0a321dcdbecc9adb5a9ec05418490969d146ae66096b37767584fc42ef1",
+                  "33900e84692b919d571defa95415b65af8dbe382778216390bf73dbda4b68ad0"),
+    "k1-vertical": (lambda: vertical_branched_k1(K1, 1e-4, Rect(0.0, 0.0, 2.0, 0.5)), K1,
+                    "475532bb7e6df44f6e8cb37fcf295494e1f26021818499d40d1e0870363c2311",
+                    "121ed88de728e37cd07957b6c743ab644d6331675d31c38fc9a38bfc4ee2e0b9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_BYTES))
+def test_branched_manifest_and_svg_bytes_are_pinned(name):
+    build, spec, manifest_sha, svg_sha = _PINNED_BYTES[name]
+    d = build()
+    buf = io.StringIO()
+    write_manifest(d, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == manifest_sha
+    assert hashlib.sha256(construction_svg(d, spec).encode()).hexdigest() == svg_sha
 
 
 def test_construction_svg_matches_per_group_writer_property():
