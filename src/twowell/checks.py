@@ -59,18 +59,18 @@ def _rotations(phi: np.ndarray) -> np.ndarray:
     return np.stack([c, -s, s, c], axis=-1).reshape(*phi.shape, 2, 2)
 
 
-def sample_average_lemma_field(rng, n: int = 64):
-    """Random samples satisfying the averaging-lemma hypotheses exactly.
+def sample_average_lemma_field(rng):
+    """64 random samples satisfying the averaging-lemma hypotheses exactly.
 
     Draws a bounded field, shifts it along e so the parallel component has
     mean one, then raises d where |v| exceeds 1 + d.
     """
     phi = rng.uniform(0.0, 2.0 * math.pi)
     e = np.array([math.cos(phi), math.sin(phi)])
-    v = rng.normal(0.0, rng.uniform(0.05, 0.8), (n, 2))
+    v = rng.normal(0.0, rng.uniform(0.05, 0.8), (64, 2))
     v += rng.uniform(-0.5, 0.5, 2)
     v += (1.0 - np.mean(v @ e)) * e
-    d = np.maximum(rng.uniform(0.0, 0.3, n), np.linalg.norm(v, axis=1) - 1.0)
+    d = np.maximum(rng.uniform(0.0, 0.3, 64), np.linalg.norm(v, axis=1) - 1.0)
     area = rng.uniform(0.1, 5.0)
     return v, d, e, area
 

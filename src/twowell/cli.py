@@ -12,9 +12,10 @@ Exit codes: 0 success, 2 configuration error (also a construction above
 4 non-convergence of the minimizer.  Configuration errors, and a theta too
 close to 1/2 for the branching schedule, are reported as
 ``config error: ...`` on stderr; quadrature warnings of ``construct``,
-``energy`` and ``sweep`` as ``warning: ...`` (exit code unaffected).  Any
-other exception is an internal failure: it propagates out of :func:`main`
-with its traceback, so ``python -m twowell`` exits 1.
+``energy`` and ``sweep``, and a k2 theta at or below 2^(-4/3), as
+``warning: ...`` (exit code unaffected).  Any other exception is an
+internal failure: it propagates out of :func:`main` with its traceback, so
+``python -m twowell`` exits 1.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 from .checks import run_checks
 from .energy import QuadratureSpec
 from .fem import DiscreteField, Mesh, MinimizeOptions, minimize, seed_from_construction
-from .microstructure import ScheduleRangeError, best_construction, branched_constructions
+from .microstructure import (K2_THETA_MIN, ScheduleRangeError, best_construction,
+                             branched_constructions)
 from .piecewise import Rect, write_manifest
 from .render import construction_svg, phase_svg
 from .scaling import RATIO_PIN_C, classify_regime, min_energy_bound, phase_diagram
@@ -198,9 +200,12 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _notes(spec: WellSpec) -> None:
-    for note in spec.theory_notes():
+def _notes(cfg: RunConfig) -> None:
+    for note in cfg.spec().theory_notes():
         print(f"note: {note}", file=sys.stderr)
+    if cfg.case == CASE_K2 and cfg.theta is not None and cfg.theta <= K2_THETA_MIN:
+        print(f"warning: theta={cfg.theta!r} <= 2^(-4/3): the k2 cells' elastic level "
+              "sums diverge, so the energy does not scale as eps^(4/5)", file=sys.stderr)
 
 
 def _warn(breakdown) -> None:
@@ -235,7 +240,7 @@ MAX_CONSTRUCT_CELLS = 10 ** 7
 
 def cmd_construct(cfg: RunConfig) -> int:
     spec = cfg.spec()
-    _notes(spec)
+    _notes(cfg)
     d, b, label = best_construction(spec, cfg.epsilon, cfg.L, cfg.H, quad=cfg.quad(),
                                     theta=cfg.theta, gamma_kind=cfg.gamma)
     if d.cell_count() > MAX_CONSTRUCT_CELLS:
@@ -243,7 +248,7 @@ def cmd_construct(cfg: RunConfig) -> int:
                           f"{MAX_CONSTRUCT_CELLS} (lower theta or raise epsilon)")
     out = _out_dir(cfg)
     _warn(b)
-    write_manifest(d, str(out / "manifest.txt"))
+    write_manifest(d, out / "manifest.txt")
     (out / "construction.svg").write_text(construction_svg(d, spec))
     print(f"construction={label} cells={d.cell_count()} total={_f(b.total)} "
           f"elastic={_f(b.elastic)} tv_bulk={_f(b.tv_bulk)} tv_jump={_f(b.tv_jump)} "
@@ -252,7 +257,7 @@ def cmd_construct(cfg: RunConfig) -> int:
 
 
 def cmd_energy(cfg: RunConfig) -> int:
-    _notes(cfg.spec())
+    _notes(cfg)
     _, b, row = _energy_row(cfg, cfg.epsilon)
     out = _out_dir(cfg)
     _write_csv(out / "energy.csv", _SWEEP_HEADER, [row])
@@ -268,7 +273,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep needs at least 4 epsilon values (epsilons=...)")
     if max(cfg.epsilons) / min(cfg.epsilons) < 99.0:
         raise ConfigError("sweep epsilons must span at least two decades")
-    _notes(cfg.spec())
+    _notes(cfg)
     rows = []
     br_points = []
     for eps in cfg.epsilons:
@@ -316,7 +321,7 @@ def cmd_phase(cfg: RunConfig) -> int:
 
 def cmd_minimize(cfg: RunConfig) -> int:
     spec = cfg.spec()
-    _notes(spec)
+    _notes(cfg)
     mesh = Mesh(cfg.mesh[0], cfg.mesh[1], cfg.domain())
     opts = MinimizeOptions(max_iter=cfg.max_iter, delta_huber=cfg.huber_delta)
 

@@ -65,10 +65,6 @@ class _MapBase:
         y = np.asarray(y, dtype=float)
         return _pack_grad(np.broadcast(x, y).shape, *self.grad_entries(self.ramp(x), y))
 
-    def hess(self, x, y):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (2, 2, 2))
-
     def hess_profile(self, x, ramp=None):
         """Coefficients (A, B, R2) with ``|D^2 u|(x, y)^2 = (A + B y)^2 + R2``;
         ``ramp`` is ``ramp(x)`` when the caller has it.
@@ -229,13 +225,6 @@ class ScalarProfilePiece(_MapBase):
         dx, dy = self._dphi(ramp, y)
         return (dx, dy, 0.0, 0.0) if self.component == 0 else (0.0, 0.0, dx, dy)
 
-    def hess(self, x, y):
-        out = np.zeros(np.broadcast(np.asarray(x, float), np.asarray(y, float)).shape
-                       + (2, 2, 2))
-        if self.piece in (2, 4):
-            out[..., self.component, 0, 0] = self._phi_xx(self.ramp(x)[2])
-        return out
-
     def hess_profile(self, x, ramp=None):
         x = np.asarray(x, dtype=float)
         zero = np.zeros_like(x)
@@ -317,23 +306,6 @@ class K2CellPiece(ScalarProfilePiece):
                 -sig * s * (h / (4.0 * ell)) * d1,
                 sig * (a * h / (4.0 * ell)) * d1,
                 -a)
-
-    def hess(self, x, y):
-        out = super().hess(x, y)
-        if not self.bends:
-            return out
-        a, h, ell = self.alpha, self.h, self.ell
-        s = a * (1.0 - a)
-        g, d1, d2, d3 = self.ramp(x)
-        if self.piece == 3:
-            out[..., 0, 0, 0] = -s * (h * h / (16.0 * np.float_power(ell, 3))) * d3
-            return out
-        sig, base = self._mirror(g)
-        out[..., 0, 0, 0] = sig * s * (h / (4.0 * np.float_power(ell, 3))) * (
-            d3 * (base - np.asarray(y, dtype=float)) + sig * (3.0 * h / 8.0) * d1 * d2)
-        out[..., 0, 0, 1] = -sig * s * (h / (4.0 * ell * ell)) * d2
-        out[..., 0, 1, 0] = out[..., 0, 0, 1]
-        return out
 
     def hess_profile(self, x, ramp=None):
         a, h, ell = self.alpha, self.h, self.ell

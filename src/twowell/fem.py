@@ -99,21 +99,15 @@ class Mesh:
 
 @dataclass
 class DiscreteField:
-    """Nodal deformed positions, by default pinned to the identity on the
-    boundary (the admissible class of the minimization).  ``pinned=False``
-    allows analysis fields such as sampled laminates that violate the
-    lateral boundary data; :func:`minimize` requires a pinned field."""
+    """Nodal deformed positions.  :func:`minimize` requires the identity on
+    the boundary (the admissible class of the minimization); analysis
+    fields such as sampled laminates need not satisfy it."""
 
     mesh: Mesh
     values: np.ndarray  # (n_nodes, 2)
-    pinned: bool = True
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(self.mesh.n_nodes, 2)
-        b = self.mesh.boundary_mask
-        if self.pinned and not np.allclose(self.values[b], self.mesh.nodes[b],
-                                           atol=1e-12):
-            raise ValueError("boundary nodes must carry identity values")
 
     @classmethod
     def identity(cls, mesh: Mesh) -> "DiscreteField":
@@ -350,16 +344,18 @@ class MinimizeResult:
 
 def minimize(initial: DiscreteField, spec: WellSpec, eps: float,
              options: MinimizeOptions | None = None) -> MinimizeResult:
-    """L-BFGS descent of the Huberized discrete energy from a pinned start.
+    """L-BFGS descent of the Huberized discrete energy from a start that is
+    the identity on the boundary.
 
     Stops when the free-node gradient norm drops below the tolerance
     ("gtol"), when backtracking cannot decrease the energy any further
     ("stalled": numerically at a local minimum of the smoothed energy), or
     at the iteration budget ("max_iter")."""
     opts = options or MinimizeOptions()
-    if not initial.pinned:
-        raise ValueError("minimization requires an identity-pinned start")
     mesh = initial.mesh
+    bnd = mesh.boundary_mask
+    if not np.allclose(initial.values[bnd], mesh.nodes[bnd], atol=1e-12):
+        raise ValueError("boundary nodes must carry identity values")
     delta = opts.delta_huber if opts.delta_huber is not None else default_huber_delta(spec)
     tol = GRAD_TOL_SCALE * math.sqrt(2.0 * mesh.n_free)
 

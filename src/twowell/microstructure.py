@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 THETA_DEFAULT = {CASE_K2: 2.0 ** -1.25, CASE_K1: 1.0 / 3.0}
+K2_THETA_MIN = 2.0 ** (-4.0 / 3.0)  # k2 keeps its exponent above it (branching_schedule)
 
 # Piece families, called as family(piece, ell, h, alpha, kind).
 _K1_CELL = partial(ScalarProfilePiece, 0, "cell")
@@ -92,14 +93,14 @@ def _cell_stack(family, table, ell, h, alpha, kind, x0, y0, count, groups, jumps
     tag = protos[0].map.tag()
     groups.extend(CellGroup(p, x0, y0, h, count) for p in protos)
     jumps.extend(
-        JumpGroup(GraphJump(curve, SideRef(below.map, 0.0, 0.0), SideRef(above.map, 0.0, 0.0),
-                            f"{tag}-b{i}"), x0, y0, h, count)
+        JumpGroup(GraphJump(curve, SideRef(below.map, 0.0, 0.0), SideRef(above.map, 0.0, 0.0)),
+                  x0, y0, h, count, f"{tag}-b{i}")
         for i, (curve, below, above) in enumerate(zip(curves[1:], protos, protos[1:]), 1))
     if count > 1:
         jumps.append(JumpGroup(
             GraphJump(curves[0], SideRef(protos[-1].map, 0.0, h),
-                      SideRef(protos[0].map, 0.0, 0.0), f"{tag}-line"),
-            x0, y0 + h, h, count - 1, smooth=True))
+                      SideRef(protos[0].map, 0.0, 0.0)),
+            x0, y0 + h, h, count - 1, f"{tag}-line", smooth=True))
     return protos
 
 
@@ -176,10 +177,10 @@ class BranchingSchedule:
 
     ``x[i] = (L/2) theta^i`` are the stripe lines, ``h[i] = H / (2^i N)``
     the oscillation periods and ``ell[i] = theta^i (1-theta) L/2`` the
-    stripe widths, for ``i = 0 .. tau``.  ``degenerate`` marks schedules
-    whose very first cell would violate ``h_0 <= ell_0`` (possible only with
-    overridden parameters); the assembly then consists of the boundary layer
-    alone.
+    stripe widths, for ``i = 0 .. tau``.  ``degenerate`` (``tau = -1``) marks
+    schedules whose very first cell would violate ``h_0 <= ell_0`` (possible
+    only with overridden parameters); the assembly then consists of the
+    boundary layer alone.
     """
 
     case: str
@@ -193,7 +194,10 @@ class BranchingSchedule:
     x: tuple[float, ...]
     h: tuple[float, ...]
     ell: tuple[float, ...]
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return self.tau < 0
 
 
 class ScheduleRangeError(ValueError):
@@ -208,6 +212,13 @@ def branching_schedule(case: str, alpha: float, epsilon: float, L: float, H: flo
     ``theta`` defaults to 2^(-5/4) (stretch case) or 1/3 (shear case); the
     oscillation count is ``N = ceil(alpha^{1/5} H / (eps^{1/5} L^{4/5}) +
     4H/L)`` for the stretch case and the 1/3-exponent analogue for shear.
+
+    The exponent holds only where the level sums converge.  Level i has
+    N 2^i cells of height h_i and width ell_i: a k2 cell costs h^5 / ell^3,
+    a level (16 theta^3)^(-i); a k1 cell h^3 / ell, a level (4 theta)^(-i);
+    the interfaces (2 theta)^i.  So 2^(-4/3) < theta < 1/2 for k2 and
+    1/4 < theta < 1/2 for k1.  For k1, theta = 2^(-3/2) gives the local
+    period exponent 2/3 and the default 1/3 gives ln 2 / ln 3.
     """
     if min(alpha, epsilon, L, H) <= 0 or alpha >= 1:
         raise ValueError("need alpha in (0,1) and positive epsilon, L, H")
@@ -236,7 +247,7 @@ def branching_schedule(case: str, alpha: float, epsilon: float, L: float, H: flo
         if h_of(0) > L / 2.0:
             raise ValueError("boundary layer does not fit: H/N > L/2")
         return BranchingSchedule(case, alpha, epsilon, L, H, theta, N, -1,
-                                 (L / 2.0,), (h_of(0),), (ell_of(0),), True)
+                                 (L / 2.0,), (h_of(0),), (ell_of(0),))
     tau = 0
     try:
         while h_of(tau + 1) <= ell_of(tau + 1):
@@ -250,7 +261,6 @@ def branching_schedule(case: str, alpha: float, epsilon: float, L: float, H: flo
         tuple((L / 2.0) * theta ** i for i in idx),
         tuple(h_of(i) for i in idx),
         tuple(ell_of(i) for i in idx),
-        False,
     )
 
 
@@ -319,13 +329,10 @@ def _vertical_jump_groups(X, H, left, right, tag, smooth, mirror=None):
             j += 1
         _, _, lp, l_anchor = lside[i]
         _, _, rp, r_anchor = rside[j]
-        proto = VerticalJump(
-            length=seg_hi - seg_lo,
-            left=SideRef(lp.map, ell_left, seg_lo - l_anchor),
-            right=SideRef(rp.map, redge, seg_lo - r_anchor, conj=conj),
-            tag=tag,
-        )
-        groups.append(JumpGroup(proto, X, seg_lo, period, count, smooth))
+        groups.append(JumpGroup(
+            VerticalJump(seg_hi - seg_lo, SideRef(lp.map, ell_left, seg_lo - l_anchor),
+                         SideRef(rp.map, redge, seg_lo - r_anchor, conj=conj)),
+            X, seg_lo, period, count, tag, smooth))
     return groups
 
 

@@ -26,6 +26,7 @@ and rebuild a member whose floats are (m, 1) columns (``from_row``).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
@@ -378,7 +379,6 @@ class GraphJump:
     curve: LocalCurve
     below: SideRef
     above: SideRef
-    tag: str
 
     def entry(self) -> tuple:
         (cs, cr), (bs, br), (as_, ar) = self.curve.entry(), self.below.entry(), self.above.entry()
@@ -386,9 +386,8 @@ class GraphJump:
 
     @classmethod
     def from_row(cls, shape, cols):
-        # The tag names the curve; no integrand reads it.
         return cls(LocalCurve.from_row(shape[1], cols), SideRef.from_row(shape[2], cols),
-                   SideRef.from_row(shape[3], cols), "")
+                   SideRef.from_row(shape[3], cols))
 
     def sides(self):
         return self.below, self.above
@@ -411,7 +410,6 @@ class VerticalJump:
     length: float
     left: SideRef
     right: SideRef
-    tag: str
 
     def entry(self) -> tuple:
         (ls, lr), (rs, rr) = self.left.entry(), self.right.entry()
@@ -420,7 +418,7 @@ class VerticalJump:
     @classmethod
     def from_row(cls, shape, cols):
         return cls(next(cols), SideRef.from_row(shape[1], cols),
-                   SideRef.from_row(shape[2], cols), "")
+                   SideRef.from_row(shape[2], cols))
 
     def sides(self):
         return self.left, self.right
@@ -440,6 +438,7 @@ class VerticalJump:
 class JumpGroup(_Stacked):
     """A jump curve prototype instantiated at anchors (x0, y0 + k dy), k < count.
 
+    ``tag`` names the curve in the manifest; no integrand reads it.
     ``smooth`` marks curves across which the construction joins its pieces
     with a continuous gradient, so that both sides' gradients are the same
     floats and the jump integrand is exactly 0.0.  The jump part of the
@@ -452,10 +451,8 @@ class JumpGroup(_Stacked):
     y0: float
     dy: float
     count: int
+    tag: str
     smooth: bool = False
-
-    def sides(self):
-        return self.proto.sides()
 
 
 @dataclass(frozen=True)
@@ -646,7 +643,7 @@ def gradient_jump(def_: PiecewiseDeformation, part: Part, jump: JumpGroup,
     """Gradient jump (second side minus first) at curve parameter t, pushed
     through the part's transform."""
     jx, jy = jump.proto.points(np.asarray([t], dtype=float))
-    s1, s2 = jump.sides()
+    s1, s2 = jump.proto.sides()
     diff = s2.grad(jx, jy)[0] - s1.grad(jx, jy)[0]
     return part.transform.CL @ diff @ part.transform.Q
 
@@ -698,7 +695,7 @@ def coverage_check(def_: PiecewiseDeformation,
         span = proto.length_param()
         ts = np.linspace(0.0, span, 66)[1:-1]
         jx, jy = proto.points(ts)
-        s1, s2 = jg.sides()
+        s1, s2 = proto.sides()
         # Eight instances spread from the first to the last, in Python ints:
         # counts can pass 2**63 as theta -> 1/2.
         ks = (range(jg.count) if jg.count <= 8
@@ -729,30 +726,25 @@ def coverage_check(def_: PiecewiseDeformation,
 
 
 def write_manifest(def_: PiecewiseDeformation, stream) -> None:
-    """Plain-text cell manifest (one line per cell group; debugging aid only)."""
-    own = isinstance(stream, (str, bytes))
-    fh = open(stream, "w") if own else stream
-    try:
-        d = def_.domain
-        fh.write(f"domain x0={d.x0!r} y0={d.y0!r} width={d.width!r} height={d.height!r}\n")
-        for meta_k in sorted(def_.meta):
-            fh.write(f"meta {meta_k}={def_.meta[meta_k]!r}\n")
-        for ip, part in enumerate(def_.parts):
-            fh.write(f"part {ip} transforms={part.transform.name or 'none'} cells="
+    """Plain-text manifest, one line per group, to a stream or a path (debugging aid)."""
+    if isinstance(stream, (str, bytes, os.PathLike)):
+        with open(stream, "w") as fh:
+            return write_manifest(def_, fh)
+    d = def_.domain
+    stream.write(f"domain x0={d.x0!r} y0={d.y0!r} width={d.width!r} height={d.height!r}\n")
+    for meta_k in sorted(def_.meta):
+        stream.write(f"meta {meta_k}={def_.meta[meta_k]!r}\n")
+    for ip, part in enumerate(def_.parts):
+        stream.write(f"part {ip} transforms={part.transform.name or 'none'} cells="
                      f"{sum(g.count for g in part.groups)}\n")
-            for g in part.groups:
-                key = g.proto.map.key()
-                params = ":".join(repr(v) for v in key[1:])
-                fh.write(
-                    f"cell part={ip} family={key[0]} params={params} "
-                    f"x0={g.x0!r} y0={g.y0!r} dy={g.dy!r} count={g.count} "
-                    f"lower={g.proto.lower.describe()} upper={g.proto.upper.describe()}\n"
-                )
-            for jg in part.jumps:
-                fh.write(
-                    f"jump part={ip} tag={jg.proto.tag} x0={jg.x0!r} y0={jg.y0!r} "
-                    f"dy={jg.dy!r} count={jg.count}\n"
-                )
-    finally:
-        if own:
-            fh.close()
+        for g in part.groups:
+            key = g.proto.map.key()
+            params = ":".join(repr(v) for v in key[1:])
+            stream.write(
+                f"cell part={ip} family={key[0]} params={params} "
+                f"x0={g.x0!r} y0={g.y0!r} dy={g.dy!r} count={g.count} "
+                f"lower={g.proto.lower.describe()} upper={g.proto.upper.describe()}\n"
+            )
+        for jg in part.jumps:
+            stream.write(f"jump part={ip} tag={jg.tag} x0={jg.x0!r} y0={jg.y0!r} "
+                         f"dy={jg.dy!r} count={jg.count}\n")

@@ -7,8 +7,9 @@ part, each sampled jump instance of every part is evaluated on its own,
 each boundary point is placed by its own side test, and each stripe-line
 segment looks its pieces up by a scan of both edges.
 
-Also the second gradient of a deformation, which only these tests use: a
-finite-difference check of the families' ``hess``."""
+Also the second gradient of a family's map and of a deformation, which
+only these tests use: the oracle behind the bulk-TV profiles of
+``hess_profile`` and a finite-difference check of the families."""
 
 import math
 
@@ -20,7 +21,9 @@ from twowell.piecewise import (
     CoverageReport,
     DomainError,
     JumpGroup,
+    K2CellPiece,
     PiecewiseDeformation,
+    ScalarProfilePiece,
     SideRef,
     VerticalJump,
 )
@@ -78,7 +81,7 @@ def oracle_coverage_check(def_, curve_samples=64, boundary_samples=256, max_inst
         proto = jg.proto
         ts = np.linspace(0.0, proto.length_param(), curve_samples + 2)[1:-1]
         jx, jy = proto.points(ts)
-        s1, s2 = jg.sides()
+        s1, s2 = proto.sides()
         if jg.count <= max_instances:
             ks = range(jg.count)
         else:
@@ -117,6 +120,33 @@ class BoundaryPointError(ValueError):
     """Second gradients are undefined on cell boundaries."""
 
 
+def oracle_hess(m, x, y):
+    """D^2 u (..., 2, 2, 2) of the map ``m`` at local (x, y): zero for an
+    affine map, g'' on a scalar-profile piece's bent pieces 2 and 4, and the
+    k2 cell's u1 corrector on its pieces 2, 3 and 4."""
+    if not isinstance(m, ScalarProfilePiece):
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape + (2, 2, 2))
+    out = np.zeros(np.broadcast(np.asarray(x, float), np.asarray(y, float)).shape
+                   + (2, 2, 2))
+    if m.piece in (2, 4):
+        out[..., m.component, 0, 0] = m._phi_xx(m.ramp(x)[2])
+    if not isinstance(m, K2CellPiece) or not m.bends:
+        return out
+    a, h, ell = m.alpha, m.h, m.ell
+    s = a * (1.0 - a)
+    g, d1, d2, d3 = m.ramp(x)
+    if m.piece == 3:
+        out[..., 0, 0, 0] = -s * (h * h / (16.0 * np.float_power(ell, 3))) * d3
+        return out
+    sig, base = m._mirror(g)
+    out[..., 0, 0, 0] = sig * s * (h / (4.0 * np.float_power(ell, 3))) * (
+        d3 * (base - np.asarray(y, dtype=float)) + sig * (3.0 * h / 8.0) * d1 * d2)
+    out[..., 0, 0, 1] = -sig * s * (h / (4.0 * ell * ell)) * d2
+    out[..., 0, 1, 0] = out[..., 0, 0, 1]
+    return out
+
+
 def second_gradient(def_, pts):
     """Second gradient tensor (2, 2, 2) at points strictly inside a cell."""
     p = np.asarray(pts, dtype=float)
@@ -129,7 +159,7 @@ def second_gradient(def_, pts):
         if not np.all(g.proto.contains(lx, ly, -edge_tol)):
             raise BoundaryPointError("second gradient requested on a cell boundary")
         t = def_.parts[ip].transform
-        hess = g.proto.map.hess(lx, ly)
+        hess = oracle_hess(g.proto.map, lx, ly)
         # (CL hess)[i] is a 2x2 matrix in (b, c); conjugate it by Q.
         out[idx] = t.Q.T @ (t.CL @ hess.reshape(-1, 2, 4)).reshape(-1, 2, 2, 2) @ t.Q
     if single:
@@ -239,7 +269,6 @@ def oracle_vertical_jump_groups(X, H, left, right, tag, smooth, mirror=None):
             length=seg_hi - seg_lo,
             left=SideRef(lp.map, ell_left, seg_lo - l_anchor),
             right=SideRef(rp.map, redge, seg_lo - r_anchor, conj=right_conj),
-            tag=tag,
         )
-        groups.append(JumpGroup(proto, X, seg_lo, period, count, smooth))
+        groups.append(JumpGroup(proto, X, seg_lo, period, count, tag, smooth))
     return groups

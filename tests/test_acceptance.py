@@ -61,11 +61,11 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _sweep_slope(case: str) -> float:
+def _sweep_slope(case: str, theta: float | None = None) -> float:
     spec = WellSpec(case, 0.1)
     pts = []
     for eps in EPS_GRID:
-        _, b, _ = best_construction(spec, eps, 1.0, 1.0)
+        _, b, _ = best_construction(spec, eps, 1.0, 1.0, theta=theta)
         if classify_regime(case, 0.1, eps, 1.0, 1.0) == "BR":
             pts.append((eps, b.total))
     assert len(pts) >= 4
@@ -77,6 +77,14 @@ def test_criterion_01_exponent_four_fifths():
     slope = _sweep_slope(CASE_K2)
     _report(1, abs(slope - 0.80) <= 0.05,
             f"k2 constructed-energy slope vs eps = {slope:.4f} (target 0.80 +- 0.05)")
+
+
+def test_criterion_01_misses_four_fifths_below_the_theta_window():
+    # Negative control: at theta = 1/3 <= 2^(-4/3) the k2 cells' elastic
+    # level sums diverge, and the same fit misses the criterion's window.
+    # Just above 2^(-4/3) the fit is pre-asymptotic, so nothing is asserted there.
+    slope = _sweep_slope(CASE_K2, theta=1.0 / 3.0)
+    assert abs(slope - 0.80) > 0.05, slope
 
 
 def test_criterion_02_exponent_two_thirds():

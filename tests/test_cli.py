@@ -99,6 +99,39 @@ def test_config_rejects_nonfinite_and_degenerate_values(tmp_path, argv, line):
     assert not (tmp_path / "unused").exists()
 
 
+def _theta_warnings(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("warning: theta")]
+
+
+@pytest.mark.parametrize("case, theta, warned", [
+    ("k2", "0.3333", True),
+    ("k2", repr(2.0 ** (-4.0 / 3.0)), True),
+    ("k2", None, False),
+    ("k2", "0.40", False),
+    ("k1", "0.3", False),
+])
+def test_theta_window_warning(tmp_path, capsys, case, theta, warned):
+    # At or below 2^(-4/3) the k2 cells' elastic level sums, (16 theta^3)^(-i),
+    # diverge: the construction no longer scales as eps^(4/5).  Warned, not refused.
+    argv = ["energy", "--case", case, "--epsilon", "1e-2", "--out", str(tmp_path)]
+    assert main(argv + ([] if theta is None else ["--theta", theta])) == 0
+    assert len(_theta_warnings(capsys.readouterr().err)) == int(warned)
+    assert (tmp_path / "energy.csv").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("construct --epsilon 1e-2", 0),
+    ("sweep", 0),
+    ("minimize --epsilon 1e-2 --mesh 8,8 --max-iter 1", 0),
+])
+def test_theta_warning_on_construct_sweep_and_minimize(tmp_path, capsys, argv, code):
+    assert main(argv.split() + ["--case", "k2", "--theta", "0.3333",
+                                "--out", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    assert len(_theta_warnings(err)) == 1 and "theta" not in out
+    assert any(tmp_path.iterdir())
+
+
 def test_internal_errors_are_not_config_errors(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("library bug")

@@ -45,6 +45,8 @@ from twowell.piecewise import (
 )
 from twowell.wells import CASE_K1, CASE_K2, WellSpec, rotation, well_matrices
 
+from piecewise_oracles import oracle_hess
+
 
 # ---------------------------------------------------------------------------
 # Per-prototype oracle: the quadrature as it ran before prototypes were
@@ -196,7 +198,7 @@ def _oracle_jobs(def_, spec, quad, warnings, closed_form=False):
     for part in def_.parts:
         for jg in part.jumps:
             proto = jg.proto
-            s1, s2 = jg.sides()
+            s1, s2 = proto.sides()
 
             def integrand(t, proto=proto, s1=s1, s2=s2):
                 jx, jy = proto.points(t)
@@ -646,7 +648,7 @@ def _hess_norm_integrand(proto):
     """|D^2 u| from the full second-gradient tensor: the 2D oracle for the
     closed-form column integral behind the bulk TV."""
     def integrand(x, y):
-        h = proto.map.hess(x, y).reshape(-1, 8)
+        h = oracle_hess(proto.map, x, y).reshape(-1, 8)
         return np.sqrt(np.einsum("nk,nk->n", h, h))
     return integrand
 
@@ -720,14 +722,15 @@ def test_hess_profile_matches_full_hessian():
     rng = np.random.default_rng(4)
     protos = _all_piece_protos()
     assert {p.map.tag() for p in protos} == {"k2cell", "k2bd", "k1cell", "k1bd"}
-    assert sum(np.any(p.map.hess(np.array([0.3]), np.array([0.1]))) for p in protos) >= 6
+    assert sum(np.any(oracle_hess(p.map, np.array([0.3]), np.array([0.1])))
+               for p in protos) >= 6
     oracle_quad = QuadratureSpec(rel_tol=1e-12, max_refinement_depth=13)
     for proto in protos:
         x = rng.uniform(0.0, proto.width, 500)
         s = rng.uniform(0.0, 1.0, 500)
         lo, hi = proto.lower.value(x), proto.upper.value(x)
         y = lo + s * (hi - lo)
-        hess = proto.map.hess(x, y)
+        hess = oracle_hess(proto.map, x, y)
         A, B, R2 = proto.map.hess_profile(x)
         full = np.sum(hess.reshape(-1, 8) ** 2, axis=1)
         np.testing.assert_allclose((A + B * y) ** 2 + R2, full, rtol=1e-12, atol=0.0)
@@ -912,7 +915,7 @@ def test_skipped_entries_are_exact_zeros():
         for part, jg in d.iter_jump_groups():
             if jg.smooth:
                 for t in np.linspace(0.0, jg.proto.length_param(), 5)[1:-1]:
-                    assert not np.any(gradient_jump(d, part, jg, t)), jg.proto.tag
+                    assert not np.any(gradient_jump(d, part, jg, t)), jg.tag
         # Negative control: the linear ramp's slope is not flat at the cell
         # edges, so the stripe and centre lines carry a gradient jump.
         assert (seams > 0.0) == (kind == "linear")

@@ -194,13 +194,14 @@ def _perturbed(mesh, rng, scale=0.03):
 
 
 def _sub_huber_laminate(rng, nx=16, ny=14):
-    """Unpinned laminate: interfaces between mesh lines, and jumps below the
-    Huber width from a tiny perturbation of its mesh-aligned rows."""
+    """Laminate off the identity boundary data: interfaces between mesh
+    lines, and jumps below the Huber width from a tiny perturbation of its
+    mesh-aligned rows."""
     lam = laminate(DOM, 0.25, 0.2, CASE_K2)
     mesh = Mesh(nx, ny, DOM)
     u, _ = lam.evaluate(mesh.nodes)
     u += 1e-9 * rng.standard_normal(u.shape)
-    return DiscreteField(mesh, u, pinned=False)
+    return DiscreteField(mesh, u)
 
 
 def test_fused_pass_matches_two_pass_reference():
@@ -315,8 +316,11 @@ def test_boundary_pinning_enforced():
     mesh = Mesh(4, 4, DOM)
     vals = mesh.nodes.copy()
     vals[0] += 0.1  # corner node
-    with pytest.raises(ValueError):
-        DiscreteField(mesh, vals)
+    start = DiscreteField(mesh, vals)
+    spec = WellSpec(CASE_K2, 0.2)
+    for run in (minimize, fem_oracles.minimize):
+        with pytest.raises(ValueError, match="boundary nodes must carry identity values"):
+            run(start, spec, 1e-3)
 
 
 def test_gradient_matches_finite_differences():
@@ -368,7 +372,7 @@ def test_mesh_aligned_laminate_is_exact():
     lam = laminate(DOM, h, a, CASE_K2)
     mesh = Mesh(16, 16, DOM)  # 16 * 0.0625 aligned
     u, _ = lam.evaluate(mesh.nodes)
-    fld = DiscreteField(mesh, u, pinned=False)
+    fld = DiscreteField(mesh, u)
     el, tv, _ = discrete_energy(fld, spec, 0.0, delta=1e-12)
     assert el == pytest.approx(0.0, abs=1e-12)
     interfaces = 2 * int(round(1.0 / h))
@@ -386,7 +390,7 @@ def test_misaligned_laminate_elastic_converges_first_order():
     for n in ns:
         mesh = Mesh(n, n, DOM)
         u, _ = lam.evaluate(mesh.nodes)
-        fld = DiscreteField(mesh, u, pinned=False)
+        fld = DiscreteField(mesh, u)
         el, _, _ = discrete_energy(fld, spec, 0.0, delta=1e-12)
         els.append(el)
     order = -np.polyfit(np.log(ns), np.log(els), 1)[0]

@@ -386,7 +386,7 @@ def test_stripe_lines_match_the_sorted_break_oracle():
         assert calls
         for args, kw, groups in calls:
             assert groups == oracle_vertical_jump_groups(*args, **kw)
-            tags.add(groups[0].proto.tag)
+            tags.add(groups[0].tag)
 
     check()
     assert tags == {"stripe-line", "centre-line"}

@@ -303,6 +303,16 @@ def test_manifest_roundtrip_smoke():
     assert "jump part=0" in text
 
 
+def test_manifest_takes_path_objects(tmp_path):
+    # A pathlib.Path was once taken for a stream (AttributeError: no write).
+    d = horizontal_branched(WellSpec(CASE_K2, ALPHA), 1e-3, Rect(0.0, 0.0, 1.0, 1.0))
+    write_manifest(d, str(tmp_path / "str.txt"))
+    write_manifest(d, tmp_path / "path.txt")
+    text = (tmp_path / "str.txt").read_bytes()
+    assert text.startswith(b"domain ") and b"tag=k2cell-b1" in text
+    assert (tmp_path / "path.txt").read_bytes() == text
+
+
 # ---------------------------------------------------------------------------
 # x-slab locator and one continuity pass per jump group, against the
 # per-group and per-instance oracles of ``piecewise_oracles``.
