@@ -1,11 +1,10 @@
 """Two-well elastic energies with surface penalty: explicit branched
 microstructures, energy evaluation, scaling laws and a direct minimizer."""
 
-from .energy import EnergyBreakdown, QuadratureSpec, elastic_energy, total_energy, tv_bulk, tv_jump
+from .energy import EnergyBreakdown, QuadratureSpec, total_energy
 from .fem import DiscreteField, Mesh, MinimizeOptions, MinimizeResult, discrete_energy, discrete_gradient, minimize, seed_from_construction
 from .microstructure import (
     BranchingSchedule,
-    assemble_branched,
     branching_schedule,
     best_construction,
     horizontal_branched,
@@ -21,7 +20,6 @@ from .piecewise import (
     PiecewiseDeformation,
     Rect,
     coverage_check,
-    gradient_jump,
     identity_deformation,
     mirror_x,
     rotate_90,
@@ -31,8 +29,6 @@ from .piecewise import (
 from .profiles import sawtooth, smooth_step
 from .scaling import (
     BoundValue,
-    bound_k1,
-    bound_k2,
     check_average_lemma,
     classify_regime,
     min_energy_bound,

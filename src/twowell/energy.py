@@ -83,8 +83,7 @@ from . import kernels
 from .piecewise import CellProto, PiecewiseDeformation, Transform
 from .wells import WellSpec, well_matrices
 
-__all__ = ["QuadratureSpec", "EnergyBreakdown", "elastic_energy", "tv_bulk",
-           "tv_jump", "total_energy", "total_energies"]
+__all__ = ["QuadratureSpec", "EnergyBreakdown", "total_energy", "total_energies"]
 
 
 @dataclass(frozen=True)
@@ -396,12 +395,6 @@ def _elastic_integrand(A, B, base_order: int):
     return integrand
 
 
-def elastic_energy(def_: PiecewiseDeformation, spec: WellSpec,
-                   quad: QuadratureSpec | None = None) -> float:
-    """Integral of the squared well distance of the gradient."""
-    return _elastic([def_], spec, quad or QuadratureSpec())[0][0]
-
-
 def _mirror_fold(conj: tuple) -> tuple:
     """The largest of the four conjugation shapes ``(CL, Q)``, ``(-CL, -Q)``,
     ``(S CL, Q S)`` and ``(-S CL, -Q S)`` with S = diag(-1, 1), which give
@@ -485,13 +478,6 @@ def _flat_dist2(flat, A, B) -> dict:
     return dict(zip(keys, d2.tolist()))
 
 
-def tv_bulk(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> float:
-    """Absolutely continuous part of |D^2 u|: cell integrals of the
-    Frobenius norm of the second gradient (invariant under the isometric
-    transforms)."""
-    return _tv_bulk([def_], quad or QuadratureSpec())[0][0]
-
-
 def _tv_bulk(defs, quad):
     # A map that is not curved has D^2 u = 0: its column integral is 0.0.
     keyed = [[(g.proto.entry(), g.proto, g.count) for part in def_.parts
@@ -541,12 +527,6 @@ def _column_tv(A, B, R2, lo, hi):
         F = 0.5 * (u1 * s1 - u0 * s0 + np.where(R > 0, asinh_term, 0.0))
         lin_val = F / np.where(linear, B, 1.0)
     return np.where(linear, lin_val, const_val)
-
-
-def tv_jump(def_: PiecewiseDeformation, quad: QuadratureSpec | None = None) -> float:
-    """Jump part of |D^2 u|: arclength integrals of |Du+ - Du-| over the
-    jump curves."""
-    return _tv_jump([def_], quad or QuadratureSpec())[0][0]
 
 
 def _tv_jump_integrand(proto, t):

@@ -65,9 +65,9 @@ class _MapBase:
         y = np.asarray(y, dtype=float)
         return _pack_grad(np.broadcast(x, y).shape, *self.grad_entries(self.ramp(x), y))
 
-    def hess_profile(self, x, ramp=None):
-        """Coefficients (A, B, R2) with ``|D^2 u|(x, y)^2 = (A + B y)^2 + R2``;
-        ``ramp`` is ``ramp(x)`` when the caller has it.
+    def hess_profile(self, x, ramp):
+        """Coefficients (A, B, R2) with ``|D^2 u|(x, y)^2 = (A + B y)^2 + R2``,
+        from the map's ``ramp(x)``.
 
         Every family here is affine in y at second order, which lets the
         surface-energy bulk term integrate the y direction in closed form.
@@ -225,12 +225,12 @@ class ScalarProfilePiece(_MapBase):
         dx, dy = self._dphi(ramp, y)
         return (dx, dy, 0.0, 0.0) if self.component == 0 else (0.0, 0.0, dx, dy)
 
-    def hess_profile(self, x, ramp=None):
+    def hess_profile(self, x, ramp):
         x = np.asarray(x, dtype=float)
         zero = np.zeros_like(x)
         if not self.bends:
             return zero, zero, zero
-        _, _, d2, _ = self.ramp(x) if ramp is None else ramp
+        _, _, d2, _ = ramp
         return self._phi_xx(d2), zero, zero
 
     def key(self) -> tuple:
@@ -307,14 +307,14 @@ class K2CellPiece(ScalarProfilePiece):
                 sig * (a * h / (4.0 * ell)) * d1,
                 -a)
 
-    def hess_profile(self, x, ramp=None):
+    def hess_profile(self, x, ramp):
         a, h, ell = self.alpha, self.h, self.ell
         s = a * (1.0 - a)
         x = np.asarray(x, dtype=float)
         zero = np.zeros_like(x)
         if not self.bends:
             return zero, zero, zero
-        g, d1, d2, d3 = self.ramp(x) if ramp is None else ramp
+        g, d1, d2, d3 = ramp
         if self.piece == 3:
             return -s * (h * h / (16.0 * np.float_power(ell, 3))) * d3, zero, zero
         r2 = (2.0 * np.float_power(s * h / (4.0 * ell * ell), 2)

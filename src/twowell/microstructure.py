@@ -18,42 +18,39 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
+from .families import AffineDisp, K2CellPiece, ScalarProfilePiece
 from .piecewise import (
     IDENTITY,
-    AffineDisp,
     CellGroup,
     CellProto,
     GraphJump,
     JumpGroup,
-    K2CellPiece,
     LocalCurve,
     Part,
     PiecewiseDeformation,
     Rect,
-    ScalarProfilePiece,
     SideRef,
     VerticalJump,
     identity_deformation,
     mirror_transform,
     rotate_90,
 )
-from .profiles import flat_ends, sawtooth
+from .profiles import flat_ends
 from .wells import CASE_K1, CASE_K2, WellSpec
 
 __all__ = [
     "BranchingSchedule",
     "branching_schedule",
     "ScheduleRangeError",
-    "sawtooth",
     "k2_cell",
     "k2_boundary_cell",
     "k1_cell",
     "k1_boundary_cell",
     "laminate",
-    "assemble_branched",
+    "horizontal_branched",
     "vertical_branched_k1",
     "branched_constructions",
-    "identity_deformation",
+    "best_construction",
 ]
 
 THETA_DEFAULT = {CASE_K2: 2.0 ** -1.25, CASE_K1: 1.0 / 3.0}
@@ -173,7 +170,8 @@ def laminate(rect: Rect, h: float, alpha: float, case: str) -> PiecewiseDeformat
 
 @dataclass(frozen=True)
 class BranchingSchedule:
-    """Geometry of one half of the branched pattern.
+    """Geometry of one half of the branched pattern on an L x H rectangle,
+    with N cells in the coarsest stripe and the finest level ``tau``.
 
     ``x[i] = (L/2) theta^i`` are the stripe lines, ``h[i] = H / (2^i N)``
     the oscillation periods and ``ell[i] = theta^i (1-theta) L/2`` the
@@ -183,9 +181,6 @@ class BranchingSchedule:
     boundary layer alone.
     """
 
-    case: str
-    alpha: float
-    epsilon: float
     L: float
     H: float
     theta: float
@@ -232,8 +227,9 @@ def branching_schedule(case: str, alpha: float, epsilon: float, L: float, H: flo
         else:
             target = (alpha ** (1 / 3) * H / (epsilon ** (1 / 3) * L ** (2 / 3))
                       + 4.0 * H / L)
-        # absorb rounding noise so integer-valued targets do not round up
-        N = math.ceil(target - 1e-9 * max(1.0, target))
+        # absorb rounding noise so integer-valued targets do not round up;
+        # a target of at most 1e-9 (a thin domain) would round down to 0
+        N = max(1, math.ceil(target - 1e-9 * max(1.0, target)))
     if N < 1:
         raise ValueError("N must be a positive integer")
 
@@ -246,7 +242,7 @@ def branching_schedule(case: str, alpha: float, epsilon: float, L: float, H: flo
     if h_of(0) > ell_of(0):
         if h_of(0) > L / 2.0:
             raise ValueError("boundary layer does not fit: H/N > L/2")
-        return BranchingSchedule(case, alpha, epsilon, L, H, theta, N, -1,
+        return BranchingSchedule(L, H, theta, N, -1,
                                  (L / 2.0,), (h_of(0),), (ell_of(0),))
     tau = 0
     try:
@@ -257,7 +253,7 @@ def branching_schedule(case: str, alpha: float, epsilon: float, L: float, H: flo
                          f"the float range at level {tau + 1}") from None
     idx = range(tau + 1)
     return BranchingSchedule(
-        case, alpha, epsilon, L, H, theta, N, tau,
+        L, H, theta, N, tau,
         tuple((L / 2.0) * theta ** i for i in idx),
         tuple(h_of(i) for i in idx),
         tuple(ell_of(i) for i in idx),
@@ -367,15 +363,14 @@ def _half_assembly(case, alpha, sched: BranchingSchedule, x_off, y_off, kind):
     return groups, jumps, stripe_counts, stacks[-1]
 
 
-def assemble_branched(spec: WellSpec, sched: BranchingSchedule, domain: Rect,
-                      gamma_kind: str = "quintic") -> PiecewiseDeformation:
+def horizontal_branched(spec: WellSpec, epsilon: float, domain: Rect,
+                        theta: float | None = None, N: int | None = None,
+                        gamma_kind: str = "quintic") -> PiecewiseDeformation:
     """Branched deformation on the full rectangle: left half per the
-    schedule, right half mirrored (with flipped shear sign in case k1)."""
-    if (abs(domain.width - sched.L) > 1e-12 * sched.L
-            or abs(domain.height - sched.H) > 1e-12 * sched.H):
-        raise ValueError("schedule was computed for a different rectangle")
-    if spec.case != sched.case:
-        raise ValueError("well case and schedule case disagree")
+    schedule of ``domain``, right half mirrored (with flipped shear sign in
+    case k1)."""
+    sched = branching_schedule(spec.case, spec.alpha, epsilon,
+                               domain.width, domain.height, theta=theta, N=N)
     if spec.case == CASE_K2 and gamma_kind != "quintic":
         # The k2 cell's horizontal corrector needs the quintic's derivatives.
         raise ValueError(f"case k2 admits only the quintic ramp, got {gamma_kind!r}")
@@ -405,7 +400,7 @@ def assemble_branched(spec: WellSpec, sched: BranchingSchedule, domain: Rect,
         "label": "branched-horizontal",
         "case": spec.case,
         "alpha": alpha,
-        "epsilon": sched.epsilon,
+        "epsilon": epsilon,
         "theta": sched.theta,
         "N": sched.N,
         "tau": sched.tau,
@@ -416,14 +411,6 @@ def assemble_branched(spec: WellSpec, sched: BranchingSchedule, domain: Rect,
         "degenerate_schedule": sched.degenerate,
     }
     return PiecewiseDeformation(domain, (left, right), meta=meta)
-
-
-def horizontal_branched(spec: WellSpec, epsilon: float, domain: Rect,
-                        theta: float | None = None, N: int | None = None,
-                        gamma_kind: str = "quintic") -> PiecewiseDeformation:
-    sched = branching_schedule(spec.case, spec.alpha, epsilon,
-                               domain.width, domain.height, theta=theta, N=N)
-    return assemble_branched(spec, sched, domain, gamma_kind=gamma_kind)
 
 
 def vertical_branched_k1(spec: WellSpec, epsilon: float, domain: Rect,

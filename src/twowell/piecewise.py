@@ -33,16 +33,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .families import AffineDisp, K2CellPiece, ScalarProfilePiece, _MapBase, _pack_grad
+from .families import AffineDisp, _MapBase, _pack_grad
 from .profiles import step_slope, step_value
 from .wells import Z_SWAP
 
 __all__ = [
     "Rect",
     "LocalCurve",
-    "AffineDisp",
-    "K2CellPiece",
-    "ScalarProfilePiece",
     "CellProto",
     "CellGroup",
     "SideRef",
@@ -53,14 +50,12 @@ __all__ = [
     "IDENTITY",
     "mirror_transform",
     "rotate90_transform",
-    "value_rotation_transform",
     "Part",
     "PiecewiseDeformation",
     "identity_deformation",
     "mirror_x",
     "rotate_90",
     "rotate_values",
-    "gradient_jump",
     "coverage_check",
     "CoverageReport",
     "write_manifest",
@@ -196,9 +191,9 @@ class CellProto:
 class _Stacked:
     """Instances of a prototype at anchors (x0, y0 + k dy), k < count."""
 
-    def anchors(self, k=None) -> np.ndarray:
-        """(len(k), 2) anchors of instances ``k`` (default: all of them)."""
-        k = np.arange(self.count) if k is None else np.asarray(k, dtype=float)
+    def anchors(self, k) -> np.ndarray:
+        """(len(k), 2) anchors of instances ``k``."""
+        k = np.asarray(k, dtype=float)
         return np.column_stack([np.full(len(k), self.x0), self.y0 + self.dy * k])
 
 
@@ -310,11 +305,6 @@ def mirror_transform(axis_x: float) -> Transform:
 
 def rotate90_transform() -> Transform:
     return Transform(Z_SWAP, np.zeros(2), Z_SWAP, np.zeros(2), "swap-rotate")
-
-
-def value_rotation_transform(R: np.ndarray) -> Transform:
-    return Transform(_ID2.copy(), np.zeros(2), np.asarray(R, float), np.zeros(2),
-                     "value-rotation")
 
 
 @lru_cache(maxsize=64)
@@ -635,17 +625,8 @@ def rotate_90(def_: PiecewiseDeformation) -> PiecewiseDeformation:
 
 def rotate_values(def_: PiecewiseDeformation, R: np.ndarray) -> PiecewiseDeformation:
     """Compose the values with a constant rotation: ``u -> R u`` (test helper)."""
-    return _wrap(def_, value_rotation_transform(R), def_.domain)
-
-
-def gradient_jump(def_: PiecewiseDeformation, part: Part, jump: JumpGroup,
-                  t: float) -> np.ndarray:
-    """Gradient jump (second side minus first) at curve parameter t, pushed
-    through the part's transform."""
-    jx, jy = jump.proto.points(np.asarray([t], dtype=float))
-    s1, s2 = jump.proto.sides()
-    diff = s2.grad(jx, jy)[0] - s1.grad(jx, jy)[0]
-    return part.transform.CL @ diff @ part.transform.Q
+    t = Transform(_ID2.copy(), np.zeros(2), np.asarray(R, float), np.zeros(2), "value-rotation")
+    return _wrap(def_, t, def_.domain)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,6 @@ from .wells import CASE_K1, CASE_K2
 
 __all__ = [
     "BoundValue",
-    "bound_k1",
-    "bound_k2",
     "min_energy_bound",
     "classify_regime",
     "PhaseDiagram",
@@ -94,23 +92,14 @@ def _bound(terms) -> BoundValue:
     return BoundValue(sums[branch], branch, terms)
 
 
-def bound_k1(alpha: float, eps: float, L: float, H: float) -> BoundValue:
-    _check_params(alpha, eps, L, H)
-    return _bound(_terms_k1(alpha, eps, L, H, L ** (1.0 / 3.0), H ** (1.0 / 3.0)))
-
-
-def bound_k2(alpha: float, eps: float, L: float, H: float) -> BoundValue:
-    _check_params(alpha, eps, L, H)
-    return _bound(_terms_k2(alpha, eps, L, H, L ** 0.2))
-
-
 def min_energy_bound(case: str, alpha: float, eps: float, L: float,
                      H: float) -> BoundValue:
+    if case not in (CASE_K1, CASE_K2):
+        raise ValueError(f"unknown case {case!r}")
+    _check_params(alpha, eps, L, H)
     if case == CASE_K1:
-        return bound_k1(alpha, eps, L, H)
-    if case == CASE_K2:
-        return bound_k2(alpha, eps, L, H)
-    raise ValueError(f"unknown case {case!r}")
+        return _bound(_terms_k1(alpha, eps, L, H, L ** (1.0 / 3.0), H ** (1.0 / 3.0)))
+    return _bound(_terms_k2(alpha, eps, L, H, L ** 0.2))
 
 
 def classify_regime(case: str, alpha: float, eps: float, L: float, H: float) -> str:

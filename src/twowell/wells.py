@@ -34,7 +34,6 @@ __all__ = [
     "WellSpec",
     "OrbitDistance",
     "WellDistanceResult",
-    "mat2",
     "rotation",
     "rotation_ra",
     "well_matrices",
@@ -53,14 +52,6 @@ _CASES = (CASE_K1, CASE_K2)
 #: Coordinate swap (x, y) -> (y, x); an improper rotation used to relate the
 #: horizontal and vertical branching patterns.
 Z_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def mat2(a11: float, a12: float, a21: float, a22: float) -> np.ndarray:
-    """Build a 2x2 matrix, rejecting non-finite entries."""
-    m = np.array([[a11, a12], [a21, a22]], dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
 
 
 def rotation(phi: float) -> np.ndarray:
@@ -108,9 +99,9 @@ def well_matrices(spec: WellSpec) -> tuple[np.ndarray, np.ndarray]:
     and read-only: copy before changing an entry."""
     a = spec.alpha
     if spec.case == CASE_K1:
-        pair = mat2(1.0, -a, 0.0, 1.0), mat2(1.0, a, 0.0, 1.0)
+        pair = np.array([[1.0, -a], [0.0, 1.0]]), np.array([[1.0, a], [0.0, 1.0]])
     else:
-        pair = mat2(1.0, 0.0, 0.0, 1.0 - a), mat2(1.0, 0.0, 0.0, 1.0 + a)
+        pair = np.array([[1.0, 0.0], [0.0, 1.0 - a]]), np.array([[1.0, 0.0], [0.0, 1.0 + a]])
     for m in pair:
         m.flags.writeable = False
     return pair

@@ -15,15 +15,14 @@ import math
 
 import numpy as np
 
+from twowell.families import K2CellPiece, ScalarProfilePiece
 from twowell.microstructure import _edge_intervals
 from twowell.piecewise import (
     IDENTITY,
     CoverageReport,
     DomainError,
     JumpGroup,
-    K2CellPiece,
     PiecewiseDeformation,
-    ScalarProfilePiece,
     SideRef,
     VerticalJump,
 )

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from twowell.checks import sample_average_lemma_field
-from twowell.energy import elastic_energy
+from twowell.energy import total_energy
 from twowell.fem import (
     DiscreteField,
     Mesh,
@@ -95,9 +95,9 @@ def test_criterion_02_exponent_two_thirds():
 
 def test_criterion_03_cell_energy_laws():
     hs = [2.0 ** -k for k in (6, 5, 4, 3)]
-    e2 = [elastic_energy(k2_cell((0, 0), 1.0, h, 0.1), WellSpec(CASE_K2, 0.1))
+    e2 = [total_energy(k2_cell((0, 0), 1.0, h, 0.1), WellSpec(CASE_K2, 0.1), 1.0).elastic
           for h in hs]
-    e1 = [elastic_energy(k1_cell((0, 0), 1.0, h, 0.1), WellSpec(CASE_K1, 0.1))
+    e1 = [total_energy(k1_cell((0, 0), 1.0, h, 0.1), WellSpec(CASE_K1, 0.1), 1.0).elastic
           for h in hs]
     s2 = float(np.polyfit(np.log(hs), np.log(e2), 1)[0])
     s1 = float(np.polyfit(np.log(hs), np.log(e1), 1)[0])
@@ -109,8 +109,8 @@ def test_criterion_03_cell_energy_laws():
 def test_criterion_04_identity_energies_exact():
     a = 0.2
     iden = identity_deformation(Rect(0.0, 0.0, 1.0, 1.0))
-    e2 = elastic_energy(iden, WellSpec(CASE_K2, a))
-    e1 = elastic_energy(iden, WellSpec(CASE_K1, a))
+    e2 = total_energy(iden, WellSpec(CASE_K2, a), 1.0).elastic
+    e1 = total_energy(iden, WellSpec(CASE_K1, a), 1.0).elastic
     t2 = a * a
     t1 = 4.0 + a * a - 2.0 * math.sqrt(4.0 + a * a)
     # cross-check the closed forms against the dense angle-scan oracle

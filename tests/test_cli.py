@@ -310,6 +310,14 @@ def test_construct_refuses_unrenderable_cell_counts(tmp_path, capsys):
     assert 2_000_000 < big.cell_count() <= cli.MAX_CONSTRUCT_CELLS
 
 
+def test_energy_on_thin_domains(tmp_path, capsys):
+    # The default N rounded to 0 on both: a ValueError traceback, exit 1.
+    for case, side in (("k2", "--H"), ("k1", "--L")):
+        out = tmp_path / case
+        assert main(["energy", "--case", case, side, "1e-11", "--out", str(out)]) == 0
+        assert "construction=identity" in capsys.readouterr().out
+
+
 def test_construct_period_doubling_structure(tmp_path):
     rc = main(["construct", "--case", "k2", "--alpha", "0.1",
                "--epsilon", "1e-4", "--out", str(tmp_path)])

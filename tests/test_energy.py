@@ -15,16 +15,13 @@ from twowell.energy import (
     _integrate_lines,
     _mirror_fold,
     _tv_bulk_integrand,
-    elastic_energy,
     total_energies,
     total_energy,
-    tv_bulk,
-    tv_jump,
 )
+from twowell.families import ScalarProfilePiece
 from twowell.microstructure import (
     best_construction,
     branching_schedule,
-    assemble_branched,
     horizontal_branched,
     k1_boundary_cell,
     k1_cell,
@@ -36,9 +33,7 @@ from twowell.microstructure import (
 from twowell.piecewise import (
     PiecewiseDeformation,
     Rect,
-    ScalarProfilePiece,
     VerticalJump,
-    gradient_jump,
     identity_deformation,
     mirror_x,
     rotate_values,
@@ -161,7 +156,7 @@ def _oracle_cell(proto, integrand, quad, warnings):
 
 def _oracle_tv_bulk_cell(proto, quad, warnings):
     def integrand(x):
-        A, B, R2 = proto.map.hess_profile(x)
+        A, B, R2 = proto.map.hess_profile(x, proto.map.ramp(x))
         return _column_tv(A, B, R2, proto.lower.value(x), proto.upper.value(x))
 
     return _oracle_line((0.0, *proto.map.kinks(), proto.width), integrand, quad, warnings)
@@ -235,17 +230,17 @@ def test_identity_energies_closed_form():
     dom = Rect(0.0, 0.0, 1.0, 1.0)
     iden = identity_deformation(dom)
     a = 0.2
-    e2 = elastic_energy(iden, WellSpec(CASE_K2, a))
+    e2 = total_energy(iden, WellSpec(CASE_K2, a), 1.0).elastic
     assert e2 == pytest.approx(a * a, rel=1e-6)
-    e1 = elastic_energy(iden, WellSpec(CASE_K1, a))
+    e1 = total_energy(iden, WellSpec(CASE_K1, a), 1.0).elastic
     assert e1 == pytest.approx(4.0 + a * a - 2.0 * math.sqrt(4.0 + a * a), rel=1e-6)
 
 
 def test_identity_no_surface_terms():
     iden = identity_deformation(Rect(0.0, 0.0, 2.0, 1.0))
-    assert tv_bulk(iden) == 0.0
-    assert tv_jump(iden) == 0.0
     b = total_energy(iden, WellSpec(CASE_K2, 0.1), 5.0)
+    assert b.tv_bulk == 0.0
+    assert b.tv_jump == 0.0
     assert b.total == b.elastic
 
 
@@ -253,13 +248,15 @@ def test_laminate_energy_exact():
     a, h = 0.2, 0.125
     lam = laminate(Rect(0.0, 0.0, 1.0, 1.0), h, a, CASE_K2)
     spec = WellSpec(CASE_K2, a)
-    assert elastic_energy(lam, spec) == pytest.approx(0.0, abs=1e-12)
-    assert tv_bulk(lam) == 0.0
+    b = total_energy(lam, spec, 1.0)
+    assert b.elastic == pytest.approx(0.0, abs=1e-12)
+    assert b.tv_bulk == 0.0
     # 2 interfaces per period, 8 periods, each of length 1 and jump 2a
-    assert tv_jump(lam) == pytest.approx(16.0 * 2.0 * a, rel=1e-12)
+    assert b.tv_jump == pytest.approx(16.0 * 2.0 * a, rel=1e-12)
     lam1 = laminate(Rect(0.0, 0.0, 1.0, 1.0), h, a, CASE_K1)
-    assert elastic_energy(lam1, WellSpec(CASE_K1, a)) == pytest.approx(0.0, abs=1e-12)
-    assert tv_jump(lam1) == pytest.approx(16.0 * 2.0 * a, rel=1e-12)
+    b1 = total_energy(lam1, WellSpec(CASE_K1, a), 1.0)
+    assert b1.elastic == pytest.approx(0.0, abs=1e-12)
+    assert b1.tv_jump == pytest.approx(16.0 * 2.0 * a, rel=1e-12)
 
 
 def test_breakdown_composition_and_validation():
@@ -277,9 +274,8 @@ def test_energy_additivity_over_cells():
     c2 = k2_cell((0.0, 0.25), 1.0, 0.25, a)
     union = PiecewiseDeformation(
         Rect(0.0, 0.0, 1.0, 0.5), c1.parts + c2.parts)
-    e_union = elastic_energy(union, spec)
-    assert e_union == pytest.approx(elastic_energy(c1, spec) + elastic_energy(c2, spec),
-                                    rel=1e-10)
+    e_union, e1, e2 = (b.elastic for b in total_energies([union, c1, c2], spec, 1.0))
+    assert e_union == pytest.approx(e1 + e2, rel=1e-10)
 
 
 def test_quadrature_convergence_under_order_doubling():
@@ -288,9 +284,9 @@ def test_quadrature_convergence_under_order_doubling():
     d = k2_cell((0.0, 0.0), 1.0, 0.2, a)
     q1 = QuadratureSpec(base_order=8)
     q2 = QuadratureSpec(base_order=16)
-    for fn in (lambda q: elastic_energy(d, spec, q),
-               lambda q: tv_bulk(d, q), lambda q: tv_jump(d, q)):
-        v1, v2 = fn(q1), fn(q2)
+    b1, b2 = total_energy(d, spec, 1.0, q1), total_energy(d, spec, 1.0, q2)
+    for term in ("elastic", "tv_bulk", "tv_jump"):
+        v1, v2 = getattr(b1, term), getattr(b2, term)
         assert abs(v1 - v2) <= 10.0 * q1.rel_tol * max(abs(v2), 1e-6)
 
 
@@ -298,9 +294,9 @@ def test_elastic_energy_rotation_invariance():
     a = 0.2
     spec = WellSpec(CASE_K2, a)
     d = k2_boundary_cell((0.0, 0.0), 1.0, 0.25, a)
-    e0 = elastic_energy(d, spec)
+    e0 = total_energy(d, spec, 1.0).elastic
     for phi in (0.3, 1.2, -2.0):
-        e = elastic_energy(rotate_values(d, rotation(phi)), spec)
+        e = total_energy(rotate_values(d, rotation(phi)), spec, 1.0).elastic
         assert e == pytest.approx(e0, rel=1e-9)
 
 
@@ -309,9 +305,10 @@ def test_mirror_preserves_energies():
     spec = WellSpec(CASE_K1, a)
     d = k1_cell((0.0, 0.0), 0.75, 0.25, a)
     m = mirror_x(d, 0.75)
-    assert elastic_energy(m, spec) == pytest.approx(elastic_energy(d, spec), rel=1e-10)
-    assert tv_jump(m) == pytest.approx(tv_jump(d), rel=1e-10)
-    assert tv_bulk(m) == pytest.approx(tv_bulk(d), rel=1e-10)
+    bm, bd = total_energy(m, spec, 1.0), total_energy(d, spec, 1.0)
+    assert bm.elastic == pytest.approx(bd.elastic, rel=1e-10)
+    assert bm.tv_jump == pytest.approx(bd.tv_jump, rel=1e-10)
+    assert bm.tv_bulk == pytest.approx(bd.tv_bulk, rel=1e-10)
 
 
 def test_mirror_preserves_whole_construction_energies():
@@ -344,13 +341,13 @@ def test_cell_energy_scaling_laws():
     a = 0.1
     slopes = {}
     for name, builder, case in (("k2", k2_cell, CASE_K2), ("k1", k1_cell, CASE_K1)):
-        es = [elastic_energy(builder((0.0, 0.0), 1.0, h, a), WellSpec(case, a))
+        es = [total_energy(builder((0.0, 0.0), 1.0, h, a), WellSpec(case, a), 1.0).elastic
               for h in hs]
         slopes[name] = np.polyfit(np.log(hs), np.log(es), 1)[0]
     assert slopes["k2"] == pytest.approx(5.0, abs=0.15)
     assert slopes["k1"] == pytest.approx(3.0, abs=0.15)
-    es = [elastic_energy(k2_boundary_cell((0.0, 0.0), 1.0, h, a), WellSpec(CASE_K2, a))
-          for h in hs]
+    spec = WellSpec(CASE_K2, a)
+    es = [total_energy(k2_boundary_cell((0.0, 0.0), 1.0, h, a), spec, 1.0).elastic for h in hs]
     assert np.polyfit(np.log(hs), np.log(es), 1)[0] == pytest.approx(1.0, abs=0.15)
 
 
@@ -377,22 +374,23 @@ def test_cell_energy_upper_bounds_single_constant():
 
 def test_tv_bulk_scaling_degree_one():
     a = 0.15
-    v1 = tv_bulk(k2_cell((0.0, 0.0), 1.0, 0.25, a))
-    v2 = tv_bulk(k2_cell((0.0, 0.0), 0.5, 0.125, a))
+    spec = WellSpec(CASE_K2, a)
+    v1 = total_energy(k2_cell((0.0, 0.0), 1.0, 0.25, a), spec, 1.0).tv_bulk
+    v2 = total_energy(k2_cell((0.0, 0.0), 0.5, 0.125, a), spec, 1.0).tv_bulk
     assert v2 == pytest.approx(0.5 * v1, rel=1e-8)
 
 
 def test_tv_bulk_product_bound():
     a, ell, h = 0.2, 1.0, 0.125
-    v = tv_bulk(k2_cell((0.0, 0.0), ell, h, a))
+    v = total_energy(k2_cell((0.0, 0.0), ell, h, a), WellSpec(CASE_K2, a), 1.0).tv_bulk
     assert v <= 5.0 * a * h * h / ell
 
 
 def test_assembly_jump_tv_tracks_stripe_sum():
     spec = WellSpec(CASE_K2, 0.1)
     s = branching_schedule(CASE_K2, 0.1, 1e-5, 1.0, 1.0)
-    d = assemble_branched(spec, s, Rect(0.0, 0.0, 1.0, 1.0))
-    v = tv_jump(d)
+    d = horizontal_branched(spec, 1e-5, Rect(0.0, 0.0, 1.0, 1.0))
+    v = total_energy(d, spec, 1e-5).tv_jump
     assert v <= 40.0 * 0.1 * 1.0 * s.N
 
 
@@ -579,7 +577,7 @@ def test_kernel_calls_grow_with_shapes_not_prototypes(monkeypatch):
     for eps in (1e-3, 1e-7):
         d = horizontal_branched(spec, eps, dom)
         calls.clear()
-        elastic_energy(d, spec)
+        total_energy(d, spec, eps)
         protos = {(g.proto.entry(), p.transform.name) for p in d.parts for g in p.groups}
         counts.append((len(protos), len(calls)))
     (few, calls_few), (many, calls_many) = counts
@@ -612,7 +610,7 @@ def test_mirror_fold_integrates_each_curved_cell_once(monkeypatch):
             monkeypatch.setattr(energy, "_mirror_fold", lambda conj: conj)
         calls.clear()
         cells.clear()
-        value = elastic_energy(d, spec)
+        value = energy._elastic([d], spec, QuadratureSpec())[0][0]
         counts.append((len(calls), sum(calls), value))
         if fold:
             curved = {g.proto.entry() for part in d.parts for g in part.groups
@@ -731,7 +729,7 @@ def test_hess_profile_matches_full_hessian():
         lo, hi = proto.lower.value(x), proto.upper.value(x)
         y = lo + s * (hi - lo)
         hess = oracle_hess(proto.map, x, y)
-        A, B, R2 = proto.map.hess_profile(x)
+        A, B, R2 = proto.map.hess_profile(x, proto.map.ramp(x))
         full = np.sum(hess.reshape(-1, 8) ** 2, axis=1)
         np.testing.assert_allclose((A + B * y) ** 2 + R2, full, rtol=1e-12, atol=0.0)
 
@@ -797,7 +795,7 @@ def test_quadrature_matches_scipy_oracle(eps):
         for (tag, piece), (proto, value, error) in curved.items():
             def column(x, proto=proto):
                 x = np.array([x])
-                A, B, R2 = proto.map.hess_profile(x)
+                A, B, R2 = proto.map.hess_profile(x, proto.map.ramp(x))
                 return float(_column_tv(A, B, R2, proto.lower.value(x),
                                         proto.upper.value(x))[0])
 
@@ -912,10 +910,11 @@ def test_skipped_entries_are_exact_zeros():
         # value rotation rounds the flat gradients off them.
         assert rotate or vertical and k1 or "elastic" in terms
         assert set(skipped.values()) == {(0.0, 0.0)}
-        for part, jg in d.iter_jump_groups():
+        for _, jg in d.iter_jump_groups():
             if jg.smooth:
-                for t in np.linspace(0.0, jg.proto.length_param(), 5)[1:-1]:
-                    assert not np.any(gradient_jump(d, part, jg, t)), jg.tag
+                jx, jy = jg.proto.points(np.linspace(0.0, jg.proto.length_param(), 5)[1:-1])
+                s1, s2 = jg.proto.sides()
+                assert not np.any(s2.grad(jx, jy) - s1.grad(jx, jy)), jg.tag
         # Negative control: the linear ramp's slope is not flat at the cell
         # edges, so the stripe and centre lines carry a gradient jump.
         assert (seams > 0.0) == (kind == "linear")

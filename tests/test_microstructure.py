@@ -6,8 +6,8 @@ import pytest
 
 from twowell import microstructure
 from twowell.energy import total_energy
+from twowell.families import K2CellPiece, ScalarProfilePiece
 from twowell.microstructure import (
-    assemble_branched,
     best_construction,
     branching_schedule,
     horizontal_branched,
@@ -16,18 +16,10 @@ from twowell.microstructure import (
     k2_boundary_cell,
     k2_cell,
     laminate,
-    sawtooth,
     vertical_branched_k1,
 )
-from twowell.piecewise import (
-    K2CellPiece,
-    PiecewiseDeformation,
-    Rect,
-    ScalarProfilePiece,
-    coverage_check,
-    identity_deformation,
-)
-from twowell.profiles import smooth_step
+from twowell.piecewise import PiecewiseDeformation, Rect, coverage_check, identity_deformation
+from twowell.profiles import sawtooth, smooth_step
 from twowell.wells import CASE_K1, CASE_K2, WellSpec, dist_to_wells
 
 from piecewise_oracles import (
@@ -155,6 +147,13 @@ def test_schedule_frozen_examples():
     assert s1.theta == pytest.approx(1.0 / 3.0)
 
 
+def test_default_N_is_at_least_one_on_thin_domains():
+    # The default N's target is at most 1e-9 here, which rounded up to 0.
+    assert branching_schedule(CASE_K2, 0.1, 1e-4, 1.0, 1e-11).N == 1
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        branching_schedule(CASE_K2, 0.1, 1e-4, 1.0, 1e-11, N=0)
+
+
 def test_schedule_invariants():
     for case, a, eps, L, H in ((CASE_K2, 0.1, 1e-6, 1.0, 1.0),
                                (CASE_K1, 0.2, 1e-5, 2.0, 0.5),
@@ -175,7 +174,7 @@ def test_schedule_invariants():
 def test_degenerate_schedule_assembles_boundary_layer_only():
     s = branching_schedule(CASE_K2, 0.1, 1e-6, 1.0, 1.0, N=3)
     assert s.degenerate and s.tau == -1
-    d = assemble_branched(WellSpec(CASE_K2, 0.1), s, Rect(0.0, 0.0, 1.0, 1.0))
+    d = horizontal_branched(WellSpec(CASE_K2, 0.1), 1e-6, Rect(0.0, 0.0, 1.0, 1.0), N=3)
     assert d.meta["degenerate_schedule"]
     rep = coverage_check(d)
     assert rep.ok
@@ -193,7 +192,7 @@ def test_assembly_boundary_trace_and_stripe_lines():
     for case in (CASE_K2, CASE_K1):
         spec = WellSpec(case, 0.1)
         s = branching_schedule(case, 0.1, 1e-4, 1.0, 1.0)
-        d = assemble_branched(spec, s, Rect(0.0, 0.0, 1.0, 1.0))
+        d = horizontal_branched(spec, 1e-4, Rect(0.0, 0.0, 1.0, 1.0))
         rep = coverage_check(d)
         assert rep.ok
         assert rep.boundary_max < 1e-12
@@ -209,7 +208,7 @@ def test_assembly_boundary_trace_and_stripe_lines():
 
 def test_assembly_cell_count_formula():
     s = branching_schedule(CASE_K2, 0.1, 1e-5, 1.0, 1.0)
-    d = assemble_branched(WellSpec(CASE_K2, 0.1), s, Rect(0.0, 0.0, 1.0, 1.0))
+    d = horizontal_branched(WellSpec(CASE_K2, 0.1), 1e-5, Rect(0.0, 0.0, 1.0, 1.0))
     expect = 2 * (sum(s.N * 2 ** i for i in range(s.tau)) + s.N * 2 ** s.tau)
     assert d.meta["lemma_cells"] == expect
     # every lemma cell contributes five analytic pieces

@@ -8,8 +8,6 @@ from twowell.scaling import (
     K1_REGIMES,
     HypothesisError,
     _regime_index,
-    bound_k1,
-    bound_k2,
     check_average_lemma,
     classify_regime,
     min_energy_bound,
@@ -18,7 +16,7 @@ from twowell.scaling import (
 
 
 def test_bound_k1_frozen_value():
-    b = bound_k1(0.1, 1e-6, 1.0, 1.0)
+    b = min_energy_bound("k1", 0.1, 1e-6, 1.0, 1.0)
     assert b.branch == 0
     expect = 0.1 ** (4.0 / 3.0) * 1e-4 + 1e-7
     assert b.value == pytest.approx(expect, rel=1e-12)
@@ -26,48 +24,48 @@ def test_bound_k1_frozen_value():
 
 
 def test_bound_k1_limits():
-    assert bound_k1(0.1, 1e6, 1.0, 1.0).branch == 2
-    assert bound_k1(1e-9, 1e-3, 1.0, 1.0).value < 1e-11
+    assert min_energy_bound("k1", 0.1, 1e6, 1.0, 1.0).branch == 2
+    assert min_energy_bound("k1", 1e-9, 1e-3, 1.0, 1.0).value < 1e-11
 
 
 def test_bound_k2_frozen_values():
-    b = bound_k2(0.1, 1e-6, 1.0, 1.0)
+    b = min_energy_bound("k2", 0.1, 1e-6, 1.0, 1.0)
     assert b.branch == 0
     assert b.value == pytest.approx(1.1e-6, rel=1e-6)
-    b = bound_k2(0.1, 1.0, 1.0, 1.0)
+    b = min_energy_bound("k2", 0.1, 1.0, 1.0, 1.0)
     assert b.branch == 1
     assert b.value == pytest.approx(0.01, rel=1e-12)
 
 
 def test_bound_k2_first_term_L_homogeneity():
-    t1 = bound_k2(0.1, 1e-8, 1.0, 1.0).branch_terms[0][0]
-    t2 = bound_k2(0.1, 1e-8, 32.0, 1.0).branch_terms[0][0]
+    t1 = min_energy_bound("k2", 0.1, 1e-8, 1.0, 1.0).branch_terms[0][0]
+    t2 = min_energy_bound("k2", 0.1, 1e-8, 32.0, 1.0).branch_terms[0][0]
     assert t2 / t1 == pytest.approx(32.0 ** 0.2, rel=1e-12)
 
 
 def test_bounds_reject_bad_parameters():
     with pytest.raises(ValueError):
-        bound_k1(1.5, 1.0, 1.0, 1.0)
+        min_energy_bound("k1", 1.5, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        bound_k2(0.1, -1.0, 1.0, 1.0)
+        min_energy_bound("k2", 0.1, -1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         min_energy_bound("k9", 0.1, 1.0, 1.0, 1.0)
 
 
 def test_bounds_monotone_in_each_parameter():
     rng = np.random.default_rng(8)
-    for fn in (bound_k1, bound_k2):
+    for case in ("k1", "k2"):
         for _ in range(200):
             a = rng.uniform(0.02, 0.8)
             eps = 10.0 ** rng.uniform(-8, 0)
             L = 10.0 ** rng.uniform(-1, 1)
             H = 10.0 ** rng.uniform(-1, 1)
-            base = fn(a, eps, L, H).value
+            base = min_energy_bound(case, a, eps, L, H).value
             s = 1.0 + rng.uniform(0.01, 0.5)
-            assert fn(min(a * s, 0.99), eps, L, H).value >= base - 1e-15
-            assert fn(a, eps * s, L, H).value >= base - 1e-15
-            assert fn(a, eps, L * s, H).value >= base - 1e-15
-            assert fn(a, eps, L, H * s).value >= base - 1e-15
+            assert min_energy_bound(case, min(a * s, 0.99), eps, L, H).value >= base - 1e-15
+            assert min_energy_bound(case, a, eps * s, L, H).value >= base - 1e-15
+            assert min_energy_bound(case, a, eps, L * s, H).value >= base - 1e-15
+            assert min_energy_bound(case, a, eps, L, H * s).value >= base - 1e-15
 
 
 def test_scaling_homogeneity_and_regime_invariance():
@@ -78,9 +76,9 @@ def test_scaling_homogeneity_and_regime_invariance():
         L = 10.0 ** rng.uniform(-0.5, 0.5)
         H = 10.0 ** rng.uniform(-0.5, 0.5)
         s = 10.0 ** rng.uniform(-2, 2)
-        for case, fn in (("k1", bound_k1), ("k2", bound_k2)):
-            b1 = fn(a, eps, L, H)
-            b2 = fn(a, s * eps, s * L, s * H)
+        for case in ("k1", "k2"):
+            b1 = min_energy_bound(case, a, eps, L, H)
+            b2 = min_energy_bound(case, a, s * eps, s * L, s * H)
             assert b2.value == pytest.approx(s * s * b1.value, rel=1e-10)
             assert b2.branch == b1.branch
             assert classify_regime(case, a, s * eps, s * L, s * H) == \
