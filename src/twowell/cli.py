@@ -296,9 +296,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_phase(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    pd = phase_diagram(cfg.case, cfg.alpha,
-                       (cfg.phase_log_min, cfg.phase_log_max),
-                       (cfg.phase_log_min, cfg.phase_log_max), cfg.phase_n)
+    pd = phase_diagram(cfg.case, cfg.alpha, (cfg.phase_log_min, cfg.phase_log_max), cfg.phase_n)
     # Row-major over the (H, L) grid, one template per grid row as in
     # phase_svg: the case, alpha and each column's log L/eps are fixed per
     # column, leaving the row's log H/eps, the regimes and the bounds.

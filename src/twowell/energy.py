@@ -20,8 +20,9 @@ cell ``lower(x) <= y <= upper(x)`` is integrated over x by its columns:
   nearest to the same well.
 
 The jump TV integrates ``|Du+ - Du-|`` times the arclength weight along
-each curve.  Congruent cells (translated copies of one prototype under one
-conjugation) share a single quadrature, multiplied by the instance count.
+each curve, from one evaluation of the ramp per node (``gradients``).
+Congruent cells (translated copies of one prototype under one conjugation)
+share a single quadrature, multiplied by the instance count.
 
 Every prototype of one term is refined in the same waves, across all the
 deformations of one :func:`total_energies` call: the candidates of
@@ -380,7 +381,7 @@ def _elastic_integrand(A, B, base_order: int):
         """``(upper - lower)(x)`` times the mean of d2 across the column."""
         cell = member.cell
         ramp = cell.map.ramp(x)
-        lo, hi = cell.bounds(x, ramp)
+        lo, hi = cell.bounds(ramp)
         across = cell.map.grad_reads_y
         # The column's s-nodes go on a leading axis, which the (m, 1) fields
         # and the (m, n) ramp broadcast against; any y will do otherwise.
@@ -497,7 +498,7 @@ def _tv_bulk_integrand(proto, x):
     """
     ramp = proto.map.ramp(x)
     A, B, R2 = proto.map.hess_profile(x, ramp)
-    lo, hi = proto.bounds(x, ramp)
+    lo, hi = proto.bounds(ramp)
     del ramp  # keeps it out of the closed form's peak memory
     return _column_tv(A, B, R2, lo, hi)
 
@@ -530,11 +531,9 @@ def _column_tv(A, B, R2, lo, hi):
 
 
 def _tv_jump_integrand(proto, t):
-    jx, jy = proto.points(t)
-    s1, s2 = proto.sides()
-    diff = (s2.grad(jx, jy) - s1.grad(jx, jy)).reshape(-1, 2, 2)
-    norm = np.sqrt(np.einsum("nij,nij->n", diff, diff)).reshape(t.shape)
-    return norm * proto.weight(t)
+    g1, g2, weight = proto.gradients(t)
+    diff = (g2 - g1).reshape(-1, 2, 2)
+    return np.sqrt(np.einsum("nij,nij->n", diff, diff)).reshape(t.shape) * weight
 
 
 def _tv_jump(defs, quad):

@@ -27,14 +27,17 @@ class _MapBase:
     tells whether D^2 u can be nonzero: never where the map does not bend,
     and not on a piece whose D^2 u is a multiple of g'' when the ramp is
     linear.  A map that is not curved has a constant gradient, and the
-    quadrature relies on that.  ``grad_reads_y`` tells whether the gradient
-    depends on y (not by default), which it then does affinely; the elastic
-    term takes such columns by a Gauss rule in y.  ``kinks()`` lists the
-    local x inside the cell where the bulk-TV column integrand has a kink
-    (none by default): where the derivative of the ramp that |D^2 u| is a
-    multiple of changes sign, ell / 2 on the curved scalar-profile pieces
-    and two points on the k2 cell's middle piece.  The quadrature splits
-    the cell's root panel there.
+    quadrature relies on that: it integrates only curved maps, whose cells
+    are bounded by curves of the map's ramp kind and width ``ell``, so a
+    cell's bounds take the map's ramp values (``CellProto.bounds``).
+    ``grad_reads_y`` tells whether the gradient depends on y (not by
+    default), which it then does affinely; the elastic term takes such
+    columns by a Gauss rule in y.  A curved map also gives its bulk-TV
+    profile (``hess_profile``) and ``kinks()``, the local x inside the cell
+    where the bulk-TV column integrand has a kink: where the derivative of
+    the ramp that |D^2 u| is a multiple of changes sign, ell / 2 on the
+    curved scalar-profile pieces and two points on the k2 cell's middle
+    piece.  The quadrature splits the cell's root panel there.
     For the quadrature's tables, ``entry()`` returns its shape (the class
     and the discrete fields) and its row (the float fields), and
     ``from_row(shape, cols)`` builds a member from an iterator of (m, 1)
@@ -57,23 +60,10 @@ class _MapBase:
     def ramp(self, x):
         return None
 
-    def kinks(self) -> tuple[float, ...]:
-        return ()
-
     def grad(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         return _pack_grad(np.broadcast(x, y).shape, *self.grad_entries(self.ramp(x), y))
-
-    def hess_profile(self, x, ramp):
-        """Coefficients (A, B, R2) with ``|D^2 u|(x, y)^2 = (A + B y)^2 + R2``,
-        from the map's ``ramp(x)``.
-
-        Every family here is affine in y at second order, which lets the
-        surface-energy bulk term integrate the y direction in closed form.
-        """
-        zero = np.zeros_like(np.asarray(x, dtype=float))
-        return zero, zero, zero
 
     def tag(self) -> str:
         return self.key()[0]
@@ -226,12 +216,14 @@ class ScalarProfilePiece(_MapBase):
         return (dx, dy, 0.0, 0.0) if self.component == 0 else (0.0, 0.0, dx, dy)
 
     def hess_profile(self, x, ramp):
-        x = np.asarray(x, dtype=float)
-        zero = np.zeros_like(x)
-        if not self.bends:
-            return zero, zero, zero
-        _, _, d2, _ = ramp
-        return self._phi_xx(d2), zero, zero
+        """Coefficients (A, B, R2) with ``|D^2 u|(x, y)^2 = (A + B y)^2 + R2``
+        on a curved piece, from the map's ``ramp(x)``.
+
+        Every family here is affine in y at second order, which lets the
+        surface-energy bulk term integrate the y direction in closed form.
+        """
+        zero = np.zeros_like(np.asarray(x, dtype=float))
+        return self._phi_xx(ramp[2]), zero, zero
 
     def key(self) -> tuple:
         return (self._TAGS[self.component, self.layout], self.piece, self.ell,
@@ -310,10 +302,7 @@ class K2CellPiece(ScalarProfilePiece):
     def hess_profile(self, x, ramp):
         a, h, ell = self.alpha, self.h, self.ell
         s = a * (1.0 - a)
-        x = np.asarray(x, dtype=float)
-        zero = np.zeros_like(x)
-        if not self.bends:
-            return zero, zero, zero
+        zero = np.zeros_like(np.asarray(x, dtype=float))
         g, d1, d2, d3 = ramp
         if self.piece == 3:
             return -s * (h * h / (16.0 * np.float_power(ell, 3))) * d3, zero, zero

@@ -36,6 +36,7 @@ from .piecewise import (
     rotate_90,
 )
 from .profiles import flat_ends
+from .scaling import _check_params
 from .wells import CASE_K1, CASE_K2, WellSpec
 
 __all__ = [
@@ -215,8 +216,7 @@ def branching_schedule(case: str, alpha: float, epsilon: float, L: float, H: flo
     1/4 < theta < 1/2 for k1.  For k1, theta = 2^(-3/2) gives the local
     period exponent 2/3 and the default 1/3 gives ln 2 / ln 3.
     """
-    if min(alpha, epsilon, L, H) <= 0 or alpha >= 1:
-        raise ValueError("need alpha in (0,1) and positive epsilon, L, H")
+    _check_params(alpha, epsilon, L, H)
     if theta is None:
         theta = THETA_DEFAULT[case]
     if not (0.25 < theta < 0.5):

@@ -34,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .families import AffineDisp, _MapBase, _pack_grad
-from .profiles import step_slope, step_value
+from .profiles import step_profile, step_value
 from .wells import Z_SWAP
 
 __all__ = [
@@ -119,10 +119,6 @@ class LocalCurve:
     def value(self, x):
         return self.c0 + self.c1 * step_value(self.kind, np.asarray(x, dtype=float) / self.width)
 
-    def slope(self, x):
-        t = np.asarray(x, dtype=float) / self.width
-        return self.c1 * step_slope(self.kind, t) / self.width
-
     def integral(self) -> float:
         # Both ramp kinds integrate to 1/2 over [0, 1].
         return self.c0 * self.width + 0.5 * self.c1 * self.width
@@ -164,21 +160,14 @@ class CellProto:
         return cls(next(cols), LocalCurve.from_row(shape[1], cols),
                    LocalCurve.from_row(shape[2], cols), shape[3][0].from_row(shape[3], cols))
 
-    def bounds(self, x, ramp):
-        """``(lower(x), upper(x))``, given the map's ``ramp(x)``.  Where the
-        map follows a ramp of both curves' kind and width, as in every
-        construction's cells, the curves take its value g(x / width)
-        instead of evaluating it again: the same arithmetic, so the same
-        bits."""
-        lower, upper = self.lower, self.upper
-        # Not np.array_equal: with it the peak resident set of a ratio_grid
-        # round read about 0.1 MB higher.
-        if (ramp is not None and lower.kind == upper.kind == self.map.kind
-                and not np.count_nonzero(lower.width != self.map.ell)
-                and not np.count_nonzero(upper.width != self.map.ell)):
-            g = ramp[0]
-            return lower.c0 + lower.c1 * g, upper.c0 + upper.c1 * g
-        return lower.value(x), upper.value(x)
+    def bounds(self, ramp):
+        """``(lower(x), upper(x))`` from the map's ``ramp(x)``, for a cell
+        whose map is curved.  The curves of such a cell follow the map's
+        ramp kind and width ``ell`` (every construction builds its cells so),
+        so they take its value g(x / ell) instead of evaluating it again:
+        the arithmetic of :meth:`LocalCurve.value`, so the same bits."""
+        g = ramp[0]
+        return self.lower.c0 + self.lower.c1 * g, self.upper.c0 + self.upper.c1 * g
 
     def contains(self, x, y, tol: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -347,10 +336,10 @@ class SideRef:
         lx, ly = self.local(jx, jy)
         return self.conj.value(pts_abs + self.map.disp(lx, ly))
 
-    def grad(self, jx, jy):
-        lx, ly = self.local(jx, jy)
-        out = np.empty(np.broadcast(lx, ly).shape + (2, 2))
-        return self.conj.gradient(self.map.grad_entries(self.map.ramp(lx), ly), out)
+    def grad(self, ramp, jy):
+        """Gradient at jump-local height ``jy`` from the ramp at the side's local x."""
+        ly = jy + self.off_y
+        return self.conj.gradient(self.map.grad_entries(ramp, ly), np.empty(np.shape(ly) + (2, 2)))
 
     def entry(self) -> tuple:
         (ms, mr), (cs, _) = self.map.entry(), self.conj.entry()
@@ -364,7 +353,11 @@ class SideRef:
 
 @dataclass(frozen=True)
 class GraphJump:
-    """Jump curve of graph type ``y = curve(x)`` between a below and an above cell."""
+    """Jump curve of graph type ``y = curve(x)`` between a below and an above cell.
+
+    Each side's map either does not bend or follows the curve's ramp kind
+    and width at the same local x (``off_x`` 0.0), as every construction
+    builds its curves: one ramp serves the curve and both sides."""
 
     curve: LocalCurve
     below: SideRef
@@ -386,8 +379,14 @@ class GraphJump:
         t = np.asarray(t, dtype=float)
         return t, self.curve.value(t)
 
-    def weight(self, t):
-        return np.hypot(1.0, self.curve.slope(t))
+    def gradients(self, t):
+        """Both sides' gradients at parameters ``t`` and the arclength weight
+        ``hypot(1, curve'(t))``, from one evaluation of the ramp."""
+        c = self.curve
+        ramp = step_profile(c.kind)(t / c.width)
+        jy = c.c0 + c.c1 * ramp[0]
+        return (self.below.grad(ramp, jy), self.above.grad(ramp, jy),
+                np.hypot(1.0, c.c1 * ramp[1] / c.width))
 
     def length_param(self) -> float:
         return self.curve.width
@@ -417,8 +416,10 @@ class VerticalJump:
         t = np.asarray(t, dtype=float)
         return np.zeros_like(t), t
 
-    def weight(self, t):
-        return np.ones_like(np.asarray(t, dtype=float))
+    def gradients(self, t):
+        """Both sides' gradients at parameters ``t``, each from its own map's
+        ramp at its edge, and the arclength weight 1.0."""
+        return (*(s.grad(s.map.ramp(s.off_x), t) for s in self.sides()), 1.0)
 
     def length_param(self) -> float:
         return self.length

@@ -61,10 +61,11 @@ class BoundValue:
 
 
 def _check_params(alpha, eps, L, H):
+    # Written so that NaN fails both tests.
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    if min(eps, L, H) <= 0:
-        raise ValueError("eps, L, H must be positive")
+    if not all(0.0 < v < math.inf for v in (eps, L, H)):
+        raise ValueError("eps, L, H must be positive and finite")
 
 
 def _terms_k1(alpha, eps, L, H, L13, H13):
@@ -141,27 +142,24 @@ class PhaseDiagram:
 
 
 def phase_diagram(case: str, alpha: float,
-                  log_l_range: tuple[float, float] = (0.5, 6.0),
-                  log_h_range: tuple[float, float] = (0.5, 6.0),
+                  log_range: tuple[float, float] = (0.5, 6.0),
                   n: int = 121) -> PhaseDiagram:
-    """Classify a log-log grid in the (L/eps, H/eps) plane (eps fixed at 1)."""
+    """Classify the log-log grid ``log_range`` x ``log_range`` of
+    (log10 L/eps, log10 H/eps), eps fixed at 1."""
     if n < 2:
         raise ValueError("grid resolution must be at least 2 per axis")
-    logl = np.linspace(log_l_range[0], log_l_range[1], n)
-    logh = np.linspace(log_h_range[0], log_h_range[1], n)
+    logs = np.linspace(log_range[0], log_range[1], n)
     # Fractional powers per axis point with the scalar ``**`` of the scalar
     # bounds: NumPy's array power can differ from it in the last bit.
-    Ls = [10.0 ** ll for ll in logl]
-    Hs = [10.0 ** lh for lh in logh]
-    L = np.array(Ls)[None, :]
-    H = np.array(Hs)[:, None]
+    sides = [10.0 ** v for v in logs]
+    L = np.array(sides)[None, :]
+    H = L.T
     _check_params(alpha, 1.0, 1.0, 1.0)
     if case == CASE_K1:
-        terms = _terms_k1(alpha, 1.0, L, H,
-                          np.array([x ** (1.0 / 3.0) for x in Ls])[None, :],
-                          np.array([x ** (1.0 / 3.0) for x in Hs])[:, None])
+        roots = np.array([x ** (1.0 / 3.0) for x in sides])
+        terms = _terms_k1(alpha, 1.0, L, H, roots[None, :], roots[:, None])
     elif case == CASE_K2:
-        terms = _terms_k2(alpha, 1.0, L, H, np.array([x ** 0.2 for x in Ls])[None, :])
+        terms = _terms_k2(alpha, 1.0, L, H, np.array([x ** 0.2 for x in sides])[None, :])
     else:
         raise ValueError(f"unknown case {case!r}")
     sums = np.stack(np.broadcast_arrays(*(sum(t) for t in terms)))
@@ -169,7 +167,7 @@ def phase_diagram(case: str, alpha: float,
     branch = np.argmin(sums, axis=0)
     vals = sums.min(axis=0)
     regimes = np.array(K1_REGIMES, dtype=object)[_regime_index(case, branch, terms)]
-    return PhaseDiagram(case, alpha, logl, logh, regimes, vals)
+    return PhaseDiagram(case, alpha, logs, logs, regimes, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +187,9 @@ class AverageLemmaReport:
     rhs_perp: float
 
     @property
-    def margin_parallel(self) -> float:
-        return self.rhs_parallel - self.lhs_parallel
-
-    @property
-    def margin_perp(self) -> float:
-        return self.rhs_perp - self.lhs_perp
-
-    @property
     def holds(self) -> bool:
-        return self.margin_parallel >= -1e-12 and self.margin_perp >= -1e-12
+        return (self.rhs_parallel - self.lhs_parallel >= -1e-12
+                and self.rhs_perp - self.lhs_perp >= -1e-12)
 
 
 def check_average_lemma(v_samples: np.ndarray, d_samples: np.ndarray,

@@ -9,7 +9,9 @@ segment looks its pieces up by a scan of both edges.
 
 Also the second gradient of a family's map and of a deformation, which
 only these tests use: the oracle behind the bulk-TV profiles of
-``hess_profile`` and a finite-difference check of the families."""
+``hess_profile`` and a finite-difference check of the families; and each
+jump side's gradient from its own map's ramp, with the arclength weight
+from the curve's, which ``GraphJump.gradients`` takes from one ramp."""
 
 import math
 
@@ -26,7 +28,7 @@ from twowell.piecewise import (
     SideRef,
     VerticalJump,
 )
-from twowell.profiles import flat_ends
+from twowell.profiles import flat_ends, step_profile
 
 
 def oracle_locate(self, p):
@@ -113,6 +115,21 @@ def _with_oracle(def_):
 
 def oracle_evaluate(def_, pts):
     return _with_oracle(def_).evaluate(pts)
+
+
+def side_grad(side, jx, jy):
+    """The gradient of one side of a jump at jump-local points, from its own
+    map's ramp at its local x."""
+    return side.grad(side.map.ramp(jx + side.off_x), jy)
+
+
+def arclength_weight(proto, t):
+    """``hypot(1, curve'(t))`` of a graph jump, from the curve's own ramp;
+    1.0 on a vertical segment."""
+    if isinstance(proto, VerticalJump):
+        return 1.0
+    c = proto.curve
+    return np.hypot(1.0, c.c1 * step_profile(c.kind)(t / c.width)[1] / c.width)
 
 
 class BoundaryPointError(ValueError):

@@ -244,9 +244,9 @@ def test_criterion_10_minimizer_sandwich():
 
 
 def test_criterion_11_phase_diagrams():
-    pd2 = phase_diagram(CASE_K2, 0.1, (0.5, 6.0), (0.5, 6.0), 121)
+    pd2 = phase_diagram(CASE_K2, 0.1, (0.5, 6.0), 121)
     ok2 = pd2.labels() == {"A", "HL", "BR"}
-    pd1 = phase_diagram(CASE_K1, 0.1, (0.5, 6.0), (0.5, 6.0), 200)
+    pd1 = phase_diagram(CASE_K1, 0.1, (0.5, 6.0), 200)
     ok1 = pd1.labels() == {"A", "BR", "HL", "VB1", "VB2", "VL"}
     # austenite contains {L/eps < 1/alpha} u {H/eps < 1/alpha}
     contain = True

@@ -254,8 +254,7 @@ def test_phase_outputs(tmp_path):
 def _oracle_phase_csv(path, cfg):
     """The phase rows as six-tuples through the one-template-per-file CSV
     writer, one ``%`` per grid point."""
-    pd = phase_diagram(cfg.case, cfg.alpha, (cfg.phase_log_min, cfg.phase_log_max),
-                       (cfg.phase_log_min, cfg.phase_log_max), cfg.phase_n)
+    pd = phase_diagram(cfg.case, cfg.alpha, (cfg.phase_log_min, cfg.phase_log_max), cfg.phase_n)
     n_l, n_h = len(pd.log10_L_over_eps), len(pd.log10_H_over_eps)
     log_l = [cli._f(x) for x in pd.log10_L_over_eps] * n_h
     log_h = [s for x in pd.log10_H_over_eps for s in [cli._f(x)] * n_l]

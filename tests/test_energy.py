@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import warnings
@@ -31,6 +30,7 @@ from twowell.microstructure import (
     vertical_branched_k1,
 )
 from twowell.piecewise import (
+    GraphJump,
     PiecewiseDeformation,
     Rect,
     VerticalJump,
@@ -40,7 +40,7 @@ from twowell.piecewise import (
 )
 from twowell.wells import CASE_K1, CASE_K2, WellSpec, rotation, well_matrices
 
-from piecewise_oracles import oracle_hess
+from piecewise_oracles import arclength_weight, oracle_hess, side_grad
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,15 @@ def _oracle_cell(proto, integrand, quad, warnings):
 
 
 def _oracle_tv_bulk_cell(proto, quad, warnings):
+    """(integral, error) of the bulk TV of one cell.  A cell whose map is not
+    curved, which the bulk TV skips, must have D^2 u = 0 at every node of
+    the tensor oracle; its integral is then exactly (0.0, 0.0)."""
+    if not proto.map.curved:
+        x = np.linspace(0.0, proto.width, 33)
+        y = 0.5 * (proto.lower.value(x) + proto.upper.value(x))
+        assert not np.any(oracle_hess(proto.map, x, y)), proto.map.key()
+        return 0.0, 0.0
+
     def integrand(x):
         A, B, R2 = proto.map.hess_profile(x, proto.map.ramp(x))
         return _column_tv(A, B, R2, proto.lower.value(x), proto.upper.value(x))
@@ -197,8 +206,8 @@ def _oracle_jobs(def_, spec, quad, warnings, closed_form=False):
 
             def integrand(t, proto=proto, s1=s1, s2=s2):
                 jx, jy = proto.points(t)
-                diff = s2.grad(jx, jy) - s1.grad(jx, jy)
-                return np.sqrt(np.einsum("nij,nij->n", diff, diff)) * proto.weight(t)
+                diff = side_grad(s2, jx, jy) - side_grad(s1, jx, jy)
+                return np.sqrt(np.einsum("nij,nij->n", diff, diff)) * arclength_weight(proto, t)
 
             yield ("jump", proto.entry(), jg,
                    lambda proto=proto, f=integrand: _oracle_line((0.0, proto.length_param()),
@@ -625,11 +634,12 @@ def test_mirror_fold_integrates_each_curved_cell_once(monkeypatch):
 def test_one_prototype_at_the_depth_limit_leaves_the_batch_alone():
     # At depth 4 only the lower transition piece of a thin k2 cell (h / ell
     # = 1/128) is still refining; its neighbours in the batch converge in
-    # fewer waves, the middle piece split at its kinks in one.
+    # fewer waves, the middle piece split at its kinks in one.  The batch
+    # holds the curved pieces, as the bulk TV builds it.
     protos = [g.proto for d in (k2_cell((0.0, 0.0), 1.0, 0.25, 0.2),
                                 k2_boundary_cell((0.0, 0.0), 0.5, 0.25, 0.2),
                                 k1_cell((0.0, 0.0), 0.5, 0.25, 0.2))
-              for g in d.parts[0].groups]
+              for g in d.parts[0].groups if g.proto.map.curved]
     protos.insert(2, k2_cell((0.0, 0.0), 1.0, 1.0 / 128.0, 0.2).parts[0].groups[1].proto)
     quad = QuadratureSpec(max_refinement_depth=4)
     batched, _, hit = _tv_bulk_cells(protos, quad)
@@ -696,23 +706,17 @@ def test_declared_kinks_leave_one_wave_of_bulk_tv(monkeypatch):
 
 
 def test_cell_bounds_share_the_ramp_bit_for_bit():
-    # A cell's curves take its map's ramp value where they follow the same
-    # ramp kind and width, and evaluate their own otherwise.
+    # A cell's curves take its map's ramp value: the bits of their own.
     x = np.linspace(0.0, 0.75, 97)
     shared = 0
     for proto in _all_piece_protos():
         ramp = proto.map.ramp(x)
-        lo, hi = proto.bounds(x, ramp)
-        assert (lo.tobytes(), hi.tobytes()) == (proto.lower.value(x).tobytes(),
-                                                proto.upper.value(x).tobytes())
         if ramp is None:
             continue
         shared += 1
-        # An upper curve of another width than the map's evaluates its own
-        # ramp, which differs here from the map's.
-        wide = dataclasses.replace(proto, upper=dataclasses.replace(proto.upper, width=1.5))
-        assert wide.upper.value(x).tobytes() != proto.upper.value(x).tobytes()
-        assert wide.bounds(x, ramp)[1].tobytes() == wide.upper.value(x).tobytes()
+        lo, hi = proto.bounds(ramp)
+        assert (lo.tobytes(), hi.tobytes()) == (proto.lower.value(x).tobytes(),
+                                                proto.upper.value(x).tobytes())
     assert shared > 0
 
 
@@ -729,9 +733,6 @@ def test_hess_profile_matches_full_hessian():
         lo, hi = proto.lower.value(x), proto.upper.value(x)
         y = lo + s * (hi - lo)
         hess = oracle_hess(proto.map, x, y)
-        A, B, R2 = proto.map.hess_profile(x, proto.map.ramp(x))
-        full = np.sum(hess.reshape(-1, 8) ** 2, axis=1)
-        np.testing.assert_allclose((A + B * y) ** 2 + R2, full, rtol=1e-12, atol=0.0)
 
         # The norm hides misplaced entries; central differences of the
         # gradient formula pin every entry of the tensor.
@@ -740,6 +741,15 @@ def test_hess_profile_matches_full_hessian():
                        proto.map.grad(x, y + step) - proto.map.grad(x, y - step)],
                       axis=-1) / (2.0 * step)
         np.testing.assert_allclose(fd, hess, rtol=0.0, atol=1e-6 * np.abs(hess).max() + 1e-12)
+
+        # The bulk TV reads the profile of curved maps only; the others
+        # have D^2 u = 0.
+        if not proto.map.curved:
+            assert not np.any(hess), proto.map.key()
+            continue
+        A, B, R2 = proto.map.hess_profile(x, proto.map.ramp(x))
+        full = np.sum(hess.reshape(-1, 8) ** 2, axis=1)
+        np.testing.assert_allclose((A + B * y) ** 2 + R2, full, rtol=1e-12, atol=0.0)
 
         column = _tv_bulk_cells([proto], QuadratureSpec())[0][0]
         oracle = _oracle_area(proto, _hess_norm_integrand(proto), oracle_quad, [])[0]
@@ -914,12 +924,47 @@ def test_skipped_entries_are_exact_zeros():
             if jg.smooth:
                 jx, jy = jg.proto.points(np.linspace(0.0, jg.proto.length_param(), 5)[1:-1])
                 s1, s2 = jg.proto.sides()
-                assert not np.any(s2.grad(jx, jy) - s1.grad(jx, jy)), jg.tag
+                assert not np.any(side_grad(s2, jx, jy) - side_grad(s1, jx, jy)), jg.tag
         # Negative control: the linear ramp's slope is not flat at the cell
         # edges, so the stripe and centre lines carry a gradient jump.
         assert (seams > 0.0) == (kind == "linear")
 
     check()
+
+
+@pytest.mark.parametrize("case, eps, gamma, theta", [
+    (CASE_K2, 1e-4, "quintic", None),
+    (CASE_K1, 1e-5, "quintic", None),
+    # Only the linear ramp leaves the stripe and centre lines non-smooth.
+    (CASE_K1, 1e-4, "linear", 0.3),
+])
+def test_jump_gradients_take_one_ramp_bit_for_bit(case, eps, gamma, theta):
+    # ``gradients`` evaluates the curve's ramp once for both sides and the
+    # weight: the bits of each side's gradient from its own map's ramp, and
+    # of the weight from the curve's slope.
+    d, _, _ = best_construction(WellSpec(case, 0.1), eps, 1.0, 1.0, theta=theta,
+                                gamma_kind=gamma)
+    kinds = set()
+    for _, jg in d.iter_jump_groups():
+        proto = jg.proto
+        t = np.linspace(0.0, proto.length_param(), 19)[1:-1]
+        g1, g2, weight = proto.gradients(t)
+        jx, jy = proto.points(t)
+        s1, s2 = proto.sides()
+        assert g1.tobytes() == side_grad(s1, jx, jy).tobytes(), jg.tag
+        assert g2.tobytes() == side_grad(s2, jx, jy).tobytes(), jg.tag
+        if isinstance(proto, GraphJump):
+            c = proto.curve
+            s = t / c.width
+            slope = ((30.0 * s - 60.0) * s + 30.0) * s * s if c.kind == "quintic" else 1.0
+            expected = np.hypot(1.0, c.c1 * slope / c.width)
+        else:
+            expected = 1.0
+        got, want = (np.broadcast_to(w, t.shape).tobytes() for w in (weight, expected))
+        assert got == want, jg.tag
+        kinds.add((type(proto).__name__, jg.smooth))
+    assert ("VerticalJump", gamma == "quintic") in kinds
+    assert ("GraphJump", False) in kinds
 
 
 def test_columns_that_read_y_stay_on_one_well():

@@ -9,6 +9,7 @@ from twowell.energy import total_energy
 from twowell.families import K2CellPiece, ScalarProfilePiece
 from twowell.microstructure import (
     best_construction,
+    branched_constructions,
     branching_schedule,
     horizontal_branched,
     k1_boundary_cell,
@@ -18,7 +19,13 @@ from twowell.microstructure import (
     laminate,
     vertical_branched_k1,
 )
-from twowell.piecewise import PiecewiseDeformation, Rect, coverage_check, identity_deformation
+from twowell.piecewise import (
+    GraphJump,
+    PiecewiseDeformation,
+    Rect,
+    coverage_check,
+    identity_deformation,
+)
 from twowell.profiles import sawtooth, smooth_step
 from twowell.wells import CASE_K1, CASE_K2, WellSpec, dist_to_wells
 
@@ -315,6 +322,56 @@ def test_best_construction_is_scale_invariant():
 
     check()
     assert labels == {"identity", "branched-horizontal", "branched-vertical"}
+
+
+def test_cells_and_jumps_follow_one_ramp():
+    # The quadrature evaluates one ramp per column of nodes: a cell whose
+    # map is curved is bounded by curves of the map's ramp kind and width,
+    # and each side of a graph jump either does not bend or follows the
+    # curve's ramp at the same local x.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(case=st.sampled_from([CASE_K1, CASE_K2]),
+                      alpha=st.floats(0.05, 0.45),
+                      log_eps=st.floats(-6.0, -2.0),
+                      log_aspect=st.floats(math.log(0.25), math.log(4.0)),
+                      theta=st.floats(0.26, 0.45),
+                      linear=st.booleans(),
+                      h_over_ell=st.floats(0.05, 1.0))
+    def check(case, alpha, log_eps, log_aspect, theta, linear, h_over_ell):
+        kind = "linear" if linear and case == CASE_K1 else "quintic"
+        dom = Rect(0.0, 0.0, math.exp(0.5 * log_aspect), math.exp(-0.5 * log_aspect))
+        ell, h = dom.width, h_over_ell * dom.width
+        defs = [*branched_constructions(WellSpec(case, alpha), 10.0 ** log_eps, dom, theta,
+                                        kind).values(),
+                k2_cell((0.0, 0.0), ell, h, alpha), k2_boundary_cell((0.0, 0.0), ell, h, alpha),
+                k1_cell((0.0, 0.0), ell, h, alpha, gamma_kind=kind),
+                k1_boundary_cell((0.0, 0.0), ell, h, alpha, gamma_kind=kind),
+                laminate(dom, dom.height / 4.0, alpha, case)]
+        curved = bent = 0
+        for d in defs:
+            for part in d.parts:
+                for g in part.groups:
+                    lower, upper, m = g.proto.lower, g.proto.upper, g.proto.map
+                    if m.curved:
+                        curved += 1
+                        assert lower.kind == upper.kind == m.kind, m.key()
+                        assert lower.width == upper.width == m.ell, m.key()
+                for jg in part.jumps:
+                    if not isinstance(jg.proto, GraphJump):
+                        continue
+                    c = jg.proto.curve
+                    for side in jg.proto.sides():
+                        if side.map.bends:
+                            bent += 1
+                            assert (side.map.kind, side.map.ell, side.off_x) == \
+                                (c.kind, c.width, 0.0), (jg.tag, side.map.key())
+        assert curved and bent
+
+    check()
 
 
 def test_coverage_property():

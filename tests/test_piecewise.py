@@ -37,6 +37,7 @@ from piecewise_oracles import (
     oracle_locate,
     oracle_second_gradient,
     second_gradient,
+    side_grad,
 )
 
 ELL, H, ALPHA = 1.0, 0.25, 0.3
@@ -273,7 +274,7 @@ def test_gradient_jump_values():
         # Second side minus first; a laminate's part has the identity transform.
         jx, jy = jg.proto.points(np.array([t]))
         s1, s2 = jg.proto.sides()
-        return (s2.grad(jx, jy) - s1.grad(jx, jy))[0]
+        return (side_grad(s2, jx, jy) - side_grad(s1, jx, jy))[0]
 
     lam2 = laminate(Rect(0.0, 0.0, 1.0, 1.0), 0.25, ALPHA, "k2")
     part = lam2.parts[0]

@@ -447,7 +447,7 @@ def test_phase_outputs_match_per_cell_writers(tmp_path, case, alpha, n):
     cfg.write_text(f"phase_n = {n}\n")
     assert main(["phase", "--config", str(cfg), "--case", case, "--alpha", repr(alpha),
                  "--out", str(tmp_path)]) == 0
-    pd = phase_diagram(case, alpha, (0.5, 6.0), (0.5, 6.0), n)
+    pd = phase_diagram(case, alpha, (0.5, 6.0), n)
     rows = [[case, alpha, ll, lh, str(pd.regimes[j, i]), pd.bound_values[j, i]]
             for j, lh in enumerate(pd.log10_H_over_eps)
             for i, ll in enumerate(pd.log10_L_over_eps)]

@@ -1,9 +1,12 @@
 from collections import deque
 
+import math
+
 import numpy as np
 import pytest
 
 from twowell.checks import sample_average_lemma_field
+from twowell.microstructure import branching_schedule
 from twowell.scaling import (
     K1_REGIMES,
     HypothesisError,
@@ -116,7 +119,7 @@ def _components(regimes, label):
 
 
 def test_phase_diagram_k2_labels_and_geometry():
-    pd = phase_diagram("k2", 0.1, (0.5, 6.0), (0.5, 6.0), 101)
+    pd = phase_diagram("k2", 0.1, (0.5, 6.0), 101)
     assert pd.labels() == {"A", "BR", "HL"}
     # lower-left corner is austenite
     assert pd.regimes[0, 0] == "A"
@@ -125,7 +128,7 @@ def test_phase_diagram_k2_labels_and_geometry():
 
 
 def test_phase_diagram_k1_taxonomy_and_A_boundary():
-    pd = phase_diagram("k1", 0.1, (0.5, 6.0), (0.5, 6.0), 200)
+    pd = phase_diagram("k1", 0.1, (0.5, 6.0), 200)
     labels = pd.labels()
     assert labels == {"A", "BR", "HL", "VB1", "VB2", "VL"}
     # containment: L/eps < 1/alpha or H/eps < 1/alpha is always austenite
@@ -183,7 +186,7 @@ def _oracle_regime(case, branch, all_terms):
 @pytest.mark.parametrize("case, alpha", [("k1", 0.1), ("k2", 0.1), ("k1", 0.3)])
 def test_phase_diagram_matches_scalar_loop(case, alpha):
     n = 200
-    pd = phase_diagram(case, alpha, (0.5, 6.0), (0.5, 6.0), n)
+    pd = phase_diagram(case, alpha, (0.5, 6.0), n)
     vals = np.empty((n, n))
     regimes = np.empty((n, n), dtype=object)
     for j, lh in enumerate(pd.log10_H_over_eps):
@@ -224,9 +227,25 @@ def test_regime_index_tie_rules_match_oracle():
             assert K1_REGIMES[index[i]] == _oracle_regime(case, int(branch[i]), point)
 
 
+def test_nan_infinite_and_zero_parameters_are_refused():
+    # NaN fails every comparison, so a check of the form min(...) <= 0
+    # let it through: the bound returned nan or inf, and the schedule took
+    # an infinite domain or failed in math.ceil.
+    for i in (1, 2, 3):  # eps, L, H
+        for bad in (math.nan, math.inf, -math.inf, 0.0):
+            args = [0.1, 1e-4, 1.0, 1.0]
+            args[i] = bad
+            for f in (min_energy_bound, branching_schedule):
+                with pytest.raises(ValueError):
+                    f("k2", *args)
+    for f in (min_energy_bound, branching_schedule):
+        with pytest.raises(ValueError):
+            f("k2", math.nan, 1e-4, 1.0, 1.0)
+
+
 def test_phase_diagram_resolution_guard():
     with pytest.raises(ValueError):
-        phase_diagram("k2", 0.1, (0.0, 1.0), (0.0, 1.0), 1)
+        phase_diagram("k2", 0.1, (0.0, 1.0), 1)
 
 
 def test_average_lemma_trivial_equality():
