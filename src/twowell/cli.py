@@ -9,10 +9,11 @@ reproduce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error (also a construction above
 ``MAX_CONSTRUCT_CELLS`` cells for ``construct``), 3 validation failure,
-4 non-convergence of the minimizer.  Configuration errors, and a theta too
-close to 1/2 for the branching schedule, are reported as
-``config error: ...`` on stderr; quadrature warnings of ``construct``,
-``energy`` and ``sweep``, and a k2 theta at or below 2^(-4/3), as
+4 non-convergence of the minimizer.  Configuration errors (a bad flag value
+as a bad file value), and a theta too close to 1/2 for the branching
+schedule, are reported as ``config error: ...`` on stderr; quadrature
+warnings of ``construct``, ``energy`` and ``sweep``, a candidate whose total
+is not finite (it is not compared), and a k2 theta at or below 2^(-4/3), as
 ``warning: ...`` (exit code unaffected).  Any other exception is an
 internal failure: it propagates out of :func:`main` with its traceback, so
 ``python -m twowell`` exits 1.
@@ -35,7 +36,8 @@ from .microstructure import (K2_THETA_MIN, ScheduleRangeError, best_construction
                              branched_constructions)
 from .piecewise import Rect, write_manifest
 from .render import construction_svg, phase_svg
-from .scaling import RATIO_PIN_C, classify_regime, min_energy_bound, phase_diagram
+from .scaling import (RATIO_PIN_C, _check_params, classify_regime, min_energy_bound,
+                      phase_diagram)
 from .wells import CASE_K1, CASE_K2, WellSpec
 
 __all__ = ["main", "RunConfig", "ConfigError"]
@@ -73,10 +75,10 @@ class RunConfig:
     gamma: str = "quintic"
     seed: int = 0
     out: str = "out"
-    quad_base_order: int = 8
-    quad_rel_tol: float = 1e-8
-    quad_max_depth: int = 12
-    quad_line_points: int = 16
+    quad_base_order: int = QuadratureSpec.base_order
+    quad_rel_tol: float = QuadratureSpec.rel_tol
+    quad_max_depth: int = QuadratureSpec.max_refinement_depth
+    quad_line_points: int = QuadratureSpec.line_points
     epsilons: tuple[float, ...] = _parsed((1e-7, 1e-6, 1e-5, 1e-4), _parse_epsilons)
     phase_log_min: float = 0.5
     phase_log_max: float = 6.0
@@ -116,37 +118,33 @@ def parse_config_file(path: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _PARSERS[key](val)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        values[key] = _parse(key, val, f"{path}:{lineno}: bad value for {key}")
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for key, parse in _PARSERS.items():
-        flag = getattr(args, key, None)
-        if isinstance(flag, str):
-            try:
-                flag = parse(flag)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for --{key}: {exc}") from exc
-        if flag is not None:
-            values[key] = flag
+def _parse(key: str, text: str, where: str):
     try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:
+        return _PARSERS[key](text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def build_config(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` file's values, overridden by the flags given."""
+    values = parse_config_file(args.config) if args.config else {}
+    for key, text in vars(args).items():
+        if key in _PARSERS and text is not None:
+            values[key] = _parse(key, text, f"bad value for --{key}")
+    cfg = RunConfig(**values)
+    # The checks the library makes itself: case and alpha, eps, L and H,
+    # and the quadrature settings.
+    try:
+        cfg.spec()
+        for eps in (cfg.epsilon, *cfg.epsilons):
+            _check_params(cfg.alpha, eps, cfg.L, cfg.H)
+        cfg.quad()
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.case not in (CASE_K1, CASE_K2):
-        raise ConfigError(f"case must be k1 or k2, got {cfg.case!r}")
-    if not (0.0 < cfg.alpha < 1.0):
-        raise ConfigError("alpha must lie in (0, 1)")
-    # Written so that NaN fails: it compares false with anything.
-    if not all(0.0 < v < math.inf for v in (cfg.epsilon, cfg.L, cfg.H, *cfg.epsilons)):
-        raise ConfigError("epsilon, L, H and epsilons must be positive and finite")
     if cfg.gamma not in ("quintic", "linear"):
         raise ConfigError("gamma must be quintic or linear")
     if cfg.gamma == "linear" and cfg.case != CASE_K1:
@@ -157,10 +155,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("max_iter must be at least 1")
     if cfg.theta is not None and not (0.25 < cfg.theta < 0.5):
         raise ConfigError("theta must lie in (1/4, 1/2)")
-    try:
-        cfg.quad()
-    except ValueError as exc:
-        raise ConfigError(f"quadrature settings: {exc}") from exc
     if cfg.phase_n < 2:
         raise ConfigError("phase_n must be at least 2")
     if not -math.inf < cfg.phase_log_min < cfg.phase_log_max < math.inf:
@@ -300,13 +294,13 @@ def cmd_phase(cfg: RunConfig) -> int:
     # Row-major over the (H, L) grid, one template per grid row as in
     # phase_svg: the case, alpha and each column's log L/eps are fixed per
     # column, leaving the row's log H/eps, the regimes and the bounds.
-    n_l = len(pd.log10_L_over_eps)
+    n_l = len(pd.log10_over_eps)
     row = "".join(f"{cfg.case},{_f(cfg.alpha)},{_f(x)},%s,%s,%.17g\n"
-                  for x in pd.log10_L_over_eps)
+                  for x in pd.log10_over_eps)
     args = [None] * (3 * n_l)
     with open(out / "phase.csv", "w", newline="") as fh:
         fh.write("case,alpha,log10_L_over_eps,log10_H_over_eps,regime,bound_value\n")
-        for lh, regimes, bounds in zip(pd.log10_H_over_eps, pd.regimes, pd.bound_values):
+        for lh, regimes, bounds in zip(pd.log10_over_eps, pd.regimes, pd.bound_values):
             args[0::3] = [_f(lh)] * n_l
             args[1::3] = regimes.tolist()
             args[2::3] = bounds.tolist()
@@ -323,18 +317,18 @@ def cmd_minimize(cfg: RunConfig) -> int:
     mesh = Mesh(cfg.mesh[0], cfg.mesh[1], cfg.domain())
     opts = MinimizeOptions(max_iter=cfg.max_iter, delta_huber=cfg.huber_delta)
 
-    starts = [("identity", DiscreteField.identity(mesh), None)]
+    starts = [("identity", DiscreteField.identity(mesh))]
     for name, d in branched_constructions(spec, cfg.epsilon, cfg.domain(), cfg.theta,
                                           cfg.gamma).items():
         fld, notes = seed_from_construction(d, mesh)
         for note in notes:
             print(f"warning: {name} seed {note}", file=sys.stderr)
-        starts.append((name, fld, d))
+        starts.append((name, fld))
     out = _out_dir(cfg)
 
     report = []
     results = []
-    for name, fld, _ in starts:
+    for name, fld in starts:
         res = minimize(fld, spec, cfg.epsilon, opts)
         # The trace starts at the seed's discrete_energy total, same delta.
         seed_energy = float(res.energy_trace[0])
@@ -346,8 +340,7 @@ def cmd_minimize(cfg: RunConfig) -> int:
     best_name, _, best = min(results, key=lambda r: r[2].final_energy.total)
     bound = min_energy_bound(cfg.case, cfg.alpha, cfg.epsilon, cfg.L, cfg.H)
     lower = bound.value / RATIO_PIN_C
-    seed_energies = {name: e for name, e, _ in results}
-    sandwich_ok = (best.final_energy.total <= min(e for n, e in seed_energies.items()
+    sandwich_ok = (best.final_energy.total <= min(e for n, e, _ in results
                                                   if n != "identity") + 1e-12
                    and best.final_energy.total >= lower)
     report.append(f"best={best_name} energy={_f(best.final_energy.total)} "
@@ -367,11 +360,9 @@ def cmd_minimize(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     results = run_checks(seed=cfg.seed)
-    ok = True
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
-        ok &= r.passed
-    return 0 if ok else 3
+    return 0 if all(r.passed for r in results) else 3
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +370,15 @@ def cmd_validate(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--case", choices=[CASE_K1, CASE_K2])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--L", type=float)
-    p.add_argument("--H", type=float)
-    p.add_argument("--mesh", help="NX,NY grid cells")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--gamma", choices=["quintic", "linear"])
-    p.add_argument("--max-iter", dest="max_iter", type=int)
+_COMMANDS = {"construct": cmd_construct, "energy": cmd_energy, "sweep": cmd_sweep,
+             "phase": cmd_phase, "minimize": cmd_minimize, "validate": cmd_validate}
+
+# The config keys every subcommand takes as flags, '-' for '_' (``sweep`` also
+# ``--epsilons``): build_config parses their text as it parses a file value.
+_FLAGS = ("out", "case", "alpha", "epsilon", "L", "H", "mesh", "seed", "theta", "gamma",
+          "max_iter")
+_HELP = {"config": "key=value config file", "out": "output directory",
+         "mesh": "NX,NY grid cells", "epsilons": "comma-separated epsilon list"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -400,26 +387,14 @@ def main(argv: list[str] | None = None) -> int:
         description="Branched microstructures and scaling laws for two-well "
                     "elastic energies")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("construct", "energy", "sweep", "phase", "minimize", "validate"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        _add_common(p)
-        if name == "sweep":
-            p.add_argument("--epsilons", help="comma-separated epsilon list")
+        for key in ("config", *_FLAGS, *(("epsilons",) if name == "sweep" else ())):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key))
 
     args = parser.parse_args(argv)
     try:
-        cfg = build_config(args)
-        if args.command == "construct":
-            return cmd_construct(cfg)
-        if args.command == "energy":
-            return cmd_energy(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "phase":
-            return cmd_phase(cfg)
-        if args.command == "minimize":
-            return cmd_minimize(cfg)
-        return cmd_validate(cfg)
+        return _COMMANDS[args.command](build_config(args))
     except (ConfigError, ScheduleRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -246,10 +246,12 @@ def _integrate(wave_values, roots: np.ndarray, owner: np.ndarray, order: int,
     values, and its size the sum of their lengths; with a single root, both
     are that root's own values, bit for bit.
     ``measures`` (one per prototype) scales the absolute noise floor.
-    Returns each prototype's total, its error estimate (the sum of
-    ``|fine - coarse|`` over its accepted panels) and whether it hit the
-    depth limit: panels still above tolerance at ``max_refinement_depth``
-    whose errors sum to more than ten times its tolerance.
+    A panel whose error or tolerance is not finite (a NaN or infinite
+    integrand) is accepted at once.  Returns each prototype's total, its error estimate
+    (the sum of ``|fine - coarse|`` over its accepted panels) and whether
+    it hit the depth limit: panels still above tolerance at
+    ``max_refinement_depth`` whose errors sum to more than ten times its
+    tolerance.
     """
     rules = (_gauss(order), _gauss(2 * order))
     n = len(measures)
@@ -267,7 +269,10 @@ def _integrate(wave_values, roots: np.ndarray, owner: np.ndarray, order: int,
         frac = (panels[:, 1] - panels[:, 0]) / root_size[owner]
         tol = np.maximum(quad.rel_tol * scale[owner] * np.maximum(frac, 1e-6),
                          _NOISE_FLOOR * measures[owner] * frac)
-        done = err <= tol
+        # A NaN error or tolerance (a NaN prototype scale) never passes
+        # err <= tol: such a panel is accepted at once rather than halved to
+        # the depth limit, and the sum it leaves not finite is warned of.
+        done = (err <= tol) | ~np.isfinite(err + tol)
         if depth >= quad.max_refinement_depth:
             left_over = _sums_by_owner(err[~done], owner[~done], n)
             hit = left_over > 10.0 * quad.rel_tol * scale
@@ -333,7 +338,7 @@ def _unique_integrals(keyed, integrate, what: str) -> list[tuple[float, float, t
     integrated once: ``integrate(entries, items)`` returns one value, one
     error estimate and one depth-limit flag per item.  A deformation gets
     the ``what`` quadrature warning when one of its own entries hit the
-    limit.
+    limit, and another when its sum or its error sum is not finite.
     """
     index: dict = {}
     entries, items = [], []
@@ -355,8 +360,10 @@ def _unique_integrals(keyed, integrate, what: str) -> list[tuple[float, float, t
             total += count * values[i]
             error += count * errors[i]
             warned = warned or hit[i]
-        out.append((total, error,
-                    (f"{what} quadrature hit the refinement limit",) if warned else ()))
+        warnings = [f"{what} quadrature hit the refinement limit"] if warned else []
+        if not math.isfinite(total + error):
+            warnings.append(f"{what} quadrature is not finite")
+        out.append((total, error, warnings))
     return out
 
 
@@ -558,11 +565,13 @@ def total_energies(defs: list[PiecewiseDeformation], spec: WellSpec, epsilon: fl
         raise ValueError("epsilon must be nonnegative")
     quad = quad or QuadratureSpec()
     out = []
-    for (elastic, e_err, e_warn), (bulk, b_err, b_warn), (jump, j_err, j_warn) in zip(
-            _elastic(defs, spec, quad), _tv_bulk(defs, quad), _tv_jump(defs, quad)):
-        out.append(EnergyBreakdown.combine(elastic, bulk, jump, epsilon,
-                                           e_err + epsilon * (b_err + j_err),
-                                           sorted({*e_warn, *b_warn, *j_warn})))
+    # A term that is not finite is reported by its warning, not by NumPy's.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for (elastic, e_err, e_warn), (bulk, b_err, b_warn), (jump, j_err, j_warn) in zip(
+                _elastic(defs, spec, quad), _tv_bulk(defs, quad), _tv_jump(defs, quad)):
+            out.append(EnergyBreakdown.combine(elastic, bulk, jump, epsilon,
+                                               e_err + epsilon * (b_err + j_err),
+                                               sorted({*e_warn, *b_warn, *j_warn})))
     return out
 
 

@@ -15,7 +15,7 @@ match).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from .families import AffineDisp, K2CellPiece, ScalarProfilePiece
@@ -452,14 +452,21 @@ def best_construction(spec: WellSpec, epsilon: float, L: float, H: float,
     and (shear case only) the rotated vertical branching.
 
     Returns ``(deformation, breakdown, label)`` for the minimum measured
-    total energy.
+    total energy.  Only finite totals are compared, and each other
+    candidate whose total is not finite adds a warning that names it to the
+    returned breakdown.  If no total is finite, the identity is returned.
     """
     from .energy import total_energies
 
     domain = Rect(0.0, 0.0, L, H)
     candidates = [identity_deformation(domain),
                   *branched_constructions(spec, epsilon, domain, theta, gamma_kind).values()]
+    rows = [(cand, breakdown, cand.meta.get("label", "unknown")) for cand, breakdown
+            in zip(candidates, total_energies(candidates, spec, epsilon, quad))]
+    finite = [r for r in rows if math.isfinite(r[1].total)]
     # min keeps the first of equal totals.
-    return min(((cand, breakdown, cand.meta.get("label", "unknown")) for cand, breakdown
-                in zip(candidates, total_energies(candidates, spec, epsilon, quad))),
-               key=lambda r: r[1].total)
+    d, b, label = min(finite, key=lambda r: r[1].total) if finite else rows[0]
+    excluded = tuple(f"candidate {name} not compared: its total {other.total!r} "
+                     "is not finite" for cand, other, name in rows
+                     if cand is not d and not math.isfinite(other.total))
+    return d, replace(b, warnings=b.warnings + excluded) if excluded else b, label

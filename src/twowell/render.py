@@ -132,12 +132,10 @@ def construction_svg(def_: PiecewiseDeformation, spec: WellSpec) -> str:
 def phase_svg(diagram: PhaseDiagram) -> str:
     """Regime map in the log10(L/eps), log10(H/eps) plane, 640 px square."""
     width_px = 640
-    n_l = len(diagram.log10_L_over_eps)
-    n_h = len(diagram.log10_H_over_eps)
+    n = len(diagram.log10_over_eps)  # cells per axis
     margin = 60
     plot = width_px - 2 * margin
-    cell_w = plot / n_l
-    cell_h = plot / n_h
+    cell = plot / n
     height_px = width_px
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" '
@@ -146,12 +144,12 @@ def phase_svg(diagram: PhaseDiagram) -> str:
     ]
     # One template per grid row: x, width and height are fixed per column,
     # leaving the row's y and each cell's fill.
-    row = "\n".join(f'<rect x="{_fmt(margin + i * cell_w)}" y="%s" '
-                    f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}" '
-                    f'fill="%s"/>' for i in range(n_l))
-    args = [None] * (2 * n_l)
-    for j in range(n_h):
-        args[0::2] = [_fmt(margin + plot - (j + 1) * cell_h)] * n_l
+    row = "\n".join(f'<rect x="{_fmt(margin + i * cell)}" y="%s" '
+                    f'width="{_fmt(cell + 0.5)}" height="{_fmt(cell + 0.5)}" '
+                    f'fill="%s"/>' for i in range(n))
+    args = [None] * (2 * n)
+    for j in range(n):
+        args[0::2] = [_fmt(margin + plot - (j + 1) * cell)] * n
         args[1::2] = [_REGIME_COLORS.get(str(r), "#000000") for r in diagram.regimes[j]]
         lines.append(row % tuple(args))
     lines.append(f'<rect x="{margin}" y="{margin}" width="{plot}" height="{plot}" '

@@ -132,10 +132,9 @@ def _regime_index(case: str, branch, terms):
 class PhaseDiagram:
     case: str
     alpha: float
-    log10_L_over_eps: np.ndarray
-    log10_H_over_eps: np.ndarray
-    regimes: np.ndarray      # (nH, nL) of str
-    bound_values: np.ndarray  # (nH, nL)
+    log10_over_eps: np.ndarray  # (n,): the log10 L/eps and log10 H/eps axes
+    regimes: np.ndarray      # (n, n) of str, one row per H
+    bound_values: np.ndarray  # (n, n)
 
     def labels(self) -> set[str]:
         return set(self.regimes.ravel().tolist())
@@ -167,7 +166,7 @@ def phase_diagram(case: str, alpha: float,
     branch = np.argmin(sums, axis=0)
     vals = sums.min(axis=0)
     regimes = np.array(K1_REGIMES, dtype=object)[_regime_index(case, branch, terms)]
-    return PhaseDiagram(case, alpha, logs, logs, regimes, vals)
+    return PhaseDiagram(case, alpha, logs, regimes, vals)
 
 
 # ---------------------------------------------------------------------------

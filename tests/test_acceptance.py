@@ -250,16 +250,16 @@ def test_criterion_11_phase_diagrams():
     ok1 = pd1.labels() == {"A", "BR", "HL", "VB1", "VB2", "VL"}
     # austenite contains {L/eps < 1/alpha} u {H/eps < 1/alpha}
     contain = True
-    for j, lh in enumerate(pd1.log10_H_over_eps):
-        for i, ll in enumerate(pd1.log10_L_over_eps):
+    for j, lh in enumerate(pd1.log10_over_eps):
+        for i, ll in enumerate(pd1.log10_over_eps):
             if (10.0 ** ll < 10.0 or 10.0 ** lh < 10.0) and pd1.regimes[j, i] != "A":
                 contain = False
     # and its boundary on the far edges is L/eps = 1/alpha within one cell
-    step = pd1.log10_L_over_eps[1] - pd1.log10_L_over_eps[0]
+    step = pd1.log10_over_eps[1] - pd1.log10_over_eps[0]
     k_top = next(i for i, r in enumerate(pd1.regimes[-1, :]) if r != "A")
     k_right = next(j for j, r in enumerate(pd1.regimes[:, -1]) if r != "A")
-    edge_ok = (abs(pd1.log10_L_over_eps[k_top] - 1.0) <= step + 1e-12
-               and abs(pd1.log10_H_over_eps[k_right] - 1.0) <= step + 1e-12)
+    edge_ok = (abs(pd1.log10_over_eps[k_top] - 1.0) <= step + 1e-12
+               and abs(pd1.log10_over_eps[k_right] - 1.0) <= step + 1e-12)
     ok = ok2 and ok1 and contain and edge_ok
     _report(11, ok, f"k2 labels {sorted(pd2.labels())}; k1 labels "
                     f"{sorted(pd1.labels())}; A-region boundary within one cell")

@@ -132,6 +132,31 @@ def test_theta_warning_on_construct_sweep_and_minimize(tmp_path, capsys, argv, c
     assert any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", ["energy --alpha abc", "energy --case k3",
+                                  "construct --gamma cubic", "validate --seed x",
+                                  "minimize --max-iter 1.5"])
+def test_bad_flag_values_are_config_errors(tmp_path, capsys, argv):
+    # Flags carry no argparse type or choices: their text is parsed and
+    # checked as a config file's value is, before any output is made.
+    assert main(argv.split() + ["--out", str(tmp_path / "unused")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "unused").exists()
+
+
+def test_energy_at_tiny_epsilon_reports_the_candidate_it_leaves_out(tmp_path):
+    # At eps = 1e-300 the branched total is not finite: it is named on
+    # stderr and not compared, and its NaN panels are not refined to the
+    # depth limit (this run took minutes when they were).
+    r = subprocess.run([sys.executable, "-m", "twowell", "energy", "--case", "k2",
+                        "--epsilon", "1e-300", "--out", str(tmp_path)],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0
+    assert r.stdout.startswith("construction=identity ")
+    assert any(line.startswith("warning: ") and "branched-horizontal" in line
+               for line in r.stderr.splitlines())
+    assert "RuntimeWarning" not in r.stderr
+
+
 def test_internal_errors_are_not_config_errors(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("library bug")
@@ -255,9 +280,9 @@ def _oracle_phase_csv(path, cfg):
     """The phase rows as six-tuples through the one-template-per-file CSV
     writer, one ``%`` per grid point."""
     pd = phase_diagram(cfg.case, cfg.alpha, (cfg.phase_log_min, cfg.phase_log_max), cfg.phase_n)
-    n_l, n_h = len(pd.log10_L_over_eps), len(pd.log10_H_over_eps)
-    log_l = [cli._f(x) for x in pd.log10_L_over_eps] * n_h
-    log_h = [s for x in pd.log10_H_over_eps for s in [cli._f(x)] * n_l]
+    n = len(pd.log10_over_eps)
+    log_l = [cli._f(x) for x in pd.log10_over_eps] * n
+    log_h = [s for x in pd.log10_over_eps for s in [cli._f(x)] * n]
     rows = list(zip(repeat(cfg.case), repeat(cli._f(cfg.alpha)), log_l, log_h,
                     pd.regimes.ravel().tolist(), pd.bound_values.ravel().tolist()))
     cli._write_csv(path, ["case", "alpha", "log10_L_over_eps", "log10_H_over_eps",

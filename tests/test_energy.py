@@ -417,6 +417,31 @@ def test_rotated_field_energy_inequality():
     assert bv.tv_jump == pytest.approx(bu.tv_jump, rel=1e-12)
 
 
+def test_nan_prototype_stops_after_its_first_wave():
+    # A NaN error never passes err <= tol, nor does a finite one against the
+    # NaN tolerance a NaN root gives its prototype's other roots: all three
+    # panels of prototype 0 are accepted at once, and its deformation gets a
+    # warning instead of a refinement to max_refinement_depth.
+    waves = []
+
+    def wave_values(panels, owner, rules):
+        waves.append(len(panels))
+        width = panels[:, 1] - panels[:, 0]
+        values = np.where((owner == 0) & (panels[:, 0] == 0.0), np.nan, width)
+        return values, values
+
+    def integrate(entries, items):
+        roots = np.array([[0.0, 0.5], [0.5, 0.75], [0.75, 1.0], [0.0, 2.0]])
+        return energy._integrate(wave_values, roots, np.array([0, 0, 0, 1]), 4,
+                                 np.ones(2), QuadratureSpec())
+
+    (nan, _, nan_warnings), (two, error, warnings_) = energy._unique_integrals(
+        [[("a", None, 1)], [("b", None, 1)]], integrate, "cell")
+    assert waves == [4]
+    assert math.isnan(nan) and nan_warnings == ["cell quadrature is not finite"]
+    assert (two, error, warnings_) == (2.0, 0.0, [])
+
+
 def test_error_estimate_and_warnings_present():
     b = total_energy(k2_cell((0.0, 0.0), 1.0, 0.25, 0.2), WellSpec(CASE_K2, 0.2), 1e-4)
     assert b.error_estimate >= 0.0

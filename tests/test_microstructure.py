@@ -244,6 +244,28 @@ def test_best_construction_selection():
     assert label == "branched-vertical"
 
 
+def test_best_construction_leaves_out_totals_that_are_not_finite():
+    # At L = 1e-200 the horizontal candidate's total is not finite.  It is
+    # named in a warning and not compared, and its NaN and overflowing
+    # terms raise no RuntimeWarning.
+    spec = WellSpec(CASE_K2, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, b, label = best_construction(spec, 1e-4, 1e-200, 1.0)
+        horizontal = total_energy(
+            horizontal_branched(spec, 1e-4, Rect(0.0, 0.0, 1e-200, 1.0)), spec, 1e-4)
+        # No total is finite: the identity is returned with its own warning.
+        _, huge, huge_label = best_construction(spec, 1e-4, 1e200, 1e200)
+    assert label == "identity" and math.isfinite(b.total)
+    (warning,) = b.warnings
+    assert "branched-horizontal" in warning and "not finite" in warning
+    assert not math.isfinite(horizontal.total)
+    assert any(w.endswith("quadrature is not finite") for w in horizontal.warnings)
+    assert huge_label == "identity" and huge.total == math.inf
+    assert huge.warnings[0] == "cell quadrature is not finite"
+    assert not any("candidate identity" in w for w in huge.warnings)
+
+
 def _best_construction_oracle(spec, eps, L, H):
     """One ``total_energy`` per candidate, the cheapest kept (first on ties)."""
     dom = Rect(0.0, 0.0, L, H)

@@ -180,8 +180,8 @@ def _oracle_grouped_svg(def_, spec):
 
 def _oracle_phase_svg(diagram, width_px=640):
     """One f-string per grid cell."""
-    n_l = len(diagram.log10_L_over_eps)
-    n_h = len(diagram.log10_H_over_eps)
+    n_l = len(diagram.log10_over_eps)
+    n_h = len(diagram.log10_over_eps)
     margin = 60
     plot = width_px - 2 * margin
     cell_w = plot / n_l
@@ -449,8 +449,8 @@ def test_phase_outputs_match_per_cell_writers(tmp_path, case, alpha, n):
                  "--out", str(tmp_path)]) == 0
     pd = phase_diagram(case, alpha, (0.5, 6.0), n)
     rows = [[case, alpha, ll, lh, str(pd.regimes[j, i]), pd.bound_values[j, i]]
-            for j, lh in enumerate(pd.log10_H_over_eps)
-            for i, ll in enumerate(pd.log10_L_over_eps)]
+            for j, lh in enumerate(pd.log10_over_eps)
+            for i, ll in enumerate(pd.log10_over_eps)]
     header = ["case", "alpha", "log10_L_over_eps", "log10_H_over_eps", "regime",
               "bound_value"]
     _assert_same_text((tmp_path / "phase.csv").read_bytes(), _oracle_csv(header, rows))

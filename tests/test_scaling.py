@@ -132,18 +132,18 @@ def test_phase_diagram_k1_taxonomy_and_A_boundary():
     labels = pd.labels()
     assert labels == {"A", "BR", "HL", "VB1", "VB2", "VL"}
     # containment: L/eps < 1/alpha or H/eps < 1/alpha is always austenite
-    for j, lh in enumerate(pd.log10_H_over_eps):
-        for i, ll in enumerate(pd.log10_L_over_eps):
+    for j, lh in enumerate(pd.log10_over_eps):
+        for i, ll in enumerate(pd.log10_over_eps):
             if 10.0 ** ll < 10.0 or 10.0 ** lh < 10.0:
                 assert pd.regimes[j, i] == "A"
     # the far-edge transition out of A happens within one grid cell of 1/alpha
-    step = pd.log10_L_over_eps[1] - pd.log10_L_over_eps[0]
+    step = pd.log10_over_eps[1] - pd.log10_over_eps[0]
     top = pd.regimes[-1, :]
     k = next(i for i in range(len(top)) if top[i] != "A")
-    assert abs(pd.log10_L_over_eps[k] - 1.0) <= step + 1e-12
+    assert abs(pd.log10_over_eps[k] - 1.0) <= step + 1e-12
     right = pd.regimes[:, -1]
     k = next(j for j in range(len(right)) if right[j] != "A")
-    assert abs(pd.log10_H_over_eps[k] - 1.0) <= step + 1e-12
+    assert abs(pd.log10_over_eps[k] - 1.0) <= step + 1e-12
     # connected regions (VB1 is a thin band that may pinch at grid resolution)
     for lab in ("A", "BR", "HL", "VB2", "VL"):
         assert _components(pd.regimes, lab) == 1
@@ -189,9 +189,9 @@ def test_phase_diagram_matches_scalar_loop(case, alpha):
     pd = phase_diagram(case, alpha, (0.5, 6.0), n)
     vals = np.empty((n, n))
     regimes = np.empty((n, n), dtype=object)
-    for j, lh in enumerate(pd.log10_H_over_eps):
+    for j, lh in enumerate(pd.log10_over_eps):
         H = 10.0 ** lh
-        for i, ll in enumerate(pd.log10_L_over_eps):
+        for i, ll in enumerate(pd.log10_over_eps):
             value, branch, terms = _oracle_bound(case, alpha, 1.0, 10.0 ** ll, H)
             vals[j, i] = value
             regimes[j, i] = _oracle_regime(case, branch, terms)
