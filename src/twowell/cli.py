@@ -145,6 +145,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg.quad()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # L H bounds the identity's total, whose d2 is below 1 in both cases.
+    if cfg.L * cfg.H == math.inf:
+        raise ConfigError(f"the area L * H of L={cfg.L!r}, H={cfg.H!r} overflows")
     if cfg.gamma not in ("quintic", "linear"):
         raise ConfigError("gamma must be quintic or linear")
     if cfg.gamma == "linear" and cfg.case != CASE_K1:

@@ -30,16 +30,18 @@ deformations of one :func:`total_energies` call: the candidates of
 their prototypes, which are then integrated once.  The branched
 constructions repeat one five-piece cell with rescaled (ell, h), so their
 prototypes fall into a few *shapes*: each family declares its discrete
-fields (class, piece index, ramp kind, conjugation matrices) and its float
-row (ell, h, alpha, curve coefficients, offsets) through ``entry()``, and
-the prototypes of one shape form one float matrix.  The panels of one shape
-are evaluated by one integrand call on a member built from (m, 1) columns
-of that matrix.  An elastic entry is a cell under the conjugation of its
-part (:class:`_ConjugatedCell`), folded by the wells' mirror symmetry
-(:func:`_mirror_fold`), so a batch holds one folded conjugation: in case k2
-the mirrored half of a construction shares the other half's entries, and
-in case k1 both halves share batches.  The elastic integrand evaluates the
-ramp once per column and writes F entry by entry: a signed-permutation
+fields (class, component, piece role, ramp kind, conjugation matrices)
+and its float row (ell, h, alpha, the ramp term's sign, the y slope,
+curve coefficients, offsets) through ``entry()``, and the prototypes of
+one shape form one float matrix: mirror-image pieces, both k1 layouts and
+both side orders of a graph jump share one.  The panels of one shape are
+evaluated by one integrand call on a member built from (m, 1) columns of
+that matrix.  An elastic entry is a cell under the conjugation of its part
+(:class:`_ConjugatedCell`), folded by the wells' mirror symmetry
+(:func:`_mirror_fold`), so a batch holds one folded conjugation: in case
+k2 the mirrored half of a construction shares the other half's entries,
+and in case k1 both halves share batches.  The elastic integrand evaluates
+the ramp once per column and writes F entry by entry: a signed-permutation
 conjugation (identity, mirror, swap) is a signed copy of each entry.
 
 What is exact by structure gets its exact rule instead of the generic

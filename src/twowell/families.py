@@ -39,14 +39,14 @@ class _MapBase:
     curved scalar-profile pieces and two points on the k2 cell's middle
     piece.  The quadrature splits the cell's root panel there.
     For the quadrature's tables, ``entry()`` returns its shape (the class
-    and the discrete fields) and its row (the float fields), and
-    ``from_row(shape, cols)`` builds a member from an iterator of (m, 1)
-    columns, one row per prototype, that evaluates against (m, n) points:
-    many prototypes of one shape at once, with the ramp evaluated once per
-    column of nodes.  So ``__post_init__`` checks only discrete fields, and
-    integer powers of fields use ``np.float_power``, which is libm ``pow``
-    for scalars and arrays alike, so both forms give the same bits
-    (``np.power`` on arrays may take a vectorized path that rounds
+    and what selects a formula) and its row (every float the formula
+    reads), and ``from_row(shape, cols)`` builds a member from an iterator
+    of (m, 1) columns, one row per prototype, that evaluates against (m, n)
+    points: many prototypes of one shape at once, with the ramp evaluated
+    once per column of nodes.  So ``__post_init__`` checks only discrete
+    fields, and integer powers of fields use ``np.float_power``, which is
+    libm ``pow`` for scalars and arrays alike, so both forms give the same
+    bits (``np.power`` on arrays may take a vectorized path that rounds
     differently).
     """
 
@@ -127,6 +127,11 @@ class ScalarProfilePiece(_MapBase):
       (``k2bd``) case.
 
     The fields are the discrete ones, then (ell, h, alpha) and the ramp kind.
+    Gradients read piece and layout only through ``role`` (flat, bent or the
+    k2 cell's middle piece), the ramp term's ``sign`` (-1.0 on piece 4) and
+    ``slope`` = d_y phi / alpha, set once per map: the table shape is (class,
+    component, role, kind) and the row (ell, h, alpha, sign, slope).  Products
+    with +-1.0 and 0.0 are exact and -0.0 + 0.0 = +0.0: rows keep their bits.
     """
 
     component: int
@@ -138,7 +143,8 @@ class ScalarProfilePiece(_MapBase):
     kind: str = "quintic"
 
     _TAGS = {(0, "cell"): "k1cell", (0, "boundary"): "k1bd", (1, "boundary"): "k2bd"}
-    BENT = (2, 4)
+    _ROLES = ("flat", "bent", "flat", "bent", "flat")
+    _SLOPES = {"cell": (1.0, -1.0, 1.0, -1.0, 1.0), "boundary": (1.0, 0.0, -1.0, 0.0, 1.0)}
 
     def __post_init__(self):
         if (self.component, self.layout) not in self._TAGS:
@@ -146,18 +152,25 @@ class ScalarProfilePiece(_MapBase):
                              f"{self.component} with layout {self.layout!r}")
         if self.piece not in (1, 2, 3, 4, 5):
             raise ValueError("piece index must be 1..5")
+        i = self.piece - 1
+        self.__dict__.update(role=self._ROLES[i], sign=-1.0 if i == 3 else 1.0,
+                             slope=self._SLOPES[self.layout][i])
 
     def entry(self) -> tuple:
-        return ((type(self), self.component, self.layout, self.piece, self.kind),
-                (self.ell, self.h, self.alpha))
+        return ((type(self), self.component, self.role, self.kind),
+                (self.ell, self.h, self.alpha, self.sign, self.slope))
 
     @classmethod
     def from_row(cls, shape, cols):
-        return cls(*shape[1:-1], next(cols), next(cols), next(cols), shape[-1])
+        # A member of many rows has no piece or layout, only what gradients read.
+        member = object.__new__(cls)
+        member.__dict__.update(zip(("component", "role", "kind", "ell", "h", "alpha", "sign",
+                                    "slope"), (*shape[1:], *itertools.islice(cols, 5))))
+        return member
 
     @property
     def bends(self) -> bool:
-        return self.piece in self.BENT
+        return self.role != "flat"
 
     @property
     def curved(self) -> bool:
@@ -187,23 +200,21 @@ class ScalarProfilePiece(_MapBase):
             return a * y - a * h if cell else a * (y - h)
         g = ramp[0]
         if not cell:
-            return (1.0 if self.piece == 2 else -1.0) * (a * h / 4.0) * g + np.zeros_like(y)
+            return self.sign * (a * h / 4.0) * g + np.zeros_like(y)
         return -a * y + (a * h / 4.0) * (1.0 + g if self.piece == 2 else 3.0 - g)
 
     def _dphi(self, ramp, y):
         """``(d_x phi, d_y phi)`` from the ramp values at x."""
         a = self.alpha
         zero = np.zeros_like(np.asarray(y, dtype=float))
-        if self.piece not in (2, 4):
-            return zero, (-a if self.piece == 3 and self.layout == "boundary" else a) + zero
-        sign = 1.0 if self.piece == 2 else -1.0
-        dx = sign * (a * self.h / (4.0 * self.ell)) * ramp[1] + zero
-        return dx, (-a + zero if self.layout == "cell" else zero)
+        dy = self.slope * a + zero
+        if not self.bends:
+            return zero, dy
+        return self.sign * (a * self.h / (4.0 * self.ell)) * ramp[1] + zero, dy
 
     def _phi_xx(self, d2):
         """``d_xx phi`` on pieces 2 and 4, from the ramp's g''."""
-        sign = 1.0 if self.piece == 2 else -1.0
-        return sign * (self.alpha * self.h / (4.0 * np.float_power(self.ell, 2))) * d2
+        return self.sign * (self.alpha * self.h / (4.0 * np.float_power(self.ell, 2))) * d2
 
     def disp(self, x, y):
         val = self._phi(self.ramp(x), y)
@@ -242,7 +253,7 @@ class K2CellPiece(ScalarProfilePiece):
     """
 
     _TAGS = {(1, "cell"): "k2cell"}
-    BENT = (2, 3, 4)
+    _ROLES = ("flat", "bent", "middle", "bent", "flat")
 
     def __post_init__(self):
         super().__post_init__()
@@ -254,22 +265,23 @@ class K2CellPiece(ScalarProfilePiece):
     @property
     def grad_reads_y(self) -> bool:
         # The transition pieces' d_x u1 carries d2 (base - y).
-        return self.piece in (2, 4)
+        return self.role == "bent"
 
     def kinks(self) -> tuple[float, ...]:
         # Piece 3's |D^2 u| is a multiple of |g'''(x / ell)|, and the
         # quintic's g''' = 60 (6 t^2 - 6 t + 1) changes sign at (3 -+ sqrt 3) / 6.
-        if self.piece != 3:
+        if self.role != "middle":
             return ()
         return (self.ell * (3.0 - math.sqrt(3.0)) / 6.0,
                 self.ell * (3.0 + math.sqrt(3.0)) / 6.0)
 
     def _mirror(self, g):
         """Sign and base curve ``y = base(x)`` of the transition pieces: piece
-        4 is piece 2 reflected, built on the upper curve instead of the lower."""
-        if self.piece == 2:
-            return 1.0, (self.h / 8.0) * (1.0 + g)
-        return -1.0, (7.0 * self.h / 8.0) - (self.h / 8.0) * g
+        4 is piece 2 reflected, built on the upper curve instead of the lower.
+        The two bases round differently, so each row selects its own."""
+        h = self.h
+        return self.sign, np.where(self.sign > 0.0, (h / 8.0) * (1.0 + g),
+                                   (7.0 * h / 8.0) - (h / 8.0) * g)
 
     def disp(self, x, y):
         ramp = self.ramp(x)
@@ -280,7 +292,7 @@ class K2CellPiece(ScalarProfilePiece):
         a, h, ell = self.alpha, self.h, self.ell
         s = a * (1.0 - a)
         g, d1, _, _ = ramp
-        if self.piece == 3:
+        if self.role == "middle":
             return _pack2(-s * (h * h / (16.0 * ell)) * d1, u2)
         sig, base = self._mirror(g)
         return _pack2(sig * s * (h / (4.0 * ell)) * d1 * (base - y), u2)
@@ -291,7 +303,7 @@ class K2CellPiece(ScalarProfilePiece):
         if not self.bends:
             return 0.0, 0.0, 0.0, a
         g, d1, d2, _ = ramp
-        if self.piece == 3:
+        if self.role == "middle":
             return -s * (h * h / (16.0 * ell * ell)) * d2, 0.0, 0.0, a
         sig, base = self._mirror(g)
         return (sig * s * (h / (4.0 * ell * ell)) * (d2 * (base - y) + sig * (h / 8.0) * d1 * d1),
@@ -304,7 +316,7 @@ class K2CellPiece(ScalarProfilePiece):
         s = a * (1.0 - a)
         zero = np.zeros_like(np.asarray(x, dtype=float))
         g, d1, d2, d3 = ramp
-        if self.piece == 3:
+        if self.role == "middle":
             return -s * (h * h / (16.0 * np.float_power(ell, 3))) * d3, zero, zero
         r2 = (2.0 * np.float_power(s * h / (4.0 * ell * ell), 2)
               + np.float_power(a * h / (4.0 * ell * ell), 2)) * d2 * d2

@@ -197,7 +197,8 @@ class BranchingSchedule:
 
 
 class ScheduleRangeError(ValueError):
-    """theta so close to 1/2 that the stripe heights leave the float range."""
+    """theta so close to 1/2, or H / L so small, that the cells keep
+    fitting their stripes until the stripe heights leave the float range."""
 
 
 def branching_schedule(case: str, alpha: float, epsilon: float, L: float, H: float,
@@ -248,9 +249,11 @@ def branching_schedule(case: str, alpha: float, epsilon: float, L: float, H: flo
     try:
         while h_of(tau + 1) <= ell_of(tau + 1):
             tau += 1
-    except OverflowError:  # theta near 1/2: 2^i N passes the float range
-        raise ScheduleRangeError(f"theta={theta!r} is too close to 1/2: H / (2^i N) leaves "
-                         f"the float range at level {tau + 1}") from None
+    except OverflowError:  # theta near 1/2, or H / L tiny: 2^i N passes the float range
+        raise ScheduleRangeError(
+            f"theta={theta!r}, L={L!r}, H={H!r}, N={N}: the cell height stays within the "
+            "stripe width theta^i (1 - theta) L / 2 until H / (2^i N) leaves the float range "
+            f"at level {tau + 1}") from None
     idx = range(tau + 1)
     return BranchingSchedule(
         L, H, theta, N, tau,

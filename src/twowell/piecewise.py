@@ -270,11 +270,15 @@ class Transform:
 
     # Table protocol.  A deformation has a few conjugations (identity,
     # mirror, swap, their products, one per value rotation), so the matrices
-    # are the shape; the quadrature conjugates one run of rows at a time.
-    # The integrands read only gradients, so the row is empty: a member is
-    # built from the shape alone, with zero offsets b and c, once per shape.
+    # are the shape, taken once per transform; the quadrature conjugates one
+    # run of rows at a time.  The integrands read only gradients, so the row
+    # is empty: a member is built from the shape alone, once per shape.
+    def __post_init__(self):
+        self.__dict__["_shape"] = (tuple(self.CL.ravel().tolist()),
+                                   tuple(self.Q.ravel().tolist()))
+
     def entry(self) -> tuple:
-        return (tuple(self.CL.ravel().tolist()), tuple(self.Q.ravel().tolist())), ()
+        return self._shape, ()
 
     @classmethod
     @lru_cache(maxsize=64)
@@ -357,15 +361,20 @@ class GraphJump:
 
     Each side's map either does not bend or follows the curve's ramp kind
     and width at the same local x (``off_x`` 0.0), as every construction
-    builds its curves: one ramp serves the curve and both sides."""
+    builds its curves: one ramp serves the curve and both sides.  Its
+    integrand is symmetric in the sides, so ``entry()`` lists them in the
+    order of their shapes (sides of one shape as (below, above))."""
 
     curve: LocalCurve
     below: SideRef
     above: SideRef
 
     def entry(self) -> tuple:
-        (cs, cr), (bs, br), (as_, ar) = self.curve.entry(), self.below.entry(), self.above.entry()
-        return (GraphJump, cs, bs, as_), cr + br + ar
+        # Side shapes (map shape, conjugation) of one map class compare field by field.
+        first, second = sorted((self.below.entry(), self.above.entry()),
+                               key=lambda side: (side[0][0][0].__name__, side[0]))
+        cs, cr = self.curve.entry()
+        return (GraphJump, cs, first[0], second[0]), cr + first[1] + second[1]
 
     @classmethod
     def from_row(cls, shape, cols):

@@ -87,8 +87,14 @@ def test_config_bad_values(tmp_path):
     ("energy --case k1 --epsilon 1e-2", "theta = 0.4999"),
     ("sweep --case k1", "theta = 0.4999"),
     ("minimize --case k1 --epsilon 1e-2", "theta = 0.4999"),
+    # An area L H that overflows, and aspect ratios whose schedule (k1's on
+    # the rotated candidate's swapped rectangle) leaves the float range at
+    # the default theta.
+    ("energy --L 1e200 --H 1e200", ""),
+    ("energy --case k1 --L 1e-200", ""),
+    ("energy --case k2 --H 1e-200", ""),
 ])
-def test_config_rejects_nonfinite_and_degenerate_values(tmp_path, argv, line):
+def test_config_rejects_nonfinite_and_degenerate_values(tmp_path, capsys, argv, line):
     # Each was accepted once: a NaN or infinite energy reported with exit 0,
     # a ValueError traceback (exit 1), a quadrature that never returns, or
     # an empty iteration budget reported as non-convergence (exit 4), or a
@@ -97,6 +103,11 @@ def test_config_rejects_nonfinite_and_degenerate_values(tmp_path, argv, line):
     cfg.write_text(line + "\n")
     assert main(argv.split() + ["--config", str(cfg), "--out", str(tmp_path / "unused")]) == 2
     assert not (tmp_path / "unused").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    if "1e-200" in argv:
+        # The schedule names the rectangle it left the float range on.
+        assert "L=" in err and "H=" in err and "leaves the float range" in err
 
 
 def _theta_warnings(err: str) -> list[str]:

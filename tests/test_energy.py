@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -654,6 +655,48 @@ def test_mirror_fold_integrates_each_curved_cell_once(monkeypatch):
     assert folded == unfolded
     assert calls_folded < calls_unfolded
     assert 2 * points_folded <= points_unfolded
+
+
+@pytest.mark.parametrize("case, shapes", [(CASE_K2, (3, 3, 3)), (CASE_K1, (2, 1, 1))])
+def test_mirror_image_pieces_and_both_layouts_share_a_shape(monkeypatch, case, shapes):
+    # The table shape is (class, component, role, ramp kind): pieces 2 and 4
+    # share one, so do k1's cell and boundary layers, and a jump lists its
+    # sides in the order of their shapes.  Per term: the curved k2 cell's
+    # transition and middle pieces and the k2 boundary layer's bent pieces,
+    # and in case k1 the bent pieces, once per folded conjugation in the
+    # elastic term (horizontal and rotated candidate).
+    seen = {}
+    integrate_lines = energy._integrate_lines
+
+    def recording(entries, edges, integrand, quad, **kw):
+        seen.setdefault(integrand, set()).update(shape for shape, _ in entries)
+        return integrate_lines(entries, edges, integrand, quad, **kw)
+
+    monkeypatch.setattr(energy, "_integrate_lines", recording)
+    _, _, label = best_construction(WellSpec(case, 0.1), 1e-5, 1.0, 1.0)
+    assert label == "branched-horizontal"
+    bulk, jump = seen.pop(_tv_bulk_integrand), seen.pop(energy._tv_jump_integrand)
+    (elastic,) = seen.values()
+    assert (len(elastic), len(bulk), len(jump)) == shapes
+
+
+def test_graph_jump_sides_in_either_order_give_one_entry():
+    # |Du+ - Du-| is symmetric in the sides: a curve between sides of two
+    # shapes and its twin with the sides swapped are one table entry, and
+    # their jump integrals agree bit for bit.
+    quad = QuadratureSpec()
+    for d in (k2_cell((0.0, 0.0), 1.0, 0.25, 0.2), k1_boundary_cell((0.0, 0.0), 0.5, 0.25, 0.2)):
+        part = d.parts[0]
+        assert len(part.jumps) == 4
+        for jg in part.jumps:
+            proto = jg.proto
+            assert proto.below.map.entry()[0] != proto.above.map.entry()[0]
+            twin = GraphJump(proto.curve, proto.above, proto.below)
+            assert twin.entry() == proto.entry()
+            values = [energy._tv_jump([PiecewiseDeformation(d.domain, (
+                replace(part, jumps=(replace(jg, proto=p),)),))], quad)[0][:2]
+                for p in (proto, twin)]
+            assert values[0] == values[1] and values[0][0] > 0.0
 
 
 def test_one_prototype_at_the_depth_limit_leaves_the_batch_alone():
